@@ -65,10 +65,9 @@ dispatcher::~dispatcher() {
     cpu_->destroy(sched_thread_);
 }
 
-void dispatcher::record_trace(sim::trace_kind k, const std::string& subject,
-                              std::string detail) {
-  if (trace_ != nullptr)
-    trace_->record(rt_->now(), node_, k, subject, std::move(detail));
+void dispatcher::record_trace(sim::trace_kind k, std::string_view subject,
+                              std::string_view detail) {
+  if (tracing()) trace_->record(rt_->now(), node_, k, subject, detail);
 }
 
 node_id dispatcher::eu_node(const task_graph& g, eu_index i) const {
@@ -301,8 +300,9 @@ void dispatcher::abort_shard(task_id t, instance_number k,
   }
   drop_waiter_refs(key);
   shards_.erase(key);
-  record_trace(sim::trace_kind::instance_aborted,
-               "task" + std::to_string(t) + "#" + std::to_string(k), reason);
+  if (tracing())
+    record_trace(sim::trace_kind::instance_aborted,
+                 "task" + std::to_string(t) + "#" + std::to_string(k), reason);
   reevaluate_resource_waiters();
 }
 
@@ -764,9 +764,10 @@ void dispatcher::shard_done(shard_key key) {
 
 void dispatcher::emit(notification_kind kind, const eu_rt& eu) {
   ++stats_.notifications;
-  record_trace(sim::trace_kind::notification,
-               eu.info.eu_name + "#" + std::to_string(eu.info.instance),
-               to_string(kind));
+  if (tracing())
+    record_trace(sim::trace_kind::notification,
+                 eu.info.eu_name + "#" + std::to_string(eu.info.instance),
+                 to_string(kind));
   if (policy_ == nullptr) return;
   notification n;
   n.kind = kind;
@@ -786,8 +787,7 @@ void dispatcher::pump_scheduler() {
 
 void dispatcher::scheduler_step() {
   require(!fifo_.empty(), "scheduler ran with an empty FIFO");
-  const notification n = std::move(fifo_.front());
-  fifo_.pop_front();
+  const notification n = fifo_.pop_front();
   ++stats_.scheduler_runs;
   policy_->handle(n, *this);
   sched_busy_ = false;
@@ -801,8 +801,9 @@ time_point dispatcher::now() const { return rt_->now(); }
 void dispatcher::set_priority(kthread_id t, priority p) {
   eu_rt* eu = find_by_thread(t);
   if (eu == nullptr || !cpu_->exists(t)) return;  // terminated meanwhile
-  record_trace(sim::trace_kind::priority_change, cpu_->name(t),
-               std::to_string(p));
+  if (tracing())
+    record_trace(sim::trace_kind::priority_change, cpu_->name(t),
+                 std::to_string(p));
   cpu_->set_priority(t, p);
   cpu_->set_threshold(t, p + eu->pt_boost);
 }
@@ -811,8 +812,9 @@ void dispatcher::set_earliest(kthread_id t, time_point earliest) {
   eu_rt* eu = find_by_thread(t);
   if (eu == nullptr) return;
   if (eu->st != eu_state::waiting) return;  // only pre-start, per the paper
-  record_trace(sim::trace_kind::earliest_change, cpu_->name(t),
-               earliest.to_string());
+  if (tracing())
+    record_trace(sim::trace_kind::earliest_change, cpu_->name(t),
+                 earliest.to_string());
   eu->earliest_abs = earliest;
   eu->protocol_held = false;
   if (eu->earliest_timer != sim::invalid_event) {

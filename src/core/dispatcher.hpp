@@ -34,7 +34,6 @@
 #pragma once
 
 #include <any>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -51,6 +50,7 @@
 #include "core/task_model.hpp"
 #include "sim/runtime.hpp"
 #include "sim/trace.hpp"
+#include "util/ring.hpp"
 
 namespace hades::core {
 
@@ -321,8 +321,12 @@ class dispatcher final : public scheduler_context {
   /// makes the watermark sound.
   bool stash_if_early(const control_token& tok);
 
-  void record_trace(sim::trace_kind k, const std::string& subject,
-                    std::string detail = {});
+  /// Trace records are kept: guard any subject or detail formatting on it.
+  [[nodiscard]] bool tracing() const {
+    return trace_ != nullptr && trace_->enabled();
+  }
+  void record_trace(sim::trace_kind k, std::string_view subject,
+                    std::string_view detail = {});
   void cancel_timers(eu_rt& eu);
   void drop_waiter_refs(const shard_key& key);
   [[nodiscard]] node_id eu_node(const task_graph& g, eu_index i) const;
@@ -339,7 +343,7 @@ class dispatcher final : public scheduler_context {
   std::shared_ptr<policy> policy_;
   kthread_id sched_thread_;
   bool sched_busy_ = false;
-  std::deque<notification> fifo_;
+  ring_fifo<notification> fifo_;
 
   std::map<shard_key, shard> shards_;
   // Early-token machinery (see stash_if_early): the next instance number

@@ -24,10 +24,9 @@ void net_task::send(node_id dst, int channel, sim::wire_payload payload,
 
 void net_task::send_all(int channel, const sim::wire_payload& payload,
                         std::size_t size_bytes) {
-  for (node_id n : net_->attached_nodes()) {
-    if (n == node_) continue;
-    send(n, channel, payload, size_bytes);
-  }
+  net_->for_each_attached([&](node_id n) {
+    if (n != node_) send(n, channel, payload, size_bytes);
+  });
 }
 
 void net_task::on_channel(int channel, channel_handler h) {
@@ -47,8 +46,7 @@ void net_task::pump() {
 void net_task::transmit_head() {
   thread_busy_ = false;
   if (halted_ || queue_.empty()) return;
-  outbound out = std::move(queue_.front());
-  queue_.pop_front();
+  outbound out = queue_.pop_front();
   ++sent_;
   net_->unicast(node_, out.dst, out.channel, std::move(out.payload),
                 out.size_bytes);
@@ -59,14 +57,14 @@ void net_task::on_frame(const sim::message& m) {
   if (halted_) return;
   // The ATM-card interrupt handler (w_net at interrupt priority) runs
   // first; the frame is demultiplexed when the handler completes.
-  cpu_->post_interrupt("nic@" + std::to_string(node_), costs_.w_net,
-                       [this, m] {
-                         if (halted_) return;
-                         ++received_;
-                         const auto ch = static_cast<std::size_t>(m.channel);
-                         if (ch < channels_.size() && channels_[ch])
-                           channels_[ch](m);
-                       });
+  cpu_->post_interrupt(
+      cpu_->tracing() ? "nic@" + std::to_string(node_) : std::string(),
+      costs_.w_net, [this, m] {
+        if (halted_) return;
+        ++received_;
+        const auto ch = static_cast<std::size_t>(m.channel);
+        if (ch < channels_.size() && channels_[ch]) channels_[ch](m);
+      });
 }
 
 void net_task::halt() {

@@ -14,13 +14,13 @@
 // their own channels.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <vector>
 
 #include "core/cost_model.hpp"
 #include "core/processor.hpp"
 #include "sim/network.hpp"
+#include "util/ring.hpp"
 #include "util/types.hpp"
 
 namespace hades::core {
@@ -79,7 +79,7 @@ class net_task {
   kthread_id thread_;
   bool thread_busy_ = false;
   bool halted_ = false;
-  std::deque<outbound> queue_;
+  ring_fifo<outbound> queue_;
   std::vector<channel_handler> channels_;  // channel-indexed; registration-time growth
   std::uint64_t sent_ = 0;
   std::uint64_t received_ = 0;

@@ -10,22 +10,41 @@ constexpr duration zero = duration::zero();
 
 processor::thread& processor::get(kthread_id t) {
   auto it = threads_.find(t);
-  require(it != threads_.end(),
-          "processor: unknown thread #" + std::to_string(t.value));
+  require(it != threads_.end(), [t] {
+    return "processor: unknown thread #" + std::to_string(t.value);
+  });
   return it->second;
 }
 
 const processor::thread& processor::get(kthread_id t) const {
   auto it = threads_.find(t);
-  require(it != threads_.end(),
-          "processor: unknown thread #" + std::to_string(t.value));
+  require(it != threads_.end(), [t] {
+    return "processor: unknown thread #" + std::to_string(t.value);
+  });
   return it->second;
 }
 
-void processor::trace(sim::trace_kind k, const std::string& subject,
-                      std::string detail) {
-  if (trace_ != nullptr)
-    trace_->record(rt_->now(), node_, k, subject, std::move(detail));
+void processor::trace(sim::trace_kind k, std::string_view subject,
+                      std::string_view detail) {
+  if (tracing()) trace_->record(rt_->now(), node_, k, subject, detail);
+}
+
+void processor::enqueue(const thread& th, kthread_id t) {
+  const queue_key key = key_of(th);
+  const auto pos = std::upper_bound(
+      queue_.begin(), queue_.end(), key,
+      [](const queue_key& k, const queue_entry& e) { return k > e.first; });
+  queue_.insert(pos, {key, t});
+}
+
+void processor::dequeue(const thread& th) {
+  const queue_key key = key_of(th);
+  const auto pos = std::lower_bound(
+      queue_.begin(), queue_.end(), key,
+      [](const queue_entry& e, const queue_key& k) { return e.first > k; });
+  require(pos != queue_.end() && pos->first == key,
+          "processor: queued thread missing from the run queue");
+  queue_.erase(pos);
 }
 
 kthread_id processor::create(std::string name, priority prio, priority pt,
@@ -54,12 +73,13 @@ void processor::destroy(kthread_id t) {
 
 void processor::make_runnable(kthread_id t) {
   thread& th = get(t);
-  require(th.st == state::suspended,
-          "processor::make_runnable: thread '" + th.name +
-              "' is not suspended");
+  require(th.st == state::suspended, [&th] {
+    return "processor::make_runnable: thread '" + th.name +
+           "' is not suspended";
+  });
   th.st = state::queued;
   th.queue_seq = next_queue_seq_++;
-  queue_.emplace(key_of(th), t);
+  enqueue(th, t);
   trace(sim::trace_kind::thread_runnable, th.name);
   reschedule();
 }
@@ -87,7 +107,7 @@ void processor::requeue(kthread_id t) {
   th.boosted = true;  // started jobs compete at their preemption threshold
   // Keep the original queue_seq: a preempted thread resumes before
   // same-priority threads that arrived later.
-  queue_.emplace(key_of(th), t);
+  enqueue(th, t);
   running_ = invalid_kthread;
   ++stats_.preemptions;
   trace(sim::trace_kind::thread_preempted, th.name);
@@ -95,7 +115,7 @@ void processor::requeue(kthread_id t) {
 
 void processor::start_burst(kthread_id t) {
   thread& th = get(t);
-  if (th.st == state::queued) queue_.erase(key_of(th));
+  if (th.st == state::queued) dequeue(th);
   th.st = state::running;
   running_ = t;
   th.burst_cs = (last_on_cpu_ == t) ? zero : params_.context_switch;
@@ -118,10 +138,13 @@ void processor::complete(kthread_id t) {
   th.boosted = false;
   running_ = invalid_kthread;
   trace(sim::trace_kind::thread_done, th.name);
-  // The callback may destroy this thread or create/release others; copy it
-  // out before anything else happens.
-  const completion_fn on_done = th.on_done;
+  // The callback may destroy this thread or create/release others, so it
+  // runs from a local. Moved, not copied (a copy may allocate), and moved
+  // back if the thread survives: add_work can revive it for another run.
+  completion_fn on_done = std::move(th.on_done);
   if (on_done) on_done();
+  if (auto it = threads_.find(t); it != threads_.end() && !it->second.on_done)
+    it->second.on_done = std::move(on_done);
   reschedule();
 }
 
@@ -130,7 +153,7 @@ void processor::reschedule() {
 
   const bool have_candidate = !queue_.empty();
   const kthread_id candidate =
-      have_candidate ? queue_.begin()->second : invalid_kthread;
+      have_candidate ? queue_.back().second : invalid_kthread;
 
   if (running_ != invalid_kthread) {
     thread& run = get(running_);
@@ -164,7 +187,7 @@ void processor::suspend(kthread_id t) {
       reschedule();
       return;
     case state::queued:
-      queue_.erase(key_of(th));
+      dequeue(th);
       th.st = state::suspended;
       trace(sim::trace_kind::thread_blocked, th.name);
       return;
@@ -178,10 +201,10 @@ void processor::set_priority(kthread_id t, priority prio) {
   thread& th = get(t);
   if (th.prio == prio) return;
   const bool queued = th.st == state::queued;
-  if (queued) queue_.erase(key_of(th));
+  if (queued) dequeue(th);
   th.prio = prio;
   th.pt = std::max(th.pt, prio);
-  if (queued) queue_.emplace(key_of(th), t);
+  if (queued) enqueue(th, t);
   reschedule();
 }
 
@@ -190,9 +213,9 @@ void processor::set_threshold(kthread_id t, priority pt) {
   // The threshold participates in the queue key of boosted (preempted)
   // threads: reposition to keep the key consistent.
   const bool queued = th.st == state::queued;
-  if (queued) queue_.erase(key_of(th));
+  if (queued) dequeue(th);
   th.pt = std::max(pt, th.prio);
-  if (queued) queue_.emplace(key_of(th), t);
+  if (queued) enqueue(th, t);
   reschedule();
 }
 
@@ -214,8 +237,8 @@ void processor::add_work(kthread_id t, duration extra) {
   if (th.st == state::done) th.st = state::suspended;  // revivable
 }
 
-void processor::post_interrupt(std::string name, duration wcet,
-                               std::function<void()> body) {
+void processor::post_interrupt(std::string_view name, duration wcet,
+                               sim::event_callback body) {
   require(!wcet.is_negative() && !wcet.is_infinite(),
           "processor::post_interrupt: bad handler WCET");
   if (!irq_active()) {
@@ -228,10 +251,26 @@ void processor::post_interrupt(std::string name, duration wcet,
   stats_.busy += wcet;
   trace(sim::trace_kind::custom, name, "interrupt");
 
-  rt_->at(irq_busy_until_, [this, body = std::move(body)] {
-    if (body) body();
-    if (!irq_active()) reschedule();
-  });
+  // The body waits in the FIFO; the completion event carries only `this`
+  // and the post sequence number, so it stays inline in the event pool
+  // whatever the body captures.
+  irq_bodies_.push_back(std::move(body));
+  rt_->at(irq_busy_until_,
+          [this, seq = ++irq_posted_] { finish_interrupt(seq); });
+}
+
+void processor::finish_interrupt(std::uint64_t seq) {
+  // Completions fire in post order: each is dated at irq_busy_until_ right
+  // after its post, that date never decreases (a burst restarts at now(),
+  // which is >= the old value once the burst has drained, and only grows
+  // by non-negative WCETs), and the runtime fires same-instant events in
+  // scheduling order. So the event of post #seq always finds body #seq at
+  // the head of the FIFO — checked, not assumed.
+  require(seq == ++irq_finished_,
+          "processor: interrupt completion out of post order");
+  sim::event_callback body = irq_bodies_.pop_front();
+  if (body) body();
+  if (!irq_active()) reschedule();
 }
 
 bool processor::is_runnable(kthread_id t) const {
@@ -274,7 +313,8 @@ const std::string& processor::name(kthread_id t) const { return get(t).name; }
 std::vector<kthread_id> processor::run_queue() const {
   std::vector<kthread_id> out;
   out.reserve(queue_.size());
-  for (const auto& [k, id] : queue_) out.push_back(id);
+  for (auto it = queue_.rbegin(); it != queue_.rend(); ++it)
+    out.push_back(it->second);
   return out;
 }
 

@@ -17,14 +17,16 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
+#include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sim/runtime.hpp"
 #include "sim/trace.hpp"
 #include "util/error.hpp"
+#include "util/ring.hpp"
 #include "util/time.hpp"
 #include "util/types.hpp"
 
@@ -68,10 +70,16 @@ class processor {
 
   // --- interrupts ----------------------------------------------------------
   /// Run a non-preemptible handler of length `wcet` at interrupt priority;
-  /// `body` executes when the handler completes. Back-to-back interrupts
-  /// queue FIFO.
-  void post_interrupt(std::string name, duration wcet,
-                      std::function<void()> body);
+  /// `body` (may be empty) executes when the handler completes.
+  /// Back-to-back interrupts queue FIFO. `name` is the trace subject only:
+  /// callers that format it guard the formatting on `tracing()`.
+  void post_interrupt(std::string_view name, duration wcet,
+                      sim::event_callback body);
+
+  /// True when this processor's trace records are kept.
+  [[nodiscard]] bool tracing() const {
+    return trace_ != nullptr && trace_->enabled();
+  }
 
   // --- queries -------------------------------------------------------------
   [[nodiscard]] bool exists(kthread_id t) const { return threads_.contains(t); }
@@ -116,8 +124,12 @@ class processor {
     sim::event_id completion = sim::invalid_event;
   };
 
-  // Run-queue key: higher effective priority first, then FIFO.
+  // Run-queue key: higher effective priority first, then FIFO. The queue
+  // is a vector sorted by descending key — the head (smallest key) at the
+  // back — so inserts and removals reuse its storage where a tree would
+  // allocate a node each time.
   using queue_key = std::pair<std::int64_t, std::uint64_t>;
+  using queue_entry = std::pair<queue_key, kthread_id>;
   static priority effective_prio(const thread& th) {
     return th.boosted ? std::max(th.prio, th.pt) : th.prio;
   }
@@ -128,13 +140,16 @@ class processor {
   thread& get(kthread_id t);
   const thread& get(kthread_id t) const;
 
+  void enqueue(const thread& th, kthread_id t);
+  void dequeue(const thread& th);
   void pause_running();          // stop the burst, keep state::running intent
   void requeue(kthread_id t);    // running -> queued (preemption)
   void start_burst(kthread_id t);
   void complete(kthread_id t);
+  void finish_interrupt(std::uint64_t seq);
   void reschedule();
-  void trace(sim::trace_kind k, const std::string& subject,
-             std::string detail = {});
+  void trace(sim::trace_kind k, std::string_view subject,
+             std::string_view detail = {});
   [[nodiscard]] bool irq_active() const {
     return rt_->now() < irq_busy_until_;
   }
@@ -145,13 +160,19 @@ class processor {
   sim::trace_recorder* trace_;
 
   std::unordered_map<kthread_id, thread> threads_;
-  std::map<queue_key, kthread_id> queue_;
+  std::vector<queue_entry> queue_;
   kthread_id running_ = invalid_kthread;
   kthread_id last_on_cpu_ = invalid_kthread;
   std::uint64_t next_thread_ = 1;
   std::uint64_t next_queue_seq_ = 1;
 
   time_point irq_busy_until_ = time_point::zero();
+  // Bodies of posted interrupts, in post order. Each completion event
+  // carries its post sequence number and pops the head (see
+  // finish_interrupt for why the two always match).
+  ring_fifo<sim::event_callback> irq_bodies_;
+  std::uint64_t irq_posted_ = 0;
+  std::uint64_t irq_finished_ = 0;
   counters stats_;
 };
 

@@ -92,8 +92,9 @@ void system::schedule_clock_tick(node_id n, time_point at) {
   // off the previous one, not off now()), and crash_node can cancel the
   // pending link because the chain never leaves the node's shard.
   nodes_[n]->clk_timer = rt_->at_node(n, at, [this, n, at] {
-    cpu(n).post_interrupt("clk@" + std::to_string(n), cfg_.costs.w_clk,
-                          nullptr);
+    processor& c = cpu(n);
+    c.post_interrupt(c.tracing() ? "clk@" + std::to_string(n) : std::string(),
+                     cfg_.costs.w_clk, {});
     schedule_clock_tick(n, at + cfg_.costs.p_clk);
   });
 }
@@ -257,19 +258,22 @@ std::optional<instance_number> system::activate_internal(
                      [this, t, k] { on_deadline(t, k); });
   instances_.at(t).emplace(k, std::move(rec));
   ++st.activations;
-  trace_.record(now, home, sim::trace_kind::instance_activated,
-                g.name() + "#" + std::to_string(k));
+  if (trace_.enabled())
+    trace_.record(now, home, sim::trace_kind::instance_activated,
+                  g.name() + "#" + std::to_string(k));
 
   // Charge c_inv_start in kernel context on the home node, then create the
   // shards on every involved node (they share the activation date `now`):
   // the home's own shard directly, remote nodes by create_shard token —
   // the only cross-node effect is a message, so worker threads never call
   // into a foreign dispatcher.
-  const auto start_shards = [this, t, k, now, home,
-                             procs = std::move(procs)] {
-    cpu(home).post_interrupt(
-        "inv_start:" + graphs_.at(t)->name(), cfg_.costs.c_inv_start,
-        [this, t, k, now, home, procs] {
+  auto start_shards = [this, t, k, now, home,
+                       procs = std::move(procs)]() mutable {
+    processor& c = cpu(home);
+    c.post_interrupt(
+        c.tracing() ? "inv_start:" + graphs_.at(t)->name() : std::string(),
+        cfg_.costs.c_inv_start,
+        [this, t, k, now, home, procs = std::move(procs)] {
           auto it = graphs_.find(t);
           if (it == graphs_.end()) return;
           if (!instance_live(t, k)) return;  // aborted before start
@@ -293,7 +297,7 @@ std::optional<instance_number> system::activate_internal(
     start_shards();
   } else {
     // External activation between events: route onto the home shard first.
-    rt_->at_node(home, now, start_shards);
+    rt_->at_node(home, now, std::move(start_shards));
   }
   return k;
 }
@@ -339,17 +343,20 @@ void system::finish_instance(task_id t, instance_number k) {
   auto& st = task_stats_[t];
   ++st.completions;
   st.response_times.add(rt_->now() - rec.activation);
-  trace_.record(rt_->now(), g.home_node(), sim::trace_kind::instance_completed,
-                g.name() + "#" + std::to_string(k));
+  if (trace_.enabled())
+    trace_.record(rt_->now(), g.home_node(),
+                  sim::trace_kind::instance_completed,
+                  g.name() + "#" + std::to_string(k));
   if (const auto& retire = disp(g.home_node()).retire_hook())
     retire(t, k, rec.activation, rt_->now(), /*completed=*/true);
 
   // c_inv_end in kernel context on the home node; a synchronous invoker (if
   // any) resumes after the handler.
   const node_id home = g.home_node();
-  cpu(home).post_interrupt(
-      "inv_end:" + g.name(), cfg_.costs.c_inv_end,
-      [this, home, waiter = rec.sync_waiter] {
+  processor& c = cpu(home);
+  c.post_interrupt(
+      c.tracing() ? "inv_end:" + g.name() : std::string(),
+      cfg_.costs.c_inv_end, [this, home, waiter = rec.sync_waiter] {
         if (waiter.has_value()) deliver_sync_return(home, *waiter);
       });
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -155,8 +156,13 @@ plan& plan::clock_byzantine(time_point at, node_id n, double rate,
 
 namespace {
 
-std::vector<action> sorted_by_date(const std::vector<action>& in) {
-  std::vector<action> out = in;
+// The actions in date order, same-date actions in plan order. References,
+// not copies: grading asks these queries once per node pair, and copying
+// every action (partition groups included) on each call dominated the
+// detector check at 1000 nodes.
+std::vector<std::reference_wrapper<const action>> sorted_by_date(
+    const std::vector<action>& in) {
+  std::vector<std::reference_wrapper<const action>> out(in.begin(), in.end());
   std::stable_sort(out.begin(), out.end(),
                    [](const action& x, const action& y) { return x.at < y.at; });
   return out;

@@ -61,10 +61,12 @@ feasibility_verdict run_demand_test(const std::vector<analyzed_task>& ts,
     return v;
   }
   for (const auto& t : ts) {
-    validate(t.t > duration::zero() && !t.t.is_infinite(),
-             "feasibility: task '" + t.name + "' needs a finite period");
-    validate(!t.d.is_infinite(),
-             "feasibility: task '" + t.name + "' needs a finite deadline");
+    validate(t.t > duration::zero() && !t.t.is_infinite(), [&t] {
+      return "feasibility: task '" + t.name + "' needs a finite period";
+    });
+    validate(!t.d.is_infinite(), [&t] {
+      return "feasibility: task '" + t.name + "' needs a finite deadline";
+    });
   }
   if (total_utilization(ts) > 1.0) {
     v.reason = "utilization > 1";

@@ -4,14 +4,6 @@ namespace hades::sim {
 
 network::~network() = default;
 
-std::vector<node_id> network::attached_nodes() const {
-  std::vector<node_id> out;
-  out.reserve(handlers_.size());
-  for (node_id n = 0; n < handlers_.size(); ++n)
-    if (handlers_[n]) out.push_back(n);
-  return out;
-}
-
 void network::new_source() {
   const auto n = static_cast<std::uint64_t>(sources_.size());
   // Seeds depend only on the source index, so growing the node set never

@@ -149,7 +149,12 @@ class network : public scenario::fault_injector {
   [[nodiscard]] bool attached(node_id n) const {
     return n < handlers_.size() && handlers_[n] != nullptr;
   }
-  [[nodiscard]] std::vector<node_id> attached_nodes() const;
+  /// Call `f(n)` for every attached node in ascending id order.
+  template <typename F>
+  void for_each_attached(F&& f) const {
+    for (node_id n = 0; n < handlers_.size(); ++n)
+      if (handlers_[n]) f(n);
+  }
 
   /// Send one message. Returns the message id (even when the frame is
   /// dropped at submit time).

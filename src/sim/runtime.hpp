@@ -135,11 +135,9 @@ class runtime {
                         std::function<void()> fn,
                         time_point until = time_point::infinity()) {
     if (first >= until || period.is_infinite()) return;
-    at_node(n, first, [this, n, first, period, until,
-                       fn = std::move(fn)]() mutable {
-      fn();
-      periodic_at_node(n, first + period, period, std::move(fn), until);
-    });
+    arm_chain(std::make_unique<periodic_chain>(
+                  periodic_chain{this, n, period, until, std::move(fn)}),
+              first);
   }
 
   /// Cancel a previously scheduled event. Safe with invalid_event, with an
@@ -210,6 +208,31 @@ class runtime {
 
  protected:
   runtime() = default;
+
+ private:
+  // The constant part of a periodic_at_node chain, held once per chain and
+  // handed from link to link, so each link's closure is a pointer and a
+  // date — inline in the event pool instead of a heap-allocated 72-byte
+  // capture per firing.
+  struct periodic_chain {
+    runtime* rt;
+    node_id n;
+    duration period;
+    time_point until;
+    std::function<void()> fn;
+  };
+  // Links are dated first, first + period, ...: drift-free, and never read
+  // now(), which a realtime backend clamps.
+  static void arm_chain(std::unique_ptr<periodic_chain> c, time_point at) {
+    if (at >= c->until) return;
+    runtime* rt = c->rt;
+    const node_id n = c->n;
+    rt->at_node(n, at, [c = std::move(c), at]() mutable {
+      c->fn();
+      const time_point next = at + c->period;
+      arm_chain(std::move(c), next);
+    });
+  }
 };
 
 namespace sim {

@@ -70,10 +70,14 @@ class trace_recorder {
   void enable(bool on = true) { enabled_ = on; }
   [[nodiscard]] bool enabled() const { return enabled_; }
 
-  void record(time_point t, node_id node, trace_kind kind, std::string subject,
-              std::string detail = {}) {
+  /// Append one event. The strings are built here, after the `enabled()`
+  /// check; callers that format a subject (ids, concatenations) guard the
+  /// formatting on `enabled()` themselves, so a disabled recorder costs the
+  /// per-event paths no string work.
+  void record(time_point t, node_id node, trace_kind kind,
+              std::string_view subject, std::string_view detail = {}) {
     if (!enabled_) return;
-    log_.append({t, node, kind, std::move(subject), std::move(detail)});
+    log_.append({t, node, kind, std::string(subject), std::string(detail)});
   }
 
   /// Merged view over all shard partitions, ordered by

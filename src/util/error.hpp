@@ -8,6 +8,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 namespace hades {
 
@@ -31,6 +32,14 @@ inline void require(bool condition, const char* message) {
 inline void require(bool condition, const std::string& message) {
   if (!condition) throw invariant_violation(message);
 }
+/// Lazy form for formatted messages (ids, names): `message` is a callable
+/// returning the text and runs only on failure, so a check on a per-event
+/// path builds no string while it holds.
+template <typename F>
+  requires std::is_invocable_r_v<std::string, F&>
+inline void require(bool condition, F&& message) {
+  if (!condition) throw invariant_violation(message());
+}
 
 /// Configuration validation helper: throws hades::error on failure.
 inline void validate(bool condition, const char* message) {
@@ -38,6 +47,11 @@ inline void validate(bool condition, const char* message) {
 }
 inline void validate(bool condition, const std::string& message) {
   if (!condition) throw error(message);
+}
+template <typename F>
+  requires std::is_invocable_r_v<std::string, F&>
+inline void validate(bool condition, F&& message) {
+  if (!condition) throw error(message());
 }
 
 }  // namespace hades

@@ -1,0 +1,163 @@
+// Zero-allocation gate for the simulated kernel's per-event path.
+//
+// With tracing off, a warmed-up `core::system` must move frames through
+// net_task::send -> wire -> NIC interrupt -> channel handler, and cycle
+// kernel threads through make_runnable / set_priority / completion, without
+// a single heap allocation. A counting global operator new (the pattern of
+// bench/bench_wire.cpp) sees every allocation in the process; each phase
+// runs once to warm the pools, rings and queues up to their high-water
+// mark, then once more under the counter with the identical pattern.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+
+#include "core/system.hpp"
+
+namespace {
+std::atomic<std::uint64_t> g_allocs{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t size, std::align_val_t al) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  const auto a = static_cast<std::size_t>(al);
+  if (void* p = std::aligned_alloc(a, (size + a - 1) & ~(a - 1))) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return operator new(size); }
+void* operator new[](std::size_t size, std::align_val_t al) {
+  return operator new(size, al);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+
+namespace hades::core {
+namespace {
+
+using namespace hades::literals;
+
+constexpr int kChannel = 7;
+
+// Characterized costs (so every frame pays net_task_per_msg on the sender
+// and a w_net NIC interrupt on the receiver, and clock interrupts tick
+// underneath), tracing off, fixed link delay.
+system::config quiet_kernel() {
+  system::config cfg;
+  cfg.costs = cost_model::chorus_like();
+  cfg.tracing = false;
+  cfg.net.delta_min = 20_us;
+  cfg.net.delta_max = 20_us;
+  cfg.net.per_byte = 0_ns;
+  return cfg;
+}
+
+// A payload that lives in the wire's pooled blocks rather than inline.
+struct frame_body {
+  std::uint64_t words[6] = {};
+};
+
+std::uint64_t allocations_during(const auto& phase) {
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  phase();
+  return g_allocs.load(std::memory_order_relaxed) - before;
+}
+
+TEST(KernelAllocTest, FramesThroughNetTaskAllocateNothing) {
+  system sys(3, quiet_kernel());
+  std::uint64_t received = 0;
+  std::uint64_t checksum = 0;
+  for (node_id n : {1u, 2u})
+    sys.net(n).on_channel(kChannel, [&](const sim::message& m) {
+      ++received;
+      if (const auto* v = m.payload.get<std::uint64_t>()) checksum += *v;
+      if (const auto* b = m.payload.get<frame_body>()) checksum += b->words[0];
+    });
+
+  int round = 0;
+  const auto traffic = [&] {
+    for (int burst = 0; burst < 32; ++burst, ++round) {
+      sys.net(0).send(1, kChannel, std::uint64_t(round), 64);
+      frame_body body;
+      body.words[0] = 1;
+      sys.net(0).send(2, kChannel, body, 64);
+      sys.net(0).send_all(kChannel, std::uint64_t(2), 32);
+      sys.net(1).send(2, kChannel, std::uint64_t(3), 48);
+      sys.run_for(700_us);  // frames overlap clock ticks and each other
+    }
+    sys.run_for(5_ms);  // drain
+  };
+
+  traffic();  // warm-up: pools, rings and per-link state reach their peak
+  const std::uint64_t warm = received;
+  ASSERT_EQ(warm, 32u * 5);
+  const std::uint64_t closures = sim::event_callback::heap_allocations();
+
+  EXPECT_EQ(allocations_during(traffic), 0u);
+  EXPECT_EQ(received, 2 * warm);
+  EXPECT_EQ(sim::event_callback::heap_allocations(), closures);
+  EXPECT_GT(checksum, 0u);
+  // One NIC interrupt per frame, plus the clock ticks underneath.
+  EXPECT_GT(sys.cpu(1).stats().interrupts + sys.cpu(2).stats().interrupts,
+            received);
+}
+
+TEST(KernelAllocTest, ThreadCyclesAllocateNothing) {
+  system sys(1, quiet_kernel());
+  processor& cpu = sys.cpu(0);
+
+  // A long background thread that the cycling thread keeps preempting; it
+  // revives itself from its own completion callback.
+  kthread_id bg;
+  std::uint64_t bg_done = 0;
+  bg = cpu.create("background", 5, 5, 900_us, [&] {
+    ++bg_done;
+    cpu.add_work(bg, 900_us);
+    cpu.make_runnable(bg);
+  });
+  cpu.make_runnable(bg);
+
+  std::uint64_t done = 0;
+  const kthread_id t =
+      cpu.create("cycling", 10, 12, duration::zero(), [&] { ++done; });
+  const auto cycles = [&] {
+    for (int i = 0; i < 256; ++i) {
+      cpu.add_work(t, 40_us);
+      cpu.make_runnable(t);
+      cpu.set_priority(t, 10 + i % 3);
+      cpu.set_threshold(t, 12 + i % 2);
+      sys.run_for(150_us);
+    }
+  };
+
+  cycles();  // warm-up
+  ASSERT_EQ(done, 256u);
+  const std::uint64_t bg_warm = bg_done;
+  const std::uint64_t preemptions = cpu.stats().preemptions;
+  const std::uint64_t closures = sim::event_callback::heap_allocations();
+
+  EXPECT_EQ(allocations_during(cycles), 0u);
+  EXPECT_EQ(done, 512u);
+  EXPECT_GT(bg_done, bg_warm);
+  EXPECT_GT(cpu.stats().preemptions, preemptions);
+  EXPECT_EQ(sim::event_callback::heap_allocations(), closures);
+}
+
+}  // namespace
+}  // namespace hades::core

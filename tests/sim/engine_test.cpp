@@ -399,9 +399,19 @@ TEST(EnginePoolTest, SmallClosuresNeverTouchTheHeap) {
   engine e;
   int sink = 0;
   for (int i = 0; i < 1000; ++i) e.after(1_us, [&sink, i] { sink += i; });
+  // Every link of a periodic_at_node chain (heartbeats, clock-sync rounds,
+  // periodic activations) is an inline closure too, and stays drift-free.
+  std::vector<time_point> ticks;
+  e.periodic_at_node(
+      3, time_point::at(1_us), 10_us, [&] { ticks.push_back(e.now()); },
+      time_point::at(1_ms));
   e.run();
   EXPECT_EQ(event_callback::heap_allocations(), before);
   EXPECT_EQ(sink, 999 * 1000 / 2);
+  ASSERT_EQ(ticks.size(), 100u);  // 1us, 11us, ..., 991us
+  for (std::size_t k = 0; k < ticks.size(); ++k)
+    EXPECT_EQ(ticks[k],
+              time_point::at(1_us + 10_us * static_cast<std::int64_t>(k)));
 }
 
 // Seed regression: cancelled ids used to pile up in a tombstone set (and
