@@ -234,7 +234,7 @@ int main(int argc, char** argv) {
   if (!json_path.empty()) {
     hades::bench::json_doc json;
     json.str("bench", "engine");
-    hades::bench::stamp(json, 0, 1, 0);  // engine-level: no node workload
+    hades::bench::stamp(json, 0, 1);  // engine-level: no node workload
     json.num("events", static_cast<std::uint64_t>(total));
     json.num("churn_events_per_sec_legacy", legacy_churn);
     json.num("churn_events_per_sec_pooled", pooled_churn);

@@ -237,7 +237,7 @@ int main(int argc, char** argv) {
   argc = kept;
 
   bench::json_doc json;
-  bench::stamp(json, 1, 1, 0);
+  bench::stamp(json, 1, 1);
   acceptance_sweep(json);
   incremental_compare(json);
   benchmark::Initialize(&argc, argv);

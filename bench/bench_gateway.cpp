@@ -209,7 +209,7 @@ int main(int argc, char** argv) {
                {arrival_mix::diurnal, "diurnal"}};
 
   bench::json_doc json;
-  bench::stamp(json, 1, 1, 0);
+  bench::stamp(json, 1, 1);
   json.num("decisions_per_mix", measured);
 
   std::printf("bench_gateway: %llu decisions/mix (+%llu warmup), "

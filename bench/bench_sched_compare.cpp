@@ -184,7 +184,7 @@ int main(int argc, char** argv) {
   argc = kept;
 
   bench::json_doc json;
-  bench::stamp(json, 1, 1, 0);
+  bench::stamp(json, 1, 1);
   sweep(json);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -5,44 +5,35 @@
 // rescheduling handler that burns a few hundred nanoseconds of CPU (the
 // stand-in for dispatcher/service work) and re-arms 2-25us out; every 32nd
 // firing sends a cross-group event at lookahead-plus-jitter delay (~3%
-// cross traffic). Handlers touch only their own node's padded state, so
-// worker threads may advance shards concurrently — the regime the backend
-// is built for.
+// cross traffic). Handlers touch only their own node's state.
 //
-// Reported per configuration: wall-clock events/sec, speedup vs the
-// 1-shard serial baseline, per-shard load balance, and the critical-path
-// speedup (total/max per-shard events) an ideal machine would reach. The
-// workload checksum must be identical across every configuration — the
-// determinism guarantee, checked here on every run.
+// Shards advance in serial rounds on one thread, so the numbers measure
+// what partitioning costs: wall-clock events/sec and throughput relative
+// to the 1-shard run, per-shard load balance, and the cross-shard outbox
+// traffic. The workload checksum must be identical across every
+// configuration — the determinism guarantee, checked on every run.
 //
-// A second, *full-system* workload exercises the shard-confinement story
-// end to end (DESIGN.md, "Shard confinement"): a real `core::system`
+// A second, *full-system* workload checks the shard-confinement story end
+// to end (DESIGN.md, "Shard confinement"): a real `core::system`
 // deployment — fault detector heartbeats, Delta-ordered reliable broadcast
-// with flood relays, per-delivery application burn — swept as a worker
-// scaling curve: workers {0, 2, 4, 8, 16} always, {32, 64} where the
-// hardware has that many threads, with shards scaled to the worker count.
-// The observable checksum must be identical across the single-engine run,
-// serial rounds, and every curve point; wall-clock speedup is reported
-// against the 4-shard serial baseline, and each point reports the SPSC
-// outbox traffic (cross events, ring spills, sort-skipped drains).
+// with flood relays, per-delivery application burn — run on the single
+// engine and on 1/2/4/8/16 shards. Every point's observable checksum must
+// equal the single-engine reference; each reports events/sec relative to
+// the single engine and its cross-shard traffic.
 //
 // A third, *scale-curve* workload measures how the full system scales in
 // node count (DESIGN.md, "Scalable topology layer"): hierarchical fault
 // detection (clusters of 50), clustered clock sync, and spanning-tree
 // Delta-ordered broadcast from 8 spread origins, run at 256/1k/4k/10k
-// nodes on 4 shards / 4 workers. Peak live heap is tracked by counting
-// operator new/delete replacements, and the per-point bytes/node is the
-// number the CI scaling gate holds near-linear: `--require-scaling` fails
-// unless bytes/node at 10k stays within 2x of the 1k point and the 10k
-// point still clears a throughput floor.
+// nodes on 4 shards. Peak live heap is tracked by counting operator
+// new/delete replacements, and the per-point bytes/node is the number the
+// CI scaling gate holds near-linear: `--require-scaling` fails unless
+// bytes/node at 10k stays within 2x of the 1k point and the 10k point
+// still clears a throughput floor.
 //
-// Usage: bench_sharded [--smoke] [--require-2x] [--json PATH]
-//                      [--scale-curve] [--nodes N] [--require-scaling]
+// Usage: bench_sharded [--smoke] [--json PATH] [--scale-curve] [--nodes N]
+//                      [--require-scaling]
 //   --smoke           ~20x fewer events (CI compile/perf-path check)
-//   --require-2x      exit non-zero unless the raw 4-shard wall speedup and
-//                     the full-system highest-worker speedup are both >= 2x;
-//                     each gate SKIPs (and passes) below the hardware it
-//                     needs (4 / 8 threads) instead of failing small runners
 //   --json PATH       write machine-readable BENCH_sharded results to PATH
 //   --scale-curve     run ONLY the node-count scaling curve (256/1k/4k/10k;
 //                     256/1k under --smoke)
@@ -51,7 +42,6 @@
 //                     bytes/node(10k) <= 2x bytes/node(1k) and the 10k
 //                     point sustains >= 50k events/s
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -60,7 +50,6 @@
 #include <malloc.h>
 #include <new>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/json_out.hpp"
@@ -77,35 +66,26 @@ using namespace hades::literals;
 // The scale curve gates on memory per node, so this binary replaces the
 // global allocation functions with thin counting wrappers around malloc.
 // Live bytes use malloc_usable_size (what the allocator actually holds, not
-// the request); the peak is maintained with a CAS loop so worker threads
-// can allocate concurrently. The aligned forms matter: the per-node padded
-// state structs are alignas(64) and live in vectors, and the default
-// aligned operator delete does NOT fall back to the unsized plain one.
+// the request). The aligned forms matter: the per-node padded state structs
+// are alignas(64) and live in vectors, and the default aligned operator
+// delete does NOT fall back to the unsized plain one. The benchmark is
+// single-threaded, so plain counters suffice.
 
 namespace heap_track {
 
-inline std::atomic<std::uint64_t> live{0};
-inline std::atomic<std::uint64_t> peak{0};
+inline std::uint64_t live = 0;
+inline std::uint64_t peak = 0;
 
 inline void count(void* p) {
   if (p == nullptr) return;
-  const std::uint64_t sz = malloc_usable_size(p);
-  const std::uint64_t now =
-      live.fetch_add(sz, std::memory_order_relaxed) + sz;
-  std::uint64_t prev = peak.load(std::memory_order_relaxed);
-  while (now > prev &&
-         !peak.compare_exchange_weak(prev, now, std::memory_order_relaxed)) {
-  }
+  live += malloc_usable_size(p);
+  peak = std::max(peak, live);
 }
 inline void uncount(void* p) {
-  if (p != nullptr)
-    live.fetch_sub(malloc_usable_size(p), std::memory_order_relaxed);
+  if (p != nullptr) live -= malloc_usable_size(p);
 }
 /// Forget the historical peak: it restarts from the current live size.
-inline void reset_peak() {
-  peak.store(live.load(std::memory_order_relaxed),
-             std::memory_order_relaxed);
-}
+inline void reset_peak() { peak = live; }
 
 }  // namespace heap_track
 
@@ -144,8 +124,8 @@ void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
 namespace {
 
 // A generous lookahead keeps the conservative rounds coarse: ~60 events
-// per shard per round at 8 shards, so the per-round synchronization cost
-// stays well below the handler work it fences.
+// per shard per round at 8 shards, so the per-round bookkeeping stays well
+// below the handler work it fences.
 constexpr std::size_t kNodes = 64;
 constexpr duration kLookahead = duration::microseconds(100);
 
@@ -158,11 +138,8 @@ struct bench_result {
   double wall_s = 0;
   std::uint64_t events = 0;
   std::uint64_t checksum = 0;
-  double balance = 1.0;        // max/mean per-shard events
-  double critical_path = 1.0;  // total/max per-shard events
-  std::uint64_t cross = 0;     // events routed through an SPSC outbox ring
-  std::uint64_t spilled = 0;   // ring overflows (barrier-ordered fallback)
-  std::uint64_t single_source_drains = 0;  // merges that skipped the sort
+  double balance = 1.0;     // max/mean per-shard events
+  std::uint64_t cross = 0;  // events routed through a cross-shard outbox
 };
 
 // Roughly a microsecond of real work, the handler-cost stand-in.
@@ -199,11 +176,9 @@ struct node_driver {
   }
 };
 
-bench_result run_config(std::size_t shards, std::size_t workers,
-                        duration horizon) {
+bench_result run_config(std::size_t shards, duration horizon) {
   sim::sharded_params p;
   p.shards = shards;
-  p.workers = workers;
   p.lookahead = kLookahead;
   p.node_shard.resize(kNodes);
   for (std::size_t n = 0; n < kNodes; ++n)
@@ -233,14 +208,10 @@ bench_result run_config(std::size_t shards, std::size_t workers,
     mx = std::max(mx, e);
     total += e;
   }
-  if (mx > 0) {
+  if (mx > 0)
     r.balance = static_cast<double>(mx) * static_cast<double>(shards) /
                 static_cast<double>(total);
-    r.critical_path = static_cast<double>(total) / static_cast<double>(mx);
-  }
   r.cross = st.cross_events;
-  r.spilled = st.spilled;
-  r.single_source_drains = st.single_source_drains;
   return r;
 }
 
@@ -253,8 +224,8 @@ struct alignas(64) app_state {
   std::uint64_t hash = 0x9E3779B97F4A7C15ull;
 };
 
-bench_result run_full_system(std::size_t shards, std::size_t workers,
-                             duration horizon) {
+/// `shards == 0` runs the single engine.
+bench_result run_full_system(std::size_t shards, duration horizon) {
   using namespace hades::literals;
   core::system::config cfg;
   cfg.costs = core::cost_model::zero();
@@ -264,8 +235,10 @@ bench_result run_full_system(std::size_t shards, std::size_t workers,
   cfg.net.delta_min = 50_us;  // generous lookahead keeps rounds coarse
   cfg.net.delta_max = 150_us;
   cfg.net.per_byte = 0_ns;
-  cfg.shards = shards;
-  cfg.workers = workers;
+  if (shards > 0) {
+    cfg.runtime.backend = "sharded";
+    cfg.runtime.shards = shards;
+  }
   core::system sys(kSysNodes, cfg);
 
   svc::fault_detector fd(sys, {5_ms, 18_ms});
@@ -275,7 +248,7 @@ bench_result run_full_system(std::size_t shards, std::size_t workers,
   svc::reliable_broadcast bcast(sys, bp);
 
   // Per-delivery application burn on the delivering node's shard: the
-  // handler-cost stand-in that worker threads parallelize.
+  // handler-cost stand-in.
   std::vector<app_state> state(kSysNodes);
   for (node_id n = 0; n < kSysNodes; ++n)
     bcast.on_deliver(n, [&sys, st = &state[n]](
@@ -313,12 +286,8 @@ bench_result run_full_system(std::size_t shards, std::size_t workers,
   const auto ns = sys.network().stats();
   r.checksum ^= ns.sent * 3 + ns.delivered * 5 + ns.dropped * 7 + ns.late * 11;
   if (const auto* se =
-          dynamic_cast<const sim::sharded_engine*>(&sys.engine())) {
-    const auto st = se->stats();
-    r.cross = st.cross_events;
-    r.spilled = st.spilled;
-    r.single_source_drains = st.single_source_drains;
-  }
+          dynamic_cast<const sim::sharded_engine*>(&sys.engine()))
+    r.cross = se->stats().cross_events;
   return r;
 }
 
@@ -333,13 +302,12 @@ struct scale_result {
 
 // One full-system point of the node-count scaling curve: hierarchical
 // detector + clustered clock sync (clusters of 50) + tree-diffusion
-// Delta-ordered broadcast from 8 spread origins, on 4 shards / 4 workers.
+// Delta-ordered broadcast from 8 spread origins, on 4 shards.
 // Delivery logs are off (unbounded by design, they would dominate the
 // memory number); the suspicion oracle is wired so re-parenting is on the
 // path even though no faults are injected here.
 scale_result run_scale_point(std::size_t nodes, duration horizon) {
-  const std::uint64_t baseline =
-      heap_track::live.load(std::memory_order_relaxed);
+  const std::uint64_t baseline = heap_track::live;
   heap_track::reset_peak();
 
   scale_result r;
@@ -352,8 +320,8 @@ scale_result run_scale_point(std::size_t nodes, duration horizon) {
     cfg.net.delta_min = 20_us;
     cfg.net.delta_max = 60_us;
     cfg.net.per_byte = 0_ns;
-    cfg.shards = 4;
-    cfg.workers = 4;
+    cfg.runtime.backend = "sharded";
+    cfg.runtime.shards = 4;
     core::system sys(nodes, cfg);
 
     svc::fault_detector fd(sys, {10_ms, 35_ms, 50});
@@ -407,8 +375,7 @@ scale_result run_scale_point(std::size_t nodes, duration horizon) {
     r.checksum ^= ns.sent * 13 + ns.delivered * 17;
     // Read the peak while the system is still alive: it is the high-water
     // mark of system + services + in-flight events over the whole run.
-    const std::uint64_t peak = heap_track::peak.load(std::memory_order_relaxed);
-    r.peak_bytes = peak > baseline ? peak - baseline : 0;
+    r.peak_bytes = heap_track::peak > baseline ? heap_track::peak - baseline : 0;
   }
   return r;
 }
@@ -418,7 +385,6 @@ scale_result run_scale_point(std::size_t nodes, duration horizon) {
 int main(int argc, char** argv) {
   duration horizon = duration::milliseconds(400);
   bool smoke = false;
-  bool require_2x = false;
   bool scale_curve = false;
   bool require_scaling = false;
   std::size_t scale_nodes = 0;
@@ -428,7 +394,6 @@ int main(int argc, char** argv) {
       smoke = true;
       horizon = duration::milliseconds(20);
     }
-    if (std::strcmp(argv[i], "--require-2x") == 0) require_2x = true;
     if (std::strcmp(argv[i], "--scale-curve") == 0) scale_curve = true;
     if (std::strcmp(argv[i], "--require-scaling") == 0) require_scaling = true;
     if (std::strcmp(argv[i], "--nodes") == 0 && i + 1 < argc) {
@@ -455,11 +420,10 @@ int main(int argc, char** argv) {
     const duration sc_horizon = smoke && !require_scaling
                                     ? duration::milliseconds(120)
                                     : duration::milliseconds(300);
-    hades::bench::stamp(json, points.back(), 4, 4);
+    hades::bench::stamp(json, points.back(), 4);
     std::printf(
         "node-count scale curve: hierarchical detector (clusters of 50) + "
-        "clustered clock sync + tree broadcast, 4 shards / 4 workers, "
-        "%lld ms horizon\n",
+        "clustered clock sync + tree broadcast, 4 shards, %lld ms horizon\n",
         static_cast<long long>(sc_horizon.count() / 1000000));
     double bpn_1k = 0, bpn_10k = 0, evs_10k = 0;
     for (std::size_t n : points) {
@@ -510,45 +474,28 @@ int main(int argc, char** argv) {
     }
     return 0;
   }
-  const unsigned hw = std::thread::hardware_concurrency();
-  // Stamp with the largest configuration the curve below will include on
-  // this hardware (the worker axis is hardware-capped past 16).
-  const std::size_t stamp_workers = hw >= 64 ? 64 : hw >= 32 ? 32 : 16;
-  hades::bench::stamp(
-      json, kSysNodes,
-      std::min(std::max<std::size_t>(4, stamp_workers), kSysNodes),
-      stamp_workers);
+  constexpr std::size_t kMaxSysShards = 16;
+  hades::bench::stamp(json, kSysNodes, kMaxSysShards);
 
   std::printf(
       "sharded-engine throughput, %zu nodes, ~3%% cross-shard traffic, "
-      "%u hardware thread(s)\n",
-      kNodes, hw);
+      "serial rounds\n",
+      kNodes);
 
   const std::size_t configs[] = {1, 2, 4, 8};
   bench_result base;
-  double speedup_at_4 = 0.0;
   for (std::size_t shards : configs) {
-    // 1 shard runs serial on the caller (the best single-core baseline);
-    // N shards get N workers.
-    const std::size_t workers = shards == 1 ? 0 : shards;
-    const bench_result r = run_config(shards, workers, horizon);
+    const bench_result r = run_config(shards, horizon);
     if (shards == 1) base = r;
-    const double speedup =
-        base.wall_s > 0 ? (static_cast<double>(r.events) / r.wall_s) /
-                              (static_cast<double>(base.events) / base.wall_s)
-                        : 0.0;
-    if (shards == 4) speedup_at_4 = speedup;
-    json.num("events_per_sec_" + std::to_string(shards) + "shard",
-             static_cast<double>(r.events) / r.wall_s);
+    const double evs = static_cast<double>(r.events) / r.wall_s;
+    const double relative =
+        evs / (static_cast<double>(base.events) / base.wall_s);
+    json.num("events_per_sec_" + std::to_string(shards) + "shard", evs);
     std::printf(
-        "  %zu shard(s) %zu worker(s): %9.0f ev/s  (%7llu events, %.3fs)  "
-        "wall speedup %.2fx  balance %.2f  critical-path %.2fx  "
-        "cross %llu (spilled %llu, sort-skipped drains %llu)\n",
-        shards, workers, static_cast<double>(r.events) / r.wall_s,
-        static_cast<unsigned long long>(r.events), r.wall_s, speedup,
-        r.balance, r.critical_path, static_cast<unsigned long long>(r.cross),
-        static_cast<unsigned long long>(r.spilled),
-        static_cast<unsigned long long>(r.single_source_drains));
+        "  %zu shard(s): %9.0f ev/s  (%7llu events, %.3fs)  %.2fx of 1 "
+        "shard  balance %.2f  cross %llu\n",
+        shards, evs, static_cast<unsigned long long>(r.events), r.wall_s,
+        relative, r.balance, static_cast<unsigned long long>(r.cross));
     if (r.checksum != base.checksum) {
       std::printf("FAIL: checksum mismatch at %zu shards — determinism "
                   "broken (%llx vs %llx)\n",
@@ -559,120 +506,51 @@ int main(int argc, char** argv) {
   }
   std::printf("  checksums identical across all configurations\n");
 
-  // --- full-system worker scaling curve ------------------------------------
-  // The same core::system deployment swept over worker counts: a single-
-  // engine reference, the serial-rounds baseline, then workers
-  // {2, 4, 8, 16} always and {32, 64} where the hardware has that many
-  // threads. Shards scale with the worker count (never past the node
-  // count), so every point is configured the way a user with that many
-  // cores would run it — and every point's checksum must still equal the
-  // single-engine reference, whatever the shard count.
+  // --- full-system cross-shard checksum gate --------------------------------
+  // The same core::system deployment on the single engine (the reference)
+  // and on 1..16 shards: every point's checksum must equal the reference.
   const duration sys_horizon = horizon == duration::milliseconds(400)
                                    ? duration::milliseconds(400)
                                    : duration::milliseconds(60);
   std::printf(
-      "\nfull-system worker curve: %zu-node core::system, heartbeats + "
-      "Delta-ordered broadcast + per-delivery burn\n",
+      "\nfull system: %zu-node core::system, heartbeats + Delta-ordered "
+      "broadcast + per-delivery burn\n",
       kSysNodes);
-  struct sys_config {
-    std::string label;
-    std::size_t shards;
-    std::size_t workers;
-  };
-  std::vector<sys_config> sys_configs = {
-      {"single engine", 0, 0},
-      {"4 shards serial", 4, 0},
-  };
-  std::size_t max_curve_workers = 0;
-  for (const std::size_t w : {2u, 4u, 8u, 16u, 32u, 64u}) {
-    if (w > 16 && hw < w) continue;  // 32/64 only where hardware allows
-    const std::size_t s = std::min(std::max<std::size_t>(4, w), kSysNodes);
-    sys_configs.push_back({std::to_string(s) + " shards " + std::to_string(w) +
-                               " workers",
-                           s, w});
-    max_curve_workers = w;
-  }
+  const std::size_t sys_shards[] = {0, 1, 2, 4, 8, kMaxSysShards};
   bench_result sys_base;
-  double sys_best_speedup = 0.0;
-  bool first = true;
-  std::uint64_t reference_checksum = 0;
-  std::size_t curve_points = 0;
-  for (const sys_config& c : sys_configs) {
-    const bench_result r = run_full_system(c.shards, c.workers, sys_horizon);
-    if (first) {
-      reference_checksum = r.checksum;
-      first = false;
-    }
-    if (c.shards == 4 && c.workers == 0) sys_base = r;
-    double speedup = 0.0;
-    if (sys_base.wall_s > 0 && !(c.shards == 4 && c.workers == 0))
-      speedup = (static_cast<double>(r.events) / r.wall_s) /
-                (static_cast<double>(sys_base.events) / sys_base.wall_s);
-    if (c.workers == max_curve_workers) sys_best_speedup = speedup;
-    if (c.shards > 0) {
-      ++curve_points;
-      json.num("full_system_events_per_sec_" + std::to_string(c.shards) +
-                   "shards_" + std::to_string(c.workers) + "workers",
-               static_cast<double>(r.events) / r.wall_s);
-      json.num("full_system_speedup_" + std::to_string(c.workers) + "workers",
-               speedup);
+  for (const std::size_t shards : sys_shards) {
+    const bench_result r = run_full_system(shards, sys_horizon);
+    if (shards == 0) sys_base = r;
+    const double evs = static_cast<double>(r.events) / r.wall_s;
+    const double relative =
+        evs / (static_cast<double>(sys_base.events) / sys_base.wall_s);
+    const std::string label =
+        shards == 0 ? "single engine" : std::to_string(shards) + " shards";
+    if (shards == 0) {
+      json.num("full_system_events_per_sec_single_engine", evs);
     } else {
-      json.num("full_system_events_per_sec_single_engine",
-               static_cast<double>(r.events) / r.wall_s);
+      json.num("full_system_events_per_sec_" + std::to_string(shards) +
+                   "shards",
+               evs);
+      json.num("full_system_relative_" + std::to_string(shards) + "shards",
+               relative);
     }
-    std::printf("  %-20s %9.0f ev/s  (%7llu events, %.3fs)", c.label.c_str(),
-                static_cast<double>(r.events) / r.wall_s,
-                static_cast<unsigned long long>(r.events), r.wall_s);
-    if (c.shards > 0 && c.workers > 0)
-      std::printf("  wall speedup vs serial rounds %.2fx", speedup);
-    if (c.shards > 0)
-      std::printf("  cross %llu (spilled %llu, sort-skipped drains %llu)",
-                  static_cast<unsigned long long>(r.cross),
-                  static_cast<unsigned long long>(r.spilled),
-                  static_cast<unsigned long long>(r.single_source_drains));
+    std::printf("  %-14s %9.0f ev/s  (%7llu events, %.3fs)", label.c_str(),
+                evs, static_cast<unsigned long long>(r.events), r.wall_s);
+    if (shards > 0)
+      std::printf("  %.2fx of single engine  cross %llu", relative,
+                  static_cast<unsigned long long>(r.cross));
     std::printf("\n");
-    if (r.checksum != reference_checksum) {
+    if (r.checksum != sys_base.checksum) {
       std::printf("FAIL: full-system checksum mismatch at %s — shard "
                   "confinement broken (%llx vs %llx)\n",
-                  c.label.c_str(), static_cast<unsigned long long>(r.checksum),
-                  static_cast<unsigned long long>(reference_checksum));
+                  label.c_str(), static_cast<unsigned long long>(r.checksum),
+                  static_cast<unsigned long long>(sys_base.checksum));
       return 1;
     }
   }
   std::printf("  full-system checksums identical across all configurations\n");
 
-  json.num("wall_speedup_at_4_shards", speedup_at_4);
-  json.num("full_system_worker_curve_points", static_cast<double>(curve_points));
-  json.num("full_system_max_curve_workers",
-           static_cast<double>(max_curve_workers));
-  json.num("full_system_best_worker_speedup", sys_best_speedup);
   if (!json_path.empty()) json.write(json_path);
-  // The 2x gates need real parallel hardware: on fewer threads than the
-  // gated configuration the speedup is physically unreachable, so the gate
-  // skips loudly rather than failing the build on a small runner.
-  if (require_2x) {
-    if (hw < 4) {
-      std::printf(
-          "SKIP: --require-2x raw-workload gate needs >= 4 hardware "
-          "threads (have %u)\n",
-          hw);
-    } else if (speedup_at_4 < 2.0) {
-      std::printf("FAIL: 4-shard wall speedup %.2fx < 2x (hw threads: %u)\n",
-                  speedup_at_4, hw);
-      return 1;
-    }
-    if (hw < 8) {
-      std::printf(
-          "SKIP: --require-2x full-system worker gate needs >= 8 hardware "
-          "threads (have %u)\n",
-          hw);
-    } else if (sys_best_speedup < 2.0) {
-      std::printf(
-          "FAIL: full-system %zu-worker wall speedup %.2fx < 2x "
-          "(hw threads: %u)\n",
-          max_curve_workers, sys_best_speedup, hw);
-      return 1;
-    }
-  }
   return 0;
 }

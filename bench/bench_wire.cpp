@@ -40,6 +40,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <new>
 #include <shared_mutex>
 #include <string>
@@ -507,7 +508,7 @@ int main(int argc, char** argv) {
   if (!json_path.empty()) {
     bench::json_doc j;
     j.str("bench", "wire");
-    bench::stamp(j, kNodes, 1, 0);
+    bench::stamp(j, kNodes, 1);
     j.num("messages", nw.messages);
     j.num("msgs_per_sec_new", mps(nw));
     j.num("msgs_per_sec_legacy", mps(lg));

@@ -54,15 +54,13 @@ class json_doc {
 
 /// Provenance stamp every BENCH_*.json should lead with, so artifacts from
 /// different runs/machines are comparable: the workload's node count, the
-/// shard/worker configuration, the git revision (CI's GITHUB_SHA when set,
+/// shard count, the git revision (CI's GITHUB_SHA when set,
 /// else the configure-time HADES_GIT_SHA, else "unknown"), and the machine
 /// (hostname + hardware thread count — perf numbers from a 2-thread runner
 /// and a 64-thread workstation must never be compared blind).
-inline void stamp(json_doc& d, std::size_t nodes, std::size_t shards,
-                  std::size_t workers) {
+inline void stamp(json_doc& d, std::size_t nodes, std::size_t shards) {
   d.num("nodes", static_cast<std::uint64_t>(nodes));
   d.num("shards", static_cast<std::uint64_t>(shards));
-  d.num("workers", static_cast<std::uint64_t>(workers));
   const char* sha = std::getenv("GITHUB_SHA");
 #ifdef HADES_GIT_SHA
   if (sha == nullptr || *sha == '\0') sha = HADES_GIT_SHA;

@@ -15,19 +15,19 @@
 //
 // Shard confinement (DESIGN.md): once bound to a runtime the monitor keeps
 // one event partition per shard; `record` appends only to the partition of
-// the executing shard, so worker threads never share a vector. Readers see
-// one merged stream ordered by {time, shard, per-shard sequence} — the
-// cross-shard inbox key, making the merged order independent of worker
-// interleaving. Two subscription flavours exist:
+// the executing shard. Readers see one merged stream ordered by
+// {time, shard, per-shard sequence}, making the merged order independent of
+// the order a serial round runs its shards in. Two subscription flavours
+// exist:
 //   * `subscribe` — synchronous, runs on the recording shard. The listener
 //     must only touch state owned by that shard (or the monitor must only
-//     be used in serial runs).
+//     be used on a single-shard backend).
 //   * `subscribe_at_node` — the listener is re-invoked on the shard owning
 //     `home`, at `record date + delay`, via `runtime::at_node`. With a
 //     `delay` no smaller than the backend's lookahead this is legal from
 //     any shard, and because the delay is a constant the redelivery date is
 //     identical on every backend — what keeps mode switching bit-identical
-//     across shard and worker counts.
+//     across shard counts.
 #pragma once
 
 #include <cstddef>
@@ -136,7 +136,7 @@ class monitor {
   void deliver_forwarded(const monitor_event& e, node_id home);
 
   /// Merged event stream, ordered by {time, shard, per-shard sequence}.
-  /// Rebuilt lazily; do not call while worker threads are recording.
+  /// Rebuilt lazily; query between runs.
   [[nodiscard]] const std::vector<monitor_event>& events() const {
     return log_.merged();
   }

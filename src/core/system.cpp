@@ -12,13 +12,6 @@ system::system(std::size_t node_count) : system(node_count, config{}) {}
 std::unique_ptr<hades::runtime> system::make_backend(const config& cfg,
                                                      std::size_t node_count) {
   hades::runtime::options o = cfg.runtime;
-  if (o.backend.empty()) {
-    // Deprecated-field shim (one PR): pre-factory configs selected the
-    // backend through config.shards / config.workers.
-    o.backend = cfg.shards == 0 ? "sim" : "sharded";
-    o.shards = cfg.shards;
-    o.workers = cfg.workers;
-  }
   o.node_count = node_count;
   if (o.backend == "sharded") {
     validate(cfg.net.delta_min > duration::zero(),
@@ -26,11 +19,10 @@ std::unique_ptr<hades::runtime> system::make_backend(const config& cfg,
     o.lookahead = cfg.net.delta_min;  // every cross-node event rides the LAN
     o.shards = std::min(o.shards, node_count);
   }
-  // Backend policy beyond this translation — worker safety (system state is
-  // shard-confined; every cross-node structural effect rides a wire control
-  // token), the contiguous-blocks default node map — lives with the factory
-  // registrations (src/rt/runtime_factory.cpp), not here: the system names
-  // backends, never concrete types.
+  // Backend policy beyond this translation — the contiguous-blocks default
+  // node map — lives with the factory registrations
+  // (src/rt/runtime_factory.cpp), not here: the system names backends,
+  // never concrete types.
   return hades::runtime::make(o);
 }
 
@@ -124,11 +116,11 @@ task_id system::register_task(task_graph g) {
                "task '" + g.name() + "' invokes unregistered task id " +
                    std::to_string(inv->target));
 
-  // Shard-spanning task graphs are legal under any worker count: shard
+  // Shard-spanning task graphs are legal on every backend: shard
   // creation/abortion and invocation activation across nodes ride wire
   // control tokens (create_shard / abort_shard / activate_request), so the
-  // home shard's instance machinery never calls into a concurrently-running
-  // dispatcher.
+  // home shard's instance machinery never calls into a dispatcher another
+  // shard owns.
   const task_id id = next_task_++;
   g.id_ = id;
   auto shared = std::make_shared<const task_graph>(std::move(g));
@@ -165,7 +157,8 @@ void system::arm_periodic(task_id t) {
       std::max(time_point::zero() + g.law().offset, rt_->now());
   // A drift-free chain anchored at the home node (not one shard-0
   // periodic): every activation then executes on the shard owning the
-  // task's bookkeeping — the confinement rule worker-threaded runs need.
+  // task's bookkeeping — the confinement rule that keeps sharded runs
+  // identical to the single engine.
   rt_->periodic_at_node(g.home_node(), first, g.law().period, [this, t] {
     activation_origin origin;
     origin.k = activation_origin::kind::timer;
@@ -265,8 +258,8 @@ std::optional<instance_number> system::activate_internal(
   // Charge c_inv_start in kernel context on the home node, then create the
   // shards on every involved node (they share the activation date `now`):
   // the home's own shard directly, remote nodes by create_shard token —
-  // the only cross-node effect is a message, so worker threads never call
-  // into a foreign dispatcher.
+  // the only cross-node effect is a message, so no shard ever calls into a
+  // foreign dispatcher.
   auto start_shards = [this, t, k, now, home,
                        procs = std::move(procs)]() mutable {
     processor& c = cpu(home);
@@ -727,7 +720,7 @@ void system::deadlock_scan_tick() {
   // Probe out plus reply back bounds the collect window: two worst-case
   // hops (with the modeled per-byte cost of the 64-byte reply) plus a
   // margin for net-task processing — a backend-independent date, so the
-  // analysis time is identical across shard and worker counts.
+  // analysis time is identical across shard counts.
   const duration hop =
       cfg_.net.delta_max + cfg_.net.per_byte * 64 + cfg_.costs.w_net * 4;
   rt_->at_node(scan_home, rt_->now() + hop + hop + duration::microseconds(10),

@@ -46,33 +46,12 @@ class system {
     bool tracing = true;
     /// Runtime backend selection through the factory registry
     /// (`hades::runtime::make`; DESIGN.md, "Runtime factory & injector
-    /// API"). Leave `runtime.backend` empty to fall back to the deprecated
-    /// `shards`/`workers` fields below. The system fills `node_count`, and
-    /// for the sharded backend the lookahead (= net.delta_min, which must
-    /// then be > 0) and a contiguous-blocks default node map; everything
-    /// else passes through untouched, so a realtime multi-process config
-    /// (epoch, process index/count, node->process map) rides here too. The
-    /// system itself never names a concrete backend type.
-    hades::runtime::options runtime = [] {
-      hades::runtime::options o;
-      o.backend = "";  // empty: fall back to the deprecated fields below
-      return o;
-    }();
-    /// DEPRECATED (shim kept for one PR — use `runtime.backend = "sharded"`,
-    /// `runtime.shards`): 0 = single engine, >0 = sharded with this many
-    /// node groups. Honoured only while `runtime.backend` is empty.
-    std::size_t shards = 0;
-    /// DEPRECATED (shim kept for one PR — use `runtime.workers`): worker
-    /// threads advancing shards concurrently (sharded backend only; ignored
-    /// when shards == 0). The system's state is shard-confined (DESIGN.md,
-    /// "Shard confinement"): per-shard monitor/trace partitions, per-task
-    /// bookkeeping owned by the task's home shard, per-source network
-    /// state, and every cross-node structural effect — shard creation,
-    /// invocation activation, condition updates, deadlock probes — rides a
-    /// wire control token (DESIGN.md, "Cross-shard control tokens"), so any
-    /// worker count, including on shard-spanning task graphs, produces
-    /// bit-identical runs.
-    std::size_t workers = 0;
+    /// API"). The system fills `node_count`, and for the sharded backend the
+    /// lookahead (= net.delta_min, which must then be > 0); everything else
+    /// passes through untouched, so a realtime multi-process config (epoch,
+    /// process index/count, node->process map) rides here too. The system
+    /// itself never names a concrete backend type.
+    hades::runtime::options runtime;
   };
 
   explicit system(std::size_t node_count);
@@ -125,8 +104,8 @@ class system {
   // Conditions are home-owned: node 0's shard is the authority. An in-event
   // set/clear from another node rides a cond_set/cond_clear token to the
   // authority, which applies the change and broadcasts cond_update tokens,
-  // so every waiter wakeup is evaluated by the waiter's own shard —
-  // worker-legal on every backend. The public set/clear entry points below
+  // so every waiter wakeup is evaluated by the waiter's own shard — on
+  // every backend. The public set/clear entry points below
   // are for use from *outside* event execution (test setup, between runs):
   // there they update every node's view directly, the historical serial
   // semantics. Event handlers go through execution_context::set_condition,
@@ -177,7 +156,7 @@ class system {
   /// synchronous form walks every node's dispatcher, so call it from
   /// outside event execution (between runs); periodic in-run scans armed
   /// with arm_deadlock_scan use the distributed probe/reply protocol and
-  /// are worker-legal.
+  /// stay shard-confined.
   std::size_t detect_deadlocks();
 
   /// Arm periodic deadlock scans. Multi-node systems run the distributed
@@ -185,7 +164,7 @@ class system {
   /// tokens, nodes reply with their stalled EUs on the system channel, and
   /// the merged wait-for graph is analyzed on the home shard after a
   /// bounded collect window (two network hops) — sorted canonically, so
-  /// the recorded events are backend- and worker-independent.
+  /// the recorded events are backend-independent.
   void arm_deadlock_scan(duration period);
 
   // --- internal API for dispatchers (public for the component, not users) ---

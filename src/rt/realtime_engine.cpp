@@ -61,7 +61,7 @@ class realtime_engine final : public hades::runtime {
   event_id at(time_point t, event_fn fn) override {
     validate(!t.is_infinite(), "realtime_engine::at: infinite date");
     std::lock_guard lk(mu_);
-    return arm_locked(clamp(t), duration::infinity(), std::move(fn));
+    return arm_locked(t, duration::infinity(), std::move(fn));
   }
 
   event_id at_node(node_id dst, time_point t, event_fn fn) override {
@@ -77,7 +77,7 @@ class realtime_engine final : public hades::runtime {
     validate(period.count() >= 1,
              "realtime_engine::schedule_periodic: period must be >= 1ns");
     std::lock_guard lk(mu_);
-    return arm_locked(clamp(first), period, std::move(fn));
+    return arm_locked(first, period, std::move(fn));
   }
 
   void cancel(event_id id) override {
@@ -105,7 +105,6 @@ class realtime_engine final : public hades::runtime {
   [[nodiscard]] std::uint32_t executing_shard() const override {
     return p_.process_index;
   }
-  [[nodiscard]] std::size_t worker_count() const override { return 0; }
   [[nodiscard]] bool in_event_context() const override {
     return exec_tid_.load(std::memory_order_relaxed) ==
            std::this_thread::get_id();
@@ -116,7 +115,7 @@ class realtime_engine final : public hades::runtime {
   event_batch open_batch(time_point t) override {
     validate(!t.is_infinite(), "realtime_engine::open_batch: infinite date");
     event_batch b;
-    b.t = clamp(t);
+    b.t = t;
     return b;
   }
 
@@ -266,13 +265,6 @@ class realtime_engine final : public hades::runtime {
       return static_cast<std::uint32_t>(static_cast<std::size_t>(n) *
                                         p_.process_count / p_.node_count);
     return 0;
-  }
-
-  [[nodiscard]] time_point clamp(time_point t) const {
-    // Real scheduling jitter can slide a chain's nominal date just behind
-    // the clock; fire as soon as possible instead of rejecting (header).
-    const time_point n = now();
-    return t < n ? n : t;
   }
 
   [[nodiscard]] steady::time_point real_deadline(time_point t) const {

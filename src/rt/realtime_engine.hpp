@@ -13,10 +13,11 @@
 //     actual firing instant, which is >= the scheduled date, never exactly
 //     equal. Time starts at ~0: construction (or the configured shared
 //     epoch) is virtual zero, and pre-epoch reads clamp to 0.
-//   * `at` clamps past dates to now instead of rejecting them — under real
+//   * `at` accepts past dates instead of rejecting them — under real
 //     scheduling jitter a periodic chain legitimately re-arms a date that
-//     just slipped behind the clock; the event fires as soon as possible
-//     and FIFO order among clamped events is preserved.
+//     just slipped behind the clock. The event keeps its nominal date: it
+//     fires as soon as possible, in date order among the late events, and
+//     `run_until(t)` still runs it when that date is <= t.
 //   * every scheduling call (`at`, `cancel`, batches) is thread-safe: a
 //     socket transport's receiver thread injects deliveries while the run
 //     loop executes. Callbacks themselves execute on the thread inside

@@ -86,7 +86,7 @@ void register_builtin_backends() {
       sim::sharded_params sp;
       sp.shards = o.shards != 0 ? o.shards : sim::sharded_params{}.shards;
       if (o.node_count > 0) sp.shards = std::min(sp.shards, o.node_count);
-      sp.workers = o.workers;
+      sp.workers = o.workers;  // the engine rejects anything but 0
       sp.lookahead = o.lookahead;
       sp.node_shard = !o.node_shard.empty()
                           ? o.node_shard

@@ -10,6 +10,7 @@
 
 #include "core/system.hpp"
 #include "scenario/deployment.hpp"
+#include "scenario/json_min.hpp"
 
 namespace hades::scenario {
 
@@ -37,21 +38,6 @@ class digest {
  private:
   std::uint64_t h_ = 0xCBF29CE484222325ull;
 };
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -88,14 +74,16 @@ void parallel_for(std::size_t n, std::size_t jobs,
 // ------------------------------------------------------------ run_cell --
 
 cell_result run_cell(const scenario_spec& spec, std::uint64_t seed,
-                     std::size_t shards, std::size_t workers) {
+                     std::size_t shards) {
   // The standing stack (system + services + workload + sinks) lives in
   // scenario::deployment, shared with the realtime multi-process harness;
   // the cell adds the sweep bookkeeping and the determinism checksum.
   deployment_options dopt;
   dopt.seed = seed;
-  dopt.shards = shards;
-  dopt.workers = workers;
+  if (shards > 1) {
+    dopt.backend.backend = "sharded";
+    dopt.backend.shards = shards;
+  }
   deployment d(spec, dopt);
   d.start();
   d.run();
@@ -104,7 +92,6 @@ cell_result run_cell(const scenario_spec& spec, std::uint64_t seed,
   cell.scenario = spec.name;
   cell.seed = seed;
   cell.shards = shards;
-  cell.workers = shards > 1 ? workers : 0;
   cell.obs = d.collect();
   const observation& obs = cell.obs;
   cell.checks = d.grade(obs);
@@ -197,10 +184,9 @@ cell_result run_cell(const scenario_spec& spec, std::uint64_t seed,
 std::string render_verdict_json(const cell_result& c) {
   std::ostringstream os;
   os << "{\n"
-     << "  \"scenario\": \"" << json_escape(c.scenario) << "\",\n"
+     << "  \"scenario\": \"" << jmin::escape(c.scenario) << "\",\n"
      << "  \"seed\": " << c.seed << ",\n"
      << "  \"shards\": " << c.shards << ",\n"
-     << "  \"workers\": " << c.workers << ",\n"
      << "  \"horizon_ns\": " << c.obs.horizon.nanoseconds() << ",\n"
      << "  \"events\": " << c.events << ",\n"
      << "  \"checksum\": \"0x" << std::hex << c.checksum << std::dec
@@ -231,10 +217,10 @@ std::string render_verdict_json(const cell_result& c) {
   os << "\n  },\n  \"checks\": [\n";
   for (std::size_t i = 0; i < c.checks.size(); ++i) {
     const check_result& ck = c.checks[i];
-    os << "    {\"name\": \"" << json_escape(ck.name) << "\", \"passed\": "
+    os << "    {\"name\": \"" << jmin::escape(ck.name) << "\", \"passed\": "
        << (ck.passed ? "true" : "false");
     if (!ck.detail.empty())
-      os << ", \"detail\": \"" << json_escape(ck.detail) << "\"";
+      os << ", \"detail\": \"" << jmin::escape(ck.detail) << "\"";
     os << "}" << (i + 1 < c.checks.size() ? "," : "") << "\n";
   }
   os << "  ]\n}\n";
@@ -246,7 +232,7 @@ std::string campaign_result::summary_json() const {
   os << "{\n  \"passed\": " << (passed ? "true" : "false") << ",\n"
      << "  \"cells\": " << cells.size() << ",\n  \"failures\": [\n";
   for (std::size_t i = 0; i < failures.size(); ++i)
-    os << "    \"" << json_escape(failures[i]) << "\""
+    os << "    \"" << jmin::escape(failures[i]) << "\""
        << (i + 1 < failures.size() ? "," : "") << "\n";
   os << "  ]\n}\n";
   return os.str();
@@ -280,32 +266,17 @@ campaign_result run_campaign(const campaign_options& opt) {
     const scenario_spec* spec;
     std::uint64_t seed;
     std::size_t shards;
-    std::size_t workers;
     bool group_head;  // first cell of its (scenario, seed) checksum group
   };
   std::vector<cell_spec> plan;
-  for (const scenario_spec& spec : specs) {
-    for (std::uint64_t seed : opt.seeds) {
-      bool head = true;
-      for (std::size_t shards : opt.shard_counts) {
-        // The single-engine backend has no worker dimension: shards 1
-        // contributes exactly one workers=0 cell per seed — even when the
-        // caller's worker_counts omits 0, so the cross-backend half of the
-        // determinism gate can never be silently skipped.
-        const std::vector<std::size_t> workers_list =
-            shards <= 1 ? std::vector<std::size_t>{0} : opt.worker_counts;
-        for (std::size_t workers : workers_list) {
-          plan.push_back({&spec, seed, shards, workers, head});
-          head = false;
-        }
-      }
-    }
-  }
+  for (const scenario_spec& spec : specs)
+    for (std::uint64_t seed : opt.seeds)
+      for (std::size_t i = 0; i < opt.shard_counts.size(); ++i)
+        plan.push_back({&spec, seed, opt.shard_counts[i], i == 0});
 
   std::vector<cell_result> cells(plan.size());
   parallel_for(plan.size(), opt.jobs, [&](std::size_t i) {
-    cells[i] = run_cell(*plan[i].spec, plan[i].seed, plan[i].shards,
-                        plan[i].workers);
+    cells[i] = run_cell(*plan[i].spec, plan[i].seed, plan[i].shards);
   });
 
   std::uint64_t reference_checksum = 0;
@@ -324,8 +295,8 @@ campaign_result run_campaign(const campaign_options& opt) {
       sum.passed = false;
       std::ostringstream os;
       os << "checksum 0x" << std::hex << cell.checksum << " at " << std::dec
-         << cs.shards << " shards / " << cs.workers
-         << " workers != reference 0x" << std::hex << reference_checksum;
+         << cs.shards << " shards != reference 0x" << std::hex
+         << reference_checksum;
       sum.detail = os.str();
       // Surface the offending plan once per diverged scenario so the
       // caller can print/replay it without the registry.
@@ -340,20 +311,18 @@ campaign_result run_campaign(const campaign_options& opt) {
       if (!c.passed)
         result.failures.push_back(
             cs.spec->name + "/seed" + std::to_string(cs.seed) + "/shards" +
-            std::to_string(cs.shards) + "/workers" +
-            std::to_string(cs.workers) + ": " + c.name + " — " + c.detail);
+            std::to_string(cs.shards) + ": " + c.name + " — " + c.detail);
     if (opt.verbose)
       std::printf(
-          "%-22s seed=%llu shards=%zu workers=%zu  %s  "
-          "checksum=0x%016llx  events=%llu\n",
+          "%-22s seed=%llu shards=%zu  %s  checksum=0x%016llx  events=%llu\n",
           cs.spec->name.c_str(), static_cast<unsigned long long>(cs.seed),
-          cs.shards, cs.workers, cell.passed ? "PASS" : "FAIL",
+          cs.shards, cell.passed ? "PASS" : "FAIL",
           static_cast<unsigned long long>(cell.checksum),
           static_cast<unsigned long long>(cell.events));
     if (!opt.out_dir.empty()) {
       std::ostringstream name;
       name << cs.spec->name << "_seed" << cs.seed << "_shards" << cs.shards
-           << "_workers" << cs.workers << ".json";
+           << ".json";
       std::ofstream f(std::filesystem::path(opt.out_dir) / name.str());
       f << render_verdict_json(cell);
     }

@@ -1,16 +1,15 @@
 // Campaign runner (DESIGN.md, "Scenario layer").
 //
-// A campaign sweeps scenario × seed × shards × workers cells. Every cell
-// builds a fresh 8-node HADES deployment (fault detector, Delta-ordered
-// reliable broadcast, mode manager, optionally clock sync and an EDF task
-// load), applies the scenario's fault plan, runs to the horizon, grades
-// the property checkers, and folds every observable into an
-// order-independent FNV checksum. The campaign then asserts that each
-// (scenario, seed) produced *bit-identical* checksums across every
-// (shards, workers) combination — shard counts {1, 2, 4} crossed with
-// worker counts {0, 2, 4} on the sharded cells — the cross-backend AND
-// cross-thread-count determinism gate of DESIGN.md, "Shard confinement".
-// One machine-readable JSON verdict per cell plus a summary.
+// A campaign sweeps scenario × seed × shards cells. Every cell builds a
+// fresh 8-node HADES deployment (fault detector, Delta-ordered reliable
+// broadcast, mode manager, optionally clock sync and an EDF task load),
+// applies the scenario's fault plan, runs to the horizon, grades the
+// property checkers, and folds every observable into an order-independent
+// FNV checksum. The campaign then asserts that each (scenario, seed)
+// produced *bit-identical* checksums across shard counts {1, 2, 4} — the
+// single engine against serial sharded rounds, the cross-backend
+// determinism gate of DESIGN.md, "Shard confinement". One machine-readable
+// JSON verdict per cell plus a summary.
 // `hades_campaign` is the CLI; CI runs `hades_campaign --smoke` as a
 // required step.
 #pragma once
@@ -37,8 +36,7 @@ void parallel_for(std::size_t n, std::size_t jobs,
 struct cell_result {
   std::string scenario;
   std::uint64_t seed = 0;
-  std::size_t shards = 1;
-  std::size_t workers = 0;   // sharded-backend worker threads (0 = serial)
+  std::size_t shards = 1;     // 1 = single engine, > 1 = sharded backend
   std::uint64_t checksum = 0;
   std::uint64_t events = 0;  // informational; excluded from the checksum
   bool passed = false;       // every checker green
@@ -59,9 +57,6 @@ struct campaign_options {
   std::size_t nodes = 0;
   std::vector<std::uint64_t> seeds{1, 2};
   std::vector<std::size_t> shard_counts{1, 2, 4};
-  /// Worker counts swept on sharded cells (shards > 1); single-engine cells
-  /// always run workers = 0, so shards 1 contributes one cell per seed.
-  std::vector<std::size_t> worker_counts{0, 2, 4};
   std::string out_dir;   // when set, write per-cell verdicts + summary.json
   bool verbose = false;  // one progress line per cell on stdout
   /// Cells are independent deployments, so the sweep runs them on a bounded
@@ -77,7 +72,7 @@ struct campaign_result {
   /// Gate violations: failed checkers and cross-shard checksum mismatches.
   std::vector<std::string> failures;
   /// One entry per (scenario, seed) group whose checksum diverged across
-  /// the shards × workers matrix: the full plan JSON, so the offending
+  /// shard counts: the full plan JSON, so the offending
   /// timeline is reproducible straight from the campaign output without
   /// digging the scenario registry out of the binary.
   std::vector<std::string> diverged_plans;
@@ -85,8 +80,10 @@ struct campaign_result {
   [[nodiscard]] std::string summary_json() const;
 };
 
+/// Run one cell: the single engine when `shards <= 1`, else the sharded
+/// backend with `shards` node groups.
 cell_result run_cell(const scenario_spec& spec, std::uint64_t seed,
-                     std::size_t shards, std::size_t workers = 0);
+                     std::size_t shards);
 campaign_result run_campaign(const campaign_options& opt);
 
 }  // namespace hades::scenario

@@ -74,7 +74,7 @@ struct observation {
   std::size_t deadline_misses = 0;
   /// Bitmask over core::monitor_event_kind of every event kind the run
   /// recorded — one axis of the fuzzer's coverage map (scenario/coverage.hpp)
-  /// and free to collect. Order-independent, so worker-count invariant.
+  /// and free to collect. Order-independent, so shard-count invariant.
   std::uint32_t event_kinds = 0;
 
   // Clocks (only when the scenario runs clock_sync).

@@ -21,7 +21,7 @@
 // The mutator feeds back on novelty: a case that sets a bit no earlier case
 // set joins the corpus. The map is order-independent and integer-only, so
 // a fuzz campaign's coverage artifact is byte-identical across runs,
-// compilers and worker counts.
+// compilers and --jobs values.
 #pragma once
 
 #include <algorithm>

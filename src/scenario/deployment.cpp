@@ -29,16 +29,7 @@ deployment::deployment(const scenario_spec& spec, deployment_options opt)
   cfg.net = opt_.net;
   cfg.seed = opt_.seed;
   cfg.tracing = false;
-  if (!opt_.backend.backend.empty()) {
-    cfg.runtime = opt_.backend;
-  } else {
-    cfg.shards = opt_.shards > 1 ? opt_.shards : 0;
-    // Worker threads are a sharded-backend dimension; every service and
-    // sink below is shard-confined (DESIGN.md, "Shard confinement"), so any
-    // worker count must reproduce the serial checksum bit-for-bit — the
-    // gate run_campaign enforces.
-    cfg.workers = cfg.shards > 0 ? opt_.workers : 0;
-  }
+  cfg.runtime = opt_.backend;
   sys_ = std::make_unique<core::system>(spec_.nodes, cfg);
 
   fd_ = std::make_unique<svc::fault_detector>(*sys_, spec_.fd);
@@ -67,10 +58,10 @@ deployment::deployment(const scenario_spec& spec, deployment_options opt)
   obs_.skew_bound = spec_.skew_bound;
 
   // Suspicion callbacks fire on the observer's shard: collect into
-  // per-observer sinks (no shared vector under worker threads) and merge
-  // after the run — the (at, observer, subject) sort makes the merged
-  // order worker-count independent. Mode switches all occur on the
-  // manager's home shard, so one vector is safe.
+  // per-observer sinks and merge after the run — the (at, observer,
+  // subject) sort makes the merged order independent of the order a
+  // serial round runs its shards in. Mode switches all occur on the
+  // manager's home shard, so one vector suffices.
   susp_by_observer_.resize(spec_.nodes);
   recov_by_observer_.resize(spec_.nodes);
   fd_->on_suspect([this](node_id o, node_id s, time_point at) {
@@ -92,7 +83,7 @@ deployment::deployment(const scenario_spec& spec, deployment_options opt)
     sys_->attach_policy(0, std::make_shared<sched::edf_policy>());
   }
   if (spec_.spanning_task_load) {
-    // Shard-spanning load (worker-mode completeness gate): a graph whose
+    // Shard-spanning load (control-token completeness gate): a graph whose
     // EUs alternate between node 0 and the far node — registration sends
     // creation tokens to the remote home, the precedences cross shards in
     // both directions, and the far EU sets a condition that a watcher on a

@@ -35,11 +35,8 @@
 namespace hades::scenario {
 
 struct deployment_options {
-  /// Backend selection. `backend.backend` empty = the legacy cell
-  /// dimensions below pick sim (shards <= 1) or sharded.
+  /// Backend selection (default: the single-engine "sim" backend).
   hades::runtime::options backend;
-  std::size_t shards = 0;   // legacy cell dimension (used when backend empty)
-  std::size_t workers = 0;  // legacy cell dimension
   std::uint64_t seed = 1;
   /// Wire timing. The historical campaign values; the realtime harness
   /// widens them to bounds the wall clock can honor.

@@ -5,7 +5,7 @@
 // generator emits random-but-admissible fault plans over every action kind
 // (crash/recover pairing, partition group sampling, channel-scoped omission
 // bursts, probabilistic storms, clock faults, link asymmetry, traffic-edge
-// overload), each case replays across the full shards × workers matrix,
+// overload), each case replays across the shard-count matrix {1, 2, 4},
 // and a checker-signal coverage map (scenario/coverage.hpp) feeds novelty
 // back into the mutator: cases that light up new (fault combination ×
 // timing window × checker branch) bits join the corpus the mutator perturbs
@@ -66,7 +66,7 @@ void recompute_expectations(scenario_spec& spec);
 [[nodiscard]] fuzz_case fuzz_case_from_json(const std::string& text);
 
 /// Verdict of one case replayed across the determinism matrix —
-/// shards {1, 2, 4} × workers {0, 4} (shards 1 has no worker dimension).
+/// shards {1, 2, 4} (shards 1 is the single engine).
 struct matrix_verdict {
   bool passed = false;           // every checker green on every cell + match
   bool checksums_match = false;  // bit-identical across the matrix

@@ -618,11 +618,10 @@ void preregister(fault_injector& inj, const plan& p) {
   // state right now, dated at each action's own date. Reads are date-keyed,
   // so this is semantically identical to flipping each toggle at the action
   // date — but by the time the run starts the whole plan's wire truth is in
-  // force, and (for the simulated LAN's published snapshots) a worker
-  // thread racing a runtime re-registration reads the old or the new
-  // snapshot with identical date-keyed answers. (The scheduled
-  // crash/recover actions in `apply` re-register the same same-date
-  // entries; the last-write-wins rule makes that idempotent.)
+  // force, so a send on another shard that a serial round runs before the
+  // action's own shard reads the same answer. (The scheduled crash/recover
+  // actions in `apply` re-register the same same-date entries; the
+  // last-write-wins rule makes that idempotent.)
   for (const action& a : p.actions) {
     switch (a.kind) {
       case action_kind::crash_node:

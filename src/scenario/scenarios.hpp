@@ -8,8 +8,7 @@
 // at the detector's omission-degree boundary, a performance-fault burst,
 // drifting clocks, Byzantine clocks against clock_sync's trimming, and a
 // degraded-mode overload. `hades_campaign` sweeps every registered
-// scenario across seeds, shard counts {1, 2, 4} and worker counts
-// {0, 2, 4}.
+// scenario across seeds and shard counts {1, 2, 4}.
 #pragma once
 
 #include <string>
@@ -57,7 +56,7 @@ struct scenario_spec {
   /// graph whose EUs alternate between node 0 and the last node (remote
   /// precedences both directions) and a condition-coupled watcher on a
   /// middle node — exercising creation/activation tokens, cross-shard
-  /// condition wakeups and mode-switch capture under worker threads.
+  /// condition wakeups and mode-switch capture across shards.
   bool spanning_task_load = false;
   bool expect_order_faults = false;  // performance faults may breach Delta
   duration skew_bound = duration::microseconds(300);

@@ -67,7 +67,7 @@ class clock_sync_service {
     return sum_counters(rounds_);
   }
   /// Merged per-node correction statistics (all state is node-confined;
-  /// merging in node order keeps the summary worker-count independent).
+  /// merging in node order keeps the summary shard-count independent).
   [[nodiscard]] running_stats correction_magnitude() const;
   [[nodiscard]] bool clustered() const { return params_.cluster_size > 0; }
 

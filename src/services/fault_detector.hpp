@@ -63,8 +63,8 @@
 // (node_suspected / node_unsuspected), which is how suspicion-driven mode
 // policies receive them deterministically on their own shard
 // (mode_manager::thresholds::suspicions_for_degraded). `on_suspect` /
-// `on_recover` callbacks run on the observer's shard and must be
-// shard-confined for worker-threaded runs.
+// `on_recover` callbacks run on the observer's shard and must stay
+// shard-confined.
 #pragma once
 
 #include <cstdint>

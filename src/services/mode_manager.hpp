@@ -15,8 +15,7 @@
 // `subscribe_at_node`, so every monitor event — recorded on whatever shard
 // the fault touched — is redelivered on the home shard at
 // `event date + delta_min`. The delay is the same constant on every
-// backend, which keeps switch dates bit-identical across shard and worker
-// counts; it is also exactly the sharded backend's cross-shard lookahead,
+// backend, which keeps switch dates bit-identical across shard counts; it is also exactly the sharded backend's cross-shard lookahead,
 // making the redelivery legal from any shard. Switch latency is therefore
 // one minimum network hop — still far inside the scenario checkers'
 // millisecond bound.
@@ -84,7 +83,7 @@ class mode_manager {
   /// on `home` are captured synchronously at the switch; tasks homed
   /// elsewhere are captured by an epoch-tagged request/reply exchange on
   /// ch_mode_capture — the reply reads the blob on the *owning* shard, so
-  /// worker-threaded runs never touch another shard's state, and lands
+  /// no shard ever touches another shard's state, and lands
   /// within two network hops of the switch. A straggler reply from a
   /// superseded switch is dropped by its stale epoch.
   [[nodiscard]] const std::map<task_id, sim::wire_payload>& captured_state()

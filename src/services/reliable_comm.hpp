@@ -51,11 +51,10 @@
 // Shard confinement (DESIGN.md): every container is indexed by the node the
 // handler executes on — dedup windows, hold-back queues and delivery logs
 // by receiver, broadcast sequence numbers by origin — and pre-sized at
-// construction, so worker threads advancing different shards never share a
-// map node (sparse-map slot growth happens on the owning node's shard).
-// Counters are per-node and summed at read time, making totals
-// worker-count independent. `on_deliver` handlers run on the delivering
-// node's shard and must be shard-confined for worker-threaded runs. The
+// construction, so different shards never share a map node (sparse-map
+// slot growth happens on the owning node's shard). Counters are per-node
+// and summed at read time. `on_deliver` handlers run on the delivering
+// node's shard and must stay shard-confined. The
 // suspicion oracle is called as (observer = relaying node, subject) from
 // the relayer's shard — the fault detector's observer-confined state
 // satisfies this by construction.

@@ -74,8 +74,9 @@ class event_callback {
   }
 
   /// Process-wide count of closures that were too big for the inline buffer
-  /// and hit the heap. Zero in a warmed-up simulation. Atomic: worker
-  /// threads of the sharded backend schedule concurrently.
+  /// and hit the heap. Zero in a warmed-up simulation. Atomic: campaign
+  /// cells on a thread pool and the realtime receiver thread schedule
+  /// concurrently.
   [[nodiscard]] static std::uint64_t heap_allocations() noexcept {
     return heap_allocs_.load(std::memory_order_relaxed);
   }

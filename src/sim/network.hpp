@@ -35,37 +35,24 @@
 // Shard confinement (DESIGN.md): all per-link send-side state lives in one
 // `source_state` per node, touched only at send time, i.e. on the shard
 // owning the sender (every send a node performs executes on its own shard —
-// the anchoring rule of DESIGN.md). Wire counters are atomics. The
-// remaining globally-read fault state (node up/down, partitions, the global
-// omission/performance rates) is an *immutable snapshot* published through
-// one atomic pointer: every mutator copies the current snapshot, applies
-// its time-indexed edit, and publishes the copy, so the hot path performs a
-// single lock-free acquire-load instead of taking a reader/writer lock
-// twice. Reads stay date-keyed — a send at date t reads the state
-// configured for date t, never the state as of whichever wall-clock order
-// the shards happened to execute the mutation in — which is what lets the
-// scenario layer replay a fault plan bit-identically across shard AND
-// worker counts (`scenario::apply` pre-registers a plan's whole global wire
-// truth before the run; runtime re-registrations are same-date idempotent).
+// the anchoring rule of DESIGN.md). The globally-read fault state (node
+// up/down, partitions, the global omission/performance rates) is a set of
+// date-keyed timelines: a send at date t reads the state configured for
+// date t, never the state as of whichever order the shards of a serial
+// round happened to execute the mutation in — which is what lets the
+// scenario layer replay a fault plan bit-identically across shard counts
+// (`scenario::apply` pre-registers a plan's whole global wire truth before
+// the run; runtime re-registrations are same-date idempotent).
 //
-// Call `reserve_nodes` before a worker-threaded run (the owning
-// `core::system` does): source slots and the handler table then pre-exist
-// and the hot path performs no structural mutation of *shared* containers.
-// Per-destination slots inside a source's sparse map still grow on first
-// contact, but that growth is confined to the shard owning the source (the
-// only shard that ever touches its send state), so it is legal under
-// worker threads — unlike growing the shared handler table. Structural
-// mutation of shared state — `attach`, `detach`, lazy source-slot growth —
-// is serial-only and *enforced*: doing it from inside event execution
-// while the backend runs worker threads throws instead of racing.
+// `reserve_nodes` pre-creates source slots and the handler table (the
+// owning `core::system` calls it with its node count); per-destination
+// slots inside a source's sparse map grow on first contact.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -109,41 +96,28 @@ class network : public scenario::fault_injector {
       : rt_(&rt), params_(p), seed_(seed) {
     validate(p.delta_min <= p.delta_max, "network: delta_min > delta_max");
     validate(!p.delta_max.is_infinite(), "network: delta_max must be finite");
-    publish_initial();
   }
   ~network();
   network(const network&) = delete;
   network& operator=(const network&) = delete;
 
-  /// Pre-create per-source slots and the handler table for nodes [0, n).
-  /// Required before a worker-threaded run (shared-structure growth is
-  /// single-threaded-only and enforced as such); `core::system` calls it
-  /// with its node count. Destination slots inside each source's sparse map
-  /// are *not* pre-created — they grow on first contact, on the source's
-  /// own shard.
+  /// Pre-create per-source slots and the handler table for nodes [0, n);
+  /// `core::system` calls it with its node count. Destination slots inside
+  /// each source's sparse map are *not* pre-created — they grow on first
+  /// contact.
   void reserve_nodes(std::size_t n) {
-    if (n > fanout_) fanout_ = n;
     while (sources_.size() < n) new_source();
-    if (handlers_.size() < fanout_) {
-      handlers_.resize(fanout_);
-      delivered_by_dst_.resize(fanout_);
-    }
+    if (handlers_.size() < n) handlers_.resize(n);
   }
 
   /// Attach a node's receive handler. A node without a handler silently
-  /// drops inbound traffic (models a crashed or absent node). Structural:
-  /// serial-only once worker threads run (see header).
+  /// drops inbound traffic (models a crashed or absent node).
   void attach(node_id n, handler h) {
-    assert_structural("attach");
     ensure_source(n);
-    if (handlers_.size() <= n) {
-      handlers_.resize(static_cast<std::size_t>(n) + 1);
-      delivered_by_dst_.resize(handlers_.size());
-    }
+    if (handlers_.size() <= n) handlers_.resize(static_cast<std::size_t>(n) + 1);
     handlers_[n] = std::move(h);
   }
   void detach(node_id n) {
-    assert_structural("detach");
     if (n < handlers_.size()) handlers_[n] = nullptr;
   }
   [[nodiscard]] bool attached(node_id n) const {
@@ -178,10 +152,9 @@ class network : public scenario::fault_injector {
   // performance faults) each have a date-taking variant programming the
   // state ahead of time. The scenario injector uses those to register a
   // whole plan's wire state *before* the run: reads are date-keyed, so
-  // pre-registration changes nothing semantically, but it removes every
-  // write-vs-read race a worker-threaded round could otherwise hit when a
-  // relay send lands within one lookahead of a toggle. Each mutation
-  // publishes a fresh immutable snapshot (see header comment).
+  // pre-registration changes nothing semantically, but a relay send that
+  // lands within one lookahead of a toggle on another shard then reads the
+  // same answer whichever shard's window a serial round runs first.
 
   /// Probability that any message is lost (global omission rate). Takes
   /// effect from the current date onward (time-indexed toggle).
@@ -226,7 +199,7 @@ class network : public scenario::fault_injector {
   /// pre-registered entry) is idempotent.
   void set_node_down_at(time_point t, node_id n, bool down) override;
   [[nodiscard]] bool node_down(node_id n) const {
-    return snapshot().node_down_at(n, rt_->now());
+    return global_.node_down_at(n, rt_->now());
   }
 
   /// Partition the LAN into isolated groups: frames whose endpoints are in
@@ -264,21 +237,9 @@ class network : public scenario::fault_injector {
     std::uint64_t dropped = 0;
     std::uint64_t late = 0;
   };
-  /// Snapshot of the wire counters. Send-side events (sent, submit-time
-  /// drops, lateness) are counted per source — shard-confined plain
-  /// increments, summed here — and only delivery-side events touch an
-  /// atomic; totals are worker-count independent either way. Read between
-  /// runs (the round barrier orders the per-source counts).
-  [[nodiscard]] counters stats() const {
-    counters c{0, 0, dropped_inflight_.load(std::memory_order_relaxed), 0};
-    for (const auto& s : sources_) {
-      c.sent += s->sent;
-      c.dropped += s->dropped;
-      c.late += s->late;
-    }
-    for (const dst_counter& d : delivered_by_dst_) c.delivered += d.delivered;
-    return c;
-  }
+  /// The wire counters: frames submitted, delivered, dropped (at submit
+  /// time or in flight) and hit by a performance fault.
+  [[nodiscard]] counters stats() const { return counters_; }
   [[nodiscard]] const params& config() const { return params_; }
 
   /// Bytes of send-side destination-keyed state across all sources — the
@@ -297,7 +258,7 @@ class network : public scenario::fault_injector {
   }
 
   /// Observer invoked on every delivery (tracing). Runs on the destination
-  /// node's shard; must be shard-confined for worker-threaded runs.
+  /// node's shard.
   void set_delivery_observer(std::function<void(const message&)> obs) {
     observer_ = std::move(obs);
   }
@@ -314,9 +275,6 @@ class network : public scenario::fault_injector {
   /// same-date entries in registration order, and both `set` and `at`
   /// binary-search (`std::upper_bound`) — `at` returns the *last* entry at
   /// or before t, so same-date re-registration is last-write-wins.
-  /// (Concurrency of the container itself is the caller's business: the
-  /// globally-read timelines live inside immutable published snapshots, the
-  /// per-source ones are confined to the source's shard.)
   template <typename T>
   class timeline {
    public:
@@ -347,11 +305,7 @@ class network : public scenario::fault_injector {
     duration extra = duration::zero();
   };
 
-  /// Immutable globally-read fault state. Mutators copy-edit-publish under
-  /// `publish_mu_`; the hot path reads the current snapshot through one
-  /// atomic acquire-load and never blocks. Retired snapshots are kept until
-  /// network destruction, so a reader can never dangle (writes are bounded:
-  /// plan pre-registration plus rare runtime re-registrations).
+  /// Globally-read fault state, every entry date-keyed.
   struct global_state {
     std::vector<timeline<bool>> node_down;  // node-indexed
     // node -> group in force; no_group means unrestricted. Empty vector =
@@ -388,86 +342,44 @@ class network : public scenario::fault_injector {
   /// Send-side state of one node, owned by the shard owning the node: only
   /// events executing there (the node's sends, injector actions anchored on
   /// the node) may touch it. Destination-keyed state is a sparse map keyed
-  /// by the destinations this source talks to; slot growth happens on the
-  /// owning shard and is therefore worker-safe (see header).
+  /// by the destinations this source talks to.
   struct source_state {
     explicit source_state(rng r) : stream(std::move(r)) {}
     rng stream;
     std::uint64_t next_seq = 0;
-    std::uint64_t sent = 0;     // frames submitted by this source
-    std::uint64_t dropped = 0;  // frames dropped at submit time
-    std::uint64_t late = 0;     // frames hit by a performance fault
     util::sparse_node_map<dst_state> dst;
   };
 
   void new_source();
   void ensure_source(node_id n) {
-    // Source-slot creation grows the shared sources_ vector: structural.
-    if (n >= sources_.size()) {
-      assert_structural("source-slot growth");
-      while (sources_.size() <= n) new_source();
-    }
+    while (sources_.size() <= n) new_source();
   }
   source_state& source(node_id n) {
     ensure_source(n);
     return *sources_[n];
   }
 
-  /// Structural mutation of shared wire containers (handler table, source
-  /// slots, fan-out width) is serial-only: from inside event execution of a
-  /// worker-threaded backend it would race with concurrent sends on other
-  /// shards, so it throws instead. `reserve_nodes` pre-sizes everything.
-  void assert_structural(const char* what) const {
-    if (rt_->worker_count() > 0 && rt_->in_event_context())
-      throw error(std::string("network: ") + what +
-                  " from inside event execution with workers > 0; structural "
-                  "wire mutation is serial-only — pre-size with reserve_nodes "
-                  "before the run (see network.hpp)");
-  }
-
-  [[nodiscard]] const global_state& snapshot() const {
-    return *global_.load(std::memory_order_acquire);
-  }
-  /// Copy the current snapshot, apply `edit`, publish the copy, retire the
-  /// predecessor. Serialized by `publish_mu_`; never blocks readers.
-  template <typename Edit>
-  void mutate_global(Edit&& edit);
-  void publish_initial();
-
   duration sample_latency(source_state& s, std::size_t size_bytes,
-                          const global_state& g, time_point now, bool& late);
+                          time_point now, bool& late);
   /// The delivery-time half of the wire: node-down check, counters,
   /// observer, handler. Shared by locally scheduled deliveries and frames
   /// injected by `deliver_remote`.
   void deliver_now(const message& m);
   bool should_drop(source_state& s, dst_state& ds, node_id src, node_id dst,
-                   int channel, const global_state& g, time_point now);
-  /// The send fast path. `fan_out`/`broadcast` hoist the snapshot load, the
-  /// clock read, and the source lookup out of their per-destination loop.
-  std::uint64_t submit(source_state& s, const global_state& g, time_point now,
-                       node_id src, node_id dst, int channel,
-                       wire_payload payload, std::size_t size_bytes);
+                   int channel, time_point now);
+  /// The send fast path. `fan_out`/`broadcast` hoist the clock read and the
+  /// source lookup out of their per-destination loop.
+  std::uint64_t submit(source_state& s, time_point now, node_id src,
+                       node_id dst, int channel, wire_payload payload,
+                       std::size_t size_bytes);
 
   runtime* rt_;
   params params_;
   std::uint64_t seed_;
-  std::size_t fanout_ = 0;  // width of destination-indexed vectors
   std::vector<std::unique_ptr<source_state>> sources_;
   std::vector<handler> handlers_;  // node-indexed; null = not attached
-  /// Delivery counter of one destination, padded so worker threads
-  /// delivering on different shards never share a cache line.
-  struct alignas(64) dst_counter {
-    std::uint64_t delivered = 0;
-  };
-  std::vector<dst_counter> delivered_by_dst_;  // node-indexed, like handlers_
-
-  std::atomic<const global_state*> global_{nullptr};
-  std::mutex publish_mu_;  // serializes mutators, never taken by readers
-  std::vector<std::unique_ptr<const global_state>> retired_;
-
-  // In-flight drops (destination crashed or detached before delivery) stay
-  // atomic: the edge is rare and not worth a padded per-node counter.
-  std::atomic<std::uint64_t> dropped_inflight_{0};
+  global_state global_;
+  counters counters_;
   std::function<void(const message&)> observer_;
   std::function<bool(const message&)> remote_hook_;  // null on sim backends
 };

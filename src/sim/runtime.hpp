@@ -47,8 +47,10 @@ class runtime {
     std::size_t node_count = 0;  // nodes the topology queries cover
 
     // --- sharded backend ---------------------------------------------------
-    std::size_t shards = 0;   // node groups (0 = backend default)
-    std::size_t workers = 0;  // threads advancing shards (0 = serial rounds)
+    std::size_t shards = 0;  // node groups (0 = backend default)
+    /// Must stay 0: the sharded backend runs serial rounds only and rejects
+    /// any other value.
+    std::size_t workers = 0;
     /// Conservative lookahead: lower bound on every cross-shard scheduling
     /// delay (the network's delta_min for system runs).
     duration lookahead = duration::microseconds(10);
@@ -147,21 +149,21 @@ class runtime {
   // --- shard topology (DESIGN.md, "Shard confinement") ----------------------
   // The small query surface components need to keep their state
   // shard-confined: which shard owns a node, how many shards exist, and
-  // which shard the current thread is executing. Single-engine backends are
-  // one shard; `executing_shard()` returns 0 outside event execution.
+  // which shard is executing. Single-engine backends are one shard;
+  // `executing_shard()` returns 0 outside event execution.
   [[nodiscard]] virtual std::uint32_t shard_of(node_id n) const {
     (void)n;
     return 0;
   }
   [[nodiscard]] virtual std::size_t shard_count() const { return 1; }
   [[nodiscard]] virtual std::uint32_t executing_shard() const { return 0; }
-  /// Worker threads concurrently advancing shards (0 = all events run on
-  /// the calling thread). Components with serial-only structural paths
-  /// (e.g. `sim::network` handler-table growth) gate on this.
+  /// Threads advancing shards concurrently. Every built-in backend runs its
+  /// events on one thread, so this is always 0; it stays virtual for
+  /// wrappers that forward it.
   [[nodiscard]] virtual std::size_t worker_count() const { return 0; }
   /// True while the calling thread is inside one of this runtime's event
-  /// callbacks. Combined with `worker_count() > 0` it identifies the
-  /// contexts where structural mutation of shared state would race.
+  /// callbacks (routing decisions distinguish in-event calls from setup
+  /// calls made between runs).
   [[nodiscard]] virtual bool in_event_context() const { return false; }
 
   // --- same-instant batching ------------------------------------------------
@@ -222,7 +224,7 @@ class runtime {
     std::function<void()> fn;
   };
   // Links are dated first, first + period, ...: drift-free, and never read
-  // now(), which a realtime backend clamps.
+  // now(), which a realtime backend reports as the (late) firing instant.
   static void arm_chain(std::unique_ptr<periodic_chain> c, time_point at) {
     if (at >= c->until) return;
     runtime* rt = c->rt;
@@ -242,18 +244,15 @@ std::unique_ptr<runtime> make_engine();
 
 /// Configuration for the sharded multi-engine backend (see DESIGN.md,
 /// "Sharded backend"): nodes are partitioned into `shards` groups, each
-/// group owning its own pooled event core, advanced under conservative
-/// synchronization — a shard may only run ahead to the global horizon
+/// group owning its own pooled event core, advanced in serial conservative
+/// rounds — a shard may only run ahead to the global horizon
 /// `min(next pending event) + lookahead`, so `lookahead` must be a lower
 /// bound on every cross-shard scheduling delay (the network's minimum link
 /// delay, delta_min).
 struct sharded_params {
   std::size_t shards = 2;  // node groups, each with its own event core (<= 64)
-  /// Worker threads advancing shards concurrently. 0 = serial deterministic
-  /// rounds on the calling thread. Worker mode requires every event handler
-  /// to touch only state owned by its executing shard (DESIGN.md, "Shard
-  /// confinement"); `core::system` forwards its config.workers here and
-  /// validates the confinement rules it can check at registration time.
+  /// Must stay 0: rounds run on the calling thread, and the engine's
+  /// constructor rejects any other value.
   std::size_t workers = 0;
   duration lookahead = duration::microseconds(10);  // must be >= 1ns
   /// node -> shard. Nodes past the end of the vector map to `node % shards`.

@@ -1,13 +1,11 @@
 // Shard-partitioned append-only event log (DESIGN.md, "Shard confinement").
 //
 // The common machinery behind the observation sinks (`core::monitor`,
-// `sim::trace_recorder`): one vector per shard so worker threads never
-// share a container, appends routed by `runtime::executing_shard()`, and a
-// lazily-rebuilt merged view ordered by the deterministic key
-// {time, shard, per-shard sequence} — the sharded backend's cross-shard
-// inbox key, so the merged order is independent of worker interleaving.
-// Appending is safe from concurrent shards; every read-side member is
-// single-threaded (query between runs, not from inside event handlers).
+// `sim::trace_recorder`): one vector per shard, appends routed by
+// `runtime::executing_shard()`, and a lazily-rebuilt merged view ordered by
+// the deterministic key {time, shard, per-shard sequence}, so the merged
+// order does not depend on the order a serial round runs its shards in.
+// Query between runs, not from inside event handlers.
 #pragma once
 
 #include <algorithm>

@@ -5,52 +5,23 @@
 
 namespace hades::sim {
 
-namespace {
-
-// Which shard (of which sharded_engine) the current thread is executing.
-// Set around every event batch a shard runs; callbacks scheduling follow-up
-// work are routed to the shard that is running them.
-struct exec_ctx {
-  const void* owner = nullptr;
-  std::uint32_t shard = 0;
-};
-thread_local exec_ctx tls_ctx;
-
-}  // namespace
-
 sharded_engine::sharded_engine(sharded_params p)
     : lookahead_(p.lookahead), node_shard_(std::move(p.node_shard)) {
   validate(p.shards >= 1 && p.shards <= 64,
            "sharded_engine: shard count must be in [1, 64]");
+  validate(p.workers == 0,
+           "sharded_engine: workers must be 0 — shards advance in serial "
+           "rounds on the calling thread");
   validate(!lookahead_.is_infinite() &&
                lookahead_ >= duration::nanoseconds(1),
            "sharded_engine: lookahead must be finite and >= 1ns");
   for (std::uint32_t s : node_shard_)
     validate(s < p.shards, "sharded_engine: node mapped to unknown shard");
-  // Ring capacity trades memory (shards^2 rings) against spill frequency;
-  // overflow degrades to the barrier-ordered spill vector, never breaks.
-  const std::size_t ring_cap =
-      p.shards <= 8 ? 512 : p.shards <= 16 ? 128 : 64;
   shards_.reserve(p.shards);
   for (std::size_t s = 0; s < p.shards; ++s) {
     shards_.push_back(std::make_unique<shard>());
-    shards_.back()->outbox = std::make_unique<spsc_ring[]>(p.shards);
-    for (std::size_t t = 0; t < p.shards; ++t)
-      shards_.back()->outbox[t].slots.resize(ring_cap);
+    shards_.back()->outbox.resize(p.shards);
   }
-  const std::size_t workers = std::min(p.workers, p.shards);
-  workers_.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w)
-    workers_.emplace_back([this] { worker_main(); });
-}
-
-sharded_engine::~sharded_engine() {
-  {
-    std::lock_guard lk(pool_mu_);
-    stop_ = true;
-  }
-  cv_work_.notify_all();
-  for (auto& w : workers_) w.join();
 }
 
 std::uint32_t sharded_engine::shard_of(node_id n) const {
@@ -65,17 +36,11 @@ event_id sharded_engine::tag(std::uint32_t s, event_id inner) {
   return event_id{inner.value | (static_cast<std::uint64_t>(s) << shard_shift)};
 }
 
-std::uint32_t sharded_engine::current_shard() const {
-  return tls_ctx.owner == this ? tls_ctx.shard : 0;
-}
-
-bool sharded_engine::in_callback() const { return tls_ctx.owner == this; }
-
 // --- scheduling --------------------------------------------------------------
 
 time_point sharded_engine::now() const {
-  if (in_callback()) return shards_[tls_ctx.shard]->core.now();
-  // Between rounds every core sits at the same date; during a round the
+  if (in_event_context()) return shards_[executing_]->core.now();
+  // Between rounds every core sits at the same date; otherwise the
   // conservative minimum is the global virtual time.
   time_point m = shards_[0]->core.now();
   for (std::size_t s = 1; s < shards_.size(); ++s)
@@ -90,17 +55,15 @@ event_id sharded_engine::at(time_point t, event_fn fn) {
 
 event_id sharded_engine::at_node(node_id dst, time_point t, event_fn fn) {
   const std::uint32_t target = shard_of(dst);
-  if (!in_callback() || target == current_shard())
+  if (!in_event_context() || target == executing_)
     return tag(target, shards_[target]->core.at(t, std::move(fn)));
-  // Cross-shard: push onto the origin's per-target SPSC ring (lock-free;
-  // see drain_outboxes for the consumer side). The lookahead requirement
-  // is what makes the conservative horizon sound — an event below the
-  // horizon can only create work at or beyond it.
-  shard& from = *shards_[current_shard()];
+  // Cross-shard: queue in the origin's outbox for the round boundary. The
+  // lookahead requirement is what makes the conservative horizon sound — an
+  // event below the horizon can only create work at or beyond it.
+  shard& from = *shards_[executing_];
   require(t >= from.core.now() + lookahead_,
           "sharded_engine::at_node: cross-shard event below the lookahead");
-  from.outbox[target].push(
-      cross_event{t, current_shard(), from.xmit_seq++, std::move(fn)});
+  from.outbox[target].push_back(cross_event{t, std::move(fn)});
   return invalid_event;  // cross-shard events are fire-and-forget
 }
 
@@ -136,54 +99,19 @@ void sharded_engine::commit(event_batch& b) {
 
 // --- conservative rounds -----------------------------------------------------
 
-// Round-boundary injection. Ring contents are published by the producers'
-// release-stores of `tail` and consumed here through acquire-loads — the
-// hand-off no longer leans on the round barrier's mutex (spill vectors
-// still do, by construction). Each target merges the per-origin batches
-// destined for it, sorted by the deterministic key; a drain fed by a
-// single origin skips the sort — ring+spill order is already origin-seq
-// order, which is the stable order the sort would produce for same-instant
-// events, and the target core's heap orders distinct instants anyway.
+// Round-boundary injection, origins in index order. Each outbox holds one
+// origin's events in scheduling order, and the target core's heap orders
+// by date and then by injection order, so same-instant arrivals fire in
+// {time, origin shard, origin seq} order without a merge sort.
 void sharded_engine::drain_outboxes() {
   for (std::uint32_t s = 0; s < shards_.size(); ++s) {
-    shard& sh = *shards_[s];
-    drain_scratch_.clear();
-    std::size_t sources = 0;
+    engine& core = shards_[s]->core;
     for (auto& from : shards_) {
-      spsc_ring& ring = from->outbox[s];
-      const std::uint64_t tail = ring.tail.load(std::memory_order_acquire);
-      std::uint64_t head = ring.head.load(std::memory_order_relaxed);
-      if (head == tail && ring.spill.empty()) continue;
-      ++sources;
-      for (; head != tail; ++head)
-        drain_scratch_.push_back(
-            std::move(ring.slots[head % ring.slots.size()]));
-      ring.head.store(head, std::memory_order_release);
-      if (!ring.spill.empty()) {
-        // The spill continues the ring: once a push spills, every later
-        // push of the round spills too, so seq order is preserved.
-        std::move(ring.spill.begin(), ring.spill.end(),
-                  std::back_inserter(drain_scratch_));
-        ring.spill.clear();
-      }
+      std::vector<cross_event>& box = from->outbox[s];
+      cross_events_ += box.size();
+      for (cross_event& ce : box) core.at(ce.t, std::move(ce.fn));
+      box.clear();
     }
-    if (drain_scratch_.empty()) continue;
-    if (sources > 1) {
-      // The deterministic merge: injection order (and so the core's FIFO
-      // tie-break among same-instant arrivals) never depends on which
-      // thread pushed first.
-      std::sort(drain_scratch_.begin(), drain_scratch_.end(),
-                [](const cross_event& a, const cross_event& b) {
-                  if (a.t != b.t) return a.t < b.t;
-                  if (a.origin_shard != b.origin_shard)
-                    return a.origin_shard < b.origin_shard;
-                  return a.origin_seq < b.origin_seq;
-                });
-    } else {
-      ++single_source_drains_;
-    }
-    cross_events_ += drain_scratch_.size();
-    for (auto& ce : drain_scratch_) sh.core.at(ce.t, std::move(ce.fn));
   }
 }
 
@@ -194,51 +122,10 @@ time_point sharded_engine::next_time_all() {
 }
 
 std::size_t sharded_engine::run_shard(std::uint32_t s, time_point bound) {
-  shard& sh = *shards_[s];
-  const exec_ctx prev = tls_ctx;
-  tls_ctx = {this, s};
-  const std::size_t n = sh.core.run_until(bound);
-  tls_ctx = prev;
-  sh.ran += n;
+  executing_ = s;
+  const std::size_t n = shards_[s]->core.run_until(bound);
+  executing_ = no_shard;
   return n;
-}
-
-std::size_t sharded_engine::round(time_point bound) {
-  ++rounds_;
-  if (workers_.empty()) {
-    std::size_t n = 0;
-    for (std::uint32_t s = 0; s < shards_.size(); ++s)
-      n += run_shard(s, bound);
-    return n;
-  }
-  std::unique_lock lk(pool_mu_);
-  round_bound_ = bound;
-  next_claim_ = 0;
-  unfinished_ = shards_.size();
-  round_executed_ = 0;
-  ++round_ticket_;
-  cv_work_.notify_all();
-  cv_done_.wait(lk, [this] { return unfinished_ == 0; });
-  return round_executed_;
-}
-
-void sharded_engine::worker_main() {
-  std::uint64_t seen_ticket = 0;
-  std::unique_lock lk(pool_mu_);
-  for (;;) {
-    cv_work_.wait(lk, [&] { return stop_ || round_ticket_ != seen_ticket; });
-    if (stop_) return;
-    seen_ticket = round_ticket_;
-    const time_point bound = round_bound_;
-    while (next_claim_ < shards_.size()) {
-      const auto s = static_cast<std::uint32_t>(next_claim_++);
-      lk.unlock();
-      const std::size_t n = run_shard(s, bound);
-      lk.lock();
-      round_executed_ += n;
-      if (--unfinished_ == 0) cv_done_.notify_one();
-    }
-  }
 }
 
 std::size_t sharded_engine::run_rounds(time_point limit,
@@ -253,7 +140,9 @@ std::size_t sharded_engine::run_rounds(time_point limit,
     // is enforced at round granularity (a round is the atom of progress).
     time_point bound = (m + lookahead_) - duration::nanoseconds(1);
     if (limit < bound) bound = limit;
-    total += round(bound);
+    ++rounds_;
+    for (std::uint32_t s = 0; s < shards_.size(); ++s)
+      total += run_shard(s, bound);
   }
   return total;
 }
@@ -272,13 +161,9 @@ bool sharded_engine::step() {
     }
   }
   if (bt.is_infinite()) return false;
-  shard& sh = *shards_[best];
-  const exec_ctx prev = tls_ctx;
-  tls_ctx = {this, best};
-  const std::uint64_t before = sh.core.executed();
-  sh.core.step();
-  tls_ctx = prev;
-  sh.ran += sh.core.executed() - before;
+  executing_ = best;
+  shards_[best]->core.step();
+  executing_ = no_shard;
   return true;
 }
 
@@ -294,33 +179,13 @@ std::size_t sharded_engine::run(std::size_t max_events) {
   return run_rounds(time_point::infinity(), max_events);
 }
 
-bool sharded_engine::empty() const {
-  // Like the cores themselves, these queries are meaningful from outside
-  // event execution (between rounds), where producers are quiescent.
-  for (const auto& sp : shards_) {
-    if (!sp->core.empty()) return false;
-    for (std::size_t t = 0; t < shards_.size(); ++t) {
-      const spsc_ring& ring = sp->outbox[t];
-      if (ring.tail.load(std::memory_order_acquire) !=
-              ring.head.load(std::memory_order_acquire) ||
-          !ring.spill.empty())
-        return false;
-    }
-  }
-  return true;
-}
+bool sharded_engine::empty() const { return pending() == 0; }
 
 std::size_t sharded_engine::pending() const {
   std::size_t n = 0;
   for (const auto& sp : shards_) {
     n += sp->core.pending();
-    for (std::size_t t = 0; t < shards_.size(); ++t) {
-      const spsc_ring& ring = sp->outbox[t];
-      n += static_cast<std::size_t>(
-          ring.tail.load(std::memory_order_acquire) -
-          ring.head.load(std::memory_order_acquire));
-      n += ring.spill.size();
-    }
+    for (const auto& box : sp->outbox) n += box.size();
   }
   return n;
 }
@@ -335,13 +200,9 @@ sharded_engine::shard_stats sharded_engine::stats() const {
   shard_stats st;
   st.rounds = rounds_;
   st.cross_events = cross_events_;
-  st.single_source_drains = single_source_drains_;
   st.executed_per_shard.reserve(shards_.size());
-  for (const auto& sp : shards_) {
-    st.executed_per_shard.push_back(sp->ran);
-    for (std::size_t t = 0; t < shards_.size(); ++t)
-      st.spilled += sp->outbox[t].spilled;
-  }
+  for (const auto& sp : shards_)
+    st.executed_per_shard.push_back(sp->core.executed());
   return st;
 }
 

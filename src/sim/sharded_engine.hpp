@@ -1,48 +1,31 @@
 // Sharded multi-engine backend of hades::runtime (DESIGN.md, "Sharded
-// backend"): the scale-out counterpart of the single pooled `sim::engine`.
+// backend"): nodes partitioned into shards, each shard owning its own
+// pooled event core (`sim::engine` slabs + 4-ary heap).
 //
-// Nodes are partitioned into shards, each shard owning its own pooled event
-// core (`sim::engine` slabs + 4-ary heap). Time advances in conservative
-// rounds: with `m` the earliest pending event anywhere and `L` the
-// configured lookahead (a lower bound on every cross-shard scheduling
-// delay — the network's minimum link delay), every event strictly below the
-// horizon `m + L` is independent across shards and safe to run, because any
-// event it creates on another shard lands at or beyond the horizon. Within
-// a round, shards advance either serially on the calling thread
-// (`workers == 0`, always safe) or concurrently on a worker pool
-// (`workers > 0`, requires shard-confined event handlers).
+// Time advances in conservative rounds: with `m` the earliest pending event
+// anywhere and `L` the configured lookahead (a lower bound on every
+// cross-shard scheduling delay — the network's minimum link delay), every
+// event strictly below the horizon `m + L` is independent across shards and
+// safe to run, because any event it creates on another shard lands at or
+// beyond the horizon. A round runs shard 0's whole window, then shard 1's,
+// and so on, on the calling thread.
 //
-// Cross-shard events (`at_node` targeting a foreign shard) are pushed onto
-// a bounded lock-free SPSC ring, one per (origin, target) pair: the origin
-// shard's thread is the sole producer, the draining thread the sole
-// consumer, and the hand-off is a release-store of the producer cursor
-// matched by an acquire-load in the drain — the transfer no longer relies
-// on the round barrier's mutex for visibility. Ring overflow spills to an
-// owner-only vector that the barrier still orders, so correctness never
-// depends on capacity. Drained events are injected into the target cores
-// at the round boundary sorted by the deterministic key {time, origin
-// shard, origin sequence} — so the merged execution trace is independent
-// of thread interleaving and, for workloads whose same-instant events are
-// shard-local, identical to the single-engine run (see DESIGN.md for the
-// exact determinism argument). When a single origin contributed to a
-// target, the sort is skipped: within one ring, same-instant events are
-// already in sequence order, which is exactly the stable order the sort
-// would produce, and distinct-instant events are ordered by the target
-// core's heap regardless of injection order.
+// Cross-shard events (`at_node` targeting a foreign shard) are appended to
+// a plain vector, one per (origin, target) pair, and injected into the
+// target core at the round boundary, origins in index order. Each vector is
+// in origin-sequence order and the target heap orders by date, then by
+// injection order, so same-instant arrivals execute in {time, origin shard,
+// origin seq} order whatever the round's layout — the merged trace is, for
+// workloads whose same-instant events are shard-local, identical to the
+// single-engine run (see DESIGN.md for the exact determinism argument).
 //
 // Contract deviations from the single engine, all confined to cross-shard
-// use: `at_node` across shards requires `t >= now() + lookahead`, returns
-// `invalid_event` (fire-and-forget), and `cancel` of a foreign shard's id
-// is only safe between rounds (i.e. from outside event execution) when
-// workers are enabled.
+// use: `at_node` across shards requires `t >= now() + lookahead` and
+// returns `invalid_event` (fire-and-forget).
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -52,8 +35,8 @@ namespace hades::sim {
 
 class sharded_engine final : public runtime {
  public:
+  /// Throws unless `p.workers == 0`: serial rounds are the only mode.
   explicit sharded_engine(sharded_params p);
-  ~sharded_engine() override;
 
   // --- runtime interface ---------------------------------------------------
   [[nodiscard]] time_point now() const override;
@@ -80,118 +63,62 @@ class sharded_engine final : public runtime {
   [[nodiscard]] std::size_t shard_count() const override {
     return shards_.size();
   }
-  /// The shard whose event core the calling thread is executing (0 when
-  /// called from outside event execution) — what shard-confined components
-  /// index their per-shard partitions with.
+  /// The shard whose event core is executing (0 when called from outside
+  /// event execution) — what shard-confined components index their
+  /// per-shard partitions with.
   [[nodiscard]] std::uint32_t executing_shard() const override {
     return current_shard();
   }
-  [[nodiscard]] std::size_t worker_count() const override {
-    return workers_.size();
+  [[nodiscard]] bool in_event_context() const override {
+    return executing_ != no_shard;
   }
-  [[nodiscard]] bool in_event_context() const override { return in_callback(); }
   [[nodiscard]] duration lookahead() const { return lookahead_; }
 
   struct shard_stats {
     std::uint64_t rounds = 0;        // conservative synchronization windows
     std::uint64_t cross_events = 0;  // events routed through an outbox
-    /// Cross-events that overflowed their SPSC ring into the spill vector
-    /// (still correct, but the hand-off fell back to barrier ordering).
+    /// Always 0: outboxes are unbounded vectors and never spill. Kept so
+    /// reports that read it keep their schema.
     std::uint64_t spilled = 0;
-    /// Target drains where exactly one origin contributed, letting the
-    /// deterministic merge skip its sort (see drain_outboxes).
-    std::uint64_t single_source_drains = 0;
-    /// Events executed per shard — the max/mean ratio is the load balance,
-    /// and sum/max bounds the achievable parallel speedup (critical path).
+    /// Events executed per shard — the max/mean ratio is the load balance.
     std::vector<std::uint64_t> executed_per_shard;
   };
   [[nodiscard]] shard_stats stats() const;
 
  private:
-  // Events crossing a shard boundary carry a deterministic merge key:
-  // outboxes are drained sorted by {t, origin shard, origin seq}, so the
-  // injection order — and hence the target core's FIFO tie-break — never
-  // depends on thread interleaving.
   struct cross_event {
     time_point t;
-    std::uint32_t origin_shard;
-    std::uint64_t origin_seq;
     event_fn fn;
-  };
-
-  // Bounded lock-free SPSC ring. Producer: the single thread executing the
-  // origin shard (push). Consumer: the draining thread (drain_outboxes).
-  // `tail` is release-published after the slot write and acquire-read by
-  // the consumer; `head` release-published after consumption and
-  // acquire-read by the producer's full check — classic two-cursor SPSC.
-  // A full ring spills to `spill`, which only the producer touches during
-  // a round and the round barrier hands off, so overflow degrades the
-  // fast path, never correctness. Within one ring (and the spill continuing
-  // it) events are in strictly increasing origin-seq order.
-  struct spsc_ring {
-    std::vector<cross_event> slots;
-    std::atomic<std::uint64_t> head{0};  // consumer cursor
-    std::atomic<std::uint64_t> tail{0};  // producer cursor
-    std::vector<cross_event> spill;      // producer-only overflow
-    std::uint64_t spilled = 0;           // producer-only counter
-
-    void push(cross_event&& ce) {
-      const std::uint64_t t = tail.load(std::memory_order_relaxed);
-      if (t - head.load(std::memory_order_acquire) < slots.size()) {
-        slots[t % slots.size()] = std::move(ce);
-        tail.store(t + 1, std::memory_order_release);
-      } else {
-        spill.push_back(std::move(ce));
-        ++spilled;
-      }
-    }
   };
 
   struct shard {
     engine core;
-    std::uint64_t xmit_seq = 0;  // outgoing cross-event counter (owner-only)
-    std::uint64_t ran = 0;       // events executed (owner-only during rounds)
-    // Outgoing cross-shard events: one SPSC ring per target shard (see
-    // spsc_ring). Non-movable because of the atomics, hence the flat array.
-    std::unique_ptr<spsc_ring[]> outbox;
+    /// Outgoing cross-shard events, one vector per target shard, each in
+    /// scheduling (origin-sequence) order.
+    std::vector<std::vector<cross_event>> outbox;
   };
 
   // Shard ids are the inner engine's {slot+1, gen} id tagged with the shard
   // index in the top bits. 6 tag bits cap the backend at 64 shards and each
   // shard at 2^26 pooled slots (~67M concurrently pending events).
   static constexpr int shard_shift = 58;
+  static constexpr std::uint32_t no_shard = 0xFFFFFFFFu;
   static event_id tag(std::uint32_t s, event_id inner);
-  [[nodiscard]] std::uint32_t current_shard() const;
-  [[nodiscard]] bool in_callback() const;
+  [[nodiscard]] std::uint32_t current_shard() const {
+    return executing_ == no_shard ? 0 : executing_;
+  }
 
   void drain_outboxes();
   [[nodiscard]] time_point next_time_all();
   std::size_t run_shard(std::uint32_t s, time_point bound);
-  std::size_t round(time_point bound);  // serial or parallel per `workers_`
   std::size_t run_rounds(time_point limit, std::size_t max_events);
-  void worker_main();
 
   duration lookahead_;
   std::vector<std::uint32_t> node_shard_;
   std::vector<std::unique_ptr<shard>> shards_;
+  std::uint32_t executing_ = no_shard;  // shard running events, if any
   std::uint64_t rounds_ = 0;
   std::uint64_t cross_events_ = 0;
-  std::uint64_t single_source_drains_ = 0;
-  std::vector<cross_event> drain_scratch_;  // coordinator-only, reused
-
-  // Worker pool (empty in serial mode). Rounds are dispatched by ticket:
-  // workers claim shard indices until the round is exhausted, the last
-  // completion wakes the coordinator.
-  std::vector<std::thread> workers_;
-  std::mutex pool_mu_;
-  std::condition_variable cv_work_;
-  std::condition_variable cv_done_;
-  std::uint64_t round_ticket_ = 0;
-  time_point round_bound_;
-  std::size_t next_claim_ = 0;
-  std::size_t unfinished_ = 0;
-  std::size_t round_executed_ = 0;
-  bool stop_ = false;
 };
 
 }  // namespace hades::sim

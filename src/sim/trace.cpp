@@ -21,7 +21,6 @@ std::string_view to_string(trace_kind k) {
     case trace_kind::instance_activated: return "instance-activated";
     case trace_kind::instance_completed: return "instance-completed";
     case trace_kind::instance_aborted: return "instance-aborted";
-    case trace_kind::monitor_event: return "monitor";
     case trace_kind::message_sent: return "msg-sent";
     case trace_kind::message_delivered: return "msg-delivered";
     case trace_kind::service_event: return "service";

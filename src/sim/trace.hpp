@@ -1,21 +1,20 @@
 // Execution trace recorder.
 //
 // Records the observable events of a HADES run — thread state transitions,
-// dispatcher/scheduler notifications, priority changes, monitor verdicts —
+// dispatcher/scheduler notifications, priority changes, service events —
 // so that tests can assert on exact cooperation sequences (the Figure 2
 // reproduction checks the Atv / priority-change / Trm trace verbatim) and
 // examples can render ASCII Gantt timelines.
 //
 // Shard confinement (DESIGN.md): once bound to a runtime, the recorder keeps
 // one event partition per shard (`sim::shard_log`) and `record` appends
-// only to the partition of the shard executing the call — worker threads
-// advancing different shards never touch the same vector. Readers see a
+// only to the partition of the shard executing the call. Readers see a
 // single merged sequence ordered by the deterministic key
-// {time, shard, per-shard sequence}: the same merge key the sharded
-// backend uses for cross-shard inboxes, so the merged trace is identical
-// for any worker count (and, absent cross-shard same-instant ties, for any
-// shard count). Reading is not thread-safe; query between runs, not from
-// inside event handlers.
+// {time, shard, per-shard sequence}: the same order the sharded backend
+// gives cross-shard arrivals, so the merged trace does not depend on the
+// order a serial round runs its shards in (and, absent cross-shard
+// same-instant ties, is identical for any shard count). Query between
+// runs, not from inside event handlers.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +42,6 @@ enum class trace_kind {
   instance_activated,
   instance_completed,
   instance_aborted,
-  monitor_event,
   message_sent,
   message_delivered,
   service_event,
@@ -81,8 +79,8 @@ class trace_recorder {
   }
 
   /// Merged view over all shard partitions, ordered by
-  /// {time, shard, per-shard sequence}. Rebuilt lazily; do not call while
-  /// worker threads are recording.
+  /// {time, shard, per-shard sequence}. Rebuilt lazily; query between
+  /// runs.
   [[nodiscard]] const std::vector<trace_event>& events() const {
     return log_.merged();
   }

@@ -24,9 +24,9 @@
 // lists per (class, stripe) so concurrent shards rarely contend. Each free
 // list is a Treiber stack over 32-bit *block indices* with a 32-bit ABA tag
 // packed into one 64-bit CAS word — lock-free for any number of producers
-// and consumers, which is what lets a payload allocated on the sending
-// node's shard be released on the destination's shard (worker-threaded
-// sharded runs) without a lock anywhere on the steady-state path. Only
+// and consumers, which is what lets a payload allocated on one thread be
+// released on another (the realtime socket receiver thread, campaign cells
+// on a thread pool) without a lock anywhere on the steady-state path. Only
 // chunk growth takes a mutex, and growth stops once the pool is warm;
 // `wire_payload::stats()` exposes the growth counters so benches and tests
 // can assert the steady state allocates nothing.

@@ -24,7 +24,7 @@
 //
 // Determinism: decisions depend only on the offer/complete order, and the
 // heap order is a total order (density, then admission sequence), so the
-// admission/shed stream is bit-identical across backends and worker counts;
+// admission/shed stream is bit-identical across backends and shard counts;
 // the running FNV digest over (client, verdict) is folded into the campaign
 // checksum.
 #pragma once

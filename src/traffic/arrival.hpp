@@ -21,7 +21,7 @@
 // Each arrival carries a request class drawn from a weighted mix
 // (cost/deadline/value taxonomy the admission controller prices).
 // Determinism: the stream is a pure function of (seed, node) — identical
-// across backends and worker counts by construction.
+// across backends and shard counts by construction.
 #pragma once
 
 #include <cstdint>

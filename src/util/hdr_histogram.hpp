@@ -7,8 +7,7 @@
 // so the recorded value is always within a relative error of 2^-(P-1) of the
 // bucket it lands in (P = 8 gives <= 1/128 ~ 0.8%). The bucket array is a
 // fixed-size member — `record` is a shift, a count-leading-zeros and one
-// relaxed atomic increment, with no allocation and no locking, so it is safe
-// on the admission hot path and from concurrent shard workers.
+// increment, with no allocation, so it is safe on the admission hot path.
 //
 // Per-shard instances are merged with `merge` (bucket-wise integer adds —
 // commutative and exact, so the merged histogram is identical for any merge
@@ -16,7 +15,6 @@
 // merges in node order by convention).
 #pragma once
 
-#include <atomic>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -72,20 +70,18 @@ class basic_hdr_histogram {
     return static_cast<std::int64_t>(((sub + 1) << shift) - 1);
   }
 
-  void record(std::int64_t value) {
-    counts_[slot_of(value)].fetch_add(1, std::memory_order_relaxed);
-  }
+  void record(std::int64_t value) { ++counts_[slot_of(value)]; }
   void record(std::int64_t value, std::uint64_t times) {
-    counts_[slot_of(value)].fetch_add(times, std::memory_order_relaxed);
+    counts_[slot_of(value)] += times;
   }
 
   [[nodiscard]] std::uint64_t total() const {
     std::uint64_t n = 0;
-    for (const auto& c : counts_) n += c.load(std::memory_order_relaxed);
+    for (const std::uint64_t c : counts_) n += c;
     return n;
   }
   [[nodiscard]] std::uint64_t count_at(std::size_t slot) const {
-    return counts_[slot].load(std::memory_order_relaxed);
+    return counts_[slot];
   }
 
   /// Value at quantile q in [0, 1] (highest equivalent value of the bucket
@@ -100,7 +96,7 @@ class basic_hdr_histogram {
     if (target > n) target = n;
     std::uint64_t cum = 0;
     for (std::size_t i = 0; i < slot_count; ++i) {
-      cum += counts_[i].load(std::memory_order_relaxed);
+      cum += counts_[i];
       if (cum >= target) return highest_equivalent(i);
     }
     return highest_equivalent(slot_count - 1);
@@ -108,28 +104,23 @@ class basic_hdr_histogram {
 
   [[nodiscard]] std::int64_t min() const {
     for (std::size_t i = 0; i < slot_count; ++i)
-      if (counts_[i].load(std::memory_order_relaxed) != 0)
-        return lowest_equivalent(i);
+      if (counts_[i] != 0) return lowest_equivalent(i);
     return 0;
   }
   [[nodiscard]] std::int64_t max() const {
     for (std::size_t i = slot_count; i-- > 0;)
-      if (counts_[i].load(std::memory_order_relaxed) != 0)
-        return highest_equivalent(i);
+      if (counts_[i] != 0) return highest_equivalent(i);
     return 0;
   }
 
   /// Bucket-wise add. Exact and commutative: any merge order over a set of
   /// histograms produces the identical result.
   void merge(const basic_hdr_histogram& o) {
-    for (std::size_t i = 0; i < slot_count; ++i) {
-      const std::uint64_t v = o.counts_[i].load(std::memory_order_relaxed);
-      if (v != 0) counts_[i].fetch_add(v, std::memory_order_relaxed);
-    }
+    for (std::size_t i = 0; i < slot_count; ++i) counts_[i] += o.counts_[i];
   }
 
   void reset() {
-    for (auto& c : counts_) c.store(0, std::memory_order_relaxed);
+    for (std::uint64_t& c : counts_) c = 0;
   }
 
   /// FNV-1a over (slot, count) of the non-empty buckets — the deterministic
@@ -143,7 +134,7 @@ class basic_hdr_histogram {
       }
     };
     for (std::size_t i = 0; i < slot_count; ++i) {
-      const std::uint64_t c = counts_[i].load(std::memory_order_relaxed);
+      const std::uint64_t c = counts_[i];
       if (c != 0) {
         mix(i);
         mix(c);
@@ -165,7 +156,7 @@ class basic_hdr_histogram {
     return {shift, sub + sub_half};
   }
 
-  std::atomic<std::uint64_t> counts_[slot_count] = {};
+  std::uint64_t counts_[slot_count] = {};
 };
 
 using hdr_histogram = basic_hdr_histogram<8>;

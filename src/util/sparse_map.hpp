@@ -11,13 +11,11 @@
 // are node ids, empty slots are marked by a reserved sentinel key, and the
 // backing array doubles at 70% load.
 //
-// Concurrency contract: a sparse_map instance is confined to the shard that
-// owns its enclosing per-node state (the same rule as every other per-node
-// structure, DESIGN.md "Shard confinement"). Growth allocates, but the
-// allocation happens on the owning shard while it executes that node's
-// events, which is legal under worker-threaded runs — unlike growing a
-// structure shared across shards. After warm-up (each node has met its
-// neighbour set) lookups and updates allocate nothing.
+// Ownership: a sparse_map instance is confined to the shard that owns its
+// enclosing per-node state (the same rule as every other per-node
+// structure, DESIGN.md "Shard confinement"). Growth allocates on the owning
+// shard while it executes that node's events. After warm-up (each node has
+// met its neighbour set) lookups and updates allocate nothing.
 #pragma once
 
 #include <cstddef>

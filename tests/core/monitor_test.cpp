@@ -23,7 +23,6 @@ monitor_event ev(time_point at, node_id node, monitor_event_kind kind) {
 std::unique_ptr<hades::runtime> two_shards() {
   sim::sharded_params p;
   p.shards = 2;
-  p.workers = 0;
   p.lookahead = 100_us;
   p.node_shard = {0, 1};  // node n lives on shard n
   return sim::make_sharded_engine(std::move(p));

@@ -32,7 +32,6 @@ runtime::options options_for(const std::string& backend) {
   o.node_count = conf_nodes;
   if (backend == "sharded") {
     o.shards = 2;
-    o.workers = 0;  // serial rounds: callbacks stay on the calling thread
     o.lookahead = duration::microseconds(10);
   }
   return o;
@@ -135,8 +134,8 @@ TEST_P(RuntimeConformance, InEventContextOnlyInsideCallbacks) {
 
 TEST_P(RuntimeConformance, AtNodeExecutesOnOwningShard) {
   // Cross-shard dates must respect the backend's lookahead; ms-scale dates
-  // clear every configured lookahead here. With one process / zero workers
-  // each at_node callback must observe the owning shard as executing.
+  // clear every configured lookahead here. With one process each at_node
+  // callback must observe the owning shard as executing.
   const time_point t0 = base();
   std::vector<std::pair<node_id, std::uint32_t>> seen;
   const node_id probes[] = {0, static_cast<node_id>(conf_nodes - 1)};
@@ -224,6 +223,26 @@ TEST(RealtimeEngine, CrossThreadArmDuringWaitLosesNoEvents) {
   producer.join();
   rt->run_until(rt->now() + 2_ms);  // drain any late-armed stragglers
   EXPECT_EQ(fired.load(), anchors + external);
+  EXPECT_TRUE(rt->empty());
+}
+
+TEST(RealtimeEngine, LateChildKeepsItsNominalDate) {
+  // Regression: a child scheduled by a callback that ran late used to be
+  // re-dated to the wall clock's now(), which pushed it past run_until's
+  // bound and let run_until return with work pending. The callback at
+  // t0 + 1ms stalls until the clock has passed t0 + 3ms, then schedules a
+  // child dated t0 + 2ms: run_until(t0 + 3ms) must still run it.
+  auto rt = runtime::make(options_for("realtime"));
+  const time_point t0 = rt->now() + 50_ms;
+  std::vector<int> order;
+  rt->at(t0 + 1_ms, [&] {
+    order.push_back(1);
+    while (rt->now() <= t0 + 3_ms)
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    rt->at(t0 + 2_ms, [&] { order.push_back(2); });
+  });
+  rt->run_until(t0 + 3_ms);
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
   EXPECT_TRUE(rt->empty());
 }
 

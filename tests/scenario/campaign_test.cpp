@@ -37,7 +37,6 @@ TEST(CampaignTest, CampaignAggregatesAndGates) {
   opt.scenarios = {"clean", "partition_heal"};
   opt.seeds = {1};
   opt.shard_counts = {1, 2};
-  opt.worker_counts = {0};  // worker parity has its own test file
   opt.verbose = false;
   const campaign_result r = run_campaign(opt);
   EXPECT_EQ(r.cells.size(), 4u);

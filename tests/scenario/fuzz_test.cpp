@@ -89,9 +89,9 @@ TEST(PlanJsonTest, EveryCuratedPlanRoundTripsExactly) {
 // same checksum as the original.
 TEST(PlanJsonTest, ParsedPlanReplaysBitIdentically) {
   scenario_spec spec = find_scenario("replication_failover_rolling_crashes");
-  const std::uint64_t reference = run_cell(spec, 1, 2, 4).checksum;
+  const std::uint64_t reference = run_cell(spec, 1, 2).checksum;
   spec.p = plan_from_json(plan_to_json(spec.p));
-  EXPECT_EQ(run_cell(spec, 1, 2, 4).checksum, reference);
+  EXPECT_EQ(run_cell(spec, 1, 2).checksum, reference);
 }
 
 TEST(FuzzJsonTest, FuzzCaseRoundTripsAndReplaysBitIdentically) {
@@ -138,7 +138,7 @@ TEST(FuzzGeneratorTest, SameSeedSamePlans) {
             fuzz_case_to_json(generate_case(43, 1)));
 }
 
-// Every generated cell replays bit-identically across the shards x workers
+// Every generated cell replays bit-identically across the shard-count
 // matrix and passes every checker — a red checker in a fuzz campaign must
 // mean a real finding, so the generator's admissibility rules are load-
 // bearing and get their own gate here.

@@ -1,14 +1,12 @@
-// Worker-parity gate for the shard-confined core (DESIGN.md, "Shard
+// Shard-parity gate for the shard-confined core (DESIGN.md, "Shard
 // confinement" and "Cross-shard control tokens"): the full core::system
 // campaign workload — fault detector, Delta-ordered reliable broadcast,
 // suspicion-driven mode manager, clock sync, fault injection — must produce
-// bit-identical observable checksums whether the sharded backend advances
-// its shards serially (workers = 0) or on 2 / 4 worker threads. The second
-// half of the file sweeps the control-token machinery itself (shard-spanning
-// task graphs, cross-shard condition wakeups, the distributed deadlock scan,
-// mode-switch state capture) over shards {1, 2, 4} x workers {0, 2, 4} plus
-// the single pooled engine as the reference. These tests also run under the
-// CI TSan job, so the worker-threaded path is race-checked, not trusted.
+// bit-identical observable checksums on the single engine and on serial
+// sharded rounds. The second half of the file sweeps the control-token
+// machinery itself (shard-spanning task graphs, cross-shard condition
+// wakeups, the distributed deadlock scan, mode-switch state capture) over
+// shards {1, 2, 4} plus the single pooled engine as the reference.
 #include "scenario/campaign.hpp"
 
 #include <gtest/gtest.h>
@@ -28,46 +26,44 @@ namespace {
 
 using namespace hades::literals;
 
-void expect_worker_parity(const std::string& scenario, std::uint64_t seed,
-                          std::size_t shards) {
+void expect_shard_parity(const std::string& scenario, std::uint64_t seed,
+                         std::size_t shards) {
   const scenario_spec spec = find_scenario(scenario);
-  const cell_result serial = run_cell(spec, seed, shards, 0);
-  EXPECT_TRUE(serial.passed);
-  for (const std::size_t workers : {2u, 4u}) {
-    const cell_result threaded = run_cell(spec, seed, shards, workers);
-    EXPECT_EQ(threaded.checksum, serial.checksum)
-        << scenario << " seed " << seed << ": " << workers
-        << " workers diverged from serial rounds at " << shards << " shards";
-    EXPECT_TRUE(threaded.passed);
-  }
+  const cell_result single = run_cell(spec, seed, 1);
+  EXPECT_TRUE(single.passed);
+  const cell_result sharded = run_cell(spec, seed, shards);
+  EXPECT_EQ(sharded.checksum, single.checksum)
+      << scenario << " seed " << seed << ": " << shards
+      << " shards diverged from the single engine";
+  EXPECT_TRUE(sharded.passed);
 }
 
 // A crash mid-run exercises monitor routing, suspicion callbacks and the
-// global node-down timeline under worker threads.
-TEST(WorkerParityTest, SingleCrashChecksumMatchesAcrossWorkerCounts) {
-  expect_worker_parity("single_crash", 1, 2);
-  expect_worker_parity("single_crash", 2, 4);
+// global node-down timeline across shards.
+TEST(ShardParityTest, SingleCrashChecksumMatchesAcrossShardCounts) {
+  expect_shard_parity("single_crash", 1, 2);
+  expect_shard_parity("single_crash", 2, 4);
 }
 
 // A partition plus the suspicion-driven mode policy: every shard records
 // suspicions into the monitor and the mode manager consumes them on its
 // home shard.
-TEST(WorkerParityTest, SuspicionDrivenModePolicyIsWorkerIndependent) {
-  expect_worker_parity("partition_degrades_mode", 1, 4);
+TEST(ShardParityTest, SuspicionDrivenModePolicyIsShardIndependent) {
+  expect_shard_parity("partition_degrades_mode", 1, 4);
 }
 
 // Byzantine clocks drive clock_sync rounds (per-node chains, per-node
-// correction stats) on every shard concurrently.
-TEST(WorkerParityTest, ByzantineClockSyncIsWorkerIndependent) {
-  expect_worker_parity("byzantine_clocks", 1, 4);
+// correction stats) on every shard.
+TEST(ShardParityTest, ByzantineClockSyncIsShardIndependent) {
+  expect_shard_parity("byzantine_clocks", 1, 4);
 }
 
 // Performance faults make relay traffic consult the global perf-fault
 // timeline at dates uncorrelated with the plan's action dates — the
-// pre-registered-timeline regression (a worker could once catch the toggle
-// mid-insertion and draw a different latency).
-TEST(WorkerParityTest, PerfFaultBurstIsWorkerIndependent) {
-  expect_worker_parity("perf_fault_burst", 1, 4);
+// pre-registered-timeline regression: a shard whose window runs before the
+// toggle's own shard must still read the toggle at its date.
+TEST(ShardParityTest, PerfFaultBurstIsShardIndependent) {
+  expect_shard_parity("perf_fault_burst", 1, 4);
 }
 
 // --------------------------------------------------------------------------
@@ -96,26 +92,20 @@ class fold {
   std::uint64_t h_ = 0xCBF29CE484222325ull;
 };
 
-struct backend_point {
-  std::size_t shards;   // 0 = single pooled engine (the reference)
-  std::size_t workers;  // only meaningful when shards > 0
-};
+// Shard counts {1, 2, 4}, anchored by the single pooled engine (0).
+constexpr std::size_t kMatrix[] = {0, 1, 2, 4};
 
-// shards {1, 2, 4} x workers {0, 2, 4}, anchored by the single engine.
-constexpr backend_point kMatrix[] = {
-    {0, 0}, {1, 0}, {1, 2}, {1, 4}, {2, 0},
-    {2, 2}, {2, 4}, {4, 0}, {4, 2}, {4, 4},
-};
-
-core::system::config parity_config(backend_point pt) {
+core::system::config parity_config(std::size_t shards) {
   core::system::config cfg;
   cfg.costs = core::cost_model::zero();
   cfg.kernel_background = false;
   cfg.net.delta_min = 20_us;
   cfg.net.delta_max = 60_us;
   cfg.seed = 7;
-  cfg.shards = pt.shards;
-  cfg.workers = pt.shards > 0 ? pt.workers : 0;
+  if (shards > 0) {
+    cfg.runtime.backend = "sharded";
+    cfg.runtime.shards = shards;
+  }
   return cfg;
 }
 
@@ -166,9 +156,9 @@ using finisher = std::function<void(core::system&, fold&)>;
 template <typename Setup>
 void expect_matrix_parity(std::size_t nodes, duration horizon, Setup&& setup) {
   std::optional<std::uint64_t> reference;
-  for (const backend_point pt : kMatrix) {
-    if (pt.shards > nodes) continue;
-    core::system sys(nodes, parity_config(pt));
+  for (const std::size_t shards : kMatrix) {
+    if (shards > nodes) continue;
+    core::system sys(nodes, parity_config(shards));
     finisher finish = setup(sys);
     sys.run_until(time_point::at(horizon));
     fold f;
@@ -178,18 +168,18 @@ void expect_matrix_parity(std::size_t nodes, duration horizon, Setup&& setup) {
       reference = f.value();
     } else {
       EXPECT_EQ(f.value(), *reference)
-          << "shards=" << pt.shards << " workers=" << pt.workers
+          << "shards=" << shards
           << " diverged from the single-engine reference";
     }
   }
 }
 
-// Registration of a shard-spanning graph under workers used to throw; the
-// creation/activation tokens make it legal, and the whole pipeline — shard
+// Shard-spanning graphs register on every backend through the
+// creation/activation tokens, and the whole pipeline — shard
 // creation on remote homes, remote precedence tokens both directions, a
 // cross-node synchronous invocation — must reproduce the single-engine
 // checksum bit for bit.
-TEST(WorkerParityTest, ShardSpanningGraphsRunUnderWorkers) {
+TEST(ShardParityTest, ShardSpanningGraphsMatchTheSingleEngine) {
   expect_matrix_parity(6, 40_ms, [](core::system& sys) -> finisher {
     core::task_builder svc("svc");
     svc.deadline(8_ms);
@@ -231,7 +221,7 @@ TEST(WorkerParityTest, ShardSpanningGraphsRunUnderWorkers) {
 // fans the view out, and the waiter's dispatcher re-evaluates. The
 // set/wake/clear rhythm repeats every period, so one divergent wakeup shifts
 // every later completion date.
-TEST(WorkerParityTest, CrossShardConditionWakeupsAreWorkerIndependent) {
+TEST(ShardParityTest, CrossShardConditionWakeupsAreShardIndependent) {
   expect_matrix_parity(4, 40_ms, [](core::system& sys) -> finisher {
     core::task_builder setter("setter");
     setter.deadline(4_ms);
@@ -269,7 +259,7 @@ TEST(WorkerParityTest, CrossShardConditionWakeupsAreWorkerIndependent) {
 // only task B (node 3) sets, and vice versa. Only the distributed probe /
 // reply scan can see the whole cycle; its canonical merge must record the
 // same deadlock_suspected events on every backend.
-TEST(WorkerParityTest, CrossShardDeadlockCycleIsDetectedUnderWorkers) {
+TEST(ShardParityTest, CrossShardDeadlockCycleIsDetected) {
   expect_matrix_parity(4, 22_ms, [](core::system& sys) -> finisher {
     core::task_builder ta("cycle-a");
     core::code_eu a_eu;
@@ -305,7 +295,7 @@ TEST(WorkerParityTest, CrossShardDeadlockCycleIsDetectedUnderWorkers) {
 // synchronously, remote homes through the epoch-tagged request/reply on
 // ch_mode_capture. The capture digest and the typed snapshots must agree
 // with the single-engine run.
-TEST(WorkerParityTest, ModeSwitchCaptureIsWorkerIndependent) {
+TEST(ShardParityTest, ModeSwitchCaptureIsShardIndependent) {
   expect_matrix_parity(4, 30_ms, [](core::system& sys) -> finisher {
     auto mm = std::make_shared<svc::mode_manager>(
         sys, svc::mode_manager::thresholds{1, 3, 1});

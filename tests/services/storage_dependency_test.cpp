@@ -156,7 +156,7 @@ TEST(ModeManagerTest, NodeCrashGoesStraightToSafe) {
   EXPECT_EQ(mm.mode(), op_mode::safe);
   // Monitor events reach the manager's home shard one minimum network hop
   // after the trigger — the same constant on every backend, which is what
-  // keeps switch dates identical across shard/worker counts.
+  // keeps switch dates identical across shard counts.
   EXPECT_EQ(mm.last_switch(),
             time_point::at(5_ms) + sys.network().config().delta_min);
 }

@@ -2,12 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <string>
 #include <vector>
 
 #include "sim/engine.hpp"
-#include "sim/sharded_engine.hpp"
 
 namespace hades::sim {
 namespace {
@@ -408,62 +406,6 @@ TEST(NetworkTest, BroadcastSharesOnePooledPayloadAndAllocatesNothing) {
   EXPECT_EQ(pool_after.oversize_allocs, pool_before.oversize_allocs);
   EXPECT_EQ(pool_after.pooled_live, pool_before.pooled_live);
   EXPECT_EQ(event_callback::heap_allocations(), cb_before);
-}
-
-// Structural wire mutation (attach/detach/lazy growth) from inside event
-// execution is a silent race once worker threads run; the network must
-// reject it loudly instead.
-TEST(NetworkTest, StructuralMutationGuardedUnderWorkers) {
-  sharded_params sp;
-  sp.shards = 2;
-  sp.workers = 2;
-  sp.lookahead = 10_us;
-  sp.node_shard = {0, 1};
-  sharded_engine eng(sp);
-  network net(eng, tight());
-  net.reserve_nodes(2);
-  net.attach(0, [](const message&) {});
-  net.attach(1, [](const message&) {});
-  // Destination-keyed state is sparse per source: programming a fault for a
-  // destination with no source of its own just creates a slot in source 0's
-  // map, never a source slot for node 9.
-  net.set_link_omission(0, 9, 0.0);
-
-  std::atomic<int> guarded{0};
-  eng.at_node(0, time_point::at(1_us), [&] {
-    try {
-      net.attach(0, [](const message&) {});  // structural: must throw
-    } catch (const error&) {
-      guarded.fetch_add(1);
-    }
-    try {
-      // Source-slot creation (node 9 has destination state in source 0's
-      // map but no source of its own): structural, must throw.
-      net.unicast(9, 1, 0, 1, 8);
-    } catch (const error&) {
-      guarded.fetch_add(1);
-    }
-    // First contact with a fresh destination only grows THIS source's
-    // sparse map — shard-confined, hence legal under workers. Node 20 is
-    // unattached, so the frame is dropped in flight, not delivered.
-    net.unicast(0, 20, 0, 1, 8);
-    net.unicast(0, 1, 0, 2, 8);  // warm send path stays fine
-  });
-  eng.run_until(time_point::at(1_ms));
-  EXPECT_EQ(guarded.load(), 2);
-  EXPECT_EQ(net.stats().delivered, 1u);
-
-  // Serial rounds (workers == 0): structural growth stays allowed.
-  sharded_params sp2 = sp;
-  sp2.workers = 0;
-  sharded_engine eng2(sp2);
-  network net2(eng2, tight());
-  net2.reserve_nodes(2);
-  int got = 0;
-  net2.attach(1, [&](const message&) { ++got; });
-  eng2.at_node(0, time_point::at(1_us), [&] { net2.unicast(0, 9, 0, 1, 8); });
-  eng2.run_until(time_point::at(1_ms));
-  EXPECT_EQ(got, 0);  // node 9 unattached; the send itself was legal
 }
 
 }  // namespace

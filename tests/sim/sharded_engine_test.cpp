@@ -1,7 +1,7 @@
 // The sharded multi-engine backend (DESIGN.md, "Sharded backend"):
 // conservative-horizon rounds, deterministic cross-shard merge order, and —
 // the load-bearing property — a merged trace bit-identical to the
-// single-engine backend from the same workload, serial or threaded.
+// single-engine backend from the same workload.
 #include "sim/sharded_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 
 #include "core/system.hpp"
 #include "services/reliable_comm.hpp"
+#include "util/error.hpp"
 
 namespace hades {
 namespace {
@@ -22,10 +23,9 @@ constexpr std::size_t kNodes = 32;
 constexpr std::size_t kGroups = 8;
 constexpr duration kLookahead = duration::microseconds(10);
 
-sim::sharded_params make_params(std::size_t shards, std::size_t workers) {
+sim::sharded_params make_params(std::size_t shards) {
   sim::sharded_params p;
   p.shards = shards;
-  p.workers = workers;
   p.lookahead = kLookahead;
   p.node_shard.resize(kNodes);
   for (std::size_t n = 0; n < kNodes; ++n)
@@ -92,32 +92,31 @@ TEST(ShardedEngineTest, MergedTraceIdenticalToSingleEngine) {
   auto single = sim::make_engine();
   const wl_trace reference = run_workload(*single, 64);
 
-  auto serial = sim::make_sharded_engine(make_params(kGroups, 0));
-  const wl_trace sharded_serial = run_workload(*serial, 64);
+  auto sharded = sim::make_sharded_engine(make_params(kGroups));
+  const wl_trace sharded_trace = run_workload(*sharded, 64);
 
-  ASSERT_EQ(reference.log.size(), sharded_serial.log.size());
+  ASSERT_EQ(reference.log.size(), sharded_trace.log.size());
   for (node_id n = 0; n < kNodes; ++n)
-    EXPECT_EQ(reference.log[n], sharded_serial.log[n]) << "node " << n;
+    EXPECT_EQ(reference.log[n], sharded_trace.log[n]) << "node " << n;
 }
 
-TEST(ShardedEngineTest, WorkerThreadsPreserveTheTrace) {
-  auto serial = sim::make_sharded_engine(make_params(kGroups, 0));
-  const wl_trace a = run_workload(*serial, 64);
+// Serial rounds are the only execution mode: a worker count is a
+// configuration error on the direct factory and through the registry.
+TEST(ShardedEngineTest, WorkerThreadsAreRejected) {
+  sim::sharded_params p = make_params(kGroups);
+  p.workers = 2;
+  EXPECT_THROW((void)sim::make_sharded_engine(p), hades::error);
 
-  auto threaded = sim::make_sharded_engine(make_params(kGroups, 4));
-  const wl_trace b = run_workload(*threaded, 64);
-
-  auto threaded2 = sim::make_sharded_engine(make_params(kGroups, 2));
-  const wl_trace c = run_workload(*threaded2, 64);
-
-  for (node_id n = 0; n < kNodes; ++n) {
-    EXPECT_EQ(a.log[n], b.log[n]) << "node " << n;
-    EXPECT_EQ(a.log[n], c.log[n]) << "node " << n;
-  }
+  runtime::options o;
+  o.backend = "sharded";
+  o.node_count = kNodes;
+  o.shards = 2;
+  o.workers = 2;
+  EXPECT_THROW((void)runtime::make(o), hades::error);
 }
 
 TEST(ShardedEngineTest, ShardMappingAndAccounting) {
-  auto eng = std::make_unique<sim::sharded_engine>(make_params(kGroups, 0));
+  auto eng = std::make_unique<sim::sharded_engine>(make_params(kGroups));
   EXPECT_EQ(eng->shard_count(), kGroups);
   EXPECT_EQ(eng->shard_of(0), 0u);
   EXPECT_EQ(eng->shard_of(kNodes - 1), kGroups - 1);
@@ -140,7 +139,7 @@ TEST(ShardedEngineTest, ShardMappingAndAccounting) {
 }
 
 TEST(ShardedEngineTest, RuntimeContractBasics) {
-  auto rt = sim::make_sharded_engine(make_params(4, 0));
+  auto rt = sim::make_sharded_engine(make_params(4));
   EXPECT_EQ(rt->now(), time_point::zero());
   EXPECT_TRUE(rt->empty());
 
@@ -165,7 +164,7 @@ TEST(ShardedEngineTest, RuntimeContractBasics) {
 }
 
 TEST(ShardedEngineTest, RunUntilAdvancesEveryShardClock) {
-  auto rt = sim::make_sharded_engine(make_params(4, 0));
+  auto rt = sim::make_sharded_engine(make_params(4));
   rt->run_until(time_point::at(5_ms));
   EXPECT_EQ(rt->now(), time_point::at(5_ms));
   // A fresh event scheduled "now" on any node is legal afterwards.
@@ -176,7 +175,7 @@ TEST(ShardedEngineTest, RunUntilAdvancesEveryShardClock) {
 }
 
 TEST(ShardedEngineTest, CancelTargetsTheOwningShard) {
-  auto eng = std::make_unique<sim::sharded_engine>(make_params(8, 0));
+  auto eng = std::make_unique<sim::sharded_engine>(make_params(8));
   int fired = 0;
   // Schedule on a node owned by shard 5, from outside any callback.
   const auto id =
@@ -189,7 +188,7 @@ TEST(ShardedEngineTest, CancelTargetsTheOwningShard) {
 }
 
 TEST(ShardedEngineTest, CrossShardBelowLookaheadIsRejected) {
-  auto eng = std::make_unique<sim::sharded_engine>(make_params(8, 0));
+  auto eng = std::make_unique<sim::sharded_engine>(make_params(8));
   bool threw = false;
   // From inside a callback on node 0 (shard 0), target node 31 (shard 7)
   // with a delay below the lookahead: the conservative horizon would be
@@ -220,7 +219,10 @@ core::system::config system_cfg(std::size_t shards) {
   cfg.net.delta_min = 20_us;
   cfg.net.delta_max = 60_us;
   cfg.net.per_byte = 8_ns;
-  cfg.shards = shards;
+  if (shards > 0) {
+    cfg.runtime.backend = "sharded";
+    cfg.runtime.shards = shards;
+  }
   return cfg;
 }
 

@@ -37,7 +37,7 @@ TEST(TraceTest, FilterByKindAndSubject) {
 
 TEST(TraceTest, RenderLogContainsDetail) {
   trace_recorder tr;
-  tr.record(time_point::at(1_us), 3, trace_kind::monitor_event, "task_a",
+  tr.record(time_point::at(1_us), 3, trace_kind::service_event, "task_a",
             "deadline-miss");
   const auto log = tr.render_log();
   EXPECT_NE(log.find("task_a"), std::string::npos);
@@ -77,7 +77,6 @@ TEST(TraceTest, KindNamesAreStable) {
 TEST(TraceTest, ShardPartitionsMergeByTimeThenShard) {
   sharded_params p;
   p.shards = 2;
-  p.workers = 0;
   p.lookahead = 100_us;
   p.node_shard = {0, 1};
   auto rt = make_sharded_engine(std::move(p));

@@ -6,8 +6,8 @@
 // nodes, and actually express its mix shape (bursty phases, diurnal
 // segments). And the full gateway-in-system path: an edge scenario cell
 // must produce bit-identical campaign checksums — admissions, sheds,
-// latency digests and all — across runtime shard counts and worker
-// threads, the same gate the rest of the core holds itself to.
+// latency digests and all — across runtime shard counts, the same gate the
+// rest of the core holds itself to.
 #include "traffic/arrival.hpp"
 
 #include <gtest/gtest.h>
@@ -124,7 +124,7 @@ TEST(ArrivalProcessTest, DiurnalSegmentsFollowTheProfile) {
 TEST(GatewayParityTest, EdgeScenarioChecksumIsBackendIndependent) {
   const scenario::scenario_spec spec =
       scenario::find_scenario("edge_burst_storm");
-  const scenario::cell_result ref = scenario::run_cell(spec, 1, 1, 0);
+  const scenario::cell_result ref = scenario::run_cell(spec, 1, 1);
   EXPECT_TRUE(ref.passed);
   ASSERT_TRUE(ref.obs.traffic_checked);
   EXPECT_GT(ref.obs.traffic_offered, 0u);
@@ -132,13 +132,10 @@ TEST(GatewayParityTest, EdgeScenarioChecksumIsBackendIndependent) {
             ref.obs.traffic_admitted + ref.obs.traffic_rejected);
   EXPECT_GT(ref.obs.traffic_shed, 0u);  // the storm must actually shed
   EXPECT_EQ(ref.obs.traffic_revalidation_failures, 0u);
-  for (const auto [shards, workers] :
-       {std::pair<std::size_t, std::size_t>{2, 0}, {2, 4}, {4, 0}}) {
-    const scenario::cell_result c =
-        scenario::run_cell(spec, 1, shards, workers);
+  for (const std::size_t shards : {2u, 4u}) {
+    const scenario::cell_result c = scenario::run_cell(spec, 1, shards);
     EXPECT_EQ(c.checksum, ref.checksum)
-        << "shards=" << shards << " workers=" << workers
-        << " diverged from the single-shard reference";
+        << "shards=" << shards << " diverged from the single-shard reference";
     EXPECT_TRUE(c.passed);
   }
 }

@@ -1,30 +1,27 @@
 // hades_campaign — the scenario-campaign CLI (DESIGN.md, "Scenario layer").
 //
-// Sweeps the registered fault scenarios across seeds, runtime shard counts
-// {1, 2, 4} and sharded-backend worker counts {0, 2, 4}, grades the
-// property checkers after every run, asserts bit-identical checksums
-// across every (shards, workers) combination, and writes one JSON verdict
-// per cell. CI runs `hades_campaign --smoke --out <dir>` as a required
-// step: any checker violation or checksum mismatch exits non-zero.
+// Sweeps the registered fault scenarios across seeds and runtime shard
+// counts {1, 2, 4} (the single engine and serial sharded rounds), grades
+// the property checkers after every run, asserts bit-identical checksums
+// across shard counts, and writes one JSON verdict per cell. CI runs
+// `hades_campaign --smoke --out <dir>` as a required step: any checker
+// violation or checksum mismatch exits non-zero.
 //
 // Beyond the curated sweep, the binary fronts the scenario fuzzer
 // (src/scenario/fuzz.hpp): `--fuzz N` generates and replays N random
-// admissible plans across the shards × workers determinism matrix, guided
+// admissible plans across the shard-count determinism matrix, guided
 // by the checker-signal coverage map, shrinking any failure to a minimal
 // repro; `--shrink FILE` minimizes one failing case/plan document. Both
 // are byte-deterministic in --fuzz-seed.
 //
 // Usage: hades_campaign [--smoke] [--scale] [--list] [--scenario NAME]...
-//                       [--seeds N] [--nodes N] [--workers CSV] [--out DIR]
-//                       [--jobs N] [--quiet]
-//                       [--fuzz N] [--fuzz-seed S] [--shrink FILE]
-//   --smoke         CI matrix: every scenario, seeds {1, 2}, shards {1,2,4},
-//                   workers {0,2,4} (the default is the same sweep with
-//                   seeds {1..4})
+//                       [--seeds N] [--nodes N] [--out DIR] [--jobs N]
+//                       [--quiet] [--fuzz N] [--fuzz-seed S] [--shrink FILE]
+//   --smoke         CI matrix: every scenario, seeds {1, 2}, shards {1,2,4}
+//                   (the default is the same sweep with seeds {1..4})
 //   --fuzz N        fuzz mode: run N generated cases (each across shards
-//                   {1,2,4} x workers {0,4}), write coverage.json +
-//                   summary.json + shrunken repros to --out, exit nonzero
-//                   on any finding
+//                   {1,2,4}), write coverage.json + summary.json +
+//                   shrunken repros to --out, exit nonzero on any finding
 //   --fuzz-seed S   the fuzz campaign seed (default 1); same seed =>
 //                   byte-identical artifacts on every run and compiler
 //   --shrink FILE   minimize a failing "hades-fuzz-case v1" (or bare
@@ -37,8 +34,6 @@
 //   --seeds N       sweep seeds 1..N
 //   --nodes N       override every selected scenario's node count (raise
 //                   only: plans reference their original node ids)
-//   --workers CSV   worker counts for sharded cells, e.g. "0,4" (default
-//                   "0,2,4"; "0" = serial rounds only)
 //   --out DIR       write per-cell verdict JSONs + summary.json to DIR
 //   --jobs N        run cells on N pool threads (0 = auto: half the
 //                   hardware threads capped at 4; 1 = serial). Output
@@ -92,24 +87,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       opt.nodes = static_cast<std::size_t>(n);
-    } else if (arg == "--workers" && i + 1 < argc) {
-      opt.worker_counts.clear();
-      std::stringstream ss(argv[++i]);
-      std::string tok;
-      while (std::getline(ss, tok, ',')) {
-        if (tok.empty() ||
-            tok.find_first_not_of("0123456789") != std::string::npos) {
-          std::fprintf(stderr, "--workers: '%s' is not a number\n",
-                       tok.c_str());
-          return 2;
-        }
-        opt.worker_counts.push_back(
-            static_cast<std::size_t>(std::atoi(tok.c_str())));
-      }
-      if (opt.worker_counts.empty()) {
-        std::fprintf(stderr, "--workers needs a comma-separated list\n");
-        return 2;
-      }
     } else if (arg == "--jobs" && i + 1 < argc) {
       const int n = std::atoi(argv[++i]);
       if (n < 0) {
