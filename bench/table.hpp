@@ -1,6 +1,7 @@
 // Small fixed-width table printer shared by the benchmark binaries: every
-// bench regenerates its experiment's table (EXPERIMENTS.md) before running
-// the google-benchmark microbenchmarks.
+// bench regenerates its experiment's table (the experiment is described at
+// the top of each bench_*.cpp) before running the google-benchmark
+// microbenchmarks.
 #pragma once
 
 #include <cstdio>

@@ -13,7 +13,8 @@
 // The same constants parameterize (a) the simulated dispatcher, which
 // *charges* them during execution, and (b) the cost-integrated feasibility
 // test of section 5.3, which *accounts* for them — making the
-// test-versus-simulation experiments of EXPERIMENTS.md meaningful.
+// test-versus-simulation experiments meaningful (E4,
+// bench/bench_feasibility.cpp; E5, bench/bench_sched_compare.cpp).
 #pragma once
 
 #include "util/time.hpp"

@@ -141,6 +141,13 @@ class monitor {
     return log_.merged();
   }
 
+  /// Visit every event shard by shard, without building the merged stream:
+  /// for folds that do not depend on the order.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    log_.for_each(fn);
+  }
+
   [[nodiscard]] std::vector<monitor_event> of_kind(monitor_event_kind k) const {
     std::vector<monitor_event> out;
     for (const auto& e : events())

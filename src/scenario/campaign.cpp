@@ -176,6 +176,10 @@ cell_result run_cell(const scenario_spec& spec, std::uint64_t seed,
   }
   cell.checksum = dg.value();
   cell.events = sys.engine().executed();
+  // A sweep keeps every cell until it ends; past the checksum and the
+  // checkers nothing reads the per-delivery arrays, so free them now.
+  cell.obs.delivery_logs = decltype(cell.obs.delivery_logs)();
+  cell.obs.sent_at = decltype(cell.obs.sent_at)();
   return cell;
 }
 

@@ -41,6 +41,8 @@ struct cell_result {
   std::uint64_t events = 0;  // informational; excluded from the checksum
   bool passed = false;       // every checker green
   std::vector<check_result> checks;
+  /// The graded observation, minus `delivery_logs` and `sent_at`: run_cell
+  /// frees those once the checksum and the checkers have read them.
   observation obs;
 };
 

@@ -1,10 +1,12 @@
 #include "scenario/checkers.hpp"
 
 #include <algorithm>
-#include <map>
 #include <optional>
-#include <set>
+#include <span>
 #include <sstream>
+#include <tuple>
+
+#include "util/error.hpp"
 
 namespace hades::scenario {
 
@@ -16,22 +18,44 @@ std::string node_pair(node_id o, node_id s) {
   return os.str();
 }
 
-/// Unreachability windows with sub-heartbeat gaps glued shut: when the
-/// subject was reachable for less than `min_gap` (one heartbeat period plus
-/// delivery, the time observers need to actually hear it again), observers
-/// may legitimately hold one continuous suspicion across both windows — no
-/// fresh suspect/recover events exist to grade separately.
-std::vector<window> glued_unreachable(const plan& p, node_id o, node_id s,
-                                      time_point horizon, duration min_gap) {
-  std::vector<window> ws = p.unreachable_windows(o, s, horizon);
-  std::vector<window> out;
+/// Glue unreachability windows across sub-heartbeat gaps, in place: when
+/// the subject was reachable for less than `min_gap` (one heartbeat period
+/// plus delivery, the time observers need to actually hear it again),
+/// observers may legitimately hold one continuous suspicion across both
+/// windows — no fresh suspect/recover events exist to grade separately.
+void glue(std::vector<window>& ws, duration min_gap) {
+  std::size_t kept = 0;
   for (const window& w : ws) {
-    if (!out.empty() && w.from - out.back().to < min_gap)
-      out.back().to = std::max(out.back().to, w.to);
+    if (kept > 0 && w.from - ws[kept - 1].to < min_gap)
+      ws[kept - 1].to = std::max(ws[kept - 1].to, w.to);
     else
-      out.push_back(w);
+      ws[kept++] = w;
   }
-  return out;
+  ws.resize(kept);
+}
+
+using suspicion = observation::suspicion;
+
+/// Suspicion-style events bucketed by (observer, subject), each bucket in
+/// date order.
+std::vector<suspicion> by_pair(std::vector<suspicion> v) {
+  std::sort(v.begin(), v.end(), [](const suspicion& a, const suspicion& b) {
+    return std::tuple(a.observer, a.subject, a.at) <
+           std::tuple(b.observer, b.subject, b.at);
+  });
+  return v;
+}
+
+/// Does `bucketed` hold an event of (o, s) dated in [from, to)?
+bool any_between(const std::vector<suspicion>& bucketed, node_id o, node_id s,
+                 time_point from, time_point to) {
+  const auto it = std::lower_bound(
+      bucketed.begin(), bucketed.end(), std::tuple(o, s, from),
+      [](const suspicion& e, const std::tuple<node_id, node_id, time_point>& k) {
+        return std::tuple(e.observer, e.subject, e.at) < k;
+      });
+  return it != bucketed.end() && it->observer == o && it->subject == s &&
+         it->at < to;
 }
 
 }  // namespace
@@ -40,6 +64,10 @@ std::vector<window> glued_unreachable(const plan& p, node_id o, node_id s,
 
 std::vector<check_result> check_detector(const plan& p, const observation& o) {
   std::vector<check_result> out;
+  const ground_truth truth(p, o.nodes, o.horizon);
+  const std::vector<suspicion> suspected = by_pair(o.suspicions);
+  const std::vector<suspicion> recovered = by_pair(o.recoveries);
+  std::vector<window> ws;  // one pair's windows, refilled per query
 
   // (1) No false suspicion: every suspicion (obs, sub, t) must fall inside
   // [w.from, w.to + detect_bound) of some window during which `sub` was
@@ -48,24 +76,18 @@ std::vector<check_result> check_detector(const plan& p, const observation& o) {
   // perfection bound assumes) — outside those, the detector is perfect.
   check_result no_false{"detector.no_false_suspicion", true, ""};
   for (const auto& s : o.suspicions) {
-    bool justified = false;
-    for (const window& w :
-         p.unreachable_windows(s.observer, s.subject, o.horizon))
-      if (w.from <= s.at && s.at < w.to + o.detect_bound) {
-        justified = true;
-        break;
-      }
-    for (const window& w : p.disturbed_windows(o.horizon))
-      if (w.from <= s.at && s.at < w.to + o.detect_bound) {
-        justified = true;
-        break;
-      }
-    if (!justified) {
-      no_false.passed = false;
-      no_false.detail = node_pair(s.observer, s.subject) + " suspected at " +
-                        s.at.to_string() + " with no fault in force";
-      break;
-    }
+    const auto justifies = [&](const window& w) {
+      return w.from <= s.at && s.at < w.to + o.detect_bound;
+    };
+    truth.unreachable_windows(s.observer, s.subject, ws);
+    if (std::any_of(ws.begin(), ws.end(), justifies) ||
+        std::any_of(truth.disturbed_windows().begin(),
+                    truth.disturbed_windows().end(), justifies))
+      continue;
+    no_false.passed = false;
+    no_false.detail = node_pair(s.observer, s.subject) + " suspected at " +
+                      s.at.to_string() + " with no fault in force";
+    break;
   }
   out.push_back(std::move(no_false));
 
@@ -76,23 +98,22 @@ std::vector<check_result> check_detector(const plan& p, const observation& o) {
   for (node_id sub = 0; sub < o.nodes && detects.passed; ++sub) {
     for (node_id obs = 0; obs < o.nodes && detects.passed; ++obs) {
       if (obs == sub) continue;
-      for (const window& w :
-           glued_unreachable(p, obs, sub, o.horizon, o.recover_bound)) {
+      truth.unreachable_windows(obs, sub, ws);
+      glue(ws, o.recover_bound);
+      for (const window& w : ws) {
         const time_point deadline = w.from + o.detect_bound;
         // Detection is only guaranteed when the fault outlives the bound and
         // the bound fits before the horizon; shorter windows may or may not
         // be noticed (check (1) covers any suspicion they do cause).
         if (deadline > w.to || deadline >= o.horizon) continue;
-        bool observer_up = true;
-        for (const window& d : p.down_windows(obs, o.horizon))
-          if (d.overlaps(w.from, deadline)) observer_up = false;
-        if (!observer_up) continue;
-        const bool found = std::any_of(
-            o.suspicions.begin(), o.suspicions.end(), [&](const auto& s) {
-              return s.observer == obs && s.subject == sub && w.from <= s.at &&
-                     s.at < deadline;
-            });
-        if (!found) {
+        const std::span<const window> down = truth.down_windows(obs);
+        if (std::any_of(down.begin(), down.end(), [&](const window& d) {
+              return d.overlaps(w.from, deadline);
+            }))
+          continue;
+        // Every failing window of the pair is visited; the last one found
+        // is the one reported.
+        if (!any_between(suspected, obs, sub, w.from, deadline)) {
           detects.passed = false;
           detects.detail = node_pair(obs, sub) + " not suspected within " +
                            o.detect_bound.to_string() + " of fault at " +
@@ -109,18 +130,15 @@ std::vector<check_result> check_detector(const plan& p, const observation& o) {
   check_result recovers{"detector.recovery_observed_within_bound", true, ""};
   for (const auto& s : o.suspicions) {
     if (!recovers.passed) break;
-    for (const window& w : glued_unreachable(p, s.observer, s.subject,
-                                             o.horizon, o.recover_bound)) {
+    truth.unreachable_windows(s.observer, s.subject, ws);
+    glue(ws, o.recover_bound);
+    for (const window& w : ws) {
       if (!(w.from <= s.at && s.at < w.to + o.detect_bound)) continue;
       const time_point deadline = w.to + o.recover_bound;
       if (w.to >= o.horizon || deadline >= o.horizon) continue;
-      if (p.down_at(s.observer, w.to) || p.down_at(s.subject, w.to)) continue;
-      const bool found = std::any_of(
-          o.recoveries.begin(), o.recoveries.end(), [&](const auto& r) {
-            return r.observer == s.observer && r.subject == s.subject &&
-                   w.to <= r.at && r.at < deadline;
-          });
-      if (!found) {
+      if (truth.down_at(s.observer, w.to) || truth.down_at(s.subject, w.to))
+        continue;
+      if (!any_between(recovered, s.observer, s.subject, w.to, deadline)) {
         recovers.passed = false;
         recovers.detail = node_pair(s.observer, s.subject) +
                           " not un-suspected within " +
@@ -138,56 +156,81 @@ std::vector<check_result> check_detector(const plan& p, const observation& o) {
 
 std::vector<check_result> check_broadcast(const plan& p, const observation& o,
                                           bool expect_order_faults) {
+  using msg_key = std::pair<node_id, std::uint64_t>;
+  using delivery_log = std::vector<msg_key>;
   std::vector<check_result> out;
+  const ground_truth truth(p, o.nodes, o.horizon);
+  require(o.sent_at.size() >= o.nodes && o.delivery_logs.size() >= o.nodes,
+          "check_broadcast: sent_at and delivery_logs need one entry per node");
 
   std::vector<node_id> correct;
   for (node_id n = 0; n < o.nodes; ++n)
     if (p.correct_throughout(n)) correct.push_back(n);
 
-  using msg_key = std::pair<node_id, std::uint64_t>;
-  auto sent_date = [&](const msg_key& m) -> time_point {
-    const auto& per_origin = o.sent_at[m.first];
-    return per_origin[static_cast<std::size_t>(m.second - 1)];
-  };
+  // Every message gets a flat id, base[origin] + seq - 1, so ids run in
+  // (origin, seq) order and per-message state lives in flat arrays.
+  std::vector<std::size_t> base(o.nodes + 1, 0);
+  for (node_id n = 0; n < o.nodes; ++n)
+    base[n + 1] = base[n] + o.sent_at[n].size();
+  const std::size_t messages = base[o.nodes];
+  auto id_of = [&](const msg_key& m) { return base[m.first] + m.second - 1; };
+
   // A message is gradeable when it was sent in quiet time by a then-up
   // origin, with enough margin before the horizon for worst-case delivery.
-  auto gradeable = [&](const msg_key& m) {
-    const time_point t = sent_date(m);
-    return p.quiet(t, o.delivery_bound, o.horizon) &&
-           !p.down_at(m.first, t) &&
-           t + o.delivery_bound < o.horizon;
-  };
+  std::vector<bool> gradeable(messages);
+  for (node_id origin = 0; origin < o.nodes; ++origin)
+    for (std::size_t i = 0; i < o.sent_at[origin].size(); ++i) {
+      const time_point t = o.sent_at[origin][i];
+      gradeable[base[origin] + i] = truth.quiet(t, o.delivery_bound) &&
+                                    !truth.down_at(origin, t) &&
+                                    t + o.delivery_bound < o.horizon;
+    }
 
-  std::map<msg_key, std::set<node_id>> delivered_by;
+  // How many distinct correct nodes delivered each message.
+  std::vector<std::uint32_t> deliverers(messages, 0);
+  std::vector<node_id> last_deliverer(messages, invalid_node);
   for (node_id n : correct)
-    for (const msg_key& m : o.delivery_logs[n]) delivered_by[m].insert(n);
+    for (const msg_key& m : o.delivery_logs[n]) {
+      require(m.first < o.nodes && m.second >= 1 &&
+                  m.second <= o.sent_at[m.first].size(),
+              [&] {
+                return "check_broadcast: node " + std::to_string(n) +
+                       " delivered (" + std::to_string(m.first) + ", " +
+                       std::to_string(m.second) + "), which was never sent";
+              });
+      const std::size_t id = id_of(m);
+      if (last_deliverer[id] == n) continue;  // a duplicate counts once
+      last_deliverer[id] = n;
+      ++deliverers[id];
+    }
 
   // (1) Validity + agreement over gradeable messages: any gradeable message
   // delivered by one correct node is delivered by every correct node, and a
   // gradeable message from a correct-throughout origin is delivered, full
   // stop (flood diffusion masks scripted bursts deterministically).
   check_result agree{"broadcast.agreement", true, ""};
-  for (const auto& [m, nodes] : delivered_by) {
-    if (!gradeable(m)) continue;
-    if (nodes.size() != correct.size()) {
-      agree.passed = false;
-      std::ostringstream os;
-      os << "message (" << m.first << ", " << m.second << ") delivered by "
-         << nodes.size() << "/" << correct.size() << " correct nodes";
-      agree.detail = os.str();
-      break;
+  for (node_id origin = 0; origin < o.nodes && agree.passed; ++origin)
+    for (std::size_t i = 0; i < o.sent_at[origin].size(); ++i) {
+      const std::size_t id = base[origin] + i;
+      if (deliverers[id] == 0 || !gradeable[id]) continue;
+      if (deliverers[id] != correct.size()) {
+        agree.passed = false;
+        std::ostringstream os;
+        os << "message (" << origin << ", " << i + 1 << ") delivered by "
+           << deliverers[id] << "/" << correct.size() << " correct nodes";
+        agree.detail = os.str();
+        break;
+      }
     }
-  }
   out.push_back(std::move(agree));
 
   check_result valid{"broadcast.validity", true, ""};
   for (node_id origin = 0; origin < o.nodes && valid.passed; ++origin) {
     if (!p.correct_throughout(origin)) continue;
     for (std::size_t i = 0; i < o.sent_at[origin].size(); ++i) {
-      const msg_key m{origin, i + 1};
-      if (!gradeable(m)) continue;
-      if (delivered_by.find(m) == delivered_by.end() ||
-          delivered_by[m].size() != correct.size()) {
+      const std::size_t id = base[origin] + i;
+      if (!gradeable[id]) continue;
+      if (deliverers[id] == 0 || deliverers[id] != correct.size()) {
         valid.passed = false;
         std::ostringstream os;
         os << "quiet message (" << origin << ", " << i + 1
@@ -208,20 +251,26 @@ std::vector<check_result> check_broadcast(const plan& p, const observation& o,
   // consistency-with-the-reference carries the pairwise property.
   if (!expect_order_faults) {
     check_result order{"broadcast.total_order", true, ""};
-    // Does `a`'s log respect `b`'s order on their common messages? Returns
-    // the first out-of-order message if not.
-    auto against = [&](node_id a, node_id b) -> std::optional<msg_key> {
-      const auto& la = o.delivery_logs[a];
-      const auto& lb = o.delivery_logs[b];
-      std::map<msg_key, std::size_t> pos;
-      for (std::size_t k = 0; k < lb.size(); ++k) pos[lb[k]] = k;
+    // pos[id]: the last position of message `id` in the log being compared
+    // against, npos when it is not there. Filled and emptied per log.
+    constexpr std::size_t npos = ~std::size_t{0};
+    std::vector<std::size_t> pos(messages, npos);
+    auto fill = [&](const delivery_log& l) {
+      for (std::size_t k = 0; k < l.size(); ++k) pos[id_of(l[k])] = k;
+    };
+    auto empty = [&](const delivery_log& l) {
+      for (const msg_key& m : l) pos[id_of(m)] = npos;
+    };
+    // Does log `la` respect the filled log's order on their common
+    // messages? Returns the first out-of-order message if not.
+    auto against = [&](const delivery_log& la) -> std::optional<msg_key> {
       std::size_t last = 0;
       bool first = true;
       for (const msg_key& m : la) {
-        auto it = pos.find(m);
-        if (it == pos.end()) continue;
-        if (!first && it->second < last) return m;
-        last = it->second;
+        const std::size_t at = pos[id_of(m)];
+        if (at == npos) continue;
+        if (!first && at < last) return m;
+        last = at;
         first = false;
       }
       return std::nullopt;
@@ -237,7 +286,11 @@ std::vector<check_result> check_broadcast(const plan& p, const observation& o,
     if (correct.size() <= pairwise_limit) {
       for (std::size_t i = 0; i < correct.size() && order.passed; ++i)
         for (std::size_t j = i + 1; j < correct.size(); ++j) {
-          if (auto m = against(correct[i], correct[j])) {
+          const delivery_log& lb = o.delivery_logs[correct[j]];
+          fill(lb);
+          const auto m = against(o.delivery_logs[correct[i]]);
+          empty(lb);
+          if (m) {
             flag(correct[i], correct[j], *m);
             break;
           }
@@ -246,9 +299,10 @@ std::vector<check_result> check_broadcast(const plan& p, const observation& o,
       node_id ref = correct.front();
       for (node_id n : correct)
         if (o.delivery_logs[n].size() > o.delivery_logs[ref].size()) ref = n;
+      fill(o.delivery_logs[ref]);
       for (node_id n : correct) {
         if (n == ref) continue;
-        if (auto m = against(n, ref)) {
+        if (auto m = against(o.delivery_logs[n])) {
           flag(n, ref, *m);
           break;
         }

@@ -20,6 +20,9 @@
 //
 // Checkers are pure functions over (plan, observation) so the campaign can
 // evaluate identical semantics on every backend and compare the verdicts.
+// Beyond the observation, check_broadcast holds O(nodes + messages) and
+// check_detector O(nodes + suspicions), with no allocation per delivery or
+// per suspicion (DESIGN.md, "Property checkers").
 #pragma once
 
 #include <cstdint>

@@ -207,6 +207,8 @@ void deployment::start() {
 
 void deployment::run() {
   require(started_, "deployment::run: start() first");
+  // collect() moved the observation out: the workload has nowhere to log.
+  require(!collected_, "deployment::run: already collected");
   sys_->run_until(obs_.horizon);
 }
 
@@ -221,13 +223,14 @@ observation deployment::collect() {
                            per_obs.end());
   sort_suspicions(obs_.suspicions);
   sort_suspicions(obs_.recoveries);
-  for (node_id n = 0; n < spec_.nodes; ++n)
-    obs_.delivery_logs.push_back(bcast_->delivery_log(n));
+  obs_.delivery_logs = bcast_->take_delivery_logs();
   obs_.order_faults = bcast_->order_faults();
   obs_.final_mode = modes_->mode();
   obs_.deadline_misses =
       sys_->mon().count(core::monitor_event_kind::deadline_miss);
-  for (const auto& e : sys_->mon().events()) {
+  // Both folds are order-independent (the dates are sorted below), so the
+  // per-shard logs are read in place rather than merged into a copy.
+  sys_->mon().for_each([this](const core::monitor_event& e) {
     obs_.event_kinds |= 1u << static_cast<unsigned>(e.kind);
     if (e.kind == core::monitor_event_kind::deadline_miss ||
         e.kind == core::monitor_event_kind::node_crash ||
@@ -235,7 +238,7 @@ observation deployment::collect() {
         e.kind == core::monitor_event_kind::node_suspected ||
         e.kind == core::monitor_event_kind::node_unsuspected)
       obs_.trigger_events.push_back(e.at);
-  }
+  });
   std::sort(obs_.trigger_events.begin(), obs_.trigger_events.end());
   if (!gateways_.empty()) {
     obs_.traffic_checked = true;
@@ -268,7 +271,7 @@ observation deployment::collect() {
         correct.push_back(n);
     obs_.max_skew = sync_->max_skew(correct);
   }
-  return obs_;
+  return std::move(obs_);
 }
 
 std::vector<check_result> deployment::grade(const observation& obs) const {

@@ -64,7 +64,9 @@ class deployment {
   /// Drive to the horizon (the realtime backend makes this wall-clock).
   void run();
   /// Merge the per-observer sinks and gather every checker input. Call
-  /// once, after run().
+  /// once, after run(). The observation is handed over, not copied: the
+  /// delivery logs move out of the broadcast service, which is left with
+  /// empty logs.
   [[nodiscard]] observation collect();
   /// Grade the four property checkers against `obs`.
   [[nodiscard]] std::vector<check_result> grade(const observation& obs) const;

@@ -192,6 +192,29 @@ merged_observation merge_partial_observations(
     }
     first = false;
   }
+  // Records that name other records are checked once every file is in: a
+  // delivery may name a message whose `sent` line another worker wrote.
+  for (node_id n = 0; n < obs.delivery_logs.size(); ++n)
+    for (const auto& [origin, seq] : obs.delivery_logs[n])
+      validate(origin < obs.sent_at.size() && seq >= 1 &&
+                   seq <= obs.sent_at[origin].size(),
+               [&] {
+                 return "merge_partial_observations: node " +
+                        std::to_string(n) + " delivered (" +
+                        std::to_string(origin) + ", " + std::to_string(seq) +
+                        "), which no file sent";
+               });
+  auto check_nodes = [&](const std::vector<observation::suspicion>& events,
+                         const char* what) {
+    for (const auto& s : events)
+      validate(s.observer < obs.nodes && s.subject < obs.nodes, [&] {
+        return std::string("merge_partial_observations: ") + what +
+               " between nodes " + std::to_string(s.observer) + " and " +
+               std::to_string(s.subject) + " of " + std::to_string(obs.nodes);
+      });
+  };
+  check_nodes(obs.suspicions, "suspicion");
+  check_nodes(obs.recoveries, "recovery");
   sort_suspicions(obs.suspicions);
   sort_suspicions(obs.recoveries);
   std::sort(obs.trigger_events.begin(), obs.trigger_events.end());

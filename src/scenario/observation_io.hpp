@@ -38,8 +38,10 @@ struct merged_observation {
 /// horizon, and node count come from the first file (identical in all);
 /// suspicion/recovery/trigger lists are concatenated and re-sorted;
 /// per-node vectors come from whichever partial owns the node; counters
-/// sum; mode data comes from the has_mode partial. Throws on malformed or
-/// disagreeing headers.
+/// sum; mode data comes from the has_mode partial. Throws hades::error on
+/// malformed or disagreeing headers, and once all files are merged, on a
+/// delivery of a message no file sent or a suspicion/recovery naming a
+/// node id >= nodes.
 [[nodiscard]] merged_observation merge_partial_observations(
     const std::vector<std::string>& paths);
 

@@ -157,9 +157,7 @@ plan& plan::clock_byzantine(time_point at, node_id n, double rate,
 namespace {
 
 // The actions in date order, same-date actions in plan order. References,
-// not copies: grading asks these queries once per node pair, and copying
-// every action (partition groups included) on each call dominated the
-// detector check at 1000 nodes.
+// not copies: partition groups stay where they are.
 std::vector<std::reference_wrapper<const action>> sorted_by_date(
     const std::vector<action>& in) {
   std::vector<std::reference_wrapper<const action>> out(in.begin(), in.end());
@@ -168,43 +166,209 @@ std::vector<std::reference_wrapper<const action>> sorted_by_date(
   return out;
 }
 
-std::vector<window> merge(std::vector<window> ws) {
+/// One fault that is either in force or not: it opens at the first
+/// set(true) while off and closes at the first set(false) while on. Still
+/// open at the end, it runs to the horizon.
+struct timeline {
+  bool on = false;
+  time_point since;
+  void set(time_point at, bool now_on, std::vector<window>& out) {
+    if (now_on && !on) since = at;
+    if (!now_on && on) out.push_back({since, at});
+    on = now_on;
+  }
+  void finish(time_point horizon, std::vector<window>& out) const {
+    if (on) out.push_back({since, horizon});
+  }
+};
+
+/// Sort by start and coalesce overlapping windows, in place.
+void merge(std::vector<window>& ws) {
   std::sort(ws.begin(), ws.end(),
             [](const window& x, const window& y) { return x.from < y.from; });
-  std::vector<window> out;
+  std::size_t kept = 0;
   for (const window& w : ws) {
-    if (!out.empty() && w.from <= out.back().to)
-      out.back().to = std::max(out.back().to, w.to);
+    if (kept > 0 && w.from <= ws[kept - 1].to)
+      ws[kept - 1].to = std::max(ws[kept - 1].to, w.to);
     else
-      out.push_back(w);
+      ws[kept++] = w;
   }
-  return out;
+  ws.resize(kept);
+}
+
+std::uint64_t link_key(node_id src, node_id dst) {
+  return std::uint64_t{src} << 32 | dst;
 }
 
 }  // namespace
 
-std::vector<window> plan::down_windows(node_id n, time_point horizon) const {
-  std::vector<window> out;
-  bool down = false;
-  time_point since;
-  for (const action& a : sorted_by_date(actions)) {
-    if (a.a != n) continue;
-    if (a.kind == action_kind::crash_node && !down) {
-      down = true;
-      since = a.at;
-    } else if (a.kind == action_kind::recover_node && down) {
-      down = false;
-      out.push_back({since, a.at});
+ground_truth::ground_truth(const plan& p, std::size_t nodes,
+                           time_point horizon)
+    : horizon_(horizon) {
+  // Every node some crash/recover names, and every direction some link
+  // action names, gets a timeline; both lists are sorted for lookup.
+  for (const action& a : p.actions) {
+    if (a.kind == action_kind::crash_node ||
+        a.kind == action_kind::recover_node)
+      down_.push_back({a.a, {}, false});
+    if (a.kind == action_kind::link_down || a.kind == action_kind::link_up)
+      links_.push_back({link_key(a.a, a.b), {}, false});
+  }
+  for (auto* v : {&down_, &links_}) {
+    std::sort(v->begin(), v->end(), [](const auto& x, const auto& y) {
+      return x.key < y.key;
+    });
+    v->erase(std::unique(v->begin(), v->end(),
+                         [](const auto& x, const auto& y) {
+                           return x.key == y.key;
+                         }),
+             v->end());
+  }
+  std::vector<timeline> node_down(down_.size());
+  std::vector<timeline> link_down(links_.size());
+  auto slot = [](std::vector<keyed_windows>& v, std::uint64_t key) {
+    return static_cast<std::size_t>(find(v, key) - v.data());
+  };
+
+  timeline rate, perf, part, any_link;
+  // Directed link-downs disturb like partitions do: traffic whose diffusion
+  // would cross a dead direction cannot be graded for validity/agreement.
+  int dead_links = 0;
+  for (const action& a : sorted_by_date(p.actions)) {
+    switch (a.kind) {
+      case action_kind::crash_node:
+      case action_kind::recover_node: {
+        const std::size_t i = slot(down_, a.a);
+        node_down[i].set(a.at, a.kind == action_kind::crash_node,
+                         down_[i].windows);
+        break;
+      }
+      case action_kind::link_down:
+      case action_kind::link_up: {
+        const bool now_down = a.kind == action_kind::link_down;
+        const std::size_t i = slot(links_, link_key(a.a, a.b));
+        if (now_down != link_down[i].on) dead_links += now_down ? 1 : -1;
+        link_down[i].set(a.at, now_down, links_[i].windows);
+        any_link.set(a.at, dead_links > 0, disturbed_);
+        break;
+      }
+      case action_kind::omission_rate:
+        rate.set(a.at, a.rate > 0.0, disturbed_);
+        break;
+      case action_kind::perf_fault:
+        perf.set(a.at, a.rate > 0.0, disturbed_);
+        break;
+      case action_kind::partition: {
+        part.set(a.at, true, disturbed_);
+        split s{a.at, false, std::vector<int>(nodes, -1)};
+        // A node listed twice belongs to the first group listing it.
+        for (std::size_t g = 0; g < a.groups.size(); ++g)
+          for (node_id m : a.groups[g])
+            if (m < nodes && s.group_of[m] < 0)
+              s.group_of[m] = static_cast<int>(g);
+        splits_.push_back(std::move(s));
+        break;
+      }
+      case action_kind::heal_partition:
+        part.set(a.at, false, disturbed_);
+        splits_.push_back({a.at, true, {}});
+        break;
+      default:
+        break;
     }
   }
-  if (down) out.push_back({since, horizon});
-  return out;
+  for (std::size_t i = 0; i < down_.size(); ++i) {
+    node_down[i].finish(horizon, down_[i].windows);
+    down_[i].open_at_end = node_down[i].on;
+  }
+  for (std::size_t i = 0; i < links_.size(); ++i)
+    link_down[i].finish(horizon, links_[i].windows);
+  rate.finish(horizon, disturbed_);
+  perf.finish(horizon, disturbed_);
+  part.finish(horizon, disturbed_);
+  any_link.finish(horizon, disturbed_);
+  merge(disturbed_);
+}
+
+const ground_truth::keyed_windows* ground_truth::find(
+    const std::vector<keyed_windows>& v, std::uint64_t key) {
+  const auto it = std::lower_bound(
+      v.begin(), v.end(), key,
+      [](const keyed_windows& e, std::uint64_t k) { return e.key < k; });
+  return it != v.end() && it->key == key ? &*it : nullptr;
+}
+
+std::span<const window> ground_truth::down_windows(node_id n) const {
+  const keyed_windows* d = find(down_, n);
+  if (d == nullptr) return {};
+  return d->windows;
+}
+
+bool ground_truth::down_at(node_id n, time_point t) const {
+  const keyed_windows* d = find(down_, n);
+  if (d == nullptr) return false;
+  for (const window& w : d->windows)
+    if (w.contains(t)) return true;
+  return d->open_at_end && d->windows.back().from <= t;
+}
+
+bool ground_truth::quiet(time_point t, duration pad) const {
+  for (const window& w : disturbed_)
+    if (w.overlaps(t, t + pad)) return false;
+  return true;
+}
+
+void ground_truth::append_separated(node_id a, node_id b,
+                                    std::vector<window>& out) const {
+  timeline apart;
+  for (const split& s : splits_) {
+    bool now_apart = false;
+    if (!s.heal) {
+      const std::size_t n = s.group_of.size();
+      const int ga = a < n ? s.group_of[a] : -1;
+      const int gb = b < n ? s.group_of[b] : -1;
+      now_apart = ga >= 0 && gb >= 0 && ga != gb;
+    }
+    apart.set(s.at, now_apart, out);
+  }
+  apart.finish(horizon_, out);
+}
+
+void ground_truth::separated_windows(node_id a, node_id b,
+                                     std::vector<window>& out) const {
+  out.clear();
+  append_separated(a, b, out);
+}
+
+void ground_truth::link_down_windows(node_id src, node_id dst,
+                                     std::vector<window>& out) const {
+  out.clear();
+  if (const keyed_windows* l = find(links_, link_key(src, dst)))
+    out.assign(l->windows.begin(), l->windows.end());
+}
+
+void ground_truth::unreachable_windows(node_id o, node_id s,
+                                       std::vector<window>& out) const {
+  const std::span<const window> down = down_windows(s);
+  out.assign(down.begin(), down.end());
+  append_separated(o, s, out);
+  // s's heartbeats reach o over the directed link s -> o; its down windows
+  // silence s for o even though the reverse direction still works.
+  if (const keyed_windows* l = find(links_, link_key(s, o)))
+    out.insert(out.end(), l->windows.begin(), l->windows.end());
+  merge(out);
+}
+
+// Each query indexes just enough nodes to answer for the ones it names.
+
+std::vector<window> plan::down_windows(node_id n, time_point horizon) const {
+  const ground_truth truth(*this, 0, horizon);
+  const std::span<const window> ws = truth.down_windows(n);
+  return {ws.begin(), ws.end()};
 }
 
 bool plan::down_at(node_id n, time_point t) const {
-  for (const window& w : down_windows(n, time_point::infinity()))
-    if (w.contains(t)) return true;
-  return false;
+  return ground_truth(*this, 0, time_point::infinity()).down_at(n, t);
 }
 
 bool plan::ever_down(node_id n) const {
@@ -215,64 +379,25 @@ bool plan::ever_down(node_id n) const {
 
 std::vector<window> plan::separated_windows(node_id a, node_id b,
                                             time_point horizon) const {
-  auto group_of = [](const std::vector<std::vector<node_id>>& groups,
-                     node_id n) -> int {
-    for (std::size_t g = 0; g < groups.size(); ++g)
-      for (node_id m : groups[g])
-        if (m == n) return static_cast<int>(g);
-    return -1;  // unlisted: connected to everyone
-  };
   std::vector<window> out;
-  bool apart = false;
-  time_point since;
-  for (const action& act : sorted_by_date(actions)) {
-    bool now_apart = apart;
-    if (act.kind == action_kind::partition) {
-      const int ga = group_of(act.groups, a);
-      const int gb = group_of(act.groups, b);
-      now_apart = ga >= 0 && gb >= 0 && ga != gb;
-    } else if (act.kind == action_kind::heal_partition) {
-      now_apart = false;
-    } else {
-      continue;
-    }
-    if (now_apart && !apart) since = act.at;
-    if (!now_apart && apart) out.push_back({since, act.at});
-    apart = now_apart;
-  }
-  if (apart) out.push_back({since, horizon});
+  ground_truth(*this, std::size_t{std::max(a, b)} + 1, horizon)
+      .separated_windows(a, b, out);
   return out;
 }
 
 std::vector<window> plan::link_down_windows(node_id src, node_id dst,
                                             time_point horizon) const {
   std::vector<window> out;
-  bool down = false;
-  time_point since;
-  for (const action& a : sorted_by_date(actions)) {
-    if (a.a != src || a.b != dst) continue;
-    if (a.kind == action_kind::link_down && !down) {
-      down = true;
-      since = a.at;
-    } else if (a.kind == action_kind::link_up && down) {
-      down = false;
-      out.push_back({since, a.at});
-    }
-  }
-  if (down) out.push_back({since, horizon});
+  ground_truth(*this, 0, horizon).link_down_windows(src, dst, out);
   return out;
 }
 
 std::vector<window> plan::unreachable_windows(node_id o, node_id s,
                                               time_point horizon) const {
-  std::vector<window> ws = down_windows(s, horizon);
-  const std::vector<window> sep = separated_windows(o, s, horizon);
-  ws.insert(ws.end(), sep.begin(), sep.end());
-  // s's heartbeats reach o over the directed link s -> o; its down windows
-  // silence s for o even though the reverse direction still works.
-  const std::vector<window> link = link_down_windows(s, o, horizon);
-  ws.insert(ws.end(), link.begin(), link.end());
-  return merge(std::move(ws));
+  std::vector<window> out;
+  ground_truth(*this, std::size_t{std::max(o, s)} + 1, horizon)
+      .unreachable_windows(o, s, out);
+  return out;
 }
 
 bool plan::clock_faulty(node_id n) const {
@@ -282,72 +407,11 @@ bool plan::clock_faulty(node_id n) const {
 }
 
 std::vector<window> plan::disturbed_windows(time_point horizon) const {
-  std::vector<window> out;
-  bool rate_on = false, perf_on = false, part_on = false;
-  time_point rate_since, perf_since, part_since;
-  // Directed link-downs disturb like partitions do: traffic whose diffusion
-  // would cross a dead direction cannot be graded for validity/agreement.
-  std::set<std::pair<node_id, node_id>> links_down;
-  time_point links_since;
-  for (const action& a : sorted_by_date(actions)) {
-    switch (a.kind) {
-      case action_kind::link_down:
-        if (links_down.empty()) links_since = a.at;
-        links_down.insert({a.a, a.b});
-        break;
-      case action_kind::link_up:
-        if (links_down.erase({a.a, a.b}) > 0 && links_down.empty())
-          out.push_back({links_since, a.at});
-        break;
-      default:
-        break;
-    }
-    switch (a.kind) {
-      case action_kind::omission_rate:
-        if (a.rate > 0.0 && !rate_on) {
-          rate_on = true;
-          rate_since = a.at;
-        } else if (a.rate <= 0.0 && rate_on) {
-          rate_on = false;
-          out.push_back({rate_since, a.at});
-        }
-        break;
-      case action_kind::perf_fault:
-        if (a.rate > 0.0 && !perf_on) {
-          perf_on = true;
-          perf_since = a.at;
-        } else if (a.rate <= 0.0 && perf_on) {
-          perf_on = false;
-          out.push_back({perf_since, a.at});
-        }
-        break;
-      case action_kind::partition:
-        if (!part_on) {
-          part_on = true;
-          part_since = a.at;
-        }
-        break;
-      case action_kind::heal_partition:
-        if (part_on) {
-          part_on = false;
-          out.push_back({part_since, a.at});
-        }
-        break;
-      default:
-        break;
-    }
-  }
-  if (rate_on) out.push_back({rate_since, horizon});
-  if (perf_on) out.push_back({perf_since, horizon});
-  if (part_on) out.push_back({part_since, horizon});
-  if (!links_down.empty()) out.push_back({links_since, horizon});
-  return merge(std::move(out));
+  return ground_truth(*this, 0, horizon).disturbed_windows();
 }
 
 bool plan::quiet(time_point t, duration pad, time_point horizon) const {
-  for (const window& w : disturbed_windows(horizon))
-    if (w.overlaps(t, t + pad)) return false;
-  return true;
+  return ground_truth(*this, 0, horizon).quiet(t, pad);
 }
 
 // -------------------------------------------------------- validation -----

@@ -9,12 +9,15 @@
 // fault state it drives is time-indexed (sim/network.hpp).
 //
 // The plan doubles as the ground truth for the property checkers
-// (scenario/checkers.hpp): they query it for when a node was down, when two
+// (scenario/checkers.hpp): through a `ground_truth` index built once per
+// checker call, they query it for when a node was down, when two
 // nodes were separated by a partition, and which periods were "quiet"
 // (free of probabilistic network faults), and grade the observed run
 // against the paper's guarantees for exactly those windows.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -142,6 +145,66 @@ struct plan {
   /// a generated plan must never silently no-op.
   [[nodiscard]] std::vector<std::string> validate(std::size_t nodes,
                                                   time_point horizon) const;
+};
+
+/// A plan's ground truth over [0, horizon), indexed once for a grader that
+/// queries every (observer, subject) pair: the timeline is sorted once,
+/// every node's outages and every direction's link-downs get their own
+/// windows, and each partition is resolved to a node -> group array. A
+/// pair query then reads only its own nodes' state. The plan's ground-truth
+/// queries build one of these and read it, so both answer from the same
+/// code.
+///
+/// Node ids at or above `nodes` are in no partition group. Building costs
+/// O(actions log actions + nodes x partition actions).
+class ground_truth {
+ public:
+  ground_truth(const plan& p, std::size_t nodes, time_point horizon);
+
+  /// plan::down_windows(n, horizon).
+  [[nodiscard]] std::span<const window> down_windows(node_id n) const;
+  /// plan::down_at(n, t): an outage still open at the horizon never ends.
+  [[nodiscard]] bool down_at(node_id n, time_point t) const;
+  /// plan::disturbed_windows(horizon).
+  [[nodiscard]] const std::vector<window>& disturbed_windows() const {
+    return disturbed_;
+  }
+  /// plan::quiet(t, pad, horizon).
+  [[nodiscard]] bool quiet(time_point t, duration pad) const;
+
+  // Pair queries clear `out` and fill it, so a sweep over every pair
+  // reuses one buffer.
+  /// plan::separated_windows(a, b, horizon).
+  void separated_windows(node_id a, node_id b, std::vector<window>& out) const;
+  /// plan::link_down_windows(src, dst, horizon).
+  void link_down_windows(node_id src, node_id dst,
+                         std::vector<window>& out) const;
+  /// plan::unreachable_windows(o, s, horizon).
+  void unreachable_windows(node_id o, node_id s,
+                           std::vector<window>& out) const;
+
+ private:
+  /// The windows of one node's outages or of one direction's link-downs.
+  struct keyed_windows {
+    std::uint64_t key = 0;  // the node, or src << 32 | dst for a direction
+    std::vector<window> windows;
+    bool open_at_end = false;  // still in force at the horizon
+  };
+  struct split {  // one partition or heal action
+    time_point at;
+    bool heal = false;
+    std::vector<int> group_of;  // [node]: group index, -1 when unlisted
+  };
+
+  [[nodiscard]] static const keyed_windows* find(
+      const std::vector<keyed_windows>& v, std::uint64_t key);
+  void append_separated(node_id a, node_id b, std::vector<window>& out) const;
+
+  time_point horizon_;
+  std::vector<keyed_windows> down_;   // by node; only nodes that crash
+  std::vector<keyed_windows> links_;  // by direction; only those named
+  std::vector<window> disturbed_;     // merged
+  std::vector<split> splits_;         // date order
 };
 
 // --- JSON (committable repro artifacts) ---------------------------------

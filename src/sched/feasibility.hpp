@@ -23,8 +23,9 @@
 //          activities of section 4.2;
 //   test: demand'(d) + B'(d) <= d - sigma(d) - kappa(d).
 //
-// The source text of the report is OCR-damaged around these formulas; the
-// interpretation above is recorded in DESIGN.md and EXPERIMENTS.md.
+// The source text of the report is OCR-damaged around these formulas; this
+// comment is the record of the interpretation above, and E4
+// (bench/bench_feasibility.cpp) checks it against the simulated platform.
 //
 // A response-time analysis for fixed-priority scheduling with blocking
 // ([BTW95], which the paper cites for the same cost-integration exercise)

@@ -1,6 +1,7 @@
 #include "services/reliable_comm.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace hades::svc {
 
@@ -225,6 +226,11 @@ void reliable_broadcast::deliver(node_id n, const bcast_msg& msg) {
   ++delivered_[n];
   auto it = handlers_.find(n);
   if (it != handlers_.end() && it->second) it->second(msg);
+}
+
+std::vector<std::vector<std::pair<node_id, std::uint64_t>>>
+reliable_broadcast::take_delivery_logs() {
+  return std::exchange(logs_, decltype(logs_)(logs_.size()));
 }
 
 duration reliable_broadcast::delivery_bound(std::size_t size_bytes) const {

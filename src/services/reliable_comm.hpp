@@ -235,6 +235,10 @@ class reliable_broadcast {
   delivery_log(node_id n) const {
     return logs_.at(n);
   }
+  /// Hand every node's delivery log over to the caller, leaving the
+  /// service's logs empty (recording goes on into them).
+  [[nodiscard]] std::vector<std::vector<std::pair<node_id, std::uint64_t>>>
+  take_delivery_logs();
 
  private:
   /// Total-order release key: (sent_at, origin, seq), identical on every
