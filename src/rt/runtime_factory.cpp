@@ -94,21 +94,7 @@ void register_builtin_backends() {
       return sim::make_sharded_engine(std::move(sp));
     });
 
-    runtime::register_backend("realtime", [](const runtime::options& o) {
-      realtime_params rp;
-      rp.epoch_ns = o.epoch_ns;
-      rp.time_scale = o.time_scale;
-      rp.process_index = o.process_index;
-      rp.process_count = o.process_count;
-      rp.node_count = o.node_count;
-      rp.node_process = !o.node_shard.empty()
-                            ? o.node_shard
-                            : (o.process_count > 1
-                                   ? contiguous_blocks(o.node_count,
-                                                       o.process_count)
-                                   : std::vector<std::uint32_t>{});
-      return make_realtime_engine(std::move(rp));
-    });
+    runtime::register_backend("realtime", make_realtime_engine);
   });
 }
 

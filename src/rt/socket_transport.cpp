@@ -22,7 +22,6 @@
 #include "rt/codecs.hpp"
 #include "sim/wire_codec.hpp"
 #include "util/error.hpp"
-#include "util/rng.hpp"
 
 namespace hades::rt {
 
@@ -52,35 +51,6 @@ struct frame_header {
   std::uint32_t payload_len = 0;
 };
 static_assert(std::is_trivially_copyable_v<frame_header>);
-
-/// Date-keyed state timeline: upper_bound reads, last-write-wins at equal
-/// dates — the same read discipline as `sim::network`'s snapshots, small
-/// and mutex-protected because the socket path is not a hot path.
-template <typename T>
-struct timeline {
-  std::vector<std::pair<std::int64_t, T>> entries;  // sorted by date
-
-  void set(std::int64_t t, T v) {
-    auto it = std::upper_bound(
-        entries.begin(), entries.end(), t,
-        [](std::int64_t a, const auto& e) { return a < e.first; });
-    if (it != entries.begin() && std::prev(it)->first == t)
-      std::prev(it)->second = std::move(v);
-    else
-      entries.insert(it, {t, std::move(v)});
-  }
-  [[nodiscard]] const T* at(std::int64_t t) const {
-    auto it = std::upper_bound(
-        entries.begin(), entries.end(), t,
-        [](std::int64_t a, const auto& e) { return a < e.first; });
-    return it == entries.begin() ? nullptr : &std::prev(it)->second;
-  }
-};
-
-struct perf_state {
-  double rate = 0.0;
-  std::int64_t extra_ns = 0;
-};
 
 struct held_frame {
   std::vector<std::byte> bytes;
@@ -120,16 +90,14 @@ struct socket_transport::impl {
   std::atomic<bool> running{false};
   bool started = false;
 
-  // Sender-side state (hook runs on the event loop; the shim setters run
-  // wherever preregistration happens): one mutex covers it all.
+  // Read once at start() from the network, which owns them.
+  duration delta_max = duration::zero();
+  std::int64_t max_perf_extra_ns = 0;  // largest programmed intentional delay
+
+  // Link and counter state (the hook runs on the event loop, the receiver
+  // and delay loops on their own threads): one mutex covers it all.
   mutable std::mutex mu;
-  std::vector<timeline<bool>> node_down;           // node-indexed
-  timeline<std::vector<std::uint32_t>> partition;  // node -> group (empty = healed)
-  timeline<double> omission;
-  timeline<perf_state> perf;
-  std::int64_t max_perf_extra_ns = 0;  // largest registered intentional delay
   std::map<std::pair<node_id, node_id>, link_state> links;
-  rng draws;
   stats_t st;
 
   std::condition_variable delay_cv;
@@ -137,31 +105,7 @@ struct socket_transport::impl {
                       std::greater<delayed_send>>
       delay_q;
 
-  explicit impl(socket_transport_params params) : p(std::move(params)), draws(p.seed) {}
-
-  [[nodiscard]] std::uint32_t owner_of(node_id n) const {
-    if (n < p.node_process.size()) return p.node_process[n];
-    if (p.node_count == 0 || p.process_count <= 1) return 0;
-    return static_cast<std::uint32_t>(static_cast<std::size_t>(n) *
-                                      p.process_count / p.node_count);
-  }
-
-  [[nodiscard]] bool partitioned_locked(node_id a, node_id b,
-                                        std::int64_t t) const {
-    const auto* groups = partition.at(t);
-    if (groups == nullptr || groups->empty()) return false;
-    const auto ga = a < groups->size() ? (*groups)[a] : UINT32_MAX;
-    const auto gb = b < groups->size() ? (*groups)[b] : UINT32_MAX;
-    // Nodes outside every named group stay connected to everyone.
-    if (ga == UINT32_MAX || gb == UINT32_MAX) return false;
-    return ga != gb;
-  }
-
-  [[nodiscard]] bool down_locked(node_id n, std::int64_t t) const {
-    if (n >= node_down.size()) return false;
-    const bool* d = node_down[n].at(t);
-    return d != nullptr && *d;
-  }
+  explicit impl(socket_transport_params params) : p(std::move(params)) {}
 
   void send_to(std::uint32_t proc, const std::byte* data, std::size_t len) {
     sockaddr_in addr{};
@@ -172,38 +116,22 @@ struct socket_transport::impl {
                    sizeof addr);
   }
 
-  /// Network remote hook: true = frame consumed (shipped or shim-dropped).
-  bool on_submit(const sim::message& m) {
-    if (owner_of(m.dst) == p.process_index) return false;  // local: sim LAN
-    const std::int64_t t = m.sent_at.nanoseconds();
+  /// Network remote hook, called for frames the fault model let through:
+  /// true = the destination is in another process and the frame shipped.
+  bool on_submit(const sim::message& m, duration extra) {
+    const std::uint32_t dest_proc = rt->shard_of(m.dst);
+    if (dest_proc == rt->executing_shard()) return false;  // local: sim LAN
+    const std::int64_t extra_ns = extra.count();
     std::vector<std::byte> buf;
-    std::uint32_t dest_proc;
-    std::int64_t extra_ns = 0;
     {
       std::lock_guard lk(mu);
-      // Fault decisions before a sequence number is consumed: a shim drop
-      // leaves no gap for the receiver's recovery to wait on.
-      if (down_locked(m.src, t) || down_locked(m.dst, t) ||
-          partitioned_locked(m.src, m.dst, t)) {
-        ++st.dropped_fault;
-        return true;
-      }
-      if (const double* pr = omission.at(t);
-          pr != nullptr && *pr > 0.0 && draws.chance(*pr)) {
-        ++st.dropped_fault;
-        return true;
-      }
-      if (const perf_state* pf = perf.at(t);
-          pf != nullptr && pf->rate > 0.0 && draws.chance(pf->rate))
-        extra_ns = pf->extra_ns;
-
       frame_header h;
       h.kind = kind_data;
       h.src = m.src;
       h.dst = m.dst;
       h.channel = m.channel;
       h.link_seq = ++links[{m.src, m.dst}].next_send_seq;
-      h.sent_at_ns = t;
+      h.sent_at_ns = m.sent_at.nanoseconds();
       h.extra_delay_ns = extra_ns;
       h.msg_id = m.id;
       h.size_bytes = m.size_bytes;
@@ -216,7 +144,6 @@ struct socket_transport::impl {
       buf.resize(sizeof h + payload.size());
       std::memcpy(buf.data(), &h, sizeof h);
       std::memcpy(buf.data() + sizeof h, payload.data(), payload.size());
-      dest_proc = owner_of(m.dst);
       ++st.sent;
       if (extra_ns > 0) ++st.delayed;
     }
@@ -233,10 +160,10 @@ struct socket_transport::impl {
   }
 
   /// Monitor forwarder: true = home is foreign, event shipped. Bypasses
-  /// the fault shim — in-process this path is the scheduler, not the LAN.
+  /// the fault model — in-process this path is the scheduler, not the LAN.
   bool on_forward(const core::monitor_event& e, node_id home, duration) {
-    const std::uint32_t dest_proc = owner_of(home);
-    if (dest_proc == p.process_index) return false;
+    const std::uint32_t dest_proc = rt->shard_of(home);
+    if (dest_proc == rt->executing_shard()) return false;
     std::vector<std::byte> payload;
     encode_monitor_event(e, payload);
     frame_header h;
@@ -278,7 +205,7 @@ struct socket_transport::impl {
     {
       std::lock_guard lk(mu);
       st.max_latency_ns = std::max(st.max_latency_ns, lat);
-      if (lat > p.delta_max.count()) ++st.delta_violations;
+      if (lat > delta_max.count()) ++st.delta_violations;
     }
     net->deliver_remote(std::move(m));
   }
@@ -345,10 +272,11 @@ struct socket_transport::impl {
     {
       std::lock_guard lk(mu);
       const auto now = steady::now();
-      // The base window covers real loopback jitter; a registered
-      // performance fault additionally holds its victims for extra_ns
-      // stretched by time_scale on the sender, so the window must stretch
-      // with it or every injected delay degenerates into an omission.
+      // The base window covers real loopback jitter; a programmed
+      // performance fault additionally holds its victims for up to
+      // max_perf_extra_ns stretched by time_scale on the sender, so the
+      // window must stretch with it or every injected delay degenerates
+      // into an omission.
       const auto max_age = std::chrono::nanoseconds(
           p.holdback.count() +
           static_cast<std::int64_t>(static_cast<double>(max_perf_extra_ns) *
@@ -428,9 +356,6 @@ socket_transport::socket_transport(hades::runtime& rt, sim::network& net,
   impl_->rt = &rt;
   impl_->net = &net;
   impl_->mon = &mon;
-  validate(impl_->p.process_count >= 1, "socket_transport: process_count >= 1");
-  validate(impl_->p.process_index < impl_->p.process_count,
-           "socket_transport: process_index out of range");
   register_hades_codecs();
 }
 
@@ -439,6 +364,9 @@ socket_transport::~socket_transport() { stop(); }
 void socket_transport::start() {
   impl& i = *impl_;
   require(!i.started, "socket_transport::start: already started");
+  i.delta_max = i.net->config().delta_max;
+  i.max_perf_extra_ns = i.net->max_perf_extra().count();
+  const std::uint32_t proc = i.rt->executing_shard();
   i.fd = ::socket(AF_INET, SOCK_DGRAM, 0);
   validate(i.fd >= 0, "socket_transport: socket() failed: " +
                           std::string(std::strerror(errno)));
@@ -446,17 +374,18 @@ void socket_transport::start() {
   (void)::setsockopt(i.fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
-  addr.sin_port =
-      htons(static_cast<std::uint16_t>(i.p.base_port + i.p.process_index));
+  addr.sin_port = htons(static_cast<std::uint16_t>(i.p.base_port + proc));
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   validate(::bind(i.fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0,
            "socket_transport: bind(port " +
-               std::to_string(i.p.base_port + i.p.process_index) +
+               std::to_string(i.p.base_port + proc) +
                ") failed: " + std::string(std::strerror(errno)));
   i.running.store(true);
   i.receiver = std::thread([&i] { i.receive_loop(); });
   i.delayer = std::thread([&i] { i.delay_loop(); });
-  i.net->set_remote_hook([&i](const sim::message& m) { return i.on_submit(m); });
+  i.net->set_remote_hook([&i](const sim::message& m, duration extra) {
+    return i.on_submit(m, extra);
+  });
   i.mon->set_forwarder(
       [&i](const core::monitor_event& e, node_id home, duration d) {
         return i.on_forward(e, home, d);
@@ -478,56 +407,9 @@ void socket_transport::stop() {
   i.started = false;
 }
 
-void socket_transport::set_node_down_at(time_point t, node_id n, bool down) {
-  impl& i = *impl_;
-  std::lock_guard lk(i.mu);
-  if (n >= i.node_down.size()) i.node_down.resize(n + 1);
-  i.node_down[n].set(t.nanoseconds(), down);
-}
-
-void socket_transport::partition_at(
-    time_point t, const std::vector<std::vector<node_id>>& groups) {
-  impl& i = *impl_;
-  // node -> group id, matching sim::network's membership rule: nodes in no
-  // named group remain connected to everyone.
-  std::size_t max_node = 0;
-  for (const auto& g : groups)
-    for (node_id n : g) max_node = std::max<std::size_t>(max_node, n);
-  std::vector<std::uint32_t> member(max_node + 1, UINT32_MAX);
-  for (std::uint32_t gi = 0; gi < groups.size(); ++gi)
-    for (node_id n : groups[gi]) member[n] = gi;
-  std::lock_guard lk(i.mu);
-  i.partition.set(t.nanoseconds(), std::move(member));
-}
-
-void socket_transport::heal_partition_at(time_point t) {
-  impl& i = *impl_;
-  std::lock_guard lk(i.mu);
-  i.partition.set(t.nanoseconds(), {});
-}
-
-void socket_transport::set_omission_rate_at(time_point t, double p) {
-  impl& i = *impl_;
-  std::lock_guard lk(i.mu);
-  i.omission.set(t.nanoseconds(), p);
-}
-
-void socket_transport::set_performance_fault_at(time_point t, double rate,
-                                                duration extra) {
-  impl& i = *impl_;
-  std::lock_guard lk(i.mu);
-  i.perf.set(t.nanoseconds(), {rate, extra.count()});
-  if (rate > 0.0)
-    i.max_perf_extra_ns = std::max(i.max_perf_extra_ns, extra.count());
-}
-
 socket_transport::stats_t socket_transport::stats() const {
   std::lock_guard lk(impl_->mu);
   return impl_->st;
-}
-
-std::uint32_t socket_transport::owner(node_id n) const {
-  return impl_->owner_of(n);
 }
 
 }  // namespace hades::rt

@@ -8,9 +8,10 @@
 // different runtime backend. Lifecycle:
 //
 //   deployment d(spec, opt);   // build everything, arm workload timers
-//   /* wiring window: attach a socket transport, preregister the plan on
-//      its fault shim, install forwarders — nothing here may schedule */
+//   /* wiring window: construct a socket transport — nothing here may
+//      schedule */
 //   d.start();                 // fd/sync start + scenario plan applied
+//   /* start the transport: it reads the network's fault program */
 //   d.run();                   // run_until(horizon)
 //   observation obs = d.collect();
 //   auto checks = d.grade(obs);
@@ -57,9 +58,9 @@ class deployment {
   deployment(const deployment&) = delete;
   deployment& operator=(const deployment&) = delete;
 
-  /// Start services and apply the scenario's fault plan (to the system's
-  /// network; a realtime harness additionally preregisters the plan on its
-  /// socket shim during the wiring window).
+  /// Start services and apply the scenario's fault plan to the system's
+  /// network, which judges every frame — cross-process ones included on
+  /// the realtime backend.
   void start();
   /// Drive to the horizon (the realtime backend makes this wall-clock).
   void run();

@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "core/system.hpp"
-#include "scenario/fault_injector.hpp"
 #include "scenario/json_min.hpp"
 
 namespace hades::scenario {
@@ -674,43 +673,43 @@ bool globally_preregistered(action_kind k) {
   }
 }
 
-}  // namespace
-
-void preregister(fault_injector& inj, const plan& p) {
-  // Globally-read wire state (node silence, partitions, omission and
-  // performance rates) is *pre-registered* into the injector's time-indexed
-  // state right now, dated at each action's own date. Reads are date-keyed,
-  // so this is semantically identical to flipping each toggle at the action
-  // date — but by the time the run starts the whole plan's wire truth is in
-  // force, so a send on another shard that a serial round runs before the
-  // action's own shard reads the same answer. (The scheduled crash/recover
-  // actions in `apply` re-register the same same-date entries; the
-  // last-write-wins rule makes that idempotent.)
+/// Pre-register the plan's globally-read wire state (node silence,
+/// partitions, omission and performance rates) into the network's
+/// time-indexed state right now, dated at each action's own date. Reads are
+/// date-keyed, so this is semantically identical to flipping each toggle at
+/// the action date — but by the time the run starts the whole plan's wire
+/// truth is in force, so a send on another shard that a serial round runs
+/// before the action's own shard reads the same answer. (The scheduled
+/// crash/recover actions in `apply` re-register the same same-date entries;
+/// the last-write-wins rule makes that idempotent.)
+void preregister(sim::network& net, const plan& p) {
   for (const action& a : p.actions) {
     switch (a.kind) {
       case action_kind::crash_node:
-        inj.set_node_down_at(a.at, a.a, true);
+        net.set_node_down_at(a.at, a.a, true);
         break;
       case action_kind::recover_node:
-        inj.set_node_down_at(a.at, a.a, false);
+        net.set_node_down_at(a.at, a.a, false);
         break;
       case action_kind::partition:
-        inj.partition_at(a.at, a.groups);
+        net.partition_at(a.at, a.groups);
         break;
       case action_kind::heal_partition:
-        inj.heal_partition_at(a.at);
+        net.heal_partition_at(a.at);
         break;
       case action_kind::omission_rate:
-        inj.set_omission_rate_at(a.at, a.rate);
+        net.set_omission_rate_at(a.at, a.rate);
         break;
       case action_kind::perf_fault:
-        inj.set_performance_fault_at(a.at, a.rate, a.extra);
+        net.set_performance_fault_at(a.at, a.rate, a.extra);
         break;
       default:
         break;
     }
   }
 }
+
+}  // namespace
 
 void apply(core::system& sys, const plan& p, time_point horizon) {
   // Fail loudly on ill-formed timelines: a recover that never pairs with a

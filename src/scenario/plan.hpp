@@ -216,15 +216,6 @@ class ground_truth {
 /// object); throws hades::invariant_violation on malformed input.
 [[nodiscard]] plan plan_from_json(const std::string& text);
 
-class fault_injector;
-
-/// Pre-register the plan's globally-read wire truth (node silence,
-/// partitions, omission and performance rates) into `inj`, each entry dated
-/// at its action's own date. `apply` calls this with the system's network;
-/// a realtime multi-process run additionally calls it with the socket-layer
-/// fault shim, so both wires judge frames against the same plan.
-void preregister(fault_injector& inj, const plan& p);
-
 /// Schedule every action of the plan onto the system's runtime (and
 /// pre-register its wire truth into the system's network). Call once,
 /// before (or during) the run; dates must not be in the past. The plan is

@@ -19,6 +19,7 @@ void network::set_omission_rate_at(time_point t, double p) {
 
 void network::set_performance_fault_at(time_point t, double p, duration extra) {
   global_.perf_fault_tl.set(t, {p, extra});
+  if (p > 0.0) max_perf_extra_ = std::max(max_perf_extra_, extra);
 }
 
 void network::set_node_down_at(time_point t, node_id n, bool down) {
@@ -93,7 +94,7 @@ bool network::should_drop(source_state& s, dst_state& ds, node_id src,
 }
 
 duration network::sample_latency(source_state& s, std::size_t size_bytes,
-                                 time_point now, bool& late) {
+                                 time_point now, bool& late, duration& extra) {
   const std::int64_t jitter_span =
       (params_.delta_max - params_.delta_min).count();
   duration lat =
@@ -105,8 +106,8 @@ duration network::sample_latency(source_state& s, std::size_t size_bytes,
   if (const perf_fault* p = global_.perf_fault_tl.at(now); p != nullptr)
     pf = *p;
   late = pf.rate > 0.0 && s.stream.chance(pf.rate);
-  if (late) lat += pf.extra;
-  return lat;
+  extra = late ? pf.extra : duration::zero();
+  return lat + extra;
 }
 
 std::uint64_t network::submit(source_state& s, time_point now, node_id src,
@@ -124,12 +125,6 @@ std::uint64_t network::submit(source_state& s, time_point now, node_id src,
   m.sent_at = now;
   ++counters_.sent;
 
-  // Frames for destinations owned by another OS process leave through the
-  // remote transport; the socket-layer shim owns their fault decisions (it
-  // consumes the same scenario plan), so none of the local drop/latency
-  // machinery below runs for them.
-  if (remote_hook_ && remote_hook_(m)) return m.id;
-
   // One probe serves the drop checks and the FIFO floor. First contact with
   // a destination creates its slot; afterwards the path allocates nothing.
   dst_state& ds = s.dst[dst];
@@ -139,8 +134,14 @@ std::uint64_t network::submit(source_state& s, time_point now, node_id src,
   }
 
   bool late = false;
-  const duration lat = sample_latency(s, size_bytes, now, late);
+  duration extra = duration::zero();
+  const duration lat = sample_latency(s, size_bytes, now, late, extra);
   if (late) ++counters_.late;
+
+  // A frame for a destination owned by another OS process leaves through
+  // the remote transport, judged by the same fault model as a local one;
+  // the transport adds the drawn performance-fault delay on the real wire.
+  if (remote_hook_ && remote_hook_(m, extra)) return m.id;
 
   time_point deliver_at = now + lat;
   // ATM virtual circuits are FIFO: never deliver before an earlier frame on

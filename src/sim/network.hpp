@@ -56,7 +56,6 @@
 #include <utility>
 #include <vector>
 
-#include "scenario/fault_injector.hpp"
 #include "sim/runtime.hpp"
 #include "sim/wire_payload.hpp"
 #include "util/error.hpp"
@@ -79,10 +78,10 @@ struct message {
   time_point sent_at;
 };
 
-/// The simulated LAN implements the scenario layer's `fault_injector`
-/// surface (the date-taking setters below), so a declarative plan drives it
-/// and the realtime socket shim through one interface.
-class network : public scenario::fault_injector {
+/// The simulated LAN, and the one fault model every backend's frames are
+/// judged by: on the realtime backend, frames for another OS process pass
+/// the same drop and latency draws before the remote hook ships them.
+class network {
  public:
   struct params {
     duration delta_min = duration::microseconds(10);
@@ -160,7 +159,7 @@ class network : public scenario::fault_injector {
   /// effect from the current date onward (time-indexed toggle).
   void set_omission_rate(double p) { set_omission_rate_at(rt_->now(), p); }
   /// Program the omission rate to change at future date `t`.
-  void set_omission_rate_at(time_point t, double p) override;
+  void set_omission_rate_at(time_point t, double p);
   /// Per-link omission probability, overrides the global rate. Send-side
   /// state: call from the source's shard (the injector anchors on it).
   void set_link_omission(node_id src, node_id dst, double p) {
@@ -184,7 +183,10 @@ class network : public scenario::fault_injector {
     set_performance_fault_at(rt_->now(), p, extra);
   }
   /// Program a performance-fault window edge at future date `t`.
-  void set_performance_fault_at(time_point t, double p, duration extra) override;
+  void set_performance_fault_at(time_point t, double p, duration extra);
+  /// The largest extra delay any performance fault programmed so far can
+  /// add (zero when none has a positive rate).
+  [[nodiscard]] duration max_perf_extra() const { return max_perf_extra_; }
 
   /// Take a whole node off the wire (both directions): outbound frames are
   /// dropped at submit time and inbound frames at delivery time, so a
@@ -197,7 +199,7 @@ class network : public scenario::fault_injector {
   /// Program a node's wire silence to toggle at future date `t`. Same-date
   /// re-registration (the scheduled crash action repeating the injector's
   /// pre-registered entry) is idempotent.
-  void set_node_down_at(time_point t, node_id n, bool down) override;
+  void set_node_down_at(time_point t, node_id n, bool down);
   [[nodiscard]] bool node_down(node_id n) const {
     return global_.node_down_at(n, rt_->now());
   }
@@ -211,18 +213,18 @@ class network : public scenario::fault_injector {
   void heal_partition() { heal_partition_at(rt_->now()); }
   /// Program a partition / heal at future date `t`.
   void partition_at(time_point t,
-                    const std::vector<std::vector<node_id>>& groups) override;
-  void heal_partition_at(time_point t) override;
+                    const std::vector<std::vector<node_id>>& groups);
+  void heal_partition_at(time_point t);
 
   // --- remote transport (realtime backend) ------------------------------
-  /// Hook consulted first in the send path. Returning true means the frame's
-  /// destination is owned by another OS process and the transport took it
-  /// (fault decisions for such frames belong to the socket-layer shim, which
-  /// consumes the same plan); false falls through to the local wire.
-  /// Null (the default, every sim run) costs one branch.
-  void set_remote_hook(std::function<bool(const message&)> hook) {
-    remote_hook_ = std::move(hook);
-  }
+  /// Hook consulted once the fault model has judged a frame: it sees only
+  /// frames that were not dropped, with the performance-fault delay `extra`
+  /// they drew (zero when on time). Returning true means the frame's
+  /// destination is owned by another OS process and the transport took it;
+  /// false falls through to the local wire. Null (the default, every sim
+  /// run) costs one branch.
+  using remote_hook = std::function<bool(const message&, duration extra)>;
+  void set_remote_hook(remote_hook hook) { remote_hook_ = std::move(hook); }
   /// Inject a frame that arrived from a remote transport: schedules the
   /// destination's handler on its owning shard at the current date, with the
   /// same delivery-date node-down check local frames get. Callable from the
@@ -359,8 +361,10 @@ class network : public scenario::fault_injector {
     return *sources_[n];
   }
 
+  /// Draws one frame's delivery latency; `extra` receives the
+  /// performance-fault delay included in it (zero unless `late`).
   duration sample_latency(source_state& s, std::size_t size_bytes,
-                          time_point now, bool& late);
+                          time_point now, bool& late, duration& extra);
   /// The delivery-time half of the wire: node-down check, counters,
   /// observer, handler. Shared by locally scheduled deliveries and frames
   /// injected by `deliver_remote`.
@@ -381,7 +385,8 @@ class network : public scenario::fault_injector {
   global_state global_;
   counters counters_;
   std::function<void(const message&)> observer_;
-  std::function<bool(const message&)> remote_hook_;  // null on sim backends
+  duration max_perf_extra_ = duration::zero();
+  remote_hook remote_hook_;  // null on sim backends
 };
 
 }  // namespace hades::sim

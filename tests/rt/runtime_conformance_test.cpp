@@ -246,6 +246,56 @@ TEST(RealtimeEngine, LateChildKeepsItsNominalDate) {
   EXPECT_TRUE(rt->empty());
 }
 
+TEST(RealtimeEngine, ChildrenDatedBeforeTheBoundRunInSchedulingOrder) {
+  // A callback at t0 + 2ms schedules one child before its own date and one
+  // at it: run_until(t0 + 3ms) must run both, in scheduling order, and
+  // leave nothing pending.
+  auto rt = runtime::make(options_for("realtime"));
+  const time_point t0 = rt->now() + 50_ms;
+  std::vector<int> order;
+  rt->at(t0 + 2_ms, [&] {
+    rt->at(t0 + 1_ms, [&] { order.push_back(1); });
+    rt->at(t0 + 2_ms, [&] { order.push_back(2); });
+  });
+  rt->run_until(t0 + 3_ms);
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_TRUE(rt->empty());
+}
+
+TEST(RealtimeEngine, CrossThreadCancelReturnsWhileTheCallbackRuns) {
+  // Callbacks run with the engine unlocked: a periodic's third callback
+  // waits (at most 500ms) for another thread to cancel it, and that cancel
+  // must return while the callback is still running. An engine holding its
+  // lock across callbacks would make the cancel wait for the callback.
+  using clock = std::chrono::steady_clock;
+  auto rt = runtime::make(options_for("realtime"));
+  const time_point t0 = rt->now() + 50_ms;
+  std::atomic<int> fired{0};
+  std::atomic<bool> in_third{false};
+  std::atomic<bool> cancelled{false};
+  bool saw_cancel = false;
+  const sim::event_id id = rt->schedule_periodic(t0 + 1_ms, 1_ms, [&] {
+    if (++fired != 3) return;
+    in_third = true;
+    const auto give_up = clock::now() + std::chrono::milliseconds(500);
+    while (!cancelled && clock::now() < give_up)
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    saw_cancel = cancelled;
+  });
+  std::thread canceller([&] {
+    const auto give_up = clock::now() + std::chrono::seconds(2);
+    while (!in_third && clock::now() < give_up)
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    rt->cancel(id);
+    cancelled = true;
+  });
+  rt->run_until(t0 + 10_ms);
+  canceller.join();
+  EXPECT_TRUE(saw_cancel);
+  EXPECT_EQ(fired.load(), 3);
+  EXPECT_TRUE(rt->empty());
+}
+
 TEST(RuntimeFactory, UnknownBackendThrows) {
   runtime::options o;
   o.backend = "no-such-backend";

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -153,6 +154,40 @@ TEST(NetworkTest, PerformanceFaultAddsDelay) {
   ASSERT_EQ(lat.size(), 1u);
   EXPECT_EQ(lat[0], 10_us + 1_ms);
   EXPECT_EQ(net.stats().late, 1u);
+}
+
+TEST(NetworkTest, RemoteHookSeesOnlyFramesTheFaultModelPasses) {
+  // Frames for another OS process are judged by the same fault model as
+  // local ones: a down link and a scripted burst drop them before the
+  // remote hook, and a performance fault reaches the hook as the extra
+  // delay the transport must add.
+  engine e;
+  network net(e, tight());
+  for (node_id n = 0; n < 4; ++n)
+    net.attach(n, [](const message&) { ADD_FAILURE() << "delivered locally"; });
+  std::vector<std::pair<node_id, duration>> shipped;
+  net.set_remote_hook([&](const message& m, duration extra) {
+    if (m.dst < 2) return false;
+    shipped.emplace_back(m.dst, extra);
+    return true;
+  });
+  net.set_link_down(0, 2, true);
+  net.drop_next(0, 3, 1);
+  net.unicast(0, 2, 0, 1, 8);
+  net.unicast(0, 3, 0, 2, 8);
+  net.unicast(0, 3, 0, 3, 8);
+  ASSERT_EQ(shipped.size(), 1u);
+  EXPECT_EQ(shipped[0].first, 3u);
+  EXPECT_EQ(shipped[0].second, duration::zero());
+  EXPECT_EQ(net.stats().dropped, 2u);
+
+  net.set_performance_fault(1.0, 1_ms);
+  net.unicast(0, 3, 0, 4, 8);
+  ASSERT_EQ(shipped.size(), 2u);
+  EXPECT_EQ(shipped[1].second, 1_ms);
+  EXPECT_EQ(net.stats().late, 1u);
+  e.run();
+  EXPECT_EQ(net.stats().delivered, 0u);
 }
 
 TEST(NetworkTest, FifoPerLinkEvenWithLateness) {

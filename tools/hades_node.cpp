@@ -4,10 +4,10 @@
 // Worker mode runs one OS process owning a contiguous block of a
 // scenario's nodes on the realtime backend: the same scenario::deployment
 // the simulation campaign builds, driven by steady_clock timers, with
-// cross-process frames riding UDP datagrams on 127.0.0.1 through the
-// socket transport's netem-style fault shim. After the horizon the worker
-// writes its partial observation (owned nodes only) for the parent to
-// merge.
+// cross-process frames — judged by the same network fault model as local
+// ones — riding UDP datagrams on 127.0.0.1 through the socket transport.
+// After the horizon the worker writes its partial observation (owned nodes
+// only) for the parent to merge.
 //
 // Harness mode is the sim-vs-real gate CI runs: for each (scenario, seed)
 // it runs an in-process simulation reference with identical
@@ -112,35 +112,33 @@ int run_worker(const std::string& scenario_name, std::uint64_t seed,
   scenario::deployment d(spec, dopt);
 
   rt::socket_transport_params tp;
-  tp.process_index = proc;
-  tp.process_count = procs;
-  tp.node_count = spec.nodes;
   tp.base_port = base_port;
-  tp.seed = seed;
-  tp.delta_max = rt_delta_max;
   tp.time_scale = time_scale;
   rt::socket_transport tx(d.sys().engine(), d.sys().network(), d.sys().mon(),
                           tp);
-  // The shim consumes the same declarative plan the networks do.
-  scenario::preregister(tx, spec.p);
-  tx.start();
 
+  // start() applies the plan to the network; the transport reads its fault
+  // program, so it starts second. Neither sends before run().
   d.start();
+  tx.start();
   d.run();
   tx.stop();
 
   const scenario::observation obs = d.collect();
+  const hades::runtime& engine = d.sys().engine();
   std::vector<bool> owned(spec.nodes, false);
   for (node_id n = 0; n < spec.nodes; ++n)
-    owned[n] = tx.owner(n) == proc;
-  const bool has_mode = tx.owner(d.modes().home()) == proc;
+    owned[n] = engine.shard_of(n) == proc;
+  const bool has_mode = engine.shard_of(d.modes().home()) == proc;
 
   const auto st = tx.stats();
+  const auto net = d.sys().network().stats();
   std::vector<std::string> extra;
   {
     std::ostringstream os;
     os << "transport proc=" << proc << " sent=" << st.sent
-       << " received=" << st.received << " dropped_fault=" << st.dropped_fault
+       << " received=" << st.received << " net_dropped=" << net.dropped
+       << " net_late=" << net.late
        << " delayed=" << st.delayed << " dup=" << st.dup_dropped
        << " gaps=" << st.gaps_declared << " late=" << st.late_delivered
        << " delta_violations=" << st.delta_violations
