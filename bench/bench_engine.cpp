@@ -159,40 +159,6 @@ double churn_rate(Engine& e, std::size_t total) {
   return static_cast<double>(ops) / dt.count();
 }
 
-/// 256 periodic timers ticking for `total` combined firings. The legacy
-/// engine re-arms with a fresh closure per tick; the pooled engine uses its
-/// schedule_periodic primitive (one registration, zero steady-state work).
-double legacy_periodic_rate(legacy_engine& e, std::size_t total) {
-  std::uint64_t fired = 0;
-  std::function<void(int)> arm = [&](int k) {
-    e.after(duration::microseconds(1 + k % 17), [&arm, &fired, k] {
-      ++fired;
-      arm(k);
-    });
-  };
-  for (int k = 0; k < 256; ++k) arm(k);
-  const auto t0 = std::chrono::steady_clock::now();
-  std::size_t n = 0;
-  while (n < total && e.step()) ++n;
-  const std::chrono::duration<double> dt =
-      std::chrono::steady_clock::now() - t0;
-  return static_cast<double>(n) / dt.count();
-}
-
-double pooled_periodic_rate(sim::engine& e, std::size_t total) {
-  std::uint64_t fired = 0;
-  for (int k = 0; k < 256; ++k)
-    e.schedule_periodic(e.now() + duration::microseconds(1 + k % 17),
-                        duration::microseconds(1 + k % 17),
-                        [&fired] { ++fired; });
-  const auto t0 = std::chrono::steady_clock::now();
-  std::size_t n = 0;
-  while (n < total && e.step()) ++n;
-  const std::chrono::duration<double> dt =
-      std::chrono::steady_clock::now() - t0;
-  return static_cast<double>(n) / dt.count();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -217,14 +183,6 @@ int main(int argc, char** argv) {
   std::printf("  churn     legacy %12.0f ev/s   pooled %12.0f ev/s   %.2fx\n",
               legacy_churn, pooled_churn, churn_speedup);
 
-  legacy_engine legacy2;
-  const double legacy_periodic = legacy_periodic_rate(legacy2, total);
-  sim::engine pooled2;
-  const double pooled_periodic = pooled_periodic_rate(pooled2, total);
-  std::printf("  periodic  legacy %12.0f ev/s   pooled %12.0f ev/s   %.2fx\n",
-              legacy_periodic, pooled_periodic,
-              pooled_periodic / legacy_periodic);
-
   const auto pool = pooled.pool();
   std::printf(
       "  pooled engine footprint: %zu slab(s), %zu slots, %zu heap records, "
@@ -239,9 +197,6 @@ int main(int argc, char** argv) {
     json.num("churn_events_per_sec_legacy", legacy_churn);
     json.num("churn_events_per_sec_pooled", pooled_churn);
     json.num("churn_speedup", churn_speedup);
-    json.num("periodic_events_per_sec_legacy", legacy_periodic);
-    json.num("periodic_events_per_sec_pooled", pooled_periodic);
-    json.num("periodic_speedup", pooled_periodic / legacy_periodic);
     json.write(json_path);
   }
   if (require_2x && churn_speedup < 2.0) {

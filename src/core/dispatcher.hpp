@@ -148,7 +148,6 @@ class dispatcher final : public scheduler_context {
 
   // --- scheduler attachment (paper 3.2.2) --------------------------------
   void attach_policy(std::shared_ptr<policy> p);
-  [[nodiscard]] policy* attached_policy() { return policy_.get(); }
 
   // --- admission hooks (traffic edge) -------------------------------------
   /// Consulted by the owning system inside activation, before any instance
@@ -179,10 +178,6 @@ class dispatcher final : public scheduler_context {
   /// Abort the local shard: kill threads (recording orphan events for
   /// threads that had started), drop waiters, release resources.
   void abort_shard(task_id t, instance_number k, const std::string& reason);
-
-  [[nodiscard]] bool has_shard(task_id t, instance_number k) const {
-    return shards_.contains({t, k});
-  }
 
   /// Condition variable `c` became set system-wide: re-evaluate waiters.
   void on_condition_set(condition_id c);

@@ -85,7 +85,6 @@ class processor {
   [[nodiscard]] bool exists(kthread_id t) const { return threads_.contains(t); }
   [[nodiscard]] kthread_id running() const { return running_; }
   [[nodiscard]] bool is_runnable(kthread_id t) const;
-  [[nodiscard]] bool is_running(kthread_id t) const { return running_ == t; }
   [[nodiscard]] bool has_started(kthread_id t) const;
   [[nodiscard]] duration executed(kthread_id t) const;
   [[nodiscard]] duration remaining(kthread_id t) const;

@@ -14,7 +14,6 @@ namespace hades::rt {
 
 namespace {
 
-using sim::event_batch;
 using sim::event_fn;
 using sim::event_id;
 using sim::invalid_event;
@@ -73,17 +72,6 @@ class realtime_engine final : public hades::runtime {
     return at(t, std::move(fn));
   }
 
-  event_id schedule_periodic(time_point first, duration period,
-                             event_fn fn) override {
-    if (first.is_infinite() || period.is_infinite()) return invalid_event;
-    event_fn w = unlocked(std::move(fn));
-    std::lock_guard lk(mu_);
-    const event_id id =
-        core_.schedule_periodic(not_before_core(first), period, std::move(w));
-    cv_.notify_all();
-    return id;
-  }
-
   void cancel(event_id id) override {
     std::lock_guard lk(mu_);
     core_.cancel(id);
@@ -103,26 +91,6 @@ class realtime_engine final : public hades::runtime {
   [[nodiscard]] bool in_event_context() const override {
     return exec_tid_.load(std::memory_order_relaxed) ==
            std::this_thread::get_id();
-  }
-
-  // --- batches -------------------------------------------------------------
-
-  event_batch open_batch(time_point t) override {
-    std::lock_guard lk(mu_);
-    return core_.open_batch(not_before_core(t));
-  }
-
-  event_id batch_add(event_batch& b, event_fn fn) override {
-    event_fn w = unlocked(std::move(fn));
-    std::lock_guard lk(mu_);
-    return core_.batch_add(b, std::move(w));
-  }
-
-  void commit(event_batch& b) override {
-    std::lock_guard lk(mu_);
-    b.t = not_before_core(b.t);  // the core may have fired past it since open
-    core_.commit(b);
-    cv_.notify_all();
   }
 
   // --- execution -----------------------------------------------------------

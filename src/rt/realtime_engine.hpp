@@ -22,7 +22,7 @@
 //     date is <= t. Only a date below the core's current instant (the date
 //     of the event being fired, or the last `run_until` bound) is moved up
 //     to that instant: it fires next, and never past a `run_until` bound.
-//   * every scheduling call (`at`, `cancel`, batches) is thread-safe: a
+//   * every scheduling call (`at`, `at_node`, `cancel`) is thread-safe: a
 //     socket transport's receiver thread injects deliveries while the run
 //     loop executes. Callbacks execute on the thread inside
 //     `run`/`run_until`/`step`, one at a time, with the engine's lock

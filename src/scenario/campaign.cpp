@@ -11,6 +11,7 @@
 #include "core/system.hpp"
 #include "scenario/deployment.hpp"
 #include "scenario/json_min.hpp"
+#include "util/fnv.hpp"
 
 namespace hades::scenario {
 
@@ -20,23 +21,15 @@ namespace {
 
 // ------------------------------------------------------------ checksum --
 
-/// FNV-1a, fed field-by-field. Every input is either per-node state (whose
-/// internal order is deterministic) or a list sorted on a deterministic key
-/// before hashing, so the digest is identical across runtime backends.
-class digest {
+/// FNV-1a, fed field-by-field; dates and durations fold as nanoseconds.
+/// Every input is either per-node state (whose internal order is
+/// deterministic) or a list sorted on a deterministic key before hashing,
+/// so the digest is identical across runtime backends.
+class digest : public fnv1a {
  public:
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (v >> (8 * i)) & 0xFF;
-      h_ *= 0x100000001B3ull;
-    }
-  }
+  using fnv1a::mix;
   void mix(time_point t) { mix(static_cast<std::uint64_t>(t.nanoseconds())); }
   void mix(duration d) { mix(static_cast<std::uint64_t>(d.count())); }
-  [[nodiscard]] std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xCBF29CE484222325ull;
 };
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <tuple>
 
+#include "scenario/scenarios.hpp"
 #include "util/error.hpp"
 
 namespace hades::scenario {
@@ -415,6 +416,30 @@ std::vector<check_result> check_miss_budget(const observation& o) {
                   std::to_string(allowed) + ")";
   out.push_back(std::move(budget));
   return out;
+}
+
+// ----------------------------------------------------------------- grade --
+
+void sort_suspicions(std::vector<observation::suspicion>& v) {
+  std::sort(v.begin(), v.end(), [](const auto& a, const auto& b) {
+    return std::tuple(a.at, a.observer, a.subject) <
+           std::tuple(b.at, b.observer, b.subject);
+  });
+}
+
+std::vector<check_result> grade(const scenario_spec& spec,
+                                const observation& obs,
+                                duration switch_latency) {
+  std::vector<check_result> checks;
+  for (auto& c : check_detector(spec.p, obs)) checks.push_back(c);
+  for (auto& c : check_broadcast(spec.p, obs, spec.expect_order_faults))
+    checks.push_back(c);
+  for (auto& c :
+       check_modes(spec.p, obs, spec.modes.final_mode, switch_latency))
+    checks.push_back(c);
+  for (auto& c : check_clocks(obs)) checks.push_back(c);
+  for (auto& c : check_miss_budget(obs)) checks.push_back(c);
+  return checks;
 }
 
 }  // namespace hades::scenario

@@ -106,6 +106,10 @@ struct observation {
   std::int64_t latency_p999 = 0;
 };
 
+/// Sort suspicion or recovery events into the observation's canonical
+/// (at, observer, subject) order.
+void sort_suspicions(std::vector<observation::suspicion>& v);
+
 std::vector<check_result> check_detector(const plan& p, const observation& o);
 std::vector<check_result> check_broadcast(const plan& p, const observation& o,
                                           bool expect_order_faults);
@@ -119,5 +123,15 @@ std::vector<check_result> check_clocks(const observation& o);
 /// exact re-validation agreed with the incremental accumulator, and the
 /// deadline-aborted fraction of admitted work stays within the budget.
 std::vector<check_result> check_miss_budget(const observation& o);
+
+struct scenario_spec;  // scenario/scenarios.hpp
+
+/// Every checker a scenario run is graded by, in verdict order: detector,
+/// broadcast, modes (reacting within `switch_latency`), clocks and the
+/// traffic miss budget. Simulated cells and the realtime harness's merged
+/// runs both grade through here.
+std::vector<check_result> grade(const scenario_spec& spec,
+                                const observation& obs,
+                                duration switch_latency);
 
 }  // namespace hades::scenario

@@ -34,6 +34,7 @@
 
 #include "scenario/checkers.hpp"
 #include "scenario/scenarios.hpp"
+#include "util/fnv.hpp"
 
 namespace hades::scenario {
 
@@ -69,19 +70,7 @@ class coverage_map {
   /// and the two coordinates.
   static std::size_t signal(const char* family, std::uint64_t a = 0,
                             std::uint64_t b = 0) {
-    std::uint64_t h = 0xCBF29CE484222325ull;
-    auto mix = [&h](std::uint64_t v) {
-      for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xFF;
-        h *= 0x100000001B3ull;
-      }
-    };
-    for (const char* c = family; *c != '\0'; ++c) {
-      h ^= static_cast<std::uint8_t>(*c);
-      h *= 0x100000001B3ull;
-    }
-    mix(a);
-    mix(b);
+    const std::uint64_t h = fnv1a{}.mix_bytes(family).mix(a).mix(b).value();
     return static_cast<std::size_t>(h % bit_count);
   }
 
@@ -141,14 +130,8 @@ class coverage_map {
 
     // Checker branches: every (name, verdict) pair is its own signal, so a
     // checker that has never failed anywhere is visibly uncovered.
-    for (const check_result& c : checks) {
-      std::uint64_t name_h = 0xCBF29CE484222325ull;
-      for (char ch : c.name) {
-        name_h ^= static_cast<std::uint8_t>(ch);
-        name_h *= 0x100000001B3ull;
-      }
-      mark("check", name_h, c.passed ? 1 : 0);
-    }
+    for (const check_result& c : checks)
+      mark("check", fnv1a{}.mix_bytes(c.name).value(), c.passed ? 1 : 0);
 
     // Monitor event kinds + observation bands.
     for (unsigned k = 0; k < 32; ++k)

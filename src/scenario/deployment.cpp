@@ -1,7 +1,6 @@
 #include "scenario/deployment.hpp"
 
 #include <algorithm>
-#include <tuple>
 #include <utility>
 
 #include "sched/edf.hpp"
@@ -9,17 +8,6 @@
 namespace hades::scenario {
 
 using namespace hades::literals;
-
-namespace {
-
-void sort_suspicions(std::vector<observation::suspicion>& v) {
-  std::sort(v.begin(), v.end(), [](const auto& a, const auto& b) {
-    return std::tuple(a.at, a.observer, a.subject) <
-           std::tuple(b.at, b.observer, b.subject);
-  });
-}
-
-}  // namespace
 
 deployment::deployment(const scenario_spec& spec, deployment_options opt)
     : spec_(spec), opt_(std::move(opt)) {
@@ -275,19 +263,10 @@ observation deployment::collect() {
 }
 
 std::vector<check_result> deployment::grade(const observation& obs) const {
-  const duration switch_latency = opt_.switch_latency > duration::zero()
-                                      ? opt_.switch_latency
-                                      : spec_.modes.switch_latency;
-  std::vector<check_result> checks;
-  for (auto& c : check_detector(spec_.p, obs)) checks.push_back(c);
-  for (auto& c : check_broadcast(spec_.p, obs, spec_.expect_order_faults))
-    checks.push_back(c);
-  for (auto& c :
-       check_modes(spec_.p, obs, spec_.modes.final_mode, switch_latency))
-    checks.push_back(c);
-  for (auto& c : check_clocks(obs)) checks.push_back(c);
-  for (auto& c : check_miss_budget(obs)) checks.push_back(c);
-  return checks;
+  return scenario::grade(spec_, obs,
+                         opt_.switch_latency > duration::zero()
+                             ? opt_.switch_latency
+                             : spec_.modes.switch_latency);
 }
 
 }  // namespace hades::scenario

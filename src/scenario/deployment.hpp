@@ -69,7 +69,8 @@ class deployment {
   /// delivery logs move out of the broadcast service, which is left with
   /// empty logs.
   [[nodiscard]] observation collect();
-  /// Grade the four property checkers against `obs`.
+  /// `scenario::grade` of `obs` against this deployment's spec, with
+  /// `deployment_options::switch_latency` when set.
   [[nodiscard]] std::vector<check_result> grade(const observation& obs) const;
 
   [[nodiscard]] core::system& sys() { return *sys_; }

@@ -11,6 +11,7 @@
 #include "scenario/json_min.hpp"
 #include "services/channels.hpp"
 #include "util/error.hpp"
+#include "util/fnv.hpp"
 #include "util/rng.hpp"
 
 namespace hades::scenario {
@@ -24,13 +25,7 @@ namespace {
 /// FNV-1a fold of two words: the per-case seed derivation. Pure integer,
 /// so (campaign_seed, index) -> case stream is compiler-invariant.
 std::uint64_t mix64(std::uint64_t a, std::uint64_t b) {
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  for (std::uint64_t v : {a, b})
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xFF;
-      h *= 0x100000001B3ull;
-    }
-  return h;
+  return fnv1a{}.mix(a).mix(b).value();
 }
 
 /// A date at `ms` milliseconds plus an odd sub-millisecond offset in

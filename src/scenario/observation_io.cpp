@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <fstream>
 #include <sstream>
-#include <tuple>
 
 #include "util/error.hpp"
 
@@ -16,13 +15,6 @@ constexpr const char* magic = "hades-observation v1";
 std::int64_t ns(time_point t) { return t.nanoseconds(); }
 time_point tp(std::int64_t v) {
   return time_point::at(duration::nanoseconds(v));
-}
-
-void sort_suspicions(std::vector<observation::suspicion>& v) {
-  std::sort(v.begin(), v.end(), [](const auto& a, const auto& b) {
-    return std::tuple(a.at, a.observer, a.subject) <
-           std::tuple(b.at, b.observer, b.subject);
-  });
 }
 
 }  // namespace

@@ -22,8 +22,6 @@ class edf_policy : public core::policy {
   void handle(const core::notification& n,
               core::scheduler_context& ctx) override;
 
-  [[nodiscard]] std::size_t live_count() const { return live_.size(); }
-
  protected:
   struct live_thread {
     kthread_id thread;

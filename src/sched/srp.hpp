@@ -40,8 +40,6 @@ class edf_srp_policy final : public edf_policy {
   /// value means a *higher* ceiling); infinity when no resource is granted.
   [[nodiscard]] duration system_ceiling() const;
 
-  [[nodiscard]] std::size_t held_count() const { return held_.size(); }
-
  private:
   void release_eligible(core::scheduler_context& ctx);
 

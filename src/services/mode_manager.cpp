@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "services/channels.hpp"
+#include "util/fnv.hpp"
 
 namespace hades::svc {
 
@@ -124,17 +125,10 @@ void mode_manager::switch_to(op_mode m) {
 std::uint64_t mode_manager::capture_digest() const {
   // FNV-1a over the switch count and captured task ids; map order makes
   // the fold deterministic.
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xFF;
-      h *= 0x100000001B3ull;
-    }
-  };
-  mix(switches_);
-  mix(captured_.size());
-  for (const auto& [t, blob] : captured_) mix(t);
-  return h;
+  fnv1a h;
+  h.mix(switches_).mix(captured_.size());
+  for (const auto& [t, blob] : captured_) h.mix(t);
+  return h.value();
 }
 
 void mode_manager::force_mode(op_mode m) {

@@ -101,7 +101,6 @@ class dedup_window {
   }
 
   [[nodiscard]] std::uint64_t watermark() const { return contiguous_; }
-  [[nodiscard]] std::size_t window_size() const { return pending_.size(); }
   [[nodiscard]] std::size_t state_bytes() const {
     // The set's per-node overhead (3 pointers + colour, rounded up) plus
     // the key — an estimate, for growth assertions rather than accounting.

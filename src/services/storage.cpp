@@ -1,18 +1,13 @@
 #include "services/storage.hpp"
 
+#include "util/fnv.hpp"
+
 namespace hades::svc {
 
 std::uint64_t stable_store::checksum_of(std::uint64_t version,
                                         const std::string& value) {
   // FNV-1a over version || value.
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  auto mix = [&h](unsigned char c) {
-    h ^= c;
-    h *= 0x100000001b3ull;
-  };
-  for (int i = 0; i < 8; ++i) mix(static_cast<unsigned char>(version >> (8 * i)));
-  for (unsigned char c : value) mix(c);
-  return h;
+  return fnv1a{}.mix(version).mix_bytes(value).value();
 }
 
 bool stable_store::copy::valid() const {

@@ -48,9 +48,6 @@ struct cluster_map {
     const std::size_t e = (c + 1) * cluster_size;
     return static_cast<node_id>(e < nodes ? e : nodes);
   }
-  [[nodiscard]] std::size_t size_of(std::size_t c) const {
-    return end(c) - first(c);
-  }
 };
 
 /// Origin-rotated complete k-ary broadcast tree over nodes [0, N).
@@ -68,20 +65,8 @@ struct kary_tree {
     return static_cast<node_id>((static_cast<std::size_t>(origin) + l) %
                                 nodes);
   }
-  [[nodiscard]] std::size_t parent_label(std::size_t l) const {
-    return (l - 1) / fanout;
-  }
   [[nodiscard]] std::size_t first_child(std::size_t l) const {
     return fanout * l + 1;
-  }
-  /// Depth of label `l` (root = 0).
-  [[nodiscard]] std::size_t depth_of(std::size_t l) const {
-    std::size_t d = 0;
-    while (l != 0) {
-      l = parent_label(l);
-      ++d;
-    }
-    return d;
   }
   /// Height of the tree: the depth of the deepest label, i.e. the number of
   /// relay hops a leaf-bound message traverses below the root.

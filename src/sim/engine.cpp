@@ -30,10 +30,7 @@ void engine::free_slot(std::uint32_t i) {
   slot& s = slot_at(i);
   s.fn.reset();
   ++s.gen;
-  s.kind = slot_kind::free_slot;
   s.live = false;
-  s.counted = false;
-  s.period = duration::zero();
   s.next = free_head_;
   free_head_ = i;
 }
@@ -100,7 +97,7 @@ const engine::heap_rec* engine::peek_valid() {
     const heap_rec& top = heap_[0];
     if (slot_at(top.slot).gen == top.gen) return &heap_[0];
     pop_rec();
-    if (stale_ > 0) --stale_;  // saturate: stale_ is a compaction heuristic
+    --stale_;  // the cancel that left this record counted it
   }
   return nullptr;
 }
@@ -114,32 +111,8 @@ event_id engine::at(time_point t, event_fn fn) {
   const std::uint32_t s = alloc_slot();
   slot& sl = slot_at(s);
   sl.fn = std::move(fn);
-  sl.kind = slot_kind::single;
   sl.live = true;
-  sl.counted = true;
   push_rec(t, s, sl.gen);
-  ++live_;
-  return id_of(s, sl.gen);
-}
-
-event_id engine::schedule_periodic(time_point first, duration period,
-                                   event_fn fn) {
-  // Same convention as after(): an infinite date never fires. Services use
-  // an infinite period to mean "this timer is disabled".
-  if (first.is_infinite() || period.is_infinite()) return invalid_event;
-  require(first >= now_, "engine::schedule_periodic: start in the past");
-  require(period > duration::zero(),
-          "engine::schedule_periodic: period must be positive");
-  require(static_cast<bool>(fn),
-          "engine::schedule_periodic: empty event function");
-  const std::uint32_t s = alloc_slot();
-  slot& sl = slot_at(s);
-  sl.fn = std::move(fn);
-  sl.kind = slot_kind::periodic;
-  sl.period = period;
-  sl.live = true;
-  sl.counted = true;
-  push_rec(first, s, sl.gen);
   ++live_;
   return id_of(s, sl.gen);
 }
@@ -149,86 +122,13 @@ void engine::cancel(event_id id) {
   const auto slot_idx = static_cast<std::uint32_t>((id.value >> 32) - 1);
   const auto gen = static_cast<std::uint32_t>(id.value & 0xFFFFFFFFu);
   if (slot_idx >= slabs_.size() * slab_size) return;
-  slot& s = slot_at(slot_idx);
+  const slot& s = slot_at(slot_idx);
   if (!s.live || s.gen != gen) return;
-  switch (s.kind) {
-    case slot_kind::single:
-    case slot_kind::periodic: {
-      // A periodic event cancelling itself from inside its own callback has
-      // no outstanding heap record (it was popped to fire), so it must not
-      // count as stale.
-      const bool has_record = slot_idx != firing_slot_;
-      free_slot(slot_idx);
-      --live_;
-      if (has_record) {
-        ++stale_;
-        if (stale_ > 64 && stale_ * 2 > heap_.size()) compact();
-      }
-      break;
-    }
-    case slot_kind::member:
-      // The batch chain still routes through this slot's `next`, so it is
-      // only reclaimed when its anchor fires.
-      s.fn.reset();
-      s.live = false;
-      ++s.gen;
-      if (s.counted) --live_;  // staged members only count from commit
-      s.counted = false;
-      break;
-    default:
-      break;
-  }
-}
-
-// --- batching --------------------------------------------------------------
-
-event_batch engine::open_batch(time_point t) {
-  require(!t.is_infinite(), "engine::open_batch: cannot schedule at infinity");
-  require(t >= now_, "engine::open_batch: cannot schedule in the past");
-  event_batch b;
-  b.t = t;
-  return b;
-}
-
-event_id engine::batch_add(event_batch& b, event_fn fn) {
-  require(!b.committed, "engine::batch_add: batch already committed");
-  require(static_cast<bool>(fn), "engine::batch_add: empty event function");
-  const std::uint32_t s = alloc_slot();
-  slot& sl = slot_at(s);
-  sl.fn = std::move(fn);
-  sl.kind = slot_kind::member;
-  sl.live = true;
-  sl.counted = false;  // staged: enters pending()/empty() at commit
-  if (b.head == npos) {
-    b.head = s;
-  } else {
-    slot_at(b.tail).next = s;
-  }
-  b.tail = s;
-  ++b.count;
-  return id_of(s, sl.gen);
-}
-
-void engine::commit(event_batch& b) {
-  if (b.committed) return;
-  b.committed = true;
-  if (b.count == 0) return;
-  require(b.t >= now_, "engine::commit: batch instant is in the past");
-  // Members only count as pending from here: an opened-but-never-committed
-  // batch parks its slots (reclaimed at engine destruction) without wedging
-  // empty()/pending(), so drain loops cannot spin on unreachable events.
-  for (std::uint32_t cur = b.head; cur != npos; cur = slot_at(cur).next) {
-    slot& m = slot_at(cur);
-    if (m.live) {
-      m.counted = true;
-      ++live_;
-    }
-  }
-  const std::uint32_t a = alloc_slot();
-  slot& sl = slot_at(a);
-  sl.kind = slot_kind::anchor;
-  sl.next = b.head;
-  push_rec(b.t, a, sl.gen);
+  // A live event's record is still in the heap: it turns stale.
+  free_slot(slot_idx);
+  --live_;
+  ++stale_;
+  if (stale_ > 64 && stale_ * 2 > heap_.size()) compact();
 }
 
 // --- execution -------------------------------------------------------------
@@ -241,57 +141,11 @@ void engine::fire(const heap_rec& rec) {
     bool prev;
     ~reset() { *flag = prev; }
   } guard{&in_event_, was_in_event};
-  slot& sl = slot_at(rec.slot);
-  switch (sl.kind) {
-    case slot_kind::single: {
-      event_fn fn = std::move(sl.fn);
-      free_slot(rec.slot);
-      --live_;
-      ++executed_;
-      fn();
-      break;
-    }
-    case slot_kind::periodic: {
-      // The closure is moved out for the call so that a self-cancel inside
-      // it (which frees and possibly recycles the slot) stays safe; it is
-      // moved back and re-armed only if the registration survived.
-      event_fn fn = std::move(sl.fn);
-      const std::uint32_t gen = sl.gen;
-      const duration period = sl.period;
-      ++executed_;
-      const std::uint32_t prev_firing = firing_slot_;
-      firing_slot_ = rec.slot;
-      fn();
-      firing_slot_ = prev_firing;
-      slot& again = slot_at(rec.slot);
-      if (again.live && again.gen == gen) {
-        again.fn = std::move(fn);
-        push_rec(rec.t + period, rec.slot, gen);
-      }
-      break;
-    }
-    case slot_kind::anchor: {
-      std::uint32_t cur = sl.next;
-      free_slot(rec.slot);
-      while (cur != npos) {
-        slot& m = slot_at(cur);
-        const std::uint32_t nxt = m.next;
-        if (m.live) {
-          event_fn fn = std::move(m.fn);
-          free_slot(cur);
-          --live_;
-          ++executed_;
-          fn();
-        } else {
-          free_slot(cur);  // cancelled member: reclaim now
-        }
-        cur = nxt;
-      }
-      break;
-    }
-    default:
-      break;  // unreachable: stale records never reach fire()
-  }
+  event_fn fn = std::move(slot_at(rec.slot).fn);
+  free_slot(rec.slot);
+  --live_;
+  ++executed_;
+  fn();
 }
 
 bool engine::step() {
@@ -312,9 +166,8 @@ std::size_t engine::run_until(time_point t) {
     const heap_rec rec = *top;
     pop_rec();
     now_ = rec.t;
-    const std::uint64_t before = executed_;
     fire(rec);
-    n += executed_ - before;
+    ++n;
   }
   if (!t.is_infinite() && t > now_) now_ = t;
   return n;
@@ -322,11 +175,7 @@ std::size_t engine::run_until(time_point t) {
 
 std::size_t engine::run(std::size_t max_events) {
   std::size_t n = 0;
-  while (n < max_events) {
-    const std::uint64_t before = executed_;
-    if (!step()) break;
-    n += executed_ - before;
-  }
+  while (n < max_events && step()) ++n;
   return n;
 }
 

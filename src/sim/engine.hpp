@@ -6,7 +6,8 @@
 // order they were scheduled, so every run of a HADES experiment is exactly
 // reproducible.
 //
-// Storage design (DESIGN.md, "Event pool"):
+// Storage design (DESIGN.md, "Event pool"). There is one event kind, the
+// dated one-shot event; periodic work is a `periodic_at_node` chain of them.
 //   * events live in slab-allocated pool slots reached through a free list
 //     — after warm-up, scheduling allocates nothing;
 //   * the ready structure is a 4-ary min-heap of 24-byte
@@ -40,13 +41,7 @@ class engine final : public runtime {
   event_id at_node(node_id, time_point t, event_fn fn) override {
     return at(t, std::move(fn));
   }
-  event_id schedule_periodic(time_point first, duration period,
-                             event_fn fn) override;
   void cancel(event_id id) override;
-
-  event_batch open_batch(time_point t) override;
-  event_id batch_add(event_batch& b, event_fn fn) override;
-  void commit(event_batch& b) override;
 
   bool step() override;
   std::size_t run_until(time_point t) override;
@@ -93,22 +88,11 @@ class engine final : public runtime {
   static constexpr std::uint32_t npos = 0xFFFFFFFFu;
   static constexpr std::size_t slab_size = 256;
 
-  enum class slot_kind : std::uint8_t {
-    free_slot,
-    single,
-    periodic,
-    member,  // batch member, chained through `next`
-    anchor,  // batch head; owns the chain, carries the heap record
-  };
-
   struct slot {
     event_fn fn;
-    duration period = duration::zero();
     std::uint32_t gen = 1;
-    std::uint32_t next = npos;  // free-list link / batch chain link
-    slot_kind kind = slot_kind::free_slot;
-    bool live = false;
-    bool counted = false;  // contributes to live_ (batch members: at commit)
+    std::uint32_t next = npos;  // free-list link
+    bool live = false;          // scheduled, not yet fired or cancelled
   };
 
   // Ready-heap record. Closures never move during sift — only these 24-byte
@@ -148,14 +132,13 @@ class engine final : public runtime {
   /// Drop stale records off the top; return the next live record, or null.
   const heap_rec* peek_valid();
 
-  /// Execute the event(s) of a just-popped valid record.
+  /// Execute the event of a just-popped valid record.
   void fire(const heap_rec& rec);
 
   std::vector<std::unique_ptr<slot[]>> slabs_;
   std::vector<heap_rec> heap_;
   std::uint32_t free_head_ = npos;
-  std::uint32_t firing_slot_ = npos;  // periodic slot mid-callback, if any
-  bool in_event_ = false;             // an event callback is on the stack
+  bool in_event_ = false;  // an event callback is on the stack
   std::size_t live_ = 0;
   std::size_t stale_ = 0;
   std::size_t compactions_ = 0;

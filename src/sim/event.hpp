@@ -21,8 +21,6 @@
 #include <type_traits>
 #include <utility>
 
-#include "util/time.hpp"
-
 namespace hades::sim {
 
 /// Opaque handle allowing cancellation of a scheduled event.
@@ -150,18 +148,8 @@ class event_callback {
 
 using event_fn = event_callback;
 
-/// Handle for a same-instant burst of events. Obtained from
-/// `runtime::open_batch`, filled with `runtime::batch_add`, armed with
-/// `runtime::commit` — the whole burst costs a single scheduler-heap
-/// operation. Members keep individually cancellable `event_id`s and fire
-/// FIFO in add order at the batch's instant.
-struct event_batch {
-  time_point t;
-  std::uint32_t head = 0xFFFFFFFFu;  // slot chain, backend-internal
-  std::uint32_t tail = 0xFFFFFFFFu;
-  std::uint32_t count = 0;
-  std::uint32_t owner = 0;  // owning shard, backend-internal (sharded engine)
-  bool committed = false;
-};
+/// Parameter type of `runtime::open_batch`, `batch_add` and `commit`, which
+/// every backend rejects. It carries nothing and goes with them.
+struct event_batch {};
 
 }  // namespace hades::sim

@@ -244,16 +244,6 @@ class network {
   [[nodiscard]] counters stats() const { return counters_; }
   [[nodiscard]] const params& config() const { return params_; }
 
-  /// Bytes of send-side destination-keyed state across all sources — the
-  /// scaling benches' check that wire state tracks the neighbour set, not
-  /// N² (read between runs; walks per-source maps).
-  [[nodiscard]] std::size_t send_state_bytes() const {
-    std::size_t b = 0;
-    for (const auto& s : sources_)
-      b += sizeof(source_state) + s->dst.capacity_bytes();
-    return b;
-  }
-
   /// Worst-case fault-free delivery latency for a message of `size` bytes.
   [[nodiscard]] duration worst_case_latency(std::size_t size_bytes) const {
     return params_.delta_max + params_.per_byte * static_cast<std::int64_t>(size_bytes);

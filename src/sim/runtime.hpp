@@ -12,12 +12,12 @@
 //
 // Semantics every backend must honour:
 //   * time is monotonically non-decreasing and starts at zero,
-//   * events at the same instant fire in scheduling (FIFO) order,
+//   * the only event kind is the dated one-shot event; events at the same
+//     instant fire in scheduling (FIFO) order,
 //   * `cancel` is O(1), idempotent, and safe on fired or invalid ids,
-//   * `schedule_periodic` fires at first, first+p, first+2p, ... without
-//     accumulating drift, until cancelled,
-//   * a committed batch fires its members FIFO at one instant and costs a
-//     single scheduler operation.
+//   * a `periodic_at_node` chain fires at first, first+p, first+2p, ...
+//     below its `until` date, without accumulating drift, each link on the
+//     shard owning its node.
 #pragma once
 
 #include <cstddef>
@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "sim/event.hpp"
+#include "util/error.hpp"
 #include "util/time.hpp"
 #include "util/types.hpp"
 
@@ -113,26 +114,14 @@ class runtime {
     return at(now() + d, std::move(fn));
   }
 
-  /// Arm a drift-free periodic event: fires at `first`, then every `period`
-  /// until cancelled. The returned id stays valid across firings. An
-  /// infinite first date or period never fires (a disabled timer), matching
-  /// `after`.
-  virtual sim::event_id schedule_periodic(time_point first, duration period,
-                                          sim::event_fn fn) = 0;
-
-  /// `schedule_periodic` anchored one period from now.
-  sim::event_id every(duration period, sim::event_fn fn) {
-    if (period.is_infinite()) return sim::invalid_event;
-    return schedule_periodic(now() + period, period, std::move(fn));
-  }
-
   /// Drift-free per-node periodic chain: runs `fn` at `first`,
   /// `first + period`, ... while the date stays below `until`. Built on
   /// `at_node`, so on the sharded backend every firing executes on the
   /// shard owning `n` — the anchoring rule timer-driven services follow to
   /// keep a node's sends in send-date order across backends (DESIGN.md,
-  /// "Scenario layer"). Unlike `schedule_periodic` the chain is not
-  /// cancellable: gate inside `fn` (e.g. on `system::crashed`).
+  /// "Scenario layer"). The chain is not cancellable: gate inside `fn`
+  /// (e.g. on `system::crashed`). A `first` at or past `until`, or an
+  /// infinite period, arms nothing.
   void periodic_at_node(node_id n, time_point first, duration period,
                         std::function<void()> fn,
                         time_point until = time_point::infinity()) {
@@ -166,17 +155,21 @@ class runtime {
   /// calls made between runs).
   [[nodiscard]] virtual bool in_event_context() const { return false; }
 
-  // --- same-instant batching ------------------------------------------------
-  /// Open a burst anchored at absolute time `t` (must be >= now()).
-  virtual sim::event_batch open_batch(time_point t) = 0;
-  /// Append one event to the burst; the id is individually cancellable.
-  /// Members are staged: they appear in pending()/empty() only once the
-  /// batch is committed.
-  virtual sim::event_id batch_add(sim::event_batch& b, sim::event_fn fn) = 0;
-  /// Arm the burst with a single scheduler operation. FIFO order is the add
-  /// order; the batch's position among same-instant events is its commit
-  /// point. No-op for an empty batch.
-  virtual void commit(sim::event_batch& b) = 0;
+  // --- rejected primitives --------------------------------------------------
+  // No backend has native periodic or batched events: periodic work is a
+  // `periodic_at_node` chain and a burst is a run of `at` calls. These four
+  // stay declared only because e2ebench's timing wrapper overrides them
+  // (they go with its next change). Every call throws invariant_violation
+  // and arms nothing.
+  virtual sim::event_id schedule_periodic(time_point, duration,
+                                          sim::event_fn) {
+    reject("schedule_periodic");
+  }
+  virtual sim::event_batch open_batch(time_point) { reject("open_batch"); }
+  virtual sim::event_id batch_add(sim::event_batch&, sim::event_fn) {
+    reject("batch_add");
+  }
+  virtual void commit(sim::event_batch&) { reject("commit"); }
 
   // --- execution control ----------------------------------------------------
   // The draining guarantee, identical on every backend (and asserted by the
@@ -187,8 +180,8 @@ class runtime {
   //     waits for the wall clock to pass t before returning.
   //   * `run(max_events)` returns only when the queue is empty or at least
   //     `max_events` events have executed. It may overshoot `max_events` by
-  //     the backend's atom of progress (a committed batch, a sharded round)
-  //     but never stops early with work pending.
+  //     the backend's atom of progress (a sharded round) but never stops
+  //     early with work pending.
   //   * `step()` executes the next pending event and returns true, or
   //     returns false when idle; a real-clock backend blocks until the
   //     event's date.
@@ -212,6 +205,13 @@ class runtime {
   runtime() = default;
 
  private:
+  [[noreturn]] static void reject(const char* primitive) {
+    throw invariant_violation(
+        std::string("runtime::") + primitive +
+        " is not supported: schedule dated one-shot events (at, at_node, "
+        "periodic_at_node)");
+  }
+
   // The constant part of a periodic_at_node chain, held once per chain and
   // handed from link to link, so each link's closure is a pointer and a
   // date — inline in the event pool instead of a heap-allocated 72-byte

@@ -67,34 +67,12 @@ event_id sharded_engine::at_node(node_id dst, time_point t, event_fn fn) {
   return invalid_event;  // cross-shard events are fire-and-forget
 }
 
-event_id sharded_engine::schedule_periodic(time_point first, duration period,
-                                           event_fn fn) {
-  const std::uint32_t s = current_shard();
-  return tag(s, shards_[s]->core.schedule_periodic(first, period,
-                                                   std::move(fn)));
-}
-
 void sharded_engine::cancel(event_id id) {
   if (id == invalid_event) return;
   const auto s = static_cast<std::uint32_t>(id.value >> shard_shift);
   if (s >= shards_.size()) return;
   shards_[s]->core.cancel(
       event_id{id.value & ((std::uint64_t{1} << shard_shift) - 1)});
-}
-
-event_batch sharded_engine::open_batch(time_point t) {
-  const std::uint32_t s = current_shard();
-  event_batch b = shards_[s]->core.open_batch(t);
-  b.owner = s;
-  return b;
-}
-
-event_id sharded_engine::batch_add(event_batch& b, event_fn fn) {
-  return tag(b.owner, shards_[b.owner]->core.batch_add(b, std::move(fn)));
-}
-
-void sharded_engine::commit(event_batch& b) {
-  shards_[b.owner]->core.commit(b);
 }
 
 // --- conservative rounds -----------------------------------------------------

@@ -42,13 +42,7 @@ class sharded_engine final : public runtime {
   [[nodiscard]] time_point now() const override;
   event_id at(time_point t, event_fn fn) override;
   event_id at_node(node_id dst, time_point t, event_fn fn) override;
-  event_id schedule_periodic(time_point first, duration period,
-                             event_fn fn) override;
   void cancel(event_id id) override;
-
-  event_batch open_batch(time_point t) override;
-  event_id batch_add(event_batch& b, event_fn fn) override;
-  void commit(event_batch& b) override;
 
   bool step() override;
   std::size_t run_until(time_point t) override;

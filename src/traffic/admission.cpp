@@ -27,13 +27,6 @@ std::uint64_t admission_controller::density_of(const request& r) {
          static_cast<std::uint64_t>(c);
 }
 
-void admission_controller::mix(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    digest_ ^= (v >> (8 * i)) & 0xFF;
-    digest_ *= 0x100000001B3ull;
-  }
-}
-
 void admission_controller::drain_staging() {
   for (const auto& e : staging_) {
     heap_.push_back(e);
@@ -111,9 +104,7 @@ admission_controller::decision admission_controller::offer(const request& r,
 
   if (!fits) {
     ++stats_.rejected;
-    mix(r.client);
-    mix(2);  // rejected
-    mix(d.shed_victims);
+    digest_.mix(r.client).mix(2).mix(d.shed_victims);  // 2: rejected
     return d;
   }
 
@@ -131,9 +122,7 @@ admission_controller::decision admission_controller::offer(const request& r,
   ++stats_.admitted;
   d.admitted = true;
   d.h = idx;
-  mix(r.client);
-  mix(1);  // admitted
-  mix(d.shed_victims);
+  digest_.mix(r.client).mix(1).mix(d.shed_victims);  // 1: admitted
   return d;
 }
 
@@ -156,9 +145,9 @@ std::uint32_t admission_controller::renegotiate(double available,
       ++victims;
     }
   }
-  mix(3);  // renegotiate marker
-  mix(static_cast<std::uint64_t>(available * 4294967296.0));
-  mix(victims);
+  digest_.mix(3);  // renegotiate marker
+  digest_.mix(static_cast<std::uint64_t>(available * 4294967296.0));
+  digest_.mix(victims);
   return victims;
 }
 

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "sched/incremental.hpp"
+#include "util/fnv.hpp"
 #include "util/time.hpp"
 
 namespace hades::traffic {
@@ -106,12 +107,9 @@ class admission_controller {
   };
   [[nodiscard]] const counters& stats() const { return stats_; }
   [[nodiscard]] std::uint32_t outstanding() const { return live_; }
-  [[nodiscard]] std::uint64_t client_of(handle h) const {
-    return pool_[h].client;
-  }
   /// Running FNV-1a over the decision stream (client, verdict) — the
   /// cross-backend determinism fold.
-  [[nodiscard]] std::uint64_t stream_digest() const { return digest_; }
+  [[nodiscard]] std::uint64_t stream_digest() const { return digest_.value(); }
   [[nodiscard]] sched::incremental_feasibility& feasibility() { return feas_; }
 
  private:
@@ -137,7 +135,6 @@ class admission_controller {
   };
 
   [[nodiscard]] static std::uint64_t density_of(const request& r);
-  void mix(std::uint64_t v);
   void drain_staging();
   void compact_heap();
   /// Pop until the top is a live entry; false when nothing live remains.
@@ -156,7 +153,7 @@ class admission_controller {
   counters stats_;
   std::uint32_t live_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t digest_ = 0xCBF29CE484222325ull;
+  fnv1a digest_;
 };
 
 }  // namespace hades::traffic

@@ -1,6 +1,7 @@
 #include "traffic/gateway.hpp"
 
 #include "util/error.hpp"
+#include "util/fnv.hpp"
 
 namespace hades::traffic {
 
@@ -132,17 +133,11 @@ gateway::totals gateway::snapshot() const {
 }
 
 std::uint64_t gateway::digest() const {
-  std::uint64_t h = ctrl_.stream_digest();
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xFF;
-      h *= 0x100000001B3ull;
-    }
-  };
-  mix(latency_.digest());
-  mix(missed_);
-  mix(renegotiations_);
-  return h;
+  return fnv1a{ctrl_.stream_digest()}
+      .mix(latency_.digest())
+      .mix(missed_)
+      .mix(renegotiations_)
+      .value();
 }
 
 }  // namespace hades::traffic

@@ -19,6 +19,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "util/fnv.hpp"
+
 namespace hades {
 
 template <unsigned Precision = 8>
@@ -126,21 +128,10 @@ class basic_hdr_histogram {
   /// FNV-1a over (slot, count) of the non-empty buckets — the deterministic
   /// fold the campaign checksum consumes.
   [[nodiscard]] std::uint64_t digest() const {
-    std::uint64_t h = 0xCBF29CE484222325ull;
-    const auto mix = [&h](std::uint64_t v) {
-      for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xFF;
-        h *= 0x100000001B3ull;
-      }
-    };
-    for (std::size_t i = 0; i < slot_count; ++i) {
-      const std::uint64_t c = counts_[i];
-      if (c != 0) {
-        mix(i);
-        mix(c);
-      }
-    }
-    return h;
+    fnv1a h;
+    for (std::size_t i = 0; i < slot_count; ++i)
+      if (counts_[i] != 0) h.mix(i).mix(counts_[i]);
+    return h.value();
   }
 
  private:

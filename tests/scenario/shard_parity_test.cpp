@@ -20,6 +20,7 @@
 #include "core/system.hpp"
 #include "core/task_model.hpp"
 #include "services/mode_manager.hpp"
+#include "util/fnv.hpp"
 
 namespace hades::scenario {
 namespace {
@@ -73,23 +74,14 @@ TEST(ShardParityTest, PerfFaultBurstIsShardIndependent) {
 // wire counters, condition flags, capture digests — into one FNV-1a value
 // that must be identical everywhere.
 
-class fold {
+class fold : public fnv1a {
  public:
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (v >> (8 * i)) & 0xFF;
-      h_ *= 0x100000001B3ull;
-    }
-  }
+  using fnv1a::mix;
   void mix(time_point t) { mix(static_cast<std::uint64_t>(t.nanoseconds())); }
   void mix(const std::string& s) {
     mix(s.size());
     for (const char c : s) mix(static_cast<std::uint64_t>(c));
   }
-  [[nodiscard]] std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xCBF29CE484222325ull;
 };
 
 // Shard counts {1, 2, 4}, anchored by the single pooled engine (0).

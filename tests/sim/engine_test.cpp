@@ -192,175 +192,6 @@ TEST(EngineTest, GarbageIdIsIgnored) {
   EXPECT_EQ(fired, 1);
 }
 
-// --- periodic events --------------------------------------------------------
-
-TEST(EnginePeriodicTest, FiresDriftFree) {
-  engine e;
-  std::vector<std::int64_t> fire_us;
-  auto id = e.schedule_periodic(time_point::at(5_us), 3_us, [&] {
-    fire_us.push_back(e.now().since_epoch().count() / 1000);
-  });
-  e.run_until(time_point::at(14_us));
-  EXPECT_EQ(fire_us, (std::vector<std::int64_t>{5, 8, 11, 14}));
-  EXPECT_EQ(e.pending(), 1u);  // still armed
-  e.cancel(id);
-  EXPECT_TRUE(e.empty());
-  e.run_until(time_point::at(50_us));
-  EXPECT_EQ(fire_us.size(), 4u);
-}
-
-TEST(EnginePeriodicTest, IdStaysValidAcrossFirings) {
-  engine e;
-  int count = 0;
-  auto id = e.schedule_periodic(time_point::at(1_us), 1_us, [&] { ++count; });
-  e.run_until(time_point::at(10_us));
-  EXPECT_EQ(count, 10);
-  e.cancel(id);  // the handle from registration still cancels it
-  e.run_until(time_point::at(20_us));
-  EXPECT_EQ(count, 10);
-}
-
-TEST(EnginePeriodicTest, SelfCancelStopsRescheduling) {
-  engine e;
-  int count = 0;
-  event_id id = invalid_event;
-  id = e.schedule_periodic(time_point::at(1_us), 1_us, [&] {
-    if (++count == 3) e.cancel(id);
-  });
-  e.run();  // would never drain if the registration survived
-  EXPECT_EQ(count, 3);
-  EXPECT_TRUE(e.empty());
-}
-
-TEST(EnginePeriodicTest, EveryAnchorsOnePeriodFromNow) {
-  engine e;
-  e.after(2_us, [] {});
-  e.run();
-  ASSERT_EQ(e.now(), time_point::at(2_us));
-  std::vector<std::int64_t> fire_us;
-  auto id = e.every(3_us, [&] {
-    fire_us.push_back(e.now().since_epoch().count() / 1000);
-  });
-  e.run_until(time_point::at(11_us));
-  EXPECT_EQ(fire_us, (std::vector<std::int64_t>{5, 8, 11}));
-  e.cancel(id);
-}
-
-TEST(EnginePeriodicTest, RejectsBadPeriods) {
-  engine e;
-  EXPECT_THROW(e.schedule_periodic(time_point::at(1_us), duration::zero(),
-                                   [] {}),
-               invariant_violation);
-}
-
-TEST(EnginePeriodicTest, InfinitePeriodMeansDisabled) {
-  // Services pass an infinite period to mean "this timer is off" — same
-  // convention as after(duration::infinity(), ...).
-  engine e;
-  EXPECT_EQ(e.schedule_periodic(time_point::at(1_us), duration::infinity(),
-                                [] { FAIL(); }),
-            invalid_event);
-  EXPECT_EQ(e.schedule_periodic(time_point::infinity(), 1_us, [] { FAIL(); }),
-            invalid_event);
-  EXPECT_EQ(e.every(duration::infinity(), [] { FAIL(); }), invalid_event);
-  EXPECT_TRUE(e.empty());
-}
-
-TEST(EnginePeriodicTest, SelfCancelLeavesNoPhantomStale) {
-  // Cancelling a periodic event from inside its own callback must not count
-  // a stale heap record (the firing's record was already popped); phantom
-  // stale counts would trigger needless compaction passes forever after.
-  engine e;
-  for (int k = 0; k < 200; ++k) {
-    event_id id = invalid_event;
-    id = e.schedule_periodic(e.now() + 1_us, 1_us, [&e, &id] { e.cancel(id); });
-    e.run();
-  }
-  EXPECT_EQ(e.pool().stale_records, 0u);
-  EXPECT_EQ(e.pool().compactions, 0u);
-}
-
-// --- batching ---------------------------------------------------------------
-
-TEST(EngineBatchTest, FiresFifoAtOneInstant) {
-  engine e;
-  std::vector<int> order;
-  e.after(3_us, [&] { order.push_back(99); });
-  auto b = e.open_batch(time_point::at(2_us));
-  for (int i = 0; i < 4; ++i)
-    e.batch_add(b, [&order, i] { order.push_back(i); });
-  EXPECT_EQ(e.pending(), 1u);  // staged members count only from commit
-  e.commit(b);
-  EXPECT_EQ(e.pending(), 5u);
-  e.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 99}));
-  EXPECT_EQ(e.executed(), 5u);
-}
-
-TEST(EngineBatchTest, MembersAreIndividuallyCancellable) {
-  engine e;
-  std::vector<int> order;
-  auto b = e.open_batch(time_point::at(1_us));
-  e.batch_add(b, [&] { order.push_back(0); });
-  auto skip = e.batch_add(b, [&] { order.push_back(1); });
-  e.batch_add(b, [&] { order.push_back(2); });
-  e.commit(b);
-  e.cancel(skip);
-  e.cancel(skip);  // double-cancel of a member is a no-op
-  EXPECT_EQ(e.pending(), 2u);
-  e.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 2}));
-}
-
-TEST(EngineBatchTest, EmptyCommitIsNoop) {
-  engine e;
-  auto b = e.open_batch(time_point::at(1_us));
-  e.commit(b);
-  EXPECT_TRUE(e.empty());
-  EXPECT_FALSE(e.step());
-}
-
-TEST(EngineBatchTest, AbandonedBatchDoesNotWedgeTheEngine) {
-  // A populated batch that is never committed must not leave empty() false
-  // forever — drain loops of the form `while (!e.empty()) e.step()` would
-  // spin on events that can never fire.
-  engine e;
-  int fired = 0;
-  {
-    auto b = e.open_batch(time_point::at(1_us));
-    e.batch_add(b, [&] { ++fired; });
-    e.batch_add(b, [&] { ++fired; });
-    // abandoned: no commit
-  }
-  EXPECT_TRUE(e.empty());
-  EXPECT_EQ(e.pending(), 0u);
-  while (!e.empty()) e.step();  // must not spin
-  EXPECT_EQ(fired, 0);
-}
-
-TEST(EngineBatchTest, PreCommitMemberCancel) {
-  engine e;
-  std::vector<int> order;
-  auto b = e.open_batch(time_point::at(1_us));
-  auto skip = e.batch_add(b, [&] { order.push_back(0); });
-  e.batch_add(b, [&] { order.push_back(1); });
-  e.cancel(skip);  // cancelled while still staged
-  e.commit(b);
-  EXPECT_EQ(e.pending(), 1u);
-  e.run();
-  EXPECT_EQ(order, (std::vector<int>{1}));
-  EXPECT_TRUE(e.empty());
-}
-
-TEST(EngineBatchTest, AddAfterCommitThrows) {
-  engine e;
-  auto b = e.open_batch(time_point::at(1_us));
-  e.batch_add(b, [] {});
-  e.commit(b);
-  EXPECT_THROW(e.batch_add(b, [] {}), invariant_violation);
-  e.run();
-}
-
 // --- pool behaviour ---------------------------------------------------------
 
 namespace {

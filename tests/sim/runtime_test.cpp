@@ -40,28 +40,6 @@ TEST(RuntimeTest, InfiniteAfterNeverFires) {
   EXPECT_TRUE(rt->empty());
 }
 
-TEST(RuntimeTest, PeriodicThroughInterface) {
-  auto rt = sim::make_engine();
-  int count = 0;
-  auto id = rt->every(2_us, [&] { ++count; });
-  rt->run_until(time_point::at(9_us));
-  EXPECT_EQ(count, 4);  // 2, 4, 6, 8
-  rt->cancel(id);
-  rt->run_until(time_point::at(20_us));
-  EXPECT_EQ(count, 4);
-}
-
-TEST(RuntimeTest, BatchThroughInterface) {
-  auto rt = sim::make_engine();
-  std::vector<int> order;
-  sim::event_batch b = rt->open_batch(time_point::at(1_us));
-  rt->batch_add(b, [&] { order.push_back(1); });
-  rt->batch_add(b, [&] { order.push_back(2); });
-  rt->commit(b);
-  rt->run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
-}
-
 TEST(RuntimeTest, StepAndRunUntilSemantics) {
   auto rt = sim::make_engine();
   int fired = 0;

@@ -152,15 +152,6 @@ TEST(ShardedEngineTest, RuntimeContractBasics) {
   rt->run();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
   EXPECT_EQ(rt->executed(), 2u);
-
-  // Periodic through the interface, drift-free, cancellable.
-  int count = 0;
-  auto id = rt->every(2_us, [&] { ++count; });
-  rt->run_until(rt->now() + 9_us);
-  EXPECT_EQ(count, 4);
-  rt->cancel(id);
-  rt->run_until(rt->now() + 20_us);
-  EXPECT_EQ(count, 4);
 }
 
 TEST(ShardedEngineTest, RunUntilAdvancesEveryShardClock) {

@@ -262,17 +262,8 @@ case_result run_case_once(const std::string& scenario_name, std::uint64_t seed,
                         std::to_string(delta_violations) + " time(s)");
   }
 
-  std::vector<scenario::check_result> real_checks;
-  for (auto& c : scenario::check_detector(spec.p, merged.obs))
-    real_checks.push_back(c);
-  for (auto& c : scenario::check_broadcast(spec.p, merged.obs,
-                                           spec.expect_order_faults))
-    real_checks.push_back(c);
-  for (auto& c : scenario::check_modes(spec.p, merged.obs,
-                                       spec.modes.final_mode,
-                                       rt_switch_latency))
-    real_checks.push_back(c);
-  for (auto& c : scenario::check_clocks(merged.obs)) real_checks.push_back(c);
+  const std::vector<scenario::check_result> real_checks =
+      scenario::grade(spec, merged.obs, rt_switch_latency);
   const verdict real_v = to_verdict(real_checks);
 
   // The gate: identical checker verdicts, check by check.
