@@ -11,9 +11,8 @@
 // heap std::string per call — both replaced repo-wide by this PR, so the
 // baseline carries its own copies). The new wire
 // replaces all of that with slab-pooled refcounted payloads, dense
-// destination-indexed vectors, a flat handler table, one lock-free
-// acquire-load of an immutable fault snapshot, and binary-searched
-// timelines.
+// destination-indexed vectors, a flat handler table, and fault state kept
+// as date-keyed timelines that each send binary-searches at its own date.
 //
 // Workloads:
 //   * broadcast churn — 8 nodes, fault-free, every node fans one 64-byte

@@ -6,13 +6,23 @@
 
 namespace hades::core {
 
+namespace {
+
+bool before(const monitor_event& a, const monitor_event& b) {
+  return a.at != b.at ? a.at < b.at : a.shard < b.shard;
+}
+
+}  // namespace
+
 void monitor::record(monitor_event e) {
-  // Notify from a local copy, never from a reference into the partition: a
+  e.shard = rt_ != nullptr ? rt_->executing_shard() : 0;
+  // Notify from a local copy, never from a reference into the vector: a
   // synchronous listener may re-enter record (dependency_tracker aborting
   // instances records fresh orphan events), and the resulting push_back
   // would invalidate any reference held across the callback.
   const monitor_event ev = e;
-  log_.append(std::move(e));
+  if (!events_.empty() && before(e, events_.back())) sorted_ = false;
+  events_.push_back(std::move(e));
   for (const auto& l : listeners_) l(ev);
   if (routed_.empty()) return;
   if (rt_ == nullptr) {
@@ -54,6 +64,16 @@ void monitor::deliver_forwarded(const monitor_event& e, node_id home) {
     if (r.home == home)
       rt_->at_node(home, rt_->now() + r.delay,
                    [fn = r.fn, shared] { fn(*shared); });
+}
+
+const std::vector<monitor_event>& monitor::events() const {
+  // Stable: equal {time, shard} keys keep append order, which is each
+  // shard's own sequence.
+  if (!sorted_) {
+    std::stable_sort(events_.begin(), events_.end(), before);
+    sorted_ = true;
+  }
+  return events_;
 }
 
 std::string monitor::render() const {

@@ -13,12 +13,13 @@
 // The monitor itself is an event sink with query helpers; the detectors
 // live in the dispatcher/system, which know the execution state.
 //
-// Shard confinement (DESIGN.md): once bound to a runtime the monitor keeps
-// one event partition per shard; `record` appends only to the partition of
-// the executing shard. Readers see one merged stream ordered by
-// {time, shard, per-shard sequence}, making the merged order independent of
-// the order a serial round runs its shards in. Two subscription flavours
-// exist:
+// Shard confinement (DESIGN.md): the monitor keeps one vector of events in
+// execution order. Each record carries the shard that appended it
+// (`runtime::executing_shard()`, 0 when unbound), and `events()`
+// stable-sorts the vector in place by {time, shard} when something was
+// appended out of that order. Equal keys keep append order, so readers see
+// {time, shard, per-shard sequence}: independent of the order a serial
+// round runs its shards in. Two subscription flavours exist:
 //   * `subscribe` — synchronous, runs on the recording shard. The listener
 //     must only touch state owned by that shard (or the monitor must only
 //     be used on a single-shard backend).
@@ -37,7 +38,6 @@
 #include <vector>
 
 #include "sim/runtime.hpp"
-#include "sim/shard_log.hpp"
 #include "util/time.hpp"
 #include "util/types.hpp"
 
@@ -78,8 +78,12 @@ enum class monitor_event_kind {
 
 struct monitor_event {
   monitor_event_kind kind = monitor_event_kind::deadline_miss;
+  std::uint32_t shard = 0;  // set by `record`: the shard that appended it
   time_point at;
   node_id node = invalid_node;
+  /// node_suspected / node_unsuspected: the suspected node (`node` is the
+  /// observer).
+  node_id subject_node = invalid_node;
   task_id task = invalid_task;
   instance_number instance = 0;
   std::string subject;
@@ -92,13 +96,10 @@ class monitor {
 
   monitor() = default;
 
-  /// Attach to a runtime: grows one partition per shard, routes `record` by
-  /// the executing shard, and enables `subscribe_at_node` redelivery. The
+  /// Attach to a runtime: `record` tags each event with the executing
+  /// shard, and `subscribe_at_node` redelivers through the runtime. The
   /// owning `core::system` calls this from its constructor.
-  void bind(hades::runtime& rt) {
-    rt_ = &rt;
-    log_.bind(rt);
-  }
+  void bind(hades::runtime& rt) { rt_ = &rt; }
 
   void record(monitor_event e);
 
@@ -135,18 +136,9 @@ class monitor {
   /// from a transport receiver thread.
   void deliver_forwarded(const monitor_event& e, node_id home);
 
-  /// Merged event stream, ordered by {time, shard, per-shard sequence}.
-  /// Rebuilt lazily; query between runs.
-  [[nodiscard]] const std::vector<monitor_event>& events() const {
-    return log_.merged();
-  }
-
-  /// Visit every event shard by shard, without building the merged stream:
-  /// for folds that do not depend on the order.
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    log_.for_each(fn);
-  }
+  /// Every event, ordered by {time, shard, per-shard sequence}. Sorted in
+  /// place when needed; query between runs.
+  [[nodiscard]] const std::vector<monitor_event>& events() const;
 
   [[nodiscard]] std::vector<monitor_event> of_kind(monitor_event_kind k) const {
     std::vector<monitor_event> out;
@@ -156,27 +148,25 @@ class monitor {
   }
   [[nodiscard]] std::size_t count(monitor_event_kind k) const {
     std::size_t n = 0;
-    log_.for_each([&](const monitor_event& e) {
+    for (const auto& e : events_)
       if (e.kind == k) ++n;
-    });
     return n;
   }
   [[nodiscard]] std::size_t count_for_task(monitor_event_kind k,
                                            task_id t) const {
     std::size_t n = 0;
-    log_.for_each([&](const monitor_event& e) {
+    for (const auto& e : events_)
       if (e.kind == k && e.task == t) ++n;
-    });
     return n;
   }
-  void clear() { log_.clear(); }
+  void clear() {
+    events_.clear();
+    sorted_ = true;
+  }
 
   [[nodiscard]] std::string render() const;
 
  private:
-  struct time_of {
-    time_point operator()(const monitor_event& e) const { return e.at; }
-  };
   struct routed_listener {
     node_id home = 0;
     duration delay = duration::zero();
@@ -184,7 +174,9 @@ class monitor {
   };
 
   hades::runtime* rt_ = nullptr;
-  sim::shard_log<monitor_event, time_of> log_;
+  // Execution order; `events()` sorts it when `sorted_` is false.
+  mutable std::vector<monitor_event> events_;
+  mutable bool sorted_ = true;
   std::vector<listener> listeners_;
   std::vector<routed_listener> routed_;
   forward_fn forwarder_;  // null outside multi-process realtime runs

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <sstream>
+#include <tuple>
 
 namespace hades::core {
 
@@ -29,8 +29,8 @@ std::unique_ptr<hades::runtime> system::make_backend(const config& cfg,
 system::system(std::size_t node_count, config cfg) : cfg_(std::move(cfg)) {
   validate(node_count > 0, "system: need at least one node");
   rt_ = make_backend(cfg_, node_count);
-  // Shard-confined sinks: one partition per shard, routed by the executing
-  // shard (single-engine backends have exactly one).
+  // Shard-confined sinks: each record is tagged with the executing shard
+  // (single-engine backends have exactly one).
   trace_.bind(*rt_);
   trace_.enable(cfg_.tracing);
   monitor_.bind(*rt_);
@@ -604,14 +604,9 @@ std::size_t system::detect_deadlocks() {
 
 std::size_t system::analyze_stalled(std::vector<stalled_eu>& all) {
   // Index stalled EUs by (task, instance, eu).
-  auto key_of = [](task_id t, instance_number k, eu_index e) {
-    std::ostringstream os;
-    os << t << '/' << k << '/' << e;
-    return os.str();
-  };
-  std::map<std::string, std::size_t> index;
+  std::map<std::tuple<task_id, instance_number, eu_index>, std::size_t> index;
   for (std::size_t i = 0; i < all.size(); ++i)
-    index[key_of(all[i].w.task, all[i].w.instance, all[i].w.eu)] = i;
+    index[{all[i].w.task, all[i].w.instance, all[i].w.eu}] = i;
 
   // Condition setters: map condition -> stalled EUs that would set it.
   std::map<condition_id, std::vector<std::size_t>> stalled_setters;
@@ -625,7 +620,7 @@ std::size_t system::analyze_stalled(std::vector<stalled_eu>& all) {
   for (std::size_t i = 0; i < all.size(); ++i) {
     const auto& w = all[i].w;
     for (eu_index p : w.waiting_preds) {
-      auto it = index.find(key_of(w.task, w.instance, p));
+      auto it = index.find({w.task, w.instance, p});
       if (it != index.end()) adj[i].push_back(it->second);
     }
     for (condition_id c : w.waiting_conds) {

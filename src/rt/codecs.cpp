@@ -148,6 +148,7 @@ void encode_monitor_event(const core::monitor_event& e,
   put(out, e.node);
   put(out, e.task);
   put(out, e.instance);
+  put(out, e.subject_node);
   put_string(out, e.subject);
   put_string(out, e.detail);
 }
@@ -161,6 +162,7 @@ core::monitor_event decode_monitor_event(const std::byte* data,
   e.node = r.get<node_id>();
   e.task = r.get<task_id>();
   e.instance = r.get<instance_number>();
+  e.subject_node = r.get<node_id>();
   e.subject = get_string(r);
   e.detail = get_string(r);
   return e;

@@ -45,19 +45,8 @@ deployment::deployment(const scenario_spec& spec, deployment_options opt)
   obs_.delivery_bound = bcast_->delivery_bound(64) + opt_.bound_margin;
   obs_.skew_bound = spec_.skew_bound;
 
-  // Suspicion callbacks fire on the observer's shard: collect into
-  // per-observer sinks and merge after the run — the (at, observer,
-  // subject) sort makes the merged order independent of the order a
-  // serial round runs its shards in. Mode switches all occur on the
-  // manager's home shard, so one vector suffices.
-  susp_by_observer_.resize(spec_.nodes);
-  recov_by_observer_.resize(spec_.nodes);
-  fd_->on_suspect([this](node_id o, node_id s, time_point at) {
-    susp_by_observer_[o].push_back({o, s, at});
-  });
-  fd_->on_recover([this](node_id o, node_id s, time_point at) {
-    recov_by_observer_[o].push_back({o, s, at});
-  });
+  // Suspicions and recoveries are read from the monitor in collect(). Mode
+  // switches all occur on the manager's home shard, so one vector suffices.
   modes_->on_switch([this](svc::op_mode from, svc::op_mode to, time_point at) {
     obs_.mode_switches.push_back({from, to, at});
   });
@@ -203,30 +192,27 @@ void deployment::run() {
 observation deployment::collect() {
   require(!collected_, "deployment::collect: already collected");
   collected_ = true;
-  for (auto& per_obs : susp_by_observer_)
-    obs_.suspicions.insert(obs_.suspicions.end(), per_obs.begin(),
-                           per_obs.end());
-  for (auto& per_obs : recov_by_observer_)
-    obs_.recoveries.insert(obs_.recoveries.end(), per_obs.begin(),
-                           per_obs.end());
-  sort_suspicions(obs_.suspicions);
-  sort_suspicions(obs_.recoveries);
   obs_.delivery_logs = bcast_->take_delivery_logs();
   obs_.order_faults = bcast_->order_faults();
   obs_.final_mode = modes_->mode();
   obs_.deadline_misses =
       sys_->mon().count(core::monitor_event_kind::deadline_miss);
-  // Both folds are order-independent (the dates are sorted below), so the
-  // per-shard logs are read in place rather than merged into a copy.
-  sys_->mon().for_each([this](const core::monitor_event& e) {
+  // The detector records every suspicion transition in the monitor, so the
+  // monitor is the one copy the detector checks read.
+  using kind = core::monitor_event_kind;
+  for (const core::monitor_event& e : sys_->mon().events()) {
     obs_.event_kinds |= 1u << static_cast<unsigned>(e.kind);
-    if (e.kind == core::monitor_event_kind::deadline_miss ||
-        e.kind == core::monitor_event_kind::node_crash ||
-        e.kind == core::monitor_event_kind::node_recover ||
-        e.kind == core::monitor_event_kind::node_suspected ||
-        e.kind == core::monitor_event_kind::node_unsuspected)
+    if (e.kind == kind::node_suspected)
+      obs_.suspicions.push_back({e.node, e.subject_node, e.at});
+    else if (e.kind == kind::node_unsuspected)
+      obs_.recoveries.push_back({e.node, e.subject_node, e.at});
+    if (e.kind == kind::deadline_miss || e.kind == kind::node_crash ||
+        e.kind == kind::node_recover || e.kind == kind::node_suspected ||
+        e.kind == kind::node_unsuspected)
       obs_.trigger_events.push_back(e.at);
-  });
+  }
+  sort_suspicions(obs_.suspicions);
+  sort_suspicions(obs_.recoveries);
   std::sort(obs_.trigger_events.begin(), obs_.trigger_events.end());
   if (!gateways_.empty()) {
     obs_.traffic_checked = true;

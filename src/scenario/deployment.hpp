@@ -64,10 +64,10 @@ class deployment {
   void start();
   /// Drive to the horizon (the realtime backend makes this wall-clock).
   void run();
-  /// Merge the per-observer sinks and gather every checker input. Call
-  /// once, after run(). The observation is handed over, not copied: the
-  /// delivery logs move out of the broadcast service, which is left with
-  /// empty logs.
+  /// Gather every checker input; suspicions and recoveries come from the
+  /// monitor's detector records. Call once, after run(). The observation
+  /// is handed over, not copied: the delivery logs move out of the
+  /// broadcast service, which is left with empty logs.
   [[nodiscard]] observation collect();
   /// `scenario::grade` of `obs` against this deployment's spec, with
   /// `deployment_options::switch_latency` when set.
@@ -95,8 +95,6 @@ class deployment {
   std::vector<std::unique_ptr<traffic::gateway>> gateways_;
 
   observation obs_;  // bounds + sent_at filled at construction
-  std::vector<std::vector<observation::suspicion>> susp_by_observer_;
-  std::vector<std::vector<observation::suspicion>> recov_by_observer_;
   bool started_ = false;
   bool collected_ = false;
 };

@@ -60,9 +60,11 @@
 // only from the observer's tick/receive events, i.e. on the observer's
 // shard. Counters are per-observer and summed at read time. Suspicion
 // transitions are additionally recorded into the system monitor
-// (node_suspected / node_unsuspected), which is how suspicion-driven mode
-// policies receive them deterministically on their own shard
-// (mode_manager::thresholds::suspicions_for_degraded). `on_suspect` /
+// (node_suspected / node_unsuspected, the suspected node in
+// `subject_node`), which is how suspicion-driven mode policies receive them
+// deterministically on their own shard
+// (mode_manager::thresholds::suspicions_for_degraded) and where the
+// scenario deployment reads the suspicions it grades. `on_suspect` /
 // `on_recover` callbacks run on the observer's shard and must stay
 // shard-confined.
 #pragma once

@@ -67,11 +67,11 @@ void mode_manager::consider(const core::monitor_event& e) {
       break;
     case core::monitor_event_kind::node_suspected:
       if (thresholds_.suspicions_for_degraded == 0) return;
-      ++suspected_subjects_[e.subject];
+      ++suspected_subjects_[e.subject_node];
       break;
     case core::monitor_event_kind::node_unsuspected: {
       if (thresholds_.suspicions_for_degraded == 0) return;
-      auto it = suspected_subjects_.find(e.subject);
+      auto it = suspected_subjects_.find(e.subject_node);
       if (it != suspected_subjects_.end() && --it->second == 0)
         suspected_subjects_.erase(it);
       return;  // retractions never trigger a switch

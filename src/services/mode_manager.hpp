@@ -119,10 +119,10 @@ class mode_manager {
   op_mode mode_ = op_mode::normal;
   std::size_t misses_ = 0;
   std::size_t crashes_ = 0;
-  // subject -> number of observers currently suspecting it; an entry is
-  // erased when its last suspicion is retracted, so size() is the count of
-  // distinct concurrently-suspected nodes.
-  std::map<std::string, std::size_t> suspected_subjects_;
+  // suspected node -> number of observers currently suspecting it; an entry
+  // is erased when its last suspicion is retracted, so size() is the count
+  // of distinct concurrently-suspected nodes.
+  std::map<node_id, std::size_t> suspected_subjects_;
   std::uint64_t switches_ = 0;
   time_point last_switch_;
   std::map<task_id, sim::wire_payload> captured_;

@@ -58,8 +58,7 @@ class sharded_engine final : public runtime {
     return shards_.size();
   }
   /// The shard whose event core is executing (0 when called from outside
-  /// event execution) — what shard-confined components index their
-  /// per-shard partitions with.
+  /// event execution) — what the observation sinks tag each record with.
   [[nodiscard]] std::uint32_t executing_shard() const override {
     return current_shard();
   }

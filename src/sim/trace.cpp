@@ -29,6 +29,33 @@ std::string_view to_string(trace_kind k) {
   return "?";
 }
 
+namespace {
+
+bool before(const trace_event& a, const trace_event& b) {
+  return a.t != b.t ? a.t < b.t : a.shard < b.shard;
+}
+
+}  // namespace
+
+void trace_recorder::append(time_point t, node_id node, trace_kind kind,
+                            std::string_view subject,
+                            std::string_view detail) {
+  trace_event e{t, node, kind, rt_ != nullptr ? rt_->executing_shard() : 0,
+                std::string(subject), std::string(detail)};
+  if (!events_.empty() && before(e, events_.back())) sorted_ = false;
+  events_.push_back(std::move(e));
+}
+
+const std::vector<trace_event>& trace_recorder::events() const {
+  // Stable: equal {time, shard} keys keep append order, which is each
+  // shard's own sequence.
+  if (!sorted_) {
+    std::stable_sort(events_.begin(), events_.end(), before);
+    sorted_ = true;
+  }
+  return events_;
+}
+
 std::vector<trace_event> trace_recorder::of_kind(trace_kind k) const {
   std::vector<trace_event> out;
   for (const auto& e : events())

@@ -6,15 +6,15 @@
 // reproduction checks the Atv / priority-change / Trm trace verbatim) and
 // examples can render ASCII Gantt timelines.
 //
-// Shard confinement (DESIGN.md): once bound to a runtime, the recorder keeps
-// one event partition per shard (`sim::shard_log`) and `record` appends
-// only to the partition of the shard executing the call. Readers see a
-// single merged sequence ordered by the deterministic key
-// {time, shard, per-shard sequence}: the same order the sharded backend
-// gives cross-shard arrivals, so the merged trace does not depend on the
-// order a serial round runs its shards in (and, absent cross-shard
-// same-instant ties, is identical for any shard count). Query between
-// runs, not from inside event handlers.
+// Shard confinement (DESIGN.md): the recorder keeps one vector of events in
+// execution order, each tagged with the shard that appended it
+// (`runtime::executing_shard()`, 0 when unbound). `events()` stable-sorts
+// the vector in place by {time, shard} when something was appended out of
+// that order. Equal keys keep append order, so readers see {time, shard,
+// per-shard sequence}: the same order the sharded backend gives cross-shard
+// arrivals, so the trace does not depend on the order a serial round runs
+// its shards in (and, absent cross-shard same-instant ties, is identical
+// for any shard count). Query between runs, not from inside event handlers.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +22,7 @@
 #include <string_view>
 #include <vector>
 
-#include "sim/shard_log.hpp"
+#include "sim/runtime.hpp"
 #include "util/time.hpp"
 #include "util/types.hpp"
 
@@ -54,16 +54,17 @@ struct trace_event {
   time_point t;
   node_id node = invalid_node;
   trace_kind kind = trace_kind::custom;
+  std::uint32_t shard = 0;  // the shard that recorded it
   std::string subject;  // thread / task / service name
   std::string detail;
 };
 
 class trace_recorder {
  public:
-  /// Attach to a runtime: grows one partition per shard and routes `record`
-  /// by `runtime::executing_shard()`. Call before the run starts (the
-  /// owning `core::system` does, in its constructor).
-  void bind(const hades::runtime& rt) { log_.bind(rt); }
+  /// Attach to a runtime: `record` then tags each event with
+  /// `runtime::executing_shard()`. Call before the run starts (the owning
+  /// `core::system` does, in its constructor).
+  void bind(const hades::runtime& rt) { rt_ = &rt; }
 
   void enable(bool on = true) { enabled_ = on; }
   [[nodiscard]] bool enabled() const { return enabled_; }
@@ -74,17 +75,16 @@ class trace_recorder {
   /// per-event paths no string work.
   void record(time_point t, node_id node, trace_kind kind,
               std::string_view subject, std::string_view detail = {}) {
-    if (!enabled_) return;
-    log_.append({t, node, kind, std::string(subject), std::string(detail)});
+    if (enabled_) append(t, node, kind, subject, detail);
   }
 
-  /// Merged view over all shard partitions, ordered by
-  /// {time, shard, per-shard sequence}. Rebuilt lazily; query between
-  /// runs.
-  [[nodiscard]] const std::vector<trace_event>& events() const {
-    return log_.merged();
+  /// Every event, ordered by {time, shard, per-shard sequence}. Sorted in
+  /// place when needed; query between runs.
+  [[nodiscard]] const std::vector<trace_event>& events() const;
+  void clear() {
+    events_.clear();
+    sorted_ = true;
   }
-  void clear() { log_.clear(); }
 
   /// All events of one kind, in order.
   [[nodiscard]] std::vector<trace_event> of_kind(trace_kind k) const;
@@ -101,12 +101,14 @@ class trace_recorder {
                                          duration column) const;
 
  private:
-  struct time_of {
-    time_point operator()(const trace_event& e) const { return e.t; }
-  };
+  void append(time_point t, node_id node, trace_kind kind,
+              std::string_view subject, std::string_view detail);
 
   bool enabled_ = true;
-  shard_log<trace_event, time_of> log_;
+  const hades::runtime* rt_ = nullptr;
+  // Execution order; `events()` sorts it when `sorted_` is false.
+  mutable std::vector<trace_event> events_;
+  mutable bool sorted_ = true;
 };
 
 }  // namespace hades::sim

@@ -21,8 +21,9 @@
 // The slab pool is the same preallocated-resource discipline as the event
 // core (PR 1) applied to frames: fixed power-of-two size classes, blocks
 // carved from chunks that are allocated once and recycled forever, free
-// lists per (class, stripe) so concurrent shards rarely contend. Each free
-// list is a Treiber stack over 32-bit *block indices* with a 32-bit ABA tag
+// lists per (class, stripe) so the threads sharing the pool (campaign
+// cells, the realtime receiver) rarely contend. Each free list is a
+// Treiber stack over 32-bit *block indices* with a 32-bit ABA tag
 // packed into one 64-bit CAS word — lock-free for any number of producers
 // and consumers, which is what lets a payload allocated on one thread be
 // released on another (the realtime socket receiver thread, campaign cells

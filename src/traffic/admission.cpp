@@ -10,9 +10,10 @@ admission_controller::admission_controller(config c)
     : cfg_(c), feas_(c.feas) {
   require(cfg_.max_outstanding > 0,
           "admission_controller: max_outstanding must be positive");
-  pool_.resize(cfg_.max_outstanding);
+  // Reserved, not filled: a slot is created the first time every existing
+  // one is live, so memory is touched only as deep as the load goes.
+  pool_.reserve(cfg_.max_outstanding);
   free_.reserve(cfg_.max_outstanding);
-  for (std::uint32_t i = cfg_.max_outstanding; i-- > 0;) free_.push_back(i);
   // Worst case before compaction: every pool slot has one stale heap entry
   // plus one live one, split between heap and staging.
   heap_.reserve(2 * static_cast<std::size_t>(cfg_.max_outstanding) + 1);
@@ -37,7 +38,7 @@ void admission_controller::drain_staging() {
 
 void admission_controller::compact_heap() {
   heap_.clear();
-  for (std::uint32_t i = 0; i < cfg_.max_outstanding; ++i) {
+  for (std::uint32_t i = 0; i < pool_.size(); ++i) {
     const slot& s = pool_[i];
     if (s.live) heap_.push_back({s.density, s.seq, i, s.gen});
   }
@@ -82,8 +83,9 @@ admission_controller::decision admission_controller::offer(const request& r,
   decision d;
   const std::uint64_t density = density_of(r);
 
-  bool fits = !free_.empty() && feas_.admissible(r.cost, deadline);
-  if (!fits && cfg_.shed_by_value_density) {
+  bool fits =
+      live_ < cfg_.max_outstanding && feas_.admissible(r.cost, deadline);
+  if (!fits) {
     // Overload: displace strictly lower value-density work while that still
     // can make the newcomer fit. Lazy heap — fold the staged admits in
     // first, and rebuild from the pool once stale entries dominate.
@@ -95,7 +97,8 @@ admission_controller::decision admission_controller::offer(const request& r,
     while (top_live() && heap_.front().density < density) {
       shed_top();
       ++d.shed_victims;
-      if (!free_.empty() && feas_.admissible(r.cost, deadline)) {
+      if (live_ < cfg_.max_outstanding &&
+          feas_.admissible(r.cost, deadline)) {
         fits = true;
         break;
       }
@@ -108,8 +111,16 @@ admission_controller::decision admission_controller::offer(const request& r,
     return d;
   }
 
-  const std::uint32_t idx = free_.back();
-  free_.pop_back();
+  // Freed slots are reused last-in first-out; with none free, the next
+  // slot is the lowest index never used.
+  std::uint32_t idx;
+  if (free_.empty()) {
+    idx = static_cast<std::uint32_t>(pool_.size());
+    pool_.emplace_back();
+  } else {
+    idx = free_.back();
+    free_.pop_back();
+  }
   slot& s = pool_[idx];
   s.client = r.client;
   s.density = density;
@@ -138,12 +149,10 @@ std::uint32_t admission_controller::renegotiate(double available,
   feas_.advance(now);
   feas_.set_available(available);
   std::uint32_t victims = 0;
-  if (cfg_.shed_by_value_density) {
-    drain_staging();
-    while (!feas_.currently_feasible() && top_live()) {
-      shed_top();
-      ++victims;
-    }
+  drain_staging();
+  while (!feas_.currently_feasible() && top_live()) {
+    shed_top();
+    ++victims;
   }
   digest_.mix(3);  // renegotiate marker
   digest_.mix(static_cast<std::uint64_t>(available * 4294967296.0));
@@ -164,8 +173,7 @@ bool admission_controller::revalidate(time_point now) {
   std::int64_t total = 0;
   const std::int64_t t0 = now.nanoseconds();
   std::int64_t late = 0;
-  for (std::uint32_t i = 0; i < cfg_.max_outstanding; ++i) {
-    const slot& s = pool_[i];
+  for (const slot& s : pool_) {
     if (!s.live) continue;
     total += s.ticket.cost;
     if (s.deadline_ns <= t0)

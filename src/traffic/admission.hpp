@@ -9,8 +9,9 @@
 // keep the work that buys the most value per CPU nanosecond).
 //
 // Hot-path engineering:
-//  * request slots live in a preallocated pool with generation counters —
-//    admit/complete never allocate;
+//  * request slots live in a pool with generation counters, reserved at
+//    `max_outstanding` and created on first use — admit/complete never
+//    allocate;
 //  * the shed heap is a lazy-deletion binary min-heap over (value density,
 //    admission sequence): admits *stage* their entry in O(1), and the
 //    O(log k) heap pushes are paid only when the shed path runs (staged
@@ -18,9 +19,10 @@
 //    generation bump invalidates the heap entry, which is discarded when it
 //    surfaces. Stale entries are bounded: when the heap plus staging exceed
 //    twice the pool, the shed path rebuilds the heap from the live slots;
-//  * every container is reserved at construction — the steady-state
-//    offer/complete/shed cycle performs zero heap allocations (asserted by
-//    bench_gateway's operator-new counter).
+//  * every container is reserved at construction and grows only inside
+//    its reservation — the steady-state offer/complete/shed cycle performs
+//    zero heap allocations (asserted by bench_gateway's operator-new
+//    counter).
 //
 // Determinism: decisions depend only on the offer/complete order, and the
 // heap order is a total order (density, then admission sequence), so the
@@ -57,9 +59,6 @@ class admission_controller {
     sched::incremental_feasibility::config feas;
     /// Pooled request slots == max concurrently admitted requests.
     std::uint32_t max_outstanding = 4096;
-    /// Overload policy: displace lower-value-density work (true) or only
-    /// reject newcomers (false).
-    bool shed_by_value_density = true;
   };
 
   /// Called once per displaced victim, after its charge is released and its

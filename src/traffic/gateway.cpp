@@ -17,8 +17,14 @@ gateway::gateway(core::system& sys, node_id node, gateway_config cfg,
       ctrl_(cfg_.admission) {
   require(!cfg_.classes.empty(), "gateway: need at least one request class");
   require(node < sys.node_count(), "gateway: node out of range");
-  owner_.assign(cfg_.admission.max_outstanding,
-                {invalid_task, instance_number{0}});
+  owner_.reserve(cfg_.admission.max_outstanding);
+}
+
+const hdr_histogram& gateway::latency() const {
+  // Never written. Not const, so it is zero-initialized storage rather than
+  // 57 KB of read-only data in the binary.
+  static hdr_histogram empty;
+  return latency_ != nullptr ? *latency_ : empty;
 }
 
 std::int32_t gateway::class_of(task_id t) const {
@@ -68,10 +74,12 @@ void gateway::start() {
     tit->second.erase(it);
     owner_[h] = {invalid_task, instance_number{0}};
     ctrl_.complete(h);
-    if (completed)
-      latency_.record((now - act).count());
-    else
+    if (completed) {
+      if (latency_ == nullptr) latency_ = std::make_unique<hdr_histogram>();
+      latency_->record((now - act).count());
+    } else {
       ++missed_;
+    }
   });
 
   arm_next();
@@ -102,6 +110,10 @@ void gateway::fire() {
     pending_valid_ = false;
     if (k.has_value() && last_.admitted) {
       live_[t][*k] = last_.h;
+      // Handles are dense (a new slot is the lowest unused index), so the
+      // map grows inside its reservation as the load deepens.
+      if (last_.h >= owner_.size())
+        owner_.resize(last_.h + 1, {invalid_task, instance_number{0}});
       owner_[last_.h] = {t, *k};
     }
   } else {
@@ -134,7 +146,7 @@ gateway::totals gateway::snapshot() const {
 
 std::uint64_t gateway::digest() const {
   return fnv1a{ctrl_.stream_digest()}
-      .mix(latency_.digest())
+      .mix(latency().digest())
       .mix(missed_)
       .mix(renegotiations_)
       .value();

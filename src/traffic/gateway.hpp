@@ -14,15 +14,17 @@
 // controller handle so completion, deadline-miss abort, and value-density
 // shedding all release the exact charge they admitted.
 //
-// End-to-end latency (activation to completion) lands in a zero-alloc HDR
-// histogram; per-node instances merge deterministically in node order at
-// collection. Mode-change renegotiation arrives via renegotiate(),
-// routed to this node's shard by the deployment's mode hook; periodic
-// exact re-validation runs off the hot path on the same shard.
+// End-to-end latency (activation to completion) lands in an HDR histogram
+// created by the first completion (recording never allocates); per-node
+// instances merge deterministically in node order at collection.
+// Mode-change renegotiation arrives via renegotiate(), routed to this
+// node's shard by the deployment's mode hook; periodic exact re-validation
+// runs off the hot path on the same shard.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "core/system.hpp"
@@ -69,7 +71,8 @@ class gateway {
     std::uint64_t renegotiations = 0;
   };
   [[nodiscard]] totals snapshot() const;
-  [[nodiscard]] const hdr_histogram& latency() const { return latency_; }
+  /// Empty until the first request completes.
+  [[nodiscard]] const hdr_histogram& latency() const;
   [[nodiscard]] node_id node() const { return node_; }
   [[nodiscard]] admission_controller& controller() { return ctrl_; }
   /// Deterministic fold of the full decision + latency history.
@@ -86,7 +89,7 @@ class gateway {
   gateway_config cfg_;
   arrival_process arr_;
   admission_controller ctrl_;
-  hdr_histogram latency_;
+  std::unique_ptr<hdr_histogram> latency_;  // created by the first completion
   std::vector<task_id> tasks_;                   // per class
   std::map<task_id, std::map<instance_number, admission_controller::handle>>
       live_;

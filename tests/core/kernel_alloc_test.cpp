@@ -3,7 +3,8 @@
 // With tracing off, a warmed-up `core::system` must move frames through
 // net_task::send -> wire -> NIC interrupt -> channel handler, and cycle
 // kernel threads through make_runnable / set_priority / completion, without
-// a single heap allocation. A counting global operator new (the pattern of
+// a single heap allocation. Reading the monitor and the trace back must
+// not allocate either. A counting global operator new (the pattern of
 // bench/bench_wire.cpp) sees every allocation in the process; each phase
 // runs once to warm the pools, rings and queues up to their high-water
 // mark, then once more under the counter with the identical pattern.
@@ -13,6 +14,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <string>
 
 #include "core/system.hpp"
 
@@ -157,6 +159,42 @@ TEST(KernelAllocTest, ThreadCyclesAllocateNothing) {
   EXPECT_GT(bg_done, bg_warm);
   EXPECT_GT(cpu.stats().preemptions, preemptions);
   EXPECT_EQ(sim::event_callback::heap_allocations(), closures);
+}
+
+// The observation sinks keep one vector each. A single engine appends in
+// time order, so reading them back sorts nothing and copies nothing — not
+// even subjects too long for the small-string buffer.
+TEST(KernelAllocTest, ReadingTheSinksAllocatesNothing) {
+  system sys(2, quiet_kernel());
+  sys.trace().enable(true);
+  const std::string subject(48, 's');
+  const auto record_burst = [&] {
+    for (int i = 0; i < 32; ++i) {
+      const auto n = static_cast<node_id>(i % 2);
+      const time_point at = sys.now() + 10_us * (i + 1);
+      sys.engine().at_node(n, at, [&sys, &subject, n] {
+        monitor_event e;
+        e.kind = monitor_event_kind::deadline_miss;
+        e.at = sys.now();
+        e.node = n;
+        e.subject = subject;
+        sys.mon().record(std::move(e));
+        sys.trace().record(sys.now(), n, sim::trace_kind::custom, subject);
+      });
+    }
+    sys.run_for(1_ms);
+  };
+  const auto read_sinks = [&] {
+    return sys.mon().events().size() + sys.trace().events().size();
+  };
+
+  record_burst();  // warm-up: the first read of each sink
+  const std::size_t warm = read_sinks();
+  record_burst();
+  std::size_t after = 0;
+  EXPECT_EQ(allocations_during([&] { after = read_sinks(); }), 0u);
+  EXPECT_GE(after, warm + 64);
+  EXPECT_EQ(sys.mon().events().back().subject, subject);
 }
 
 }  // namespace

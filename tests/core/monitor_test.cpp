@@ -1,5 +1,5 @@
-// Shard-partitioned monitor: merged stream order and deterministic routed
-// subscriptions (DESIGN.md, "Shard confinement").
+// Shard-tagged monitor: {time, shard, per-shard sequence} event order and
+// deterministic routed subscriptions (DESIGN.md, "Shard confinement").
 #include "core/monitor.hpp"
 
 #include <gtest/gtest.h>
@@ -28,9 +28,9 @@ std::unique_ptr<hades::runtime> two_shards() {
   return sim::make_sharded_engine(std::move(p));
 }
 
-// Events recorded on different shards merge by {time, shard, per-shard
-// sequence} — the cross-shard inbox key, independent of recording
-// interleaving.
+// Events recorded on different shards read back by {time, shard,
+// per-shard sequence} — the cross-shard inbox key, independent of
+// recording interleaving.
 TEST(MonitorShardTest, MergedStreamOrdersByTimeThenShardThenSeq) {
   auto rt = two_shards();
   monitor mon;
@@ -67,6 +67,27 @@ TEST(MonitorShardTest, MergedStreamOrdersByTimeThenShardThenSeq) {
 
   EXPECT_EQ(mon.count(monitor_event_kind::node_crash), 2u);
   EXPECT_EQ(mon.of_kind(monitor_event_kind::deadline_miss).size(), 1u);
+}
+
+// A record made between runs, from outside event execution, belongs to
+// shard 0: it sorts before a shard-1 record of the same instant even though
+// it was appended later. A time-only key would keep append order.
+TEST(MonitorShardTest, OutsideRecordSortsAsShardZero) {
+  auto rt = two_shards();
+  monitor mon;
+  mon.bind(*rt);
+
+  rt->at_node(1, time_point::at(1_ms), [&] {
+    mon.record(ev(time_point::at(1_ms), 1, monitor_event_kind::node_crash));
+  });
+  rt->run_until(time_point::at(1_ms));
+  ASSERT_EQ(mon.events().size(), 1u);
+  mon.record(ev(time_point::at(1_ms), 0, monitor_event_kind::node_recover));
+
+  const auto& events = mon.events();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].kind, monitor_event_kind::node_recover);
+  EXPECT_EQ(events[1].kind, monitor_event_kind::node_crash);
 }
 
 // subscribe_at_node redelivers on the home shard at record date + delay —

@@ -87,6 +87,7 @@ TEST_F(WireCodecTest, MonitorEventRoundTrips) {
   e.kind = core::monitor_event_kind::node_suspected;
   e.at = time_point::at(7_ms);
   e.node = 3;
+  e.subject_node = 6;
   e.subject = "fd";
   e.detail = "subject 6 missed 2 heartbeats";
   std::vector<std::byte> bytes;
@@ -96,6 +97,7 @@ TEST_F(WireCodecTest, MonitorEventRoundTrips) {
   EXPECT_EQ(back.kind, e.kind);
   EXPECT_EQ(back.at, e.at);
   EXPECT_EQ(back.node, e.node);
+  EXPECT_EQ(back.subject_node, e.subject_node);
   EXPECT_EQ(back.subject, e.subject);
   EXPECT_EQ(back.detail, e.detail);
 }

@@ -5,6 +5,7 @@
 #include "core/system.hpp"
 #include "sched/spring.hpp"
 #include "scenario/checkers.hpp"
+#include "scenario/deployment.hpp"
 #include "scenario/scenarios.hpp"
 #include "services/clock_sync.hpp"
 #include "services/fault_detector.hpp"
@@ -282,6 +283,53 @@ TEST(CheckerTest, RegistryShipsTheCampaignFamily) {
   }
   EXPECT_EQ(find_scenario("single_crash").name, "single_crash");
   EXPECT_THROW(find_scenario("no_such_scenario"), invariant_violation);
+}
+
+// --- deployment --------------------------------------------------------------
+
+bool same(const std::vector<observation::suspicion>& a,
+          const std::vector<observation::suspicion>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (a[i].observer != b[i].observer || a[i].subject != b[i].subject ||
+        a[i].at != b[i].at)
+      return false;
+  return true;
+}
+
+// collect() reads suspicions and recoveries from the monitor's detector
+// records. They must be exactly what the detector's callbacks report, and
+// the suspicion-counting mode policy must switch at the date it always has.
+TEST(DeploymentTest, CollectedSuspicionsMatchTheDetectorCallbacks) {
+  const struct {
+    const char* scenario;
+    std::int64_t switch_ns;
+  } cases[] = {{"single_crash", 500'157'000},
+               {"partition_degrades_mode", 490'020'000}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.scenario);
+    deployment_options opt;
+    opt.seed = 1;
+    deployment d(find_scenario(c.scenario), opt);
+    std::vector<observation::suspicion> suspected, recovered;
+    d.fd().on_suspect([&](node_id o, node_id s, time_point at) {
+      suspected.push_back({o, s, at});
+    });
+    d.fd().on_recover([&](node_id o, node_id s, time_point at) {
+      recovered.push_back({o, s, at});
+    });
+    d.start();
+    d.run();
+    const observation obs = d.collect();
+    sort_suspicions(suspected);
+    sort_suspicions(recovered);
+    EXPECT_FALSE(suspected.empty());
+    EXPECT_TRUE(same(obs.suspicions, suspected));
+    EXPECT_TRUE(same(obs.recoveries, recovered));
+    ASSERT_EQ(obs.mode_switches.size(), 1u);
+    EXPECT_EQ(obs.mode_switches[0].to, svc::op_mode::degraded);
+    EXPECT_EQ(obs.mode_switches[0].at.nanoseconds(), c.switch_ns);
+  }
 }
 
 }  // namespace

@@ -102,8 +102,8 @@ core::system::config parity_config(std::size_t shards) {
 }
 
 // Fold everything a user of the system can observe. Monitor events are
-// sorted by content, not stream position: the merged stream's {time, shard,
-// seq} order is already deterministic per backend, but the *shard* component
+// sorted by content, not stream position: the stream's {time, shard, seq}
+// order is already deterministic per backend, but the *shard* component
 // differs across shard counts for same-instant events, so cross-backend
 // comparison needs the canonical content order.
 void fold_observables(core::system& sys, fold& f) {

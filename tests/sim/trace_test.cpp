@@ -71,9 +71,9 @@ TEST(TraceTest, KindNamesAreStable) {
   EXPECT_EQ(to_string(trace_kind::thread_done), "done");
 }
 
-// Bound to a sharded runtime, the recorder partitions per shard and the
-// merged view follows {time, shard, per-shard sequence} — independent of
-// the wall order the shards recorded in (DESIGN.md, "Shard confinement").
+// Bound to a sharded runtime, the recorder tags each event with its shard
+// and reads back by {time, shard, per-shard sequence} — independent of the
+// wall order the shards recorded in (DESIGN.md, "Shard confinement").
 TEST(TraceTest, ShardPartitionsMergeByTimeThenShard) {
   sharded_params p;
   p.shards = 2;
@@ -103,6 +103,31 @@ TEST(TraceTest, ShardPartitionsMergeByTimeThenShard) {
   EXPECT_EQ(merged[3].subject, "tie-shard1");
   tr.clear();
   EXPECT_TRUE(tr.events().empty());
+}
+
+// A record made between runs, from outside event execution, belongs to
+// shard 0: it sorts before a shard-1 record of the same instant even though
+// it was appended later. A time-only key would keep append order.
+TEST(TraceTest, OutsideRecordSortsAsShardZero) {
+  sharded_params p;
+  p.shards = 2;
+  p.lookahead = 100_us;
+  p.node_shard = {0, 1};
+  auto rt = make_sharded_engine(std::move(p));
+  trace_recorder tr;
+  tr.bind(*rt);
+
+  rt->at_node(1, time_point::at(1_ms), [&] {
+    tr.record(time_point::at(1_ms), 1, trace_kind::custom, "in-event");
+  });
+  rt->run_until(time_point::at(1_ms));
+  ASSERT_EQ(tr.events().size(), 1u);
+  tr.record(time_point::at(1_ms), 0, trace_kind::custom, "outside");
+
+  const auto& events = tr.events();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].subject, "outside");
+  EXPECT_EQ(events[1].subject, "in-event");
 }
 
 }  // namespace

@@ -7,7 +7,8 @@
 // segments). And the full gateway-in-system path: an edge scenario cell
 // must produce bit-identical campaign checksums — admissions, sheds,
 // latency digests and all — across runtime shard counts, the same gate the
-// rest of the core holds itself to.
+// rest of the core holds itself to. Between them, the admission controller
+// on its own: handle order, pool capacity, shed order and re-validation.
 #include "traffic/arrival.hpp"
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "scenario/campaign.hpp"
+#include "traffic/admission.hpp"
 
 namespace hades::traffic {
 namespace {
@@ -115,6 +117,89 @@ TEST(ArrivalProcessTest, DiurnalSegmentsFollowTheProfile) {
   }
   EXPECT_GT(seg[5], 3 * seg[0]);
   EXPECT_GT(seg[0], 0u);
+}
+
+// --- admission controller ----------------------------------------------------
+
+// Three slots, a roomy wheel: only the pool limit and value density decide.
+admission_controller small_controller() {
+  admission_controller::config c;
+  c.feas.slot_width = 1_ms;
+  c.feas.available = 1.0;
+  c.max_outstanding = 3;
+  return admission_controller(c);
+}
+
+request req(std::uint64_t client, std::uint32_t value) {
+  request r;
+  r.client = client;
+  r.cost = 100_us;
+  r.deadline = 40_ms;
+  r.value = value;
+  return r;
+}
+
+TEST(AdmissionControllerTest, HandlesAreDenseAndThePoolCapsAdmission) {
+  admission_controller ctrl = small_controller();
+  const time_point now = time_point::at(1_ms);
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    const auto d = ctrl.offer(req(i, 1), now);
+    ASSERT_TRUE(d.admitted);
+    EXPECT_EQ(d.h, i);
+  }
+  // Feasible on the wheel, but every slot is live and nothing is cheaper.
+  const auto full = ctrl.offer(req(3, 1), now);
+  EXPECT_FALSE(full.admitted);
+  EXPECT_EQ(full.shed_victims, 0u);
+  EXPECT_EQ(ctrl.stats().rejected, 1u);
+  EXPECT_EQ(ctrl.outstanding(), 3u);
+
+  ctrl.complete(1);
+  const auto reuse = ctrl.offer(req(4, 1), now);
+  ASSERT_TRUE(reuse.admitted);
+  EXPECT_EQ(reuse.h, 1u);
+}
+
+TEST(AdmissionControllerTest, OverloadShedsLowestValueDensityFirst) {
+  admission_controller ctrl = small_controller();
+  std::vector<admission_controller::handle> shed;
+  ctrl.on_shed([&](admission_controller::handle h, std::uint64_t) {
+    shed.push_back(h);
+  });
+  const time_point now = time_point::at(1_ms);
+  for (const std::uint32_t value : {2u, 1u, 3u})
+    ASSERT_TRUE(ctrl.offer(req(value, value), now).admitted);
+
+  const auto d = ctrl.offer(req(9, 4), now);
+  ASSERT_TRUE(d.admitted);
+  EXPECT_EQ(d.shed_victims, 1u);
+  ASSERT_EQ(shed.size(), 1u);
+  EXPECT_EQ(shed[0], 1u);  // value 1: the lowest density
+  EXPECT_EQ(d.h, 1u);      // the freed slot is reused
+  EXPECT_EQ(ctrl.stats().shed, 1u);
+
+  // Value 2 is now the cheapest live request.
+  ASSERT_TRUE(ctrl.offer(req(10, 5), now).admitted);
+  ASSERT_EQ(shed.size(), 2u);
+  EXPECT_EQ(shed[1], 0u);
+}
+
+TEST(AdmissionControllerTest, RevalidatePassesAfterGrowthAndCompletions) {
+  admission_controller ctrl = small_controller();
+  time_point now = time_point::at(1_ms);
+  EXPECT_TRUE(ctrl.revalidate(now));
+  for (std::uint32_t i = 0; i < 3; ++i)
+    ASSERT_TRUE(ctrl.offer(req(i, 1), now).admitted);
+  EXPECT_TRUE(ctrl.revalidate(now));
+  ctrl.complete(0);
+  ctrl.complete(2);
+  now = now + 1_ms;
+  EXPECT_TRUE(ctrl.revalidate(now));
+  ASSERT_TRUE(ctrl.offer(req(5, 1), now).admitted);
+  ctrl.complete(1);
+  EXPECT_TRUE(ctrl.revalidate(now));
+  EXPECT_EQ(ctrl.stats().revalidations, 4u);
+  EXPECT_EQ(ctrl.stats().revalidation_failures, 0u);
 }
 
 // The end-to-end gate: one edge scenario cell, swept across backends. This
