@@ -248,8 +248,6 @@ campaign_result run_campaign(const campaign_options& opt) {
     for (const std::string& name : opt.scenarios)
       specs.push_back(find_scenario(name));
   }
-  if (opt.nodes > 0)
-    for (scenario_spec& s : specs) s.nodes = opt.nodes;
 
   if (!opt.out_dir.empty())
     std::filesystem::create_directories(opt.out_dir);

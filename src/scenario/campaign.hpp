@@ -53,10 +53,6 @@ struct campaign_options {
   std::vector<std::string> scenarios;  // empty = every registered scenario
   /// Add the 1k-node scale family (scale_scenarios) to an empty selection.
   bool include_scale = false;
-  /// When > 0, override every selected scenario's node count. Raising the
-  /// count is always safe; shrinking below a plan's highest referenced node
-  /// id is the caller's responsibility.
-  std::size_t nodes = 0;
   std::vector<std::uint64_t> seeds{1, 2};
   std::vector<std::size_t> shard_counts{1, 2, 4};
   std::string out_dir;   // when set, write per-cell verdicts + summary.json

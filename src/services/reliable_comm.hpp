@@ -88,7 +88,13 @@ class dedup_window {
   /// Returns true iff `seq` was never seen before (and records it).
   bool insert(std::uint64_t seq) {
     if (seq <= contiguous_) return false;
-    if (!pending_.insert(seq).second) return false;
+    // In order, the watermark moves without a tree node. After an overflow
+    // the next number may already be held, which makes it a duplicate.
+    if (seq == contiguous_ + 1 &&
+        (pending_.empty() || *pending_.begin() != seq))
+      ++contiguous_;
+    else if (!pending_.insert(seq).second)
+      return false;
     while (!pending_.empty() && *pending_.begin() == contiguous_ + 1) {
       ++contiguous_;
       pending_.erase(pending_.begin());
@@ -110,7 +116,7 @@ class dedup_window {
  private:
   std::size_t max_window_;
   std::uint64_t contiguous_ = 0;  // every seq <= contiguous_ was seen
-  std::set<std::uint64_t> pending_;  // seen, above the contiguous prefix
+  std::set<std::uint64_t> pending_;  // seen out of order, above the prefix
 };
 
 class reliable_p2p {

@@ -1,6 +1,7 @@
 #include "traffic/admission.hpp"
 
 #include <algorithm>
+#include <tuple>
 
 #include "util/error.hpp"
 
@@ -13,11 +14,6 @@ admission_controller::admission_controller(config c)
   // Reserved, not filled: a slot is created the first time every existing
   // one is live, so memory is touched only as deep as the load goes.
   pool_.reserve(cfg_.max_outstanding);
-  free_.reserve(cfg_.max_outstanding);
-  // Worst case before compaction: every pool slot has one stale heap entry
-  // plus one live one, split between heap and staging.
-  heap_.reserve(2 * static_cast<std::size_t>(cfg_.max_outstanding) + 1);
-  staging_.reserve(2 * static_cast<std::size_t>(cfg_.max_outstanding) + 1);
   scratch_.reserve(cfg_.max_outstanding);
 }
 
@@ -28,51 +24,29 @@ std::uint64_t admission_controller::density_of(const request& r) {
          static_cast<std::uint64_t>(c);
 }
 
-void admission_controller::drain_staging() {
-  for (const auto& e : staging_) {
-    heap_.push_back(e);
-    std::push_heap(heap_.begin(), heap_.end());
-  }
-  staging_.clear();
-}
-
-void admission_controller::compact_heap() {
-  heap_.clear();
-  for (std::uint32_t i = 0; i < pool_.size(); ++i) {
+admission_controller::handle admission_controller::lowest_live() const {
+  handle best = no_handle;
+  for (handle i = 0; i < pool_.size(); ++i) {
     const slot& s = pool_[i];
-    if (s.live) heap_.push_back({s.density, s.seq, i, s.gen});
+    if (s.live && (best == no_handle ||
+                   std::tie(s.density, s.seq) <
+                       std::tie(pool_[best].density, pool_[best].seq)))
+      best = i;
   }
-  std::make_heap(heap_.begin(), heap_.end());
+  return best;
 }
 
-bool admission_controller::top_live() {
-  while (!heap_.empty()) {
-    const heap_entry& e = heap_.front();
-    const slot& s = pool_[e.idx];
-    if (s.live && s.gen == e.gen) return true;
-    std::pop_heap(heap_.begin(), heap_.end());
-    heap_.pop_back();
-  }
-  return false;
-}
-
-void admission_controller::release(std::uint32_t idx) {
-  slot& s = pool_[idx];
+void admission_controller::release(handle h) {
+  slot& s = pool_[h];
   feas_.complete(s.ticket);
   s.live = false;
-  ++s.gen;  // invalidates any heap entry still pointing here
   --live_;
-  free_.push_back(idx);
 }
 
-void admission_controller::shed_top() {
-  const heap_entry e = heap_.front();
-  std::pop_heap(heap_.begin(), heap_.end());
-  heap_.pop_back();
-  const std::uint64_t client = pool_[e.idx].client;
-  release(e.idx);
+void admission_controller::shed(handle h) {
+  release(h);
   ++stats_.shed;
-  if (shed_cb_) shed_cb_(e.idx, client);
+  if (shed_cb_) shed_cb_(h);
 }
 
 admission_controller::decision admission_controller::offer(const request& r,
@@ -87,15 +61,10 @@ admission_controller::decision admission_controller::offer(const request& r,
       live_ < cfg_.max_outstanding && feas_.admissible(r.cost, deadline);
   if (!fits) {
     // Overload: displace strictly lower value-density work while that still
-    // can make the newcomer fit. Lazy heap — fold the staged admits in
-    // first, and rebuild from the pool once stale entries dominate.
-    if (heap_.size() + staging_.size() >
-        2 * static_cast<std::size_t>(cfg_.max_outstanding))
-      compact_heap();
-    else
-      drain_staging();
-    while (top_live() && heap_.front().density < density) {
-      shed_top();
+    // can make the newcomer fit.
+    for (handle v = lowest_live();
+         v != no_handle && pool_[v].density < density; v = lowest_live()) {
+      shed(v);
       ++d.shed_victims;
       if (live_ < cfg_.max_outstanding &&
           feas_.admissible(r.cost, deadline)) {
@@ -111,25 +80,18 @@ admission_controller::decision admission_controller::offer(const request& r,
     return d;
   }
 
-  // Freed slots are reused last-in first-out; with none free, the next
-  // slot is the lowest index never used.
-  std::uint32_t idx;
-  if (free_.empty()) {
-    idx = static_cast<std::uint32_t>(pool_.size());
-    pool_.emplace_back();
-  } else {
-    idx = free_.back();
-    free_.pop_back();
-  }
+  // The lowest slot that is not live; with every slot live (so fewer than
+  // max_outstanding exist), a new one inside the reservation.
+  handle idx = 0;
+  while (idx < pool_.size() && pool_[idx].live) ++idx;
+  if (idx == pool_.size()) pool_.emplace_back();
   slot& s = pool_[idx];
-  s.client = r.client;
   s.density = density;
   s.seq = next_seq_++;
   s.ticket = feas_.admit(r.cost, deadline);
   s.deadline_ns = deadline.nanoseconds();
   s.live = true;
   ++live_;
-  staging_.push_back({s.density, s.seq, idx, s.gen});
   ++stats_.admitted;
   d.admitted = true;
   d.h = idx;
@@ -149,9 +111,10 @@ std::uint32_t admission_controller::renegotiate(double available,
   feas_.advance(now);
   feas_.set_available(available);
   std::uint32_t victims = 0;
-  drain_staging();
-  while (!feas_.currently_feasible() && top_live()) {
-    shed_top();
+  while (!feas_.currently_feasible()) {
+    const handle v = lowest_live();
+    if (v == no_handle) break;
+    shed(v);
     ++victims;
   }
   digest_.mix(3);  // renegotiate marker

@@ -1,5 +1,7 @@
 #include "traffic/gateway.hpp"
 
+#include <algorithm>
+
 #include "util/error.hpp"
 #include "util/fnv.hpp"
 
@@ -50,10 +52,9 @@ void gateway::start() {
 
   // Shed victims abort their instance; un-mapping first makes the retire
   // hook below a no-op for them (their charge was already released).
-  ctrl_.on_shed([this](admission_controller::handle h, std::uint64_t) {
+  ctrl_.on_shed([this](admission_controller::handle h) {
     const auto [t, k] = owner_[h];
     owner_[h] = {invalid_task, instance_number{0}};
-    live_[t].erase(k);
     sys_.abort_instance(t, k, "shed: value density", /*as_rejection=*/true);
   });
 
@@ -66,14 +67,11 @@ void gateway::start() {
   });
   d.set_retire_hook([this](task_id t, instance_number k, time_point act,
                            time_point now, bool completed) {
-    auto tit = live_.find(t);
-    if (tit == live_.end()) return;
-    auto it = tit->second.find(k);
-    if (it == tit->second.end()) return;
-    const admission_controller::handle h = it->second;
-    tit->second.erase(it);
-    owner_[h] = {invalid_task, instance_number{0}};
-    ctrl_.complete(h);
+    const auto it = std::find(owner_.begin(), owner_.end(), std::pair{t, k});
+    if (it == owner_.end()) return;  // not admitted here, or already shed
+    *it = {invalid_task, instance_number{0}};
+    ctrl_.complete(
+        static_cast<admission_controller::handle>(it - owner_.begin()));
     if (completed) {
       if (latency_ == nullptr) latency_ = std::make_unique<hdr_histogram>();
       latency_->record((now - act).count());
@@ -109,9 +107,9 @@ void gateway::fire() {
     const auto k = sys_.activate_internal(t, origin);
     pending_valid_ = false;
     if (k.has_value() && last_.admitted) {
-      live_[t][*k] = last_.h;
-      // Handles are dense (a new slot is the lowest unused index), so the
-      // map grows inside its reservation as the load deepens.
+      // Handles stay below the controller pool's high-water (an admit takes
+      // the lowest free slot), so the table grows inside its reservation as
+      // the load deepens.
       if (last_.h >= owner_.size())
         owner_.resize(last_.h + 1, {invalid_task, instance_number{0}});
       owner_[last_.h] = {t, *k};

@@ -10,9 +10,12 @@
 // node's shard, stashes the materialized request, and calls straight into
 // `system::activate_internal`. The admission hook prices the stashed
 // request against the controller — rejected arrivals cost one monitor
-// event and nothing else; admitted ones map (task, instance) to the
-// controller handle so completion, deadline-miss abort, and value-density
-// shedding all release the exact charge they admitted.
+// event and nothing else; admitted ones record their (task, instance)
+// under the controller handle, so completion, deadline-miss abort, and
+// value-density shedding all release the exact charge they admitted. That
+// by-handle table is the gateway's only request map: it is as long as the
+// controller pool's high-water, so the retire hook finds an instance's
+// handle by scanning it.
 //
 // End-to-end latency (activation to completion) lands in an HDR histogram
 // created by the first completion (recording never allocates); per-node
@@ -23,7 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -91,8 +93,6 @@ class gateway {
   admission_controller ctrl_;
   std::unique_ptr<hdr_histogram> latency_;  // created by the first completion
   std::vector<task_id> tasks_;                   // per class
-  std::map<task_id, std::map<instance_number, admission_controller::handle>>
-      live_;
   std::vector<std::pair<task_id, instance_number>> owner_;  // by handle
   request pending_;
   bool pending_valid_ = false;

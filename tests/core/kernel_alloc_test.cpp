@@ -7,7 +7,9 @@
 // not allocate either. A counting global operator new (the pattern of
 // bench/bench_wire.cpp) sees every allocation in the process; each phase
 // runs once to warm the pools, rings and queues up to their high-water
-// mark, then once more under the counter with the identical pattern.
+// mark, then once more under the counter with the identical pattern. The
+// in-order dedup insert that every reliable-comm receive runs is held to
+// the same bar.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,6 +19,7 @@
 #include <string>
 
 #include "core/system.hpp"
+#include "services/reliable_comm.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
@@ -195,6 +198,19 @@ TEST(KernelAllocTest, ReadingTheSinksAllocatesNothing) {
   EXPECT_EQ(allocations_during([&] { after = read_sinks(); }), 0u);
   EXPECT_GE(after, warm + 64);
   EXPECT_EQ(sys.mon().events().back().subject, subject);
+}
+
+// Every reliable-comm receiver runs each arriving sequence number through
+// its dedup window; the in-order common case must only move the watermark.
+TEST(KernelAllocTest, InOrderDedupInsertsAllocateNothing) {
+  svc::dedup_window w;
+  std::uint64_t accepted = 0;
+  EXPECT_EQ(allocations_during([&] {
+              for (std::uint64_t s = 1; s <= 1000; ++s) accepted += w.insert(s);
+            }),
+            0u);
+  EXPECT_EQ(accepted, 1000u);
+  EXPECT_EQ(w.watermark(), 1000u);
 }
 
 }  // namespace

@@ -19,6 +19,60 @@ core::system::config lan() {
   return cfg;
 }
 
+TEST(DedupWindowTest, InOrderNumberIsAcceptedOnce) {
+  dedup_window w;
+  EXPECT_TRUE(w.insert(1));
+  EXPECT_FALSE(w.insert(1));
+  EXPECT_TRUE(w.insert(2));
+  EXPECT_EQ(w.watermark(), 2u);
+  EXPECT_EQ(w.state_bytes(), sizeof(dedup_window));
+}
+
+TEST(DedupWindowTest, DuplicatesAndNumbersAtOrBelowTheWatermarkAreRejected) {
+  dedup_window w;
+  EXPECT_FALSE(w.insert(0));
+  for (std::uint64_t s = 1; s <= 5; ++s) ASSERT_TRUE(w.insert(s));
+  EXPECT_TRUE(w.insert(8));
+  EXPECT_FALSE(w.insert(8));  // held above the watermark
+  for (std::uint64_t s = 0; s <= 5; ++s) EXPECT_FALSE(w.insert(s)) << s;
+  EXPECT_EQ(w.watermark(), 5u);
+}
+
+TEST(DedupWindowTest, OutOfOrderNumbersWaitForTheGapThenTheWatermarkJumps) {
+  dedup_window w;
+  EXPECT_TRUE(w.insert(3));
+  EXPECT_TRUE(w.insert(4));
+  EXPECT_TRUE(w.insert(6));
+  EXPECT_EQ(w.watermark(), 0u);
+  EXPECT_TRUE(w.insert(2));
+  EXPECT_EQ(w.watermark(), 0u);
+  EXPECT_TRUE(w.insert(1));
+  EXPECT_EQ(w.watermark(), 4u);  // 1-4 are contiguous; 6 still waits on 5
+  EXPECT_FALSE(w.insert(3));
+  EXPECT_TRUE(w.insert(5));
+  EXPECT_EQ(w.watermark(), 6u);
+  EXPECT_EQ(w.state_bytes(), sizeof(dedup_window));
+}
+
+TEST(DedupWindowTest, OverflowSkipsTheOldestGapAndRejectsItsLateArrivals) {
+  dedup_window w(2);
+  EXPECT_TRUE(w.insert(3));
+  EXPECT_TRUE(w.insert(4));
+  EXPECT_TRUE(w.insert(7));
+  // Three held numbers exceed the window of two: the watermark moves to the
+  // oldest held one, and the gap below it (1, 2) is declared lost.
+  EXPECT_EQ(w.watermark(), 3u);
+  EXPECT_FALSE(w.insert(1));
+  EXPECT_FALSE(w.insert(2));
+  EXPECT_FALSE(w.insert(3));
+  // 4 is still held, right above the watermark: a duplicate, not in order.
+  EXPECT_FALSE(w.insert(4));
+  EXPECT_TRUE(w.insert(5));
+  EXPECT_EQ(w.watermark(), 5u);
+  EXPECT_TRUE(w.insert(6));
+  EXPECT_EQ(w.watermark(), 7u);
+}
+
 TEST(ReliableP2pTest, DeliversOnceDespiteRedundantCopies) {
   core::system sys(2, lan());
   reliable_p2p svc(sys, {2, 200_us});

@@ -163,9 +163,7 @@ TEST(AdmissionControllerTest, HandlesAreDenseAndThePoolCapsAdmission) {
 TEST(AdmissionControllerTest, OverloadShedsLowestValueDensityFirst) {
   admission_controller ctrl = small_controller();
   std::vector<admission_controller::handle> shed;
-  ctrl.on_shed([&](admission_controller::handle h, std::uint64_t) {
-    shed.push_back(h);
-  });
+  ctrl.on_shed([&](admission_controller::handle h) { shed.push_back(h); });
   const time_point now = time_point::at(1_ms);
   for (const std::uint32_t value : {2u, 1u, 3u})
     ASSERT_TRUE(ctrl.offer(req(value, value), now).admitted);
@@ -182,6 +180,30 @@ TEST(AdmissionControllerTest, OverloadShedsLowestValueDensityFirst) {
   ASSERT_TRUE(ctrl.offer(req(10, 5), now).admitted);
   ASSERT_EQ(shed.size(), 2u);
   EXPECT_EQ(shed[1], 0u);
+}
+
+// Equal density sheds in admission order, whatever slot a request sits in:
+// a request admitted into a reused low slot is still the newest.
+TEST(AdmissionControllerTest, EqualDensityShedsOldestAdmissionFirst) {
+  admission_controller ctrl = small_controller();
+  std::vector<admission_controller::handle> shed;
+  ctrl.on_shed([&](admission_controller::handle h) { shed.push_back(h); });
+  const time_point now = time_point::at(1_ms);
+  for (std::uint32_t i = 0; i < 3; ++i)
+    ASSERT_EQ(ctrl.offer(req(i, 1), now).h, i);
+  ctrl.complete(0);
+  const auto newest = ctrl.offer(req(3, 1), now);
+  ASSERT_TRUE(newest.admitted);
+  EXPECT_EQ(newest.h, 0u);
+
+  const auto first = ctrl.offer(req(4, 2), now);
+  ASSERT_TRUE(first.admitted);
+  EXPECT_EQ(first.shed_victims, 1u);
+  const auto second = ctrl.offer(req(5, 2), now);
+  ASSERT_TRUE(second.admitted);
+  EXPECT_EQ(second.shed_victims, 1u);
+  EXPECT_EQ(shed, (std::vector<admission_controller::handle>{1, 2}));
+  EXPECT_EQ(ctrl.outstanding(), 3u);
 }
 
 TEST(AdmissionControllerTest, RevalidatePassesAfterGrowthAndCompletions) {

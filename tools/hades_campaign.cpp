@@ -15,7 +15,7 @@
 // are byte-deterministic in --fuzz-seed.
 //
 // Usage: hades_campaign [--smoke] [--scale] [--list] [--scenario NAME]...
-//                       [--seeds N] [--nodes N] [--out DIR] [--jobs N]
+//                       [--seeds N] [--out DIR] [--jobs N]
 //                       [--quiet] [--fuzz N] [--fuzz-seed S] [--shrink FILE]
 //   --smoke         CI matrix: every scenario, seeds {1, 2}, shards {1,2,4}
 //                   (the default is the same sweep with seeds {1..4})
@@ -32,8 +32,6 @@
 //   --list          print the registered scenarios (both families) and exit
 //   --scenario NAME restrict to one scenario (repeatable; scale names work)
 //   --seeds N       sweep seeds 1..N
-//   --nodes N       override every selected scenario's node count (raise
-//                   only: plans reference their original node ids)
 //   --out DIR       write per-cell verdict JSONs + summary.json to DIR
 //   --jobs N        run cells on N pool threads (0 = auto: half the
 //                   hardware threads capped at 4; 1 = serial). Output
@@ -80,13 +78,6 @@ int main(int argc, char** argv) {
       opt.scenarios.emplace_back(argv[++i]);
     } else if (arg == "--seeds" && i + 1 < argc) {
       max_seed = std::atoi(argv[++i]);
-    } else if (arg == "--nodes" && i + 1 < argc) {
-      const int n = std::atoi(argv[++i]);
-      if (n < 1) {
-        std::fprintf(stderr, "--nodes must be >= 1\n");
-        return 2;
-      }
-      opt.nodes = static_cast<std::size_t>(n);
     } else if (arg == "--jobs" && i + 1 < argc) {
       const int n = std::atoi(argv[++i]);
       if (n < 0) {
