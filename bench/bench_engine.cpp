@@ -6,16 +6,25 @@
 // pooled engine replaces all of that with slab slots, a 4-ary heap of
 // 24-byte records, and generation-counted ids (see DESIGN.md).
 //
-// Workload: schedule/cancel churn — a standing population of armed timeout
-// timers, each op cancelling and re-arming one while simulated time creeps
-// forward so a slice of timers genuinely fires. This is the fingerprint of
-// the dispatcher (latest-start and completion timers torn down on every
-// preemption) and of reliable_comm's retransmission timers.
+// Workloads:
+//   * churn — a standing population of armed timeout timers, each op
+//     cancelling and re-arming one while simulated time creeps forward so a
+//     slice of timers genuinely fires. This is the fingerprint of the
+//     dispatcher (latest-start and completion timers torn down on every
+//     preemption) and of reliable_comm's retransmission timers.
+//   * same-instant — zero-delay chains over a heap of far-future timers,
+//     each link scheduling its successor at now(): the shape of a frame
+//     under a zero-cost model, whose net_mngt step and NIC interrupt are
+//     both dated now(). The pooled engine runs these from its same-instant
+//     lane, so its ready heap must not grow while they run; that count is
+//     the gate, the rates are printed beside it.
 //
 // Usage: bench_engine [--smoke] [--require-2x] [--json PATH]
 //   --smoke       100k events instead of 1M (CI compile/perf-path check)
 //   --require-2x  exit non-zero unless pooled >= 2x legacy on churn
 //   --json PATH   write machine-readable BENCH_engine results to PATH
+// Exits non-zero whenever a same-instant link entered the pooled heap.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -159,6 +168,47 @@ double churn_rate(Engine& e, std::size_t total) {
   return static_cast<double>(ops) / dt.count();
 }
 
+/// One link of a zero-delay chain: counts itself and schedules its
+/// successor at now(). On the pooled engine it also records the ready
+/// heap's size once the successor is scheduled.
+template <typename Engine>
+struct chain_link {
+  Engine* e;
+  std::uint64_t* fired;
+  std::size_t* heap_peak;
+  int left;
+  void operator()() {
+    ++*fired;
+    if (left > 1) e->at(e->now(), chain_link{e, fired, heap_peak, left - 1});
+    if constexpr (requires(Engine& x) { x.pool(); })
+      *heap_peak = std::max(*heap_peak, e->pool().heap_records);
+  }
+};
+
+/// `total` events in 8-link zero-delay chains, one chain started every
+/// microsecond, over 16k armed timers dated far beyond the run. Returns
+/// events/sec; `heap_peak` receives the pooled heap's largest size seen
+/// inside a link (untouched for an engine without pool stats).
+template <typename Engine>
+double same_instant_rate(Engine& e, std::size_t total,
+                         std::size_t& heap_peak) {
+  constexpr std::size_t standing = 16 * 1024;
+  constexpr int links = 8;
+  for (std::size_t s = 0; s < standing; ++s)
+    e.after(duration::seconds(1000) +
+                duration::nanoseconds(static_cast<std::int64_t>(s)),
+            [] {});
+  std::uint64_t fired = 0;
+  const auto t0 = std::chrono::steady_clock::now();
+  while (fired < total) {
+    e.after(1_us, chain_link<Engine>{&e, &fired, &heap_peak, links});
+    e.run_until(e.now() + 1_us);
+  }
+  const std::chrono::duration<double> dt =
+      std::chrono::steady_clock::now() - t0;
+  return static_cast<double>(fired) / dt.count();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -189,6 +239,19 @@ int main(int argc, char** argv) {
       "%zu compactions\n",
       pool.slabs, pool.slots, pool.heap_records, pool.compactions);
 
+  std::size_t unused = 0;
+  legacy_engine legacy_chains;
+  const double legacy_same = same_instant_rate(legacy_chains, total, unused);
+  sim::engine pooled_chains;
+  std::size_t heap_peak = 0;
+  const double pooled_same = same_instant_rate(pooled_chains, total, heap_peak);
+  const std::size_t standing = pooled_chains.pool().heap_records;
+  const std::size_t heap_growth = heap_peak > standing ? heap_peak - standing : 0;
+  std::printf("  same-inst legacy %12.0f ev/s   pooled %12.0f ev/s   %.2fx\n",
+              legacy_same, pooled_same, pooled_same / legacy_same);
+  std::printf("  pooled heap during chains: %zu standing, peak %zu\n",
+              standing, heap_peak);
+
   if (!json_path.empty()) {
     hades::bench::json_doc json;
     json.str("bench", "engine");
@@ -197,7 +260,16 @@ int main(int argc, char** argv) {
     json.num("churn_events_per_sec_legacy", legacy_churn);
     json.num("churn_events_per_sec_pooled", pooled_churn);
     json.num("churn_speedup", churn_speedup);
+    json.num("same_instant_events_per_sec_legacy", legacy_same);
+    json.num("same_instant_events_per_sec_pooled", pooled_same);
+    json.num("same_instant_heap_growth",
+             static_cast<std::uint64_t>(heap_growth));
     json.write(json_path);
+  }
+  if (heap_growth > 0) {
+    std::printf("FAIL: same-instant links grew the ready heap by %zu\n",
+                heap_growth);
+    return 1;
   }
   if (require_2x && churn_speedup < 2.0) {
     std::printf("FAIL: churn speedup %.2fx < 2x\n", churn_speedup);

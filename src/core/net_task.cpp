@@ -7,7 +7,7 @@ net_task::net_task(runtime& rt, processor& cpu, sim::network& net,
     : rt_(&rt), cpu_(&cpu), net_(&net), node_(node), costs_(costs) {
   thread_ = cpu_->create("net_mngt@" + std::to_string(node), prio, prio,
                          duration::zero(), [this] { transmit_head(); });
-  net_->attach(node_, [this](const sim::message& m) { on_frame(m); });
+  net_->attach(node_, [this](sim::message& m) { on_frame(m); });
 }
 
 net_task::~net_task() {
@@ -53,13 +53,14 @@ void net_task::transmit_head() {
   pump();
 }
 
-void net_task::on_frame(const sim::message& m) {
+void net_task::on_frame(sim::message& m) {
   if (halted_) return;
   // The ATM-card interrupt handler (w_net at interrupt priority) runs
-  // first; the frame is demultiplexed when the handler completes.
+  // first; the frame is demultiplexed when the handler completes. The
+  // frame moves into the handler's body: the wire is done with it.
   cpu_->post_interrupt(
       cpu_->tracing() ? "nic@" + std::to_string(node_) : std::string(),
-      costs_.w_net, [this, m] {
+      costs_.w_net, [this, m = std::move(m)] {
         if (halted_) return;
         ++received_;
         const auto ch = static_cast<std::size_t>(m.channel);
@@ -84,7 +85,7 @@ void net_task::resume() {
   halted_ = false;
   thread_busy_ = false;
   if (!net_->attached(node_))
-    net_->attach(node_, [this](const sim::message& m) { on_frame(m); });
+    net_->attach(node_, [this](sim::message& m) { on_frame(m); });
 }
 
 }  // namespace hades::core

@@ -69,7 +69,7 @@ class net_task {
 
   void pump();              // ensure the protocol thread is working
   void transmit_head();     // thread completion: put the head on the wire
-  void on_frame(const sim::message& m);
+  void on_frame(sim::message& m);
 
   runtime* rt_;
   processor* cpu_;

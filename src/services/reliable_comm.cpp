@@ -116,18 +116,18 @@ std::size_t reliable_broadcast::diffusion_hops() const {
   return h > 1 ? h : 1;
 }
 
-std::vector<node_id> reliable_broadcast::relay_targets(node_id n,
-                                                       node_id origin) const {
+const std::vector<node_id>& reliable_broadcast::relay_targets(node_id n,
+                                                              node_id origin) {
   const topo::kary_tree tree{sys_->node_count(), params_.tree_fanout};
   const std::size_t l = tree.label_of(origin, n);
-  std::vector<std::size_t> labels;
+  labels_.clear();
   // Forward to a label, and — if this relayer suspects the node holding
   // it — adopt its children too (transitively), so a suspected relay's
   // subtree is re-parented here without waiting on it. The suspect itself
   // still gets its copy in case the suspicion is false: skipping only ever
   // ADDS targets, it never starves a correct node.
   auto collect = [&](auto&& self, std::size_t lbl) -> void {
-    labels.push_back(lbl);
+    labels_.push_back(lbl);
     if (suspicion_ && suspicion_(n, tree.node_at(origin, lbl))) {
       const std::size_t fc = tree.first_child(lbl);
       for (std::size_t ch = fc; ch < fc + tree.fanout && ch < tree.nodes;
@@ -147,12 +147,11 @@ std::vector<node_id> reliable_broadcast::relay_targets(node_id n,
   // Suspicion recursion duplicates labels that are also plain grandchildren;
   // dedupe, and keep label order so the send order (and with it the
   // per-source rng stream) is deterministic.
-  std::sort(labels.begin(), labels.end());
-  labels.erase(std::unique(labels.begin(), labels.end()), labels.end());
-  std::vector<node_id> targets;
-  targets.reserve(labels.size());
-  for (std::size_t lbl : labels) targets.push_back(tree.node_at(origin, lbl));
-  return targets;
+  std::sort(labels_.begin(), labels_.end());
+  labels_.erase(std::unique(labels_.begin(), labels_.end()), labels_.end());
+  targets_.clear();
+  for (std::size_t lbl : labels_) targets_.push_back(tree.node_at(origin, lbl));
+  return targets_;
 }
 
 void reliable_broadcast::relay(node_id n, const bcast_msg& msg) {
@@ -196,7 +195,9 @@ void reliable_broadcast::accept(node_id n, const bcast_msg& msg) {
   // Delta-delivery: hold back until release_time, then release strictly in
   // (sent_at, origin, seq) order — identical on every node.
   const time_point due = release_time(msg);
-  holdback_[n].emplace(order_key{msg.sent_at, msg.origin, msg.seq}, msg);
+  auto& queue = holdback_[n];
+  queue.push_back({order_key{msg.sent_at, msg.origin, msg.seq}, msg});
+  std::push_heap(queue.begin(), queue.end());
   if (sys_->now() >= due) {
     // Arrival at the release date is the legal worst case; strictly past it
     // only a performance-faulty network gets here. Release immediately
@@ -211,12 +212,12 @@ void reliable_broadcast::accept(node_id n, const bcast_msg& msg) {
 }
 
 void reliable_broadcast::flush(node_id n) {
-  auto& held = holdback_[n];
-  while (!held.empty()) {
-    auto it = held.begin();
-    if (sys_->now() < release_time(it->second)) break;
-    const bcast_msg msg = std::move(it->second);
-    held.erase(it);
+  auto& queue = holdback_[n];
+  while (!queue.empty()) {
+    if (sys_->now() < release_time(queue.front().msg)) break;
+    std::pop_heap(queue.begin(), queue.end());
+    const bcast_msg msg = std::move(queue.back().msg);
+    queue.pop_back();
     deliver(n, msg);
   }
 }
@@ -253,8 +254,8 @@ std::size_t reliable_broadcast::state_bytes() const {
       bytes += w.state_bytes();
     });
   }
-  for (const auto& held : holdback_)
-    bytes += held.size() * (sizeof(order_key) + sizeof(bcast_msg) + 32);
+  for (const auto& queue : holdback_)
+    bytes += queue.size() * (sizeof(order_key) + sizeof(bcast_msg) + 32);
   bytes += next_seq_.size() * sizeof(std::uint64_t);
   // The opt-in delivery logs are unbounded by design (one entry per
   // delivery) — charge them while enabled so soak assertions see them.

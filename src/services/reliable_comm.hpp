@@ -254,6 +254,16 @@ class reliable_broadcast {
     std::uint64_t seq = 0;
     friend auto operator<=>(const order_key&, const order_key&) = default;
   };
+  /// One held-back message. A node's hold-back queue is a binary min-heap
+  /// of these on `key` in a vector that keeps its storage between messages.
+  struct held {
+    order_key key;
+    bcast_msg msg;
+    /// Heap order for std::push_heap/pop_heap: the smallest key on top.
+    friend bool operator<(const held& a, const held& b) {
+      return b.key < a.key;
+    }
+  };
 
   void on_message(node_id n, const sim::message& m);
   void accept(node_id n, const bcast_msg& msg);
@@ -263,9 +273,9 @@ class reliable_broadcast {
   /// Tree forward set of node `n` for a broadcast rooted at `origin`:
   /// children + grandchildren, suspected entries resolved through to their
   /// children transitively, deduplicated, in label order (deterministic
-  /// send order — the per-source rng stream depends on it).
-  [[nodiscard]] std::vector<node_id> relay_targets(node_id n,
-                                                   node_id origin) const;
+  /// send order — the per-source rng stream depends on it). Fills and
+  /// returns `targets_`, valid until the next call.
+  const std::vector<node_id>& relay_targets(node_id n, node_id origin);
   [[nodiscard]] std::size_t diffusion_hops() const;
   [[nodiscard]] time_point release_time(const bcast_msg& msg) const;
 
@@ -274,12 +284,17 @@ class reliable_broadcast {
   std::map<node_id, deliver_fn> handlers_;
   std::function<bool(node_id, node_id)> suspicion_;
   std::vector<util::sparse_node_map<dedup_window>> seen_;  // [node]: origin
-  std::vector<std::map<order_key, bcast_msg>> holdback_;  // per node
+  std::vector<std::vector<held>> holdback_;  // per node, min-heap on key
   std::vector<std::vector<std::pair<node_id, std::uint64_t>>> logs_;
   std::vector<std::uint64_t> next_seq_;      // per origin
   std::vector<std::uint64_t> relays_;        // per relaying node
   std::vector<std::uint64_t> delivered_;     // per delivering node
   std::vector<std::uint64_t> order_faults_;  // per delivering node
+  // relay_targets' buffers, reused by every tree relay. Events run one at
+  // a time on every backend, and a relay's sends only queue frames, so no
+  // second relay starts while one walks these.
+  std::vector<std::size_t> labels_;
+  std::vector<node_id> targets_;
 };
 
 }  // namespace hades::svc

@@ -31,6 +31,7 @@ void engine::free_slot(std::uint32_t i) {
   s.fn.reset();
   ++s.gen;
   s.live = false;
+  s.lane = false;
   s.next = free_head_;
   free_head_ = i;
 }
@@ -102,6 +103,49 @@ const engine::heap_rec* engine::peek_valid() {
   return nullptr;
 }
 
+// --- same-instant lane -----------------------------------------------------
+
+bool engine::lane_ready() {
+  while (lane_head_ != npos) {
+    const std::uint32_t i = lane_head_;
+    const slot& s = slot_at(i);
+    if (s.live) return true;
+    lane_head_ = s.next;
+    free_slot(i);  // cancelled while queued
+  }
+  lane_tail_ = npos;
+  return false;
+}
+
+std::uint32_t engine::pop_due(time_point limit) {
+  if (lane_ready()) {
+    // A live heap record dated now_ was scheduled before the clock reached
+    // now_, so it runs before the whole lane. The raw top's date settles
+    // the common case without reading its slot.
+    const bool heap_first = !heap_.empty() && heap_[0].t == now_ &&
+                            peek_valid() != nullptr && heap_[0].t == now_;
+    if (!heap_first) {
+      if (now_ > limit) return npos;
+      const std::uint32_t i = lane_head_;
+      lane_head_ = slot_at(i).next;
+      if (lane_head_ == npos) lane_tail_ = npos;
+      return i;
+    }
+  }
+  const heap_rec* top = peek_valid();
+  if (top == nullptr || top->t > limit) return npos;
+  now_ = top->t;
+  const std::uint32_t i = top->slot;
+  pop_rec();
+  return i;
+}
+
+time_point engine::peek_time() {
+  if (lane_ready()) return now_;
+  const heap_rec* top = peek_valid();
+  return top != nullptr ? top->t : time_point::infinity();
+}
+
 // --- scheduling ------------------------------------------------------------
 
 event_id engine::at(time_point t, event_fn fn) {
@@ -112,7 +156,16 @@ event_id engine::at(time_point t, event_fn fn) {
   slot& sl = slot_at(s);
   sl.fn = std::move(fn);
   sl.live = true;
-  push_rec(t, s, sl.gen);
+  if (t == now_) {
+    // Same-instant lane: FIFO is scheduling order, which is {time, seq}
+    // order here. The sequence still advances so heap keys stay unchanged.
+    sl.lane = true;
+    ++next_seq_;
+    (lane_tail_ == npos ? lane_head_ : slot_at(lane_tail_).next) = s;
+    lane_tail_ = s;
+  } else {
+    push_rec(t, s, sl.gen);
+  }
   ++live_;
   return id_of(s, sl.gen);
 }
@@ -122,18 +175,26 @@ void engine::cancel(event_id id) {
   const auto slot_idx = static_cast<std::uint32_t>((id.value >> 32) - 1);
   const auto gen = static_cast<std::uint32_t>(id.value & 0xFFFFFFFFu);
   if (slot_idx >= slabs_.size() * slab_size) return;
-  const slot& s = slot_at(slot_idx);
+  slot& s = slot_at(slot_idx);
   if (!s.live || s.gen != gen) return;
+  --live_;
+  if (s.lane) {
+    // The lane still links the slot: drop the closure and the id now, and
+    // free the slot when the lane reaches it. No heap record turns stale.
+    s.fn.reset();
+    ++s.gen;
+    s.live = false;
+    return;
+  }
   // A live event's record is still in the heap: it turns stale.
   free_slot(slot_idx);
-  --live_;
   ++stale_;
   if (stale_ > 64 && stale_ * 2 > heap_.size()) compact();
 }
 
 // --- execution -------------------------------------------------------------
 
-void engine::fire(const heap_rec& rec) {
+void engine::fire(std::uint32_t i) {
   const bool was_in_event = in_event_;
   in_event_ = true;
   struct reset {
@@ -141,34 +202,23 @@ void engine::fire(const heap_rec& rec) {
     bool prev;
     ~reset() { *flag = prev; }
   } guard{&in_event_, was_in_event};
-  event_fn fn = std::move(slot_at(rec.slot).fn);
-  free_slot(rec.slot);
+  event_fn fn = std::move(slot_at(i).fn);
+  free_slot(i);
   --live_;
   ++executed_;
   fn();
 }
 
 bool engine::step() {
-  const heap_rec* top = peek_valid();
-  if (top == nullptr) return false;
-  const heap_rec rec = *top;
-  pop_rec();
-  now_ = rec.t;
-  fire(rec);
+  const std::uint32_t i = pop_due(time_point::infinity());
+  if (i == npos) return false;
+  fire(i);
   return true;
 }
 
 std::size_t engine::run_until(time_point t) {
   std::size_t n = 0;
-  for (;;) {
-    const heap_rec* top = peek_valid();
-    if (top == nullptr || top->t > t) break;
-    const heap_rec rec = *top;
-    pop_rec();
-    now_ = rec.t;
-    fire(rec);
-    ++n;
-  }
+  for (std::uint32_t i; (i = pop_due(t)) != npos; ++n) fire(i);
   if (!t.is_infinite() && t > now_) now_ = t;
   return n;
 }

@@ -12,10 +12,16 @@
 //     — after warm-up, scheduling allocates nothing;
 //   * the ready structure is a 4-ary min-heap of 24-byte
 //     {time, seq, slot, gen} records — no closures move during sift;
+//   * an event dated now() skips the heap: it joins the same-instant lane,
+//     a FIFO threaded through the slots' free-list links. Every heap record
+//     dated now() was scheduled before the clock reached now(), so running
+//     those first and then the lane is exactly the {time, seq} order;
 //   * cancellation bumps the slot's generation and frees it immediately
 //     (O(1), no tombstone sets); the heap record becomes stale and is
 //     dropped lazily on pop, with a compaction pass once stale records
-//     outnumber live ones so long cancel-heavy runs stay bounded.
+//     outnumber live ones so long cancel-heavy runs stay bounded. A
+//     cancelled lane slot drops its closure at once and is freed when the
+//     lane reaches it.
 #pragma once
 
 #include <cstdint>
@@ -56,13 +62,11 @@ class engine final : public runtime {
   /// those routes produce must be identical on every backend.
   [[nodiscard]] bool in_event_context() const override { return in_event_; }
 
-  /// Timestamp of the next pending event, or infinity when idle. Skims any
-  /// stale (cancelled) records off the heap top as a side effect — used by
-  /// the sharded backend to compute the conservative horizon.
-  [[nodiscard]] time_point peek_time() {
-    const heap_rec* top = peek_valid();
-    return top != nullptr ? top->t : time_point::infinity();
-  }
+  /// Timestamp of the next pending event (now() while the same-instant lane
+  /// holds work), or infinity when idle. Skims cancelled records and lane
+  /// slots off the front as a side effect — used by the sharded backend to
+  /// compute the conservative horizon and by the realtime backend's wait.
+  [[nodiscard]] time_point peek_time();
 
   // --- pool observability ---------------------------------------------------
   struct pool_stats {
@@ -91,8 +95,9 @@ class engine final : public runtime {
   struct slot {
     event_fn fn;
     std::uint32_t gen = 1;
-    std::uint32_t next = npos;  // free-list link
+    std::uint32_t next = npos;  // free-list link, or same-instant lane link
     bool live = false;          // scheduled, not yet fired or cancelled
+    bool lane = false;          // linked into the same-instant lane
   };
 
   // Ready-heap record. Closures never move during sift — only these 24-byte
@@ -131,13 +136,20 @@ class engine final : public runtime {
 
   /// Drop stale records off the top; return the next live record, or null.
   const heap_rec* peek_valid();
+  /// Free cancelled slots off the lane head; true while a live one waits.
+  bool lane_ready();
+  /// Unlink the next event dated <= `limit` in {time, seq} order and move
+  /// the clock to its date; npos when none is due.
+  std::uint32_t pop_due(time_point limit);
 
-  /// Execute the event of a just-popped valid record.
-  void fire(const heap_rec& rec);
+  /// Execute the event held by a just-unlinked slot.
+  void fire(std::uint32_t slot);
 
   std::vector<std::unique_ptr<slot[]>> slabs_;
   std::vector<heap_rec> heap_;
   std::uint32_t free_head_ = npos;
+  std::uint32_t lane_head_ = npos;  // same-instant lane, all dated now_
+  std::uint32_t lane_tail_ = npos;
   bool in_event_ = false;  // an event callback is on the stack
   std::size_t live_ = 0;
   std::size_t stale_ = 0;

@@ -150,11 +150,12 @@ std::uint64_t network::submit(source_state& s, time_point now, node_id src,
   ds.last_delivery = deliver_at;
 
   const std::uint64_t id = m.id;
-  rt_->at_node(dst, deliver_at, [this, m = std::move(m)]() { deliver_now(m); });
+  rt_->at_node(dst, deliver_at,
+               [this, m = std::move(m)]() mutable { deliver_now(m); });
   return id;
 }
 
-void network::deliver_now(const message& m) {
+void network::deliver_now(message& m) {
   const bool dst_down = global_.node_down_at(m.dst, rt_->now());
   if (m.dst >= handlers_.size() || !handlers_[m.dst] || dst_down) {
     ++counters_.dropped;
@@ -170,7 +171,8 @@ void network::deliver_remote(message m) {
   // per-link sequence recovery; schedule on the destination's shard at the
   // current date so the handler runs in event context with the same
   // delivery-date node-down check local frames get.
-  rt_->at_node(m.dst, rt_->now(), [this, m = std::move(m)]() { deliver_now(m); });
+  rt_->at_node(m.dst, rt_->now(),
+               [this, m = std::move(m)]() mutable { deliver_now(m); });
 }
 
 std::uint64_t network::unicast(node_id src, node_id dst, int channel,

@@ -89,7 +89,10 @@ class network {
     duration per_byte = duration::nanoseconds(8);  // ~1 Gbit/s
   };
 
-  using handler = std::function<void(const message&)>;
+  /// A node's receive handler. The frame is the handler's to consume: it
+  /// may move the payload out, because the wire reads the frame no more
+  /// once the handler returns (the delivery observer has already seen it).
+  using handler = std::function<void(message&)>;
 
   network(runtime& rt, params p, std::uint64_t seed = 42)
       : rt_(&rt), params_(p), seed_(seed) {
@@ -358,7 +361,7 @@ class network {
   /// The delivery-time half of the wire: node-down check, counters,
   /// observer, handler. Shared by locally scheduled deliveries and frames
   /// injected by `deliver_remote`.
-  void deliver_now(const message& m);
+  void deliver_now(message& m);
   bool should_drop(source_state& s, dst_state& ds, node_id src, node_id dst,
                    int channel, time_point now);
   /// The send fast path. `fan_out`/`broadcast` hoist the clock read and the

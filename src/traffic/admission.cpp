@@ -13,8 +13,9 @@ admission_controller::admission_controller(config c)
           "admission_controller: max_outstanding must be positive");
   // Reserved, not filled: a slot is created the first time every existing
   // one is live, so memory is touched only as deep as the load goes.
-  pool_.reserve(cfg_.max_outstanding);
-  scratch_.reserve(cfg_.max_outstanding);
+  const std::uint32_t reserve = std::min(cfg_.max_outstanding, reserved_slots);
+  pool_.reserve(reserve);
+  scratch_.reserve(reserve);
 }
 
 std::uint64_t admission_controller::density_of(const request& r) {
@@ -81,7 +82,8 @@ admission_controller::decision admission_controller::offer(const request& r,
   }
 
   // The lowest slot that is not live; with every slot live (so fewer than
-  // max_outstanding exist), a new one inside the reservation.
+  // max_outstanding exist), a new one, inside the reservation unless the
+  // load is deeper than reserved_slots.
   handle idx = 0;
   while (idx < pool_.size() && pool_[idx].live) ++idx;
   if (idx == pool_.size()) pool_.emplace_back();

@@ -9,11 +9,13 @@
 // keep the work that buys the most value per CPU nanosecond).
 //
 // Hot-path engineering:
-//  * one slot pool is the only per-request structure. It is reserved at
-//    `max_outstanding` and a slot is created only when every existing one
-//    is live, so admit/complete never allocate and the pool is only as
-//    deep as the load has gone: bench_gateway peaks at 6-48 slots and no
-//    edge_16 gateway held more than 27, against a 4,096-slot reservation;
+//  * one slot pool is the only per-request structure. It reserves
+//    `reserved_slots` (or `max_outstanding`, when smaller) and a slot is
+//    created only when every existing one is live, so admit/complete never
+//    allocate and the pool is only as deep as the load has gone:
+//    bench_gateway peaks at 6-48 slots and no edge_16 gateway held more
+//    than 27. A deeper load grows the pool by doubling, which allocates
+//    once per doubling, up to `max_outstanding`;
 //  * an admit takes the lowest slot that is not live, so handles stay
 //    below the pool's high-water and callers can index by handle densely;
 //    a shed takes the live slot with the lowest (value density, admission
@@ -59,6 +61,10 @@ class admission_controller {
     /// Pooled request slots == max concurrently admitted requests.
     std::uint32_t max_outstanding = 4096;
   };
+
+  /// Request slots reserved up front (capped at `max_outstanding`): above
+  /// every measured load depth, so the steady state never grows the pool.
+  static constexpr std::uint32_t reserved_slots = 64;
 
   /// Called once per displaced victim, after its charge is released and its
   /// slot freed (the handle is no longer valid inside the callback — it

@@ -19,7 +19,8 @@ gateway::gateway(core::system& sys, node_id node, gateway_config cfg,
       ctrl_(cfg_.admission) {
   require(!cfg_.classes.empty(), "gateway: need at least one request class");
   require(node < sys.node_count(), "gateway: node out of range");
-  owner_.reserve(cfg_.admission.max_outstanding);
+  owner_.reserve(std::min(cfg_.admission.max_outstanding,
+                          admission_controller::reserved_slots));
 }
 
 const hdr_histogram& gateway::latency() const {

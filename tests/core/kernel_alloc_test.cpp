@@ -9,7 +9,7 @@
 // runs once to warm the pools, rings and queues up to their high-water
 // mark, then once more under the counter with the identical pattern. The
 // in-order dedup insert that every reliable-comm receive runs is held to
-// the same bar.
+// the same bar, and so is a total-order broadcast storm.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -198,6 +198,52 @@ TEST(KernelAllocTest, ReadingTheSinksAllocatesNothing) {
   EXPECT_EQ(allocations_during([&] { after = read_sinks(); }), 0u);
   EXPECT_GE(after, warm + 64);
   EXPECT_EQ(sys.mon().events().back().subject, subject);
+}
+
+// A warmed total-order broadcast storm under tree diffusion: relaying
+// reuses the forward-set buffers and each node's hold-back queue reuses its
+// heap storage, so steady-state traffic allocates nothing. Zero kernel
+// costs, as in the campaign cells, so every relay and NIC step is
+// same-instant work.
+TEST(KernelAllocTest, TotalOrderTreeBroadcastStormAllocatesNothing) {
+  system::config cfg = quiet_kernel();
+  cfg.costs = cost_model::zero();
+  constexpr std::size_t nodes = 8;
+  system sys(nodes, cfg);
+  svc::reliable_broadcast::params p;
+  p.total_order = true;
+  p.diffusion = svc::reliable_broadcast::diffusion_kind::tree;
+  p.tree_fanout = 2;
+  p.record_deliveries = false;
+  svc::reliable_broadcast bcast(sys, p);
+  std::uint64_t delivered = 0;
+  std::uint64_t checksum = 0;
+  for (node_id n = 0; n < nodes; ++n)
+    bcast.on_deliver(n, [&](const svc::reliable_broadcast::bcast_msg& m) {
+      ++delivered;
+      if (const auto* v = m.payload.get<std::uint64_t>()) checksum += *v;
+    });
+
+  std::uint64_t round = 0;
+  const auto storm = [&] {
+    for (int burst = 0; burst < 32; ++burst, ++round) {
+      for (node_id n = 0; n < nodes; ++n) bcast.broadcast(n, round + 1, 64);
+      sys.run_for(100_us);  // a burst per origin every 100us, 2ms held back
+    }
+    sys.run_for(5_ms);  // drain: every hold-back queue releases
+  };
+
+  storm();  // warm-up: hold-back heaps, relay buffers and pools at peak
+  const std::uint64_t warm = delivered;
+  ASSERT_EQ(warm, 32u * nodes * nodes);
+  ASSERT_GT(bcast.relays(), 0u);
+  const std::uint64_t closures = sim::event_callback::heap_allocations();
+
+  EXPECT_EQ(allocations_during(storm), 0u);
+  EXPECT_EQ(delivered, 2 * warm);
+  EXPECT_EQ(bcast.order_faults(), 0u);
+  EXPECT_EQ(sim::event_callback::heap_allocations(), closures);
+  EXPECT_GT(checksum, 0u);
 }
 
 // Every reliable-comm receiver runs each arriving sequence number through

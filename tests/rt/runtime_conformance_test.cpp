@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -65,6 +66,72 @@ TEST_P(RuntimeConformance, TimerDateOrderingAndSameDateFifo) {
   rt_->at(t0 + 1_ms, [&] { order.push_back(2); });  // ... fires second
   rt_->run_until(t0 + 3_ms);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+// Same-instant work runs after every event already dated that instant: D,
+// scheduled before the run, precedes B, which A schedules at its own date.
+// The date is captured, not read from now(): a real clock reads the late
+// firing instant.
+TEST_P(RuntimeConformance, SameInstantChildRunsAfterEarlierScheduledSiblings) {
+  const time_point t = base() + 1_ms;
+  std::vector<char> order;
+  rt_->at(t, [&, t] {
+    order.push_back('A');
+    rt_->at(t, [&] { order.push_back('B'); });
+  });
+  rt_->at(t, [&] { order.push_back('D'); });
+  rt_->run_until(t + 1_ms);
+  EXPECT_EQ(order, (std::vector<char>{'A', 'D', 'B'}));
+  EXPECT_TRUE(rt_->empty());
+}
+
+TEST_P(RuntimeConformance, SiblingCancelsSameInstantChild) {
+  const time_point t = base() + 1_ms;
+  std::vector<char> order;
+  sim::event_id child = sim::invalid_event;
+  rt_->at(t, [&, t] {
+    rt_->at(t, [&] {
+      order.push_back('S');
+      rt_->cancel(child);
+    });
+    child = rt_->at(t, [&] { order.push_back('C'); });
+    rt_->at(t, [&] { order.push_back('E'); });
+  });
+  rt_->run_until(t + 1_ms);
+  EXPECT_EQ(order, (std::vector<char>{'S', 'E'}));
+  EXPECT_TRUE(rt_->empty());
+  EXPECT_EQ(rt_->pending(), 0u);
+}
+
+TEST_P(RuntimeConformance, PendingAndEmptyCountSameInstantWork) {
+  const time_point t = base() + 1_ms;
+  std::size_t inside = 0;
+  bool empty_inside = true;
+  rt_->at(t, [&, t] {
+    rt_->at(t, [] {});
+    rt_->at(t, [] {});
+    inside = rt_->pending();
+    empty_inside = rt_->empty();
+  });
+  rt_->run_until(t + 1_ms);
+  EXPECT_EQ(inside, 2u);
+  EXPECT_FALSE(empty_inside);
+  EXPECT_TRUE(rt_->empty());
+  EXPECT_EQ(rt_->executed(), 3u);
+}
+
+TEST_P(RuntimeConformance, RunUntilDrainsSameInstantChains) {
+  // A chain of zero-delay links, each scheduling the next at its own date,
+  // like a zero-cost protocol step handing a frame to its interrupt.
+  const time_point t = base() + 1_ms;
+  int links = 0;
+  std::function<void()> link = [&] {
+    if (++links < 50) rt_->at(t, link);
+  };
+  rt_->at(t, link);
+  rt_->run_until(t);
+  EXPECT_EQ(links, 50);
+  EXPECT_TRUE(rt_->empty());
 }
 
 TEST_P(RuntimeConformance, CancelPreventsAndIsIdempotent) {

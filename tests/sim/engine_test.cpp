@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
 #include <vector>
 
 namespace hades::sim {
@@ -190,6 +192,93 @@ TEST(EngineTest, GarbageIdIsIgnored) {
   e.cancel(event_id{0xDEADBEEFCAFEBABEull});
   e.run();
   EXPECT_EQ(fired, 1);
+}
+
+// --- same-instant lane -----------------------------------------------------
+
+// An event scheduled for the current instant skips the heap, yet runs after
+// every event dated now that was scheduled before it: D, scheduled before
+// the run, precedes B, which A schedules while running at the same date.
+TEST(EngineTest, SameInstantChildRunsAfterEarlierScheduledSiblings) {
+  engine e;
+  std::vector<char> order;
+  const time_point t = time_point::at(5_us);
+  e.at(t, [&] {
+    order.push_back('A');
+    e.at(t, [&] { order.push_back('B'); });
+  });
+  e.at(t, [&] { order.push_back('D'); });
+  e.run();
+  EXPECT_EQ(order, (std::vector<char>{'A', 'D', 'B'}));
+}
+
+TEST(EngineTest, SameInstantEventsSkipTheHeap) {
+  engine e;
+  int fired = 0;
+  e.at(time_point::at(1_us), [&] {
+    for (int i = 0; i < 10; ++i) e.at(e.now(), [&] { ++fired; });
+    EXPECT_EQ(e.pool().heap_records, 0u);
+  });
+  e.run();
+  EXPECT_EQ(fired, 10);
+}
+
+// A cancelled same-instant event never fires, drops its closure at once,
+// and leaves no stale heap record behind.
+TEST(EngineTest, SiblingCancelsSameInstantChild) {
+  engine e;
+  std::vector<char> order;
+  auto token = std::make_shared<int>(0);
+  event_id child{};
+  e.at(time_point::at(1_us), [&] {
+    e.at(e.now(), [&] {
+      order.push_back('S');
+      e.cancel(child);
+      EXPECT_EQ(token.use_count(), 1);  // the child's capture is gone
+      EXPECT_EQ(e.pool().stale_records, 0u);
+    });
+    child = e.at(e.now(), [&, held = token] { order.push_back('C'); });
+    e.at(e.now(), [&] { order.push_back('E'); });
+    EXPECT_EQ(e.pending(), 3u);
+  });
+  e.run();
+  EXPECT_EQ(order, (std::vector<char>{'S', 'E'}));
+  EXPECT_TRUE(e.empty());
+}
+
+TEST(EngineTest, PendingEmptyAndPeekTimeCountLaneWork) {
+  engine e;
+  e.run_until(time_point::at(7_us));
+  e.at(time_point::at(9_us), [] {});
+  const event_id now_event = e.at(e.now(), [] {});
+  EXPECT_EQ(e.pending(), 2u);
+  EXPECT_FALSE(e.empty());
+  EXPECT_EQ(e.peek_time(), time_point::at(7_us));
+  e.cancel(now_event);
+  EXPECT_EQ(e.pending(), 1u);
+  EXPECT_EQ(e.peek_time(), time_point::at(9_us));
+  e.run();
+  EXPECT_TRUE(e.empty());
+  EXPECT_EQ(e.peek_time(), time_point::infinity());
+}
+
+TEST(EngineTest, RunUntilDrainsSameInstantChains) {
+  engine e;
+  const time_point t = time_point::at(3_us);
+  int links = 0;
+  std::function<void()> link = [&] {
+    if (++links < 100) e.at(e.now(), link);
+  };
+  e.at(t, link);
+  e.at(t + 1_ns, [] {});
+  EXPECT_EQ(e.run_until(t), 100u);
+  EXPECT_EQ(links, 100);
+  EXPECT_EQ(e.now(), t);
+  EXPECT_EQ(e.pending(), 1u);
+  // Scheduled from outside any event at the settled date: still due there.
+  e.at(t, [&] { ++links; });
+  EXPECT_EQ(e.run_until(t), 1u);
+  EXPECT_EQ(links, 101);
 }
 
 // --- pool behaviour ---------------------------------------------------------

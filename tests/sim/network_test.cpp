@@ -404,6 +404,42 @@ TEST(NetworkTest, RngStreamStableAcrossReserveNodesGrowth) {
   EXPECT_EQ(run(false), run(true));
 }
 
+// The receive handler owns the delivered frame: it may move the payload out
+// (the NIC interrupt takes the frame that way). The delivery observer runs
+// first and sees the frame intact.
+TEST(NetworkTest, HandlerMayMoveTheFrameOutAfterTheObserverSawIt) {
+  struct body {
+    std::uint64_t words[4];
+  };
+  engine e;
+  network net(e, tight());
+  std::vector<std::string> order;
+  std::uint64_t observed = 0;
+  net.set_delivery_observer([&](const message& m) {
+    order.emplace_back("observer");
+    if (const auto* b = m.payload.get<body>()) observed = b->words[0];
+  });
+  wire_payload taken;
+  net.attach(0, [](message&) {});
+  net.attach(1, [&](message& m) {
+    order.emplace_back("handler");
+    taken = std::move(m.payload);
+    EXPECT_FALSE(m.payload.has_value());
+  });
+  const auto live_before = wire_payload::stats().pooled_live;
+  net.unicast(0, 1, 3, body{{42, 0, 0, 0}}, 32);
+  e.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"observer", "handler"}));
+  EXPECT_EQ(observed, 42u);
+  ASSERT_NE(taken.get<body>(), nullptr);
+  EXPECT_EQ(taken.get<body>()->words[0], 42u);
+  // The moved-out payload is the block's last holder: releasing it returns
+  // the block to the pool.
+  EXPECT_EQ(wire_payload::stats().pooled_live, live_before + 1);
+  taken.reset();
+  EXPECT_EQ(wire_payload::stats().pooled_live, live_before);
+}
+
 // Broadcast fan-out shares ONE pooled payload by refcount: every receiver
 // observes the same block, and the steady state allocates nothing.
 TEST(NetworkTest, BroadcastSharesOnePooledPayloadAndAllocatesNothing) {

@@ -206,6 +206,47 @@ TEST(AdmissionControllerTest, EqualDensityShedsOldestAdmissionFirst) {
   EXPECT_EQ(ctrl.outstanding(), 3u);
 }
 
+// The pool reserves `reserved_slots` and grows past them when the load runs
+// deeper: handles stay dense and the decisions follow the same rules, lowest
+// free slot on admit and oldest equal-density request on shed.
+TEST(AdmissionControllerTest, PoolGrowsPastItsReservationWithDenseHandles) {
+  constexpr std::uint32_t depth = 2 * admission_controller::reserved_slots + 8;
+  admission_controller::config c;
+  c.feas.slot_width = 1_ms;
+  c.feas.available = 1.0;
+  c.max_outstanding = depth;
+  admission_controller ctrl(c);
+  std::vector<admission_controller::handle> shed;
+  ctrl.on_shed([&](admission_controller::handle h) { shed.push_back(h); });
+  const time_point now = time_point::at(1_ms);
+  for (std::uint32_t i = 0; i < depth; ++i) {
+    const auto d = ctrl.offer(req(i, 1), now);
+    ASSERT_TRUE(d.admitted);
+    ASSERT_EQ(d.h, i);
+  }
+  EXPECT_EQ(ctrl.outstanding(), depth);
+  EXPECT_TRUE(ctrl.revalidate(now));
+
+  // Slots freed on both sides of the reservation are reused lowest first.
+  for (const admission_controller::handle h : {100u, 5u, 70u}) ctrl.complete(h);
+  for (const admission_controller::handle h : {5u, 70u, 100u}) {
+    const auto d = ctrl.offer(req(1000 + h, 1), now);
+    ASSERT_TRUE(d.admitted);
+    EXPECT_EQ(d.h, h);
+  }
+  // Full: an equal-density newcomer bounces, a denser one sheds the oldest
+  // admission and takes its slot.
+  EXPECT_FALSE(ctrl.offer(req(2000, 1), now).admitted);
+  const auto d = ctrl.offer(req(2001, 2), now);
+  ASSERT_TRUE(d.admitted);
+  EXPECT_EQ(d.shed_victims, 1u);
+  EXPECT_EQ(shed, (std::vector<admission_controller::handle>{0}));
+  EXPECT_EQ(d.h, 0u);
+  EXPECT_EQ(ctrl.outstanding(), depth);
+  EXPECT_TRUE(ctrl.revalidate(now));
+  EXPECT_EQ(ctrl.stats().revalidation_failures, 0u);
+}
+
 TEST(AdmissionControllerTest, RevalidatePassesAfterGrowthAndCompletions) {
   admission_controller ctrl = small_controller();
   time_point now = time_point::at(1_ms);
