@@ -91,11 +91,12 @@ void dispatcher::create_shard(const task_graph& g, instance_number k,
                               time_point at) {
   if (halted_) return;
   const shard_key key{g.id(), k};
-  require(!shards_.contains(key), "dispatcher: duplicate shard");
+  require(find_shard(key) == nullptr, "dispatcher: duplicate shard");
 
   // Advance the creation watermark first (see stash_if_early) and drop
   // stashes for older instances of this task — their creates were skipped
   // (abort before start, crash), so their tokens can never be consumed.
+  if (created_next_.size() <= g.id()) created_next_.resize(g.id() + 1, 0);
   instance_number& next = created_next_[g.id()];
   next = std::max(next, k + 1);
   for (auto it = early_tokens_.begin(); it != early_tokens_.end();) {
@@ -105,25 +106,10 @@ void dispatcher::create_shard(const task_graph& g, instance_number k,
       ++it;
   }
 
-  shard s;
-  s.graph = &g;
-  s.instance = k;
-  s.activation = at;
-
-  for (eu_index i = 0; i < g.eu_count(); ++i) {
-    const bool local = eu_node(g, i) == node_;
-    if (!local) continue;
-    eu_rt eu;
-    eu.idx = i;
-    eu.code = g.as_code(i);
-    eu.inv = g.as_inv(i);
-    eu.preds_total = g.preds(i).size();
-    eu.earliest_abs =
-        eu.code ? at + eu.code->attrs.earliest_offset : at;
-    s.eus.emplace(i, std::move(eu));
-    ++s.pending;
-  }
-  if (s.eus.empty()) {
+  bool any_local = false;
+  for (eu_index i = 0; i < g.eu_count() && !any_local; ++i)
+    any_local = eu_node(g, i) == node_;
+  if (!any_local) {
     // Involved with no local EU should not happen (system computes the
     // involved set from the graph), but a complete-on-creation shard must
     // still report completion.
@@ -131,15 +117,47 @@ void dispatcher::create_shard(const task_graph& g, instance_number k,
     return;
   }
 
-  auto [it, inserted] = shards_.emplace(key, std::move(s));
-  shard& sh = it->second;
+  std::uint32_t slot = 0;
+  if (free_shards_.empty()) {
+    slot = static_cast<std::uint32_t>(pool_.size());
+    pool_.emplace_back();
+  } else {
+    slot = free_shards_.back();
+    free_shards_.pop_back();
+  }
+  shard_index_[key] = slot;
+  shard& sh = pool_[slot];
+  sh.graph = &g;
+  sh.instance = k;
+  sh.activation = at;
+  sh.eus.clear();
+  sh.preds_done.clear();
+  sh.pending = 0;
+  sh.aborted = false;
+  for (eu_index i = 0; i < g.eu_count(); ++i) {
+    if (eu_node(g, i) != node_) continue;
+    eu_rt eu;
+    eu.idx = i;
+    eu.code = g.as_code(i);
+    eu.inv = g.as_inv(i);
+    eu.preds_base = static_cast<std::uint32_t>(sh.preds_done.size());
+    eu.preds_total = static_cast<std::uint32_t>(g.preds(i).size());
+    sh.preds_done.resize(sh.preds_done.size() + eu.preds_total, 0);
+    eu.earliest_abs =
+        eu.code ? at + eu.code->attrs.earliest_offset : at;
+    sh.eus.push_back(eu);
+    ++sh.pending;
+  }
   ++stats_.shards_created;
 
   // Create one kernel thread per local Code_EU (paper 3.2.1) and notify the
-  // scheduler of every activation.
-  for (auto& [idx, eu] : sh.eus) {
+  // scheduler of every activation. Nothing below creates a shard, so `sh`
+  // stays put.
+  for (std::uint32_t pos = 0; pos < sh.eus.size(); ++pos) {
+    eu_rt& eu = sh.eus[pos];
     if (eu.code == nullptr) continue;
     const code_eu& c = *eu.code;
+    const eu_index idx = eu.idx;
 
     eu.actual = c.actual
                     ? std::clamp(c.actual(k), duration::zero(), c.wcet)
@@ -153,10 +171,13 @@ void dispatcher::create_shard(const task_graph& g, instance_number k,
     for (eu_index succ : g.succs(idx))
       work += (eu_node(g, succ) == node_) ? costs_.c_local : costs_.c_rel;
 
-    eu.thread = cpu_->create(c.name + "#" + std::to_string(k), c.attrs.prio,
-                             c.attrs.preemption_threshold, work,
-                             [this, key, idx] { eu_complete(key, idx); });
-    by_thread_[eu.thread] = eu_ref{key, idx};
+    eu.thread = cpu_->create(
+        tracing() ? c.name + "#" + std::to_string(k) : std::string(),
+        c.attrs.prio, c.attrs.preemption_threshold, work,
+        [this, key, idx] { eu_complete(key, idx); });
+    const std::size_t tslot = processor::slot_of(eu.thread);
+    if (thread_eus_.size() <= tslot) thread_eus_.resize(tslot + 1);
+    thread_eus_[tslot] = thread_eu{eu.thread, slot, pos};
 
     eu.info.task = g.id();
     eu.info.task_name = g.name();
@@ -191,7 +212,7 @@ void dispatcher::create_shard(const task_graph& g, instance_number k,
       eu.latest_timer = rt_->at(latest, [this, key, idx] {
         shard* sp = find_shard(key);
         if (sp == nullptr) return;
-        auto& e = sp->eus.at(idx);
+        eu_rt& e = *find_eu(*sp, idx);
         e.latest_timer = sim::invalid_event;
         if (e.st == eu_state::done) return;
         if (cpu_->exists(e.thread) && cpu_->has_started(e.thread)) return;
@@ -202,11 +223,11 @@ void dispatcher::create_shard(const task_graph& g, instance_number k,
         ev.task = key.first;
         ev.instance = key.second;
         ev.subject = e.info.eu_name;
-        mon_->record(ev);
+        mon_->record(std::move(ev));
         // Missing *remote* predecessors at this point are the signature of
         // a network omission (paper 3.2.1 event v).
         for (eu_index p : sp->graph->preds(idx)) {
-          if (e.preds_done.contains(p)) continue;
+          if (pred_done(*sp, e, p)) continue;
           if (eu_node(*sp->graph, p) == node_) continue;
           monitor_event om;
           om.kind = monitor_event_kind::network_omission_suspected;
@@ -217,23 +238,19 @@ void dispatcher::create_shard(const task_graph& g, instance_number k,
           om.subject = e.info.eu_name;
           om.detail = "remote precedence from '" +
                       sp->graph->eu_name(p) + "' missing";
-          mon_->record(om);
+          mon_->record(std::move(om));
         }
       });
     }
   }
 
   // Sources may be immediately eligible. Evaluation can cascade through
-  // async invocations up to erasing this very shard, so walk a snapshot of
-  // indices and re-find the shard at every step.
-  std::vector<eu_index> indices;
-  indices.reserve(sh.eus.size());
-  for (const auto& [idx, eu] : sh.eus) indices.push_back(idx);
-  for (eu_index idx : indices) {
+  // async invocations up to releasing this very shard, so re-find the
+  // shard at every step; a live shard's EU vector never changes.
+  for (std::size_t pos = 0;; ++pos) {
     shard* sp = find_shard(key);
-    if (sp == nullptr) break;
-    auto eit = sp->eus.find(idx);
-    if (eit != sp->eus.end()) evaluate(*sp, eit->second);
+    if (sp == nullptr || pos >= sp->eus.size()) break;
+    evaluate(*sp, sp->eus[pos]);
   }
 
   // Replay tokens that outran this create (nothing above may touch local
@@ -264,13 +281,13 @@ void dispatcher::drop_waiter_refs(const shard_key& key) {
 }
 
 void dispatcher::abort_shard(task_id t, instance_number k,
-                             const std::string& reason) {
+                             std::string_view reason) {
   const shard_key key{t, k};
   shard* s = find_shard(key);
   if (s == nullptr) return;
   s->aborted = true;
 
-  for (auto& [idx, eu] : s->eus) {
+  for (eu_rt& eu : s->eus) {
     cancel_timers(eu);
     if (eu.code == nullptr || eu.st == eu_state::done) continue;
     if (!cpu_->exists(eu.thread)) continue;
@@ -286,7 +303,7 @@ void dispatcher::abort_shard(task_id t, instance_number k,
       ev.instance = k;
       ev.subject = eu.info.eu_name;
       ev.detail = reason;
-      mon_->record(ev);
+      mon_->record(std::move(ev));
       record_trace(sim::trace_kind::thread_killed, cpu_->name(eu.thread),
                    reason);
     }
@@ -295,11 +312,11 @@ void dispatcher::abort_shard(task_id t, instance_number k,
       emit(notification_kind::rre, eu);
     }
     emit(notification_kind::trm, eu);  // let the policy clean up its state
-    by_thread_.erase(eu.thread);
+    thread_eus_[processor::slot_of(eu.thread)] = thread_eu{};
     cpu_->destroy(eu.thread);
   }
   drop_waiter_refs(key);
-  shards_.erase(key);
+  release_shard(key);
   if (tracing())
     record_trace(sim::trace_kind::instance_aborted,
                  "task" + std::to_string(t) + "#" + std::to_string(k), reason);
@@ -309,16 +326,21 @@ void dispatcher::abort_shard(task_id t, instance_number k,
 void dispatcher::halt() {
   if (halted_) return;
   halted_ = true;
-  for (auto& [key, s] : shards_) {
-    for (auto& [idx, eu] : s.eus) {
+  for (std::uint32_t slot : live_shards_in_key_order()) {
+    for (eu_rt& eu : pool_[slot].eus) {
       cancel_timers(eu);
       if (eu.code != nullptr && cpu_->exists(eu.thread))
         cpu_->destroy(eu.thread);
     }
   }
-  shards_.clear();
+  shard_index_.clear();
+  free_shards_.clear();
+  for (std::size_t slot = pool_.size(); slot-- > 0;) {
+    pool_[slot].graph = nullptr;
+    free_shards_.push_back(static_cast<std::uint32_t>(slot));
+  }
   early_tokens_.clear();  // created_next_ survives: pre-crash tokens are late
-  by_thread_.clear();
+  thread_eus_.clear();
   resource_waiters_.clear();
   cond_waiters_.clear();
   resources_.clear();
@@ -347,21 +369,73 @@ void dispatcher::restart() {
 // ------------------------------------------------------- readiness machinery
 
 dispatcher::shard* dispatcher::find_shard(shard_key k) {
-  auto it = shards_.find(k);
-  return it == shards_.end() ? nullptr : &it->second;
+  const std::uint32_t* slot = shard_index_.find(k);
+  return slot == nullptr ? nullptr : &pool_[*slot];
+}
+
+dispatcher::eu_rt* dispatcher::find_eu(shard& s, eu_index idx) {
+  const auto it = std::lower_bound(
+      s.eus.begin(), s.eus.end(), idx,
+      [](const eu_rt& e, eu_index i) { return e.idx < i; });
+  return it != s.eus.end() && it->idx == idx ? &*it : nullptr;
 }
 
 dispatcher::eu_rt* dispatcher::find_eu(const eu_ref& r) {
   shard* s = find_shard(r.key);
-  if (s == nullptr) return nullptr;
-  auto it = s->eus.find(r.idx);
-  return it == s->eus.end() ? nullptr : &it->second;
+  return s == nullptr ? nullptr : find_eu(*s, r.idx);
 }
 
-dispatcher::eu_rt* dispatcher::find_by_thread(kthread_id t) {
-  auto it = by_thread_.find(t);
-  if (it == by_thread_.end()) return nullptr;
-  return find_eu(it->second);
+std::pair<dispatcher::shard*, dispatcher::eu_rt*> dispatcher::find_by_thread(
+    kthread_id t) {
+  const std::size_t tslot = processor::slot_of(t);
+  if (t == invalid_kthread || tslot >= thread_eus_.size() ||
+      thread_eus_[tslot].thread != t)
+    return {nullptr, nullptr};
+  const thread_eu& r = thread_eus_[tslot];
+  shard& s = pool_[r.shard];
+  if (s.graph == nullptr || r.pos >= s.eus.size() || s.eus[r.pos].thread != t)
+    return {nullptr, nullptr};
+  return {&s, &s.eus[r.pos]};
+}
+
+bool dispatcher::mark_pred_done(shard& s, eu_rt& eu, eu_index from) {
+  const auto& preds = s.graph->preds(eu.idx);
+  const auto it = std::find(preds.begin(), preds.end(), from);
+  if (it == preds.end()) return false;
+  std::uint8_t& flag = s.preds_done[eu.preds_base + (it - preds.begin())];
+  if (flag != 0) return false;
+  flag = 1;
+  ++eu.preds_seen;
+  return true;
+}
+
+bool dispatcher::pred_done(const shard& s, const eu_rt& eu, eu_index from) {
+  const auto& preds = s.graph->preds(eu.idx);
+  const auto it = std::find(preds.begin(), preds.end(), from);
+  return it != preds.end() &&
+         s.preds_done[eu.preds_base + (it - preds.begin())] != 0;
+}
+
+void dispatcher::release_shard(shard_key key) {
+  const std::uint32_t* slot = shard_index_.find(key);
+  if (slot == nullptr) return;
+  pool_[*slot].graph = nullptr;
+  free_shards_.push_back(*slot);
+  shard_index_.erase(key);
+}
+
+std::vector<std::uint32_t> dispatcher::live_shards_in_key_order() const {
+  std::vector<std::uint32_t> slots;
+  shard_index_.for_each(
+      [&](const shard_key&, std::uint32_t slot) { slots.push_back(slot); });
+  std::sort(slots.begin(), slots.end(), [this](std::uint32_t a,
+                                               std::uint32_t b) {
+    const shard& x = pool_[a];
+    const shard& y = pool_[b];
+    return shard_key{x.graph->id(), x.instance} <
+           shard_key{y.graph->id(), y.instance};
+  });
+  return slots;
 }
 
 bool dispatcher::conds_satisfied(shard& s, eu_rt& eu) {
@@ -448,7 +522,7 @@ void dispatcher::reevaluate_resource_waiters() {
 void dispatcher::evaluate(shard& s, eu_rt& eu) {
   if (halted_ || s.aborted || eu.st != eu_state::waiting) return;
   if (eu.protocol_held) return;  // awaiting the policy's verdict
-  if (eu.preds_done.size() < eu.preds_total) return;
+  if (eu.preds_seen < eu.preds_total) return;
   if (!conds_satisfied(s, eu)) return;
 
   if (eu.earliest_abs > rt_->now()) {
@@ -458,10 +532,10 @@ void dispatcher::evaluate(shard& s, eu_rt& eu) {
       eu.earliest_timer = rt_->at(eu.earliest_abs, [this, key, i = eu.idx] {
         shard* sp = find_shard(key);
         if (sp == nullptr) return;
-        auto it = sp->eus.find(i);
-        if (it == sp->eus.end()) return;
-        it->second.earliest_timer = sim::invalid_event;
-        evaluate(*sp, it->second);
+        eu_rt* e = find_eu(*sp, i);
+        if (e == nullptr) return;
+        e->earliest_timer = sim::invalid_event;
+        evaluate(*sp, *e);
       });
     }
     return;
@@ -528,7 +602,7 @@ void dispatcher::eu_complete(shard_key key, eu_index idx) {
   shard* sp = find_shard(key);
   if (sp == nullptr) return;  // aborted while the completion event was queued
   shard& s = *sp;
-  eu_rt& eu = s.eus.at(idx);
+  eu_rt& eu = *find_eu(s, idx);
   eu.st = eu_state::done;
   --s.pending;
   ++stats_.eus_completed;
@@ -545,7 +619,7 @@ void dispatcher::eu_complete(shard_key key, eu_index idx) {
     ev.subject = eu.info.eu_name;
     ev.detail = "actual " + eu.actual.to_string() + " < wcet " +
                 eu.code->wcet.to_string();
-    mon_->record(ev);
+    mon_->record(std::move(ev));
   }
 
   if (eu.code->body) {
@@ -562,7 +636,7 @@ void dispatcher::eu_complete(shard_key key, eu_index idx) {
   }
 
   emit(notification_kind::trm, eu);
-  by_thread_.erase(eu.thread);
+  thread_eus_[processor::slot_of(eu.thread)] = thread_eu{};
   cpu_->destroy(eu.thread);
 
   const task_graph& g = *s.graph;  // graphs outlive every shard
@@ -579,9 +653,9 @@ void dispatcher::propagate(shard_key key, eu_index from, const task_graph& g) {
     if (target == node_) {
       shard* sp = find_shard(key);
       if (sp == nullptr) return;  // erased by an earlier cascade
-      auto it = sp->eus.find(p.to);
-      if (it != sp->eus.end() && it->second.preds_done.insert(p.from).second)
-        evaluate(*sp, it->second);
+      eu_rt* succ = find_eu(*sp, p.to);
+      if (succ != nullptr && mark_pred_done(*sp, *succ, p.from))
+        evaluate(*sp, *succ);
     } else {
       control_token tok;
       tok.k = control_token::kind::precedence;
@@ -596,8 +670,8 @@ void dispatcher::propagate(shard_key key, eu_index from, const task_graph& g) {
 }
 
 bool dispatcher::stash_if_early(const control_token& tok) {
-  auto it = created_next_.find(tok.task);
-  const instance_number next = it == created_next_.end() ? 0 : it->second;
+  const instance_number next =
+      tok.task < created_next_.size() ? created_next_[tok.task] : 0;
   if (tok.instance < next) return false;  // created already (possibly gone)
   early_tokens_[{tok.task, tok.instance}].push_back(tok);
   return true;
@@ -620,10 +694,9 @@ void dispatcher::on_token(const control_token& tok) {
     case control_token::kind::precedence: {
       shard* s = find_shard({tok.task, tok.instance});
       if (s == nullptr) return;
-      auto it = s->eus.find(tok.to);
-      if (it == s->eus.end()) return;
-      eu_rt& eu = it->second;
-      if (eu.preds_done.insert(tok.from).second) evaluate(*s, eu);
+      eu_rt* eu = find_eu(*s, tok.to);
+      if (eu != nullptr && mark_pred_done(*s, *eu, tok.from))
+        evaluate(*s, *eu);
       return;
     }
     case control_token::kind::sync_return:
@@ -635,27 +708,26 @@ void dispatcher::on_token(const control_token& tok) {
       // sync_return; per-link FIFO orders the two).
       shard* s = find_shard({tok.task, tok.instance});
       if (s == nullptr) return;
-      auto it = s->eus.find(tok.to);
-      if (it == s->eus.end()) return;
-      if (it->second.st == eu_state::inv_waiting)
-        it->second.sync_child_instance = tok.aux;
+      eu_rt* eu = find_eu(*s, tok.to);
+      if (eu != nullptr && eu->st == eu_state::inv_waiting)
+        eu->sync_child_instance = tok.aux;
       return;
     }
     case control_token::kind::create_shard:
       // Idempotent: a home that is also an involved node creates directly.
-      if (!shards_.contains({tok.task, tok.instance}))
+      if (find_shard({tok.task, tok.instance}) == nullptr)
         create_shard(sys_->graph(tok.task), tok.instance, tok.at);
       return;
     case control_token::kind::abort_shard:
       abort_shard(tok.task, tok.instance,
-                  std::string(tok.reason,
-                              ::strnlen(tok.reason, sizeof tok.reason)));
+                  std::string_view(tok.reason,
+                                   ::strnlen(tok.reason, sizeof tok.reason)));
       return;
     case control_token::kind::abort_request:
       sys_->abort_instance(tok.task, tok.instance,
-                           std::string(tok.reason,
-                                       ::strnlen(tok.reason,
-                                                 sizeof tok.reason)),
+                           std::string_view(tok.reason,
+                                            ::strnlen(tok.reason,
+                                                      sizeof tok.reason)),
                            /*as_rejection=*/true);
       return;
     case control_token::kind::activate_request:
@@ -724,9 +796,9 @@ void dispatcher::fire_invocation(shard& s, eu_rt& eu) {
 void dispatcher::finish_inv(shard_key key, eu_index idx) {
   shard* sp = find_shard(key);
   if (sp == nullptr) return;
-  auto it = sp->eus.find(idx);
-  if (it == sp->eus.end()) return;
-  it->second.st = eu_state::done;
+  eu_rt* eu = find_eu(*sp, idx);
+  if (eu == nullptr) return;
+  eu->st = eu_state::done;
   --sp->pending;
   const task_graph& g = *sp->graph;
   propagate(key, idx, g);
@@ -737,9 +809,8 @@ void dispatcher::finish_inv(shard_key key, eu_index idx) {
 void dispatcher::on_sync_return(task_id t, instance_number k, eu_index inv) {
   shard* s = find_shard({t, k});
   if (s == nullptr) return;
-  auto it = s->eus.find(inv);
-  if (it == s->eus.end()) return;
-  if (it->second.st != eu_state::inv_waiting) return;
+  eu_rt* eu = find_eu(*s, inv);
+  if (eu == nullptr || eu->st != eu_state::inv_waiting) return;
   finish_inv({t, k}, inv);
 }
 
@@ -748,7 +819,7 @@ void dispatcher::shard_done(shard_key key) {
   require(s != nullptr, "shard_done: missing shard");
   const node_id home = s->graph->home_node();
   drop_waiter_refs(key);
-  shards_.erase(key);
+  release_shard(key);
   if (home == node_) {
     sys_->on_shard_complete(key.first, key.second, node_);
   } else {
@@ -766,7 +837,8 @@ void dispatcher::emit(notification_kind kind, const eu_rt& eu) {
   ++stats_.notifications;
   if (tracing())
     record_trace(sim::trace_kind::notification,
-                 eu.info.eu_name + "#" + std::to_string(eu.info.instance),
+                 std::string(eu.info.eu_name) + "#" +
+                     std::to_string(eu.info.instance),
                  to_string(kind));
   if (policy_ == nullptr) return;
   notification n;
@@ -774,7 +846,7 @@ void dispatcher::emit(notification_kind kind, const eu_rt& eu) {
   n.thread = eu.thread;
   n.info = eu.info;
   n.at = rt_->now();
-  fifo_.push_back(std::move(n));
+  fifo_.push_back(n);
   pump_scheduler();
 }
 
@@ -799,7 +871,7 @@ void dispatcher::scheduler_step() {
 time_point dispatcher::now() const { return rt_->now(); }
 
 void dispatcher::set_priority(kthread_id t, priority p) {
-  eu_rt* eu = find_by_thread(t);
+  eu_rt* eu = find_by_thread(t).second;
   if (eu == nullptr || !cpu_->exists(t)) return;  // terminated meanwhile
   if (tracing())
     record_trace(sim::trace_kind::priority_change, cpu_->name(t),
@@ -809,7 +881,7 @@ void dispatcher::set_priority(kthread_id t, priority p) {
 }
 
 void dispatcher::set_earliest(kthread_id t, time_point earliest) {
-  eu_rt* eu = find_by_thread(t);
+  const auto [s, eu] = find_by_thread(t);
   if (eu == nullptr) return;
   if (eu->st != eu_state::waiting) return;  // only pre-start, per the paper
   if (tracing())
@@ -821,45 +893,38 @@ void dispatcher::set_earliest(kthread_id t, time_point earliest) {
     rt_->cancel(eu->earliest_timer);
     eu->earliest_timer = sim::invalid_event;
   }
-  auto it = by_thread_.find(t);
-  shard* s = find_shard(it->second.key);
-  if (s != nullptr) evaluate(*s, *eu);
+  evaluate(*s, *eu);
 }
 
 const eu_info& dispatcher::info(kthread_id t) const {
-  auto it = by_thread_.find(t);
-  require(it != by_thread_.end(), "dispatcher::info: unknown thread");
-  auto* self = const_cast<dispatcher*>(this);
-  eu_rt* eu = self->find_eu(it->second);
-  require(eu != nullptr, "dispatcher::info: stale thread");
+  const eu_rt* eu = const_cast<dispatcher*>(this)->find_by_thread(t).second;
+  require(eu != nullptr, "dispatcher::info: unknown thread");
   return eu->info;
 }
 
 bool dispatcher::alive(kthread_id t) const {
-  auto it = by_thread_.find(t);
-  if (it == by_thread_.end()) return false;
-  auto* self = const_cast<dispatcher*>(this);
-  eu_rt* eu = self->find_eu(it->second);
+  const eu_rt* eu = const_cast<dispatcher*>(this)->find_by_thread(t).second;
   return eu != nullptr && eu->st != eu_state::done;
 }
 
-void dispatcher::reject_instance(kthread_id t, const std::string& reason) {
-  auto it = by_thread_.find(t);
-  if (it == by_thread_.end()) return;
-  const shard_key key = it->second.key;
-  const node_id home = sys_->graph(key.first).home_node();
+void dispatcher::reject_instance(kthread_id t, std::string_view reason) {
+  const shard* s = find_by_thread(t).first;
+  if (s == nullptr) return;
+  const shard_key key{s->graph->id(), s->instance};
+  const node_id home = s->graph->home_node();
   if (home == node_) {
     sys_->abort_instance(key.first, key.second, reason, /*as_rejection=*/true);
     return;
   }
   // Instance bookkeeping lives on the home shard: a policy rejecting a
-  // remote task's shard asks the home to abort instead of mutating
-  // instances_ from this shard.
+  // remote task's shard asks the home to abort instead of mutating the
+  // instance records from this shard.
   control_token tok;
   tok.k = control_token::kind::abort_request;
   tok.task = key.first;
   tok.instance = key.second;
-  std::snprintf(tok.reason, sizeof tok.reason, "%s", reason.c_str());
+  std::snprintf(tok.reason, sizeof tok.reason, "%.*s",
+                static_cast<int>(reason.size()), reason.data());
   net_->send(home, control_channel, tok, 64);
 }
 
@@ -867,16 +932,17 @@ void dispatcher::reject_instance(kthread_id t, const std::string& reason) {
 
 std::vector<dispatcher::waiting_eu> dispatcher::waiting_eus() const {
   std::vector<waiting_eu> out;
-  for (const auto& [key, s] : shards_) {
-    for (const auto& [idx, eu] : s.eus) {
+  for (std::uint32_t slot : live_shards_in_key_order()) {
+    const shard& s = pool_[slot];
+    for (const eu_rt& eu : s.eus) {
       if (eu.st != eu_state::waiting && eu.st != eu_state::inv_waiting)
         continue;
       waiting_eu w;
-      w.task = key.first;
-      w.instance = key.second;
-      w.eu = idx;
-      for (eu_index p : s.graph->preds(idx))
-        if (!eu.preds_done.contains(p)) w.waiting_preds.push_back(p);
+      w.task = s.graph->id();
+      w.instance = s.instance;
+      w.eu = eu.idx;
+      for (eu_index p : s.graph->preds(eu.idx))
+        if (!pred_done(s, eu, p)) w.waiting_preds.push_back(p);
       if (eu.code != nullptr)
         for (condition_id c : eu.code->waits_all)
           if (!sys_->condition_on(node_, c)) w.waiting_conds.push_back(c);

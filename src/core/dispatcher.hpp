@@ -34,12 +34,15 @@
 #pragma once
 
 #include <any>
+#include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/cost_model.hpp"
@@ -51,6 +54,24 @@
 #include "sim/runtime.hpp"
 #include "sim/trace.hpp"
 #include "util/ring.hpp"
+#include "util/sparse_map.hpp"
+
+namespace hades::util {
+
+/// `(task, instance)` keys of the dispatcher's shard index.
+template <>
+struct sparse_key<std::pair<task_id, instance_number>> {
+  static constexpr std::pair<task_id, instance_number> empty{
+      invalid_task, std::numeric_limits<instance_number>::max()};
+  [[nodiscard]] static std::size_t hash(
+      const std::pair<task_id, instance_number>& k) noexcept {
+    const std::uint64_t x = (k.second + 1) * 0x9E3779B97F4A7C15ull ^
+                            std::uint64_t{k.first} * 0xC2B2AE3D27D4EB4Full;
+    return static_cast<std::size_t>(x >> 32);
+  }
+};
+
+}  // namespace hades::util
 
 namespace hades::core {
 
@@ -177,7 +198,7 @@ class dispatcher final : public scheduler_context {
 
   /// Abort the local shard: kill threads (recording orphan events for
   /// threads that had started), drop waiters, release resources.
-  void abort_shard(task_id t, instance_number k, const std::string& reason);
+  void abort_shard(task_id t, instance_number k, std::string_view reason);
 
   /// Condition variable `c` became set system-wide: re-evaluate waiters.
   void on_condition_set(condition_id c);
@@ -200,7 +221,7 @@ class dispatcher final : public scheduler_context {
   void set_earliest(kthread_id t, time_point earliest) override;
   [[nodiscard]] const eu_info& info(kthread_id t) const override;
   [[nodiscard]] bool alive(kthread_id t) const override;
-  void reject_instance(kthread_id t, const std::string& reason) override;
+  void reject_instance(kthread_id t, std::string_view reason) override;
 
   // --- observability --------------------------------------------------------
   struct counters {
@@ -239,8 +260,12 @@ class dispatcher final : public scheduler_context {
     const code_eu* code = nullptr;  // null for Inv_EUs
     const inv_eu* inv = nullptr;
     kthread_id thread;
-    std::set<eu_index> preds_done;  // tolerates duplicate tokens
-    std::size_t preds_total = 0;
+    // Predecessors done: one flag per entry of graph->preds(idx), stored
+    // from `preds_base` in the shard's `preds_done`. A predecessor's flag is
+    // the one at its first entry, so duplicate tokens count once.
+    std::uint32_t preds_base = 0;
+    std::uint32_t preds_seen = 0;    // distinct predecessors done
+    std::uint32_t preds_total = 0;   // graph->preds(idx).size()
     instance_number sync_child_instance = 0;
     eu_state st = eu_state::waiting;
     bool rac_emitted = false;
@@ -255,11 +280,14 @@ class dispatcher final : public scheduler_context {
     eu_info info;
   };
 
+  // One slot of the shard pool. A freed slot (graph == nullptr) keeps its
+  // vectors' storage for the next shard that takes it.
   struct shard {
     const task_graph* graph = nullptr;
     instance_number instance = 0;
     time_point activation;
-    std::map<eu_index, eu_rt> eus;
+    std::vector<eu_rt> eus;               // local EUs in EU-index order
+    std::vector<std::uint8_t> preds_done;  // see eu_rt::preds_base
     std::size_t pending = 0;  // local EUs not yet done
     bool aborted = false;
   };
@@ -275,10 +303,26 @@ class dispatcher final : public scheduler_context {
     friend bool operator==(const eu_ref&, const eu_ref&) = default;
   };
 
+  // The EU behind a live Code_EU thread: its pool slot and position.
+  struct thread_eu {
+    kthread_id thread;  // invalid_kthread when the thread slot is unused
+    std::uint32_t shard = 0;
+    std::uint32_t pos = 0;
+  };
+
   // lookup helpers
   shard* find_shard(shard_key k);
+  static eu_rt* find_eu(shard& s, eu_index idx);
   eu_rt* find_eu(const eu_ref& r);
-  eu_rt* find_by_thread(kthread_id t);
+  std::pair<shard*, eu_rt*> find_by_thread(kthread_id t);
+  /// Mark predecessor `from` of `eu` done; false if it already was.
+  static bool mark_pred_done(shard& s, eu_rt& eu, eu_index from);
+  [[nodiscard]] static bool pred_done(const shard& s, const eu_rt& eu,
+                                      eu_index from);
+  void release_shard(shard_key key);
+  /// Pool slots of the live shards in (task, instance) order: the order of
+  /// every walk over all shards (halt, waiting_eus).
+  [[nodiscard]] std::vector<std::uint32_t> live_shards_in_key_order() const;
 
   // readiness machinery
   void evaluate(shard& s, eu_rt& eu);
@@ -340,15 +384,21 @@ class dispatcher final : public scheduler_context {
   bool sched_busy_ = false;
   ring_fifo<notification> fifo_;
 
-  std::map<shard_key, shard> shards_;
+  // Shards live in a pool of slots that grows to the high-water mark of
+  // concurrent instances and is then reused; `shard_index_` finds a live
+  // shard's slot by (task, instance), and `thread_eus_` (indexed by
+  // processor::slot_of) finds a thread's EU.
+  std::vector<shard> pool_;
+  std::vector<std::uint32_t> free_shards_;
+  util::sparse_map<shard_key, std::uint32_t> shard_index_;
+  std::vector<thread_eu> thread_eus_;
   // Early-token machinery (see stash_if_early): the next instance number
-  // each task is expected to create here, and tokens that arrived ahead of
-  // their create. The watermark survives halt() — it tracks what the home
-  // already sent, and a recovered node must still treat pre-crash instances
-  // as late.
-  std::map<task_id, instance_number> created_next_;
+  // each task is expected to create here (indexed by task id), and tokens
+  // that arrived ahead of their create. The watermark survives halt() — it
+  // tracks what the home already sent, and a recovered node must still
+  // treat pre-crash instances as late.
+  std::vector<instance_number> created_next_;
   std::map<shard_key, std::vector<control_token>> early_tokens_;
-  std::map<kthread_id, eu_ref> by_thread_;
   std::map<resource_id, resource_state> resources_;
   std::vector<eu_ref> resource_waiters_;
   std::map<condition_id, std::vector<eu_ref>> cond_waiters_;

@@ -101,6 +101,9 @@ class monitor {
   /// owning `core::system` calls this from its constructor.
   void bind(hades::runtime& rt) { rt_ = &rt; }
 
+  /// Append `e` (callers move it in). Without listeners the log keeps the
+  /// event itself. With listeners it keeps one copy, and the event itself
+  /// is what they are notified with: routed redeliveries share it.
   void record(monitor_event e);
 
   /// Subscribe to every future event, synchronously on the recording shard

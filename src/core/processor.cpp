@@ -9,19 +9,15 @@ constexpr duration zero = duration::zero();
 }
 
 processor::thread& processor::get(kthread_id t) {
-  auto it = threads_.find(t);
-  require(it != threads_.end(), [t] {
-    return "processor: unknown thread #" + std::to_string(t.value);
-  });
-  return it->second;
+  return const_cast<thread&>(std::as_const(*this).get(t));
 }
 
 const processor::thread& processor::get(kthread_id t) const {
-  auto it = threads_.find(t);
-  require(it != threads_.end(), [t] {
+  const thread* th = find(t);
+  require(th != nullptr, [t] {
     return "processor: unknown thread #" + std::to_string(t.value);
   });
-  return it->second;
+  return *th;
 }
 
 void processor::trace(sim::trace_kind k, std::string_view subject,
@@ -47,28 +43,38 @@ void processor::dequeue(const thread& th) {
   queue_.erase(pos);
 }
 
-kthread_id processor::create(std::string name, priority prio, priority pt,
-                             duration work, completion_fn on_done) {
+kthread_id processor::create(std::string_view name, priority prio,
+                             priority pt, duration work,
+                             sim::event_callback on_done) {
   require(!work.is_infinite() && !work.is_negative(),
           "processor::create: work must be finite and non-negative");
-  const kthread_id id{next_thread_++};
+  std::size_t slot = threads_.size();
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  } else {
+    require(slot <= slot_mask, "processor::create: thread table full");
+    threads_.emplace_back();
+  }
   thread th;
-  th.name = std::move(name);
+  th.name = std::move(threads_[slot].name);  // reuses the slot's storage
+  th.name.assign(name);
+  th.id = kthread_id{(next_thread_++ << slot_bits) | slot};
   th.prio = prio;
   th.pt = std::max(pt, prio);
   th.remaining = work;
   th.on_done = std::move(on_done);
   trace(sim::trace_kind::thread_created, th.name);
-  threads_.emplace(id, std::move(th));
-  return id;
+  threads_[slot] = std::move(th);
+  return threads_[slot].id;
 }
 
 void processor::destroy(kthread_id t) {
-  auto it = threads_.find(t);
-  require(it != threads_.end(), "processor::destroy: unknown thread");
-  if (it->second.st == state::queued || it->second.st == state::running)
-    suspend(t);
-  threads_.erase(t);
+  thread& th = get(t);
+  if (th.st == state::queued || th.st == state::running) suspend(t);
+  th.id = invalid_kthread;
+  th.on_done.reset();
+  free_slots_.push_back(static_cast<std::uint32_t>(slot_of(t)));
 }
 
 void processor::make_runnable(kthread_id t) {
@@ -138,13 +144,16 @@ void processor::complete(kthread_id t) {
   th.boosted = false;
   running_ = invalid_kthread;
   trace(sim::trace_kind::thread_done, th.name);
-  // The callback may destroy this thread or create/release others, so it
-  // runs from a local. Moved, not copied (a copy may allocate), and moved
-  // back if the thread survives: add_work can revive it for another run.
-  completion_fn on_done = std::move(th.on_done);
+  // The callback may destroy this thread or create/release others (growing
+  // the thread table), so it runs from a local and the thread is found
+  // again afterwards. Moved back if the thread survives: add_work can
+  // revive it for another run.
+  sim::event_callback on_done = std::move(th.on_done);
   if (on_done) on_done();
-  if (auto it = threads_.find(t); it != threads_.end() && !it->second.on_done)
-    it->second.on_done = std::move(on_done);
+  if (exists(t)) {
+    thread& again = get(t);
+    if (!again.on_done) again.on_done = std::move(on_done);
+  }
   reschedule();
 }
 
@@ -274,8 +283,8 @@ void processor::finish_interrupt(std::uint64_t seq) {
 }
 
 bool processor::is_runnable(kthread_id t) const {
-  auto it = threads_.find(t);
-  return it != threads_.end() && it->second.st == state::queued;
+  const thread* th = find(t);
+  return th != nullptr && th->st == state::queued;
 }
 
 bool processor::has_started(kthread_id t) const {
@@ -308,7 +317,7 @@ duration processor::remaining(kthread_id t) const {
 
 priority processor::get_priority(kthread_id t) const { return get(t).prio; }
 
-const std::string& processor::name(kthread_id t) const { return get(t).name; }
+std::string_view processor::name(kthread_id t) const { return get(t).name; }
 
 std::vector<kthread_id> processor::run_queue() const {
   std::vector<kthread_id> out;

@@ -16,10 +16,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -38,8 +36,6 @@ struct kernel_params {
 
 class processor {
  public:
-  using completion_fn = std::function<void()>;
-
   processor(runtime& rt, node_id node, kernel_params params,
             sim::trace_recorder* trace = nullptr)
       : rt_(&rt), node_(node), params_(params), trace_(trace) {}
@@ -50,9 +46,13 @@ class processor {
   [[nodiscard]] const kernel_params& params() const { return params_; }
 
   // --- thread lifecycle --------------------------------------------------
-  /// Create a suspended thread with `work` units of CPU demand.
-  kthread_id create(std::string name, priority prio, priority pt,
-                    duration work, completion_fn on_done);
+  /// Create a suspended thread with `work` units of CPU demand. `name` is
+  /// the trace subject only. The thread reuses a destroyed thread's slot of
+  /// the thread table when there is one; its id packs
+  /// `(creation sequence << slot_bits) | slot`, so ids compare in creation
+  /// order and a destroyed thread's id never names the slot's next occupant.
+  kthread_id create(std::string_view name, priority prio, priority pt,
+                    duration work, sim::event_callback on_done);
   /// Remove a thread entirely. Running/runnable threads are stopped first.
   void destroy(kthread_id t);
   /// Insert into the run queue (the dispatcher decided it is eligible).
@@ -82,14 +82,19 @@ class processor {
   }
 
   // --- queries -------------------------------------------------------------
-  [[nodiscard]] bool exists(kthread_id t) const { return threads_.contains(t); }
+  [[nodiscard]] bool exists(kthread_id t) const { return find(t) != nullptr; }
+  /// Thread-table slot of `t`: dense, below the table's high-water mark,
+  /// reused after `destroy`. Callers keep per-thread side tables by it.
+  [[nodiscard]] static std::size_t slot_of(kthread_id t) {
+    return static_cast<std::size_t>(t.value & slot_mask);
+  }
   [[nodiscard]] kthread_id running() const { return running_; }
   [[nodiscard]] bool is_runnable(kthread_id t) const;
   [[nodiscard]] bool has_started(kthread_id t) const;
   [[nodiscard]] duration executed(kthread_id t) const;
   [[nodiscard]] duration remaining(kthread_id t) const;
   [[nodiscard]] priority get_priority(kthread_id t) const;
-  [[nodiscard]] const std::string& name(kthread_id t) const;
+  [[nodiscard]] std::string_view name(kthread_id t) const;
 
   struct counters {
     std::uint64_t context_switches = 0;
@@ -106,13 +111,18 @@ class processor {
  private:
   enum class state { suspended, queued, running, done };
 
+  static constexpr unsigned slot_bits = 24;
+  static constexpr std::uint64_t slot_mask =
+      (std::uint64_t{1} << slot_bits) - 1;
+
   struct thread {
     std::string name;
+    kthread_id id;  // invalid_kthread while the slot is free
     priority prio = prio::min_app;
     priority pt = prio::min_app;
     duration remaining = duration::zero();
     duration total_executed = duration::zero();
-    completion_fn on_done;
+    sim::event_callback on_done;
     state st = state::suspended;
     // A job that has started holds the CPU at its preemption threshold;
     // while preempted it competes at that boosted level (section 3.2.1).
@@ -136,6 +146,13 @@ class processor {
     return {-static_cast<std::int64_t>(effective_prio(th)), th.queue_seq};
   }
 
+  [[nodiscard]] const thread* find(kthread_id t) const {
+    const std::size_t slot = slot_of(t);
+    return slot < threads_.size() && threads_[slot].id == t &&
+                   t != invalid_kthread
+               ? &threads_[slot]
+               : nullptr;
+  }
   thread& get(kthread_id t);
   const thread& get(kthread_id t) const;
 
@@ -158,11 +175,15 @@ class processor {
   kernel_params params_;
   sim::trace_recorder* trace_;
 
-  std::unordered_map<kthread_id, thread> threads_;
+  // The thread table: a slot per thread, found by `slot_of(id)` and checked
+  // against the slot's current id. A destroyed thread's slot keeps its
+  // storage (name capacity included) for the next `create`.
+  std::vector<thread> threads_;
+  std::vector<std::uint32_t> free_slots_;  // destroyed threads' slots, LIFO
   std::vector<queue_entry> queue_;
   kthread_id running_ = invalid_kthread;
   kthread_id last_on_cpu_ = invalid_kthread;
-  std::uint64_t next_thread_ = 1;
+  std::uint64_t next_thread_ = 1;  // creation sequence of the next thread
   std::uint64_t next_queue_seq_ = 1;
 
   time_point irq_busy_until_ = time_point::zero();

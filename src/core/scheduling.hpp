@@ -10,7 +10,10 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "core/task_model.hpp"
@@ -32,20 +35,22 @@ enum class notification_kind { atv, trm, rac, rre };
 }
 
 /// Static and per-instance facts about the EU behind a thread; what a
-/// scheduling policy is allowed to know.
+/// scheduling policy is allowed to know. Names and resource claims are
+/// views into the registered task graph, which outlives every instance, so
+/// the struct (and a `notification` carrying it) is trivially copyable.
 struct eu_info {
   task_id task = invalid_task;
-  std::string task_name;
+  std::string_view task_name;
   instance_number instance = 0;
   eu_index eu = 0;
-  std::string eu_name;
+  std::string_view eu_name;
   node_id node = 0;
   time_point activation;              // instance activation date
   time_point absolute_deadline;       // activation + task deadline
   duration relative_deadline = duration::infinity();  // task D
   duration period = duration::infinity();             // task period / pseudo-period
   duration wcet = duration::zero();
-  std::vector<resource_claim> resources;
+  std::span<const resource_claim> resources;
   priority static_priority = prio::min_app;
 };
 
@@ -55,6 +60,7 @@ struct notification {
   eu_info info;
   time_point at;  // insertion date
 };
+static_assert(std::is_trivially_copyable_v<notification>);
 
 /// The dispatcher-side API handed to a policy while it handles one
 /// notification. Priority / earliest changes are the paper's primitive.
@@ -81,7 +87,7 @@ class scheduler_context {
 
   /// Reject an activation: abort the whole task instance this thread
   /// belongs to (admission control, e.g. planning-based schedulers).
-  virtual void reject_instance(kthread_id t, const std::string& reason) = 0;
+  virtual void reject_instance(kthread_id t, std::string_view reason) = 0;
 };
 
 /// A scheduling policy (the application-domain-specific part of HADES).

@@ -112,7 +112,7 @@ task_id system::register_task(task_graph g) {
   }
   for (eu_index i = 0; i < g.eu_count(); ++i)
     if (const auto* inv = g.as_inv(i))
-      validate(graphs_.contains(inv->target),
+      validate(inv->target >= 1 && inv->target <= tasks_.size(),
                "task '" + g.name() + "' invokes unregistered task id " +
                    std::to_string(inv->target));
 
@@ -121,26 +121,24 @@ task_id system::register_task(task_graph g) {
   // control tokens (create_shard / abort_shard / activate_request), so the
   // home shard's instance machinery never calls into a dispatcher another
   // shard owns.
-  const task_id id = next_task_++;
+  const auto id = static_cast<task_id>(tasks_.size() + 1);
   g.id_ = id;
-  auto shared = std::make_shared<const task_graph>(std::move(g));
-  graphs_.emplace(id, shared);
-  // Pre-create every per-task entry: from here on the outer maps are
-  // structurally immutable and each value is owned by the home shard.
-  next_instance_[id] = 0;
-  last_activation_[id] = time_point::zero();
-  ever_activated_[id] = false;
-  instances_[id];
-  task_states_[id];
-  task_stats_[id];
-  if (shared->law().kind == arrival_kind::periodic) arm_periodic(id);
+  // The whole per-task entry exists from here on: the vector is
+  // structurally immutable during a run and each entry is owned by the
+  // home shard.
+  task_entry& te = tasks_.emplace_back();
+  te.graph = std::make_unique<const task_graph>(std::move(g));
+  te.involved = te.graph->processors();
+  if (te.involved.empty()) te.involved.push_back(te.graph->home_node());
+  if (te.graph->law().kind == arrival_kind::periodic) arm_periodic(id);
   return id;
 }
 
 std::vector<task_id> system::tasks() const {
   std::vector<task_id> out;
-  out.reserve(graphs_.size());
-  for (const auto& [id, g] : graphs_) out.push_back(id);
+  out.reserve(tasks_.size());
+  for (std::size_t i = 0; i < tasks_.size(); ++i)
+    out.push_back(static_cast<task_id>(i + 1));
   return out;
 }
 
@@ -152,7 +150,7 @@ void system::attach_policy_everywhere(std::shared_ptr<policy> p) {
 // -------------------------------------------------------------- activation --
 
 void system::arm_periodic(task_id t) {
-  const auto& g = *graphs_.at(t);
+  const task_graph& g = graph(t);
   const time_point first =
       std::max(time_point::zero() + g.law().offset, rt_->now());
   // A drift-free chain anchored at the home node (not one shard-0
@@ -175,23 +173,23 @@ bool system::activate(task_id t) {
 void system::activate_at(task_id t, time_point at) {
   // Anchored at the home node: the activation executes on the shard owning
   // the task's bookkeeping.
-  rt_->at_node(graphs_.at(t)->home_node(), at, [this, t] { activate(t); });
+  rt_->at_node(graph(t).home_node(), at, [this, t] { activate(t); });
 }
 
 std::optional<instance_number> system::activate_internal(
     task_id t, const activation_origin& origin) {
-  auto git = graphs_.find(t);
-  require(git != graphs_.end(), "activate: unknown task");
-  const task_graph& g = *git->second;
+  require(t >= 1 && t <= tasks_.size(), "activate: unknown task");
+  task_entry& te = tasks_[t - 1];
+  const task_graph& g = *te.graph;
   const node_id home = g.home_node();
   if (disp(home).halted()) return std::nullopt;
 
-  auto& st = task_stats_[t];
+  task_stats& st = te.stats;
   const time_point now = rt_->now();
 
   // Arrival-law supervision (paper 3.2.1 event ii).
-  if (ever_activated_[t]) {
-    const duration gap = now - last_activation_[t];
+  if (te.ever_activated) {
+    const duration gap = now - te.last_activation;
     const bool violated =
         (g.law().kind == arrival_kind::sporadic && gap < g.law().period) ||
         (g.law().kind == arrival_kind::periodic && gap < g.law().period);
@@ -203,19 +201,20 @@ std::optional<instance_number> system::activate_internal(
       ev.task = t;
       ev.subject = g.name();
       ev.detail = "gap " + gap.to_string() + " < " + g.law().period.to_string();
-      monitor_.record(ev);
       if (cfg_.reject_arrival_violations) {
         monitor_event rej = ev;
+        monitor_.record(std::move(ev));
         rej.kind = monitor_event_kind::instance_rejected;
         rej.detail = "arrival-law violation";
-        monitor_.record(rej);
+        monitor_.record(std::move(rej));
         ++st.rejections;
         return std::nullopt;
       }
+      monitor_.record(std::move(ev));
     }
   }
-  ever_activated_[t] = true;
-  last_activation_[t] = now;
+  te.ever_activated = true;
+  te.last_activation = now;
 
   // Admission hook (traffic edge): the home dispatcher may veto the
   // activation before any instance state exists — the rejected request
@@ -229,18 +228,29 @@ std::optional<instance_number> system::activate_internal(
     rej.task = t;
     rej.subject = g.name();
     rej.detail = "admission control";
-    monitor_.record(rej);
+    monitor_.record(std::move(rej));
     ++st.rejections;
     return std::nullopt;
   }
 
-  const instance_number k = next_instance_[t]++;
-  instance_record rec;
+  const instance_number k = te.next_instance++;
+  std::uint32_t slot = 0;
+  if (te.free_instances.empty()) {
+    slot = static_cast<std::uint32_t>(te.instances.size());
+    te.instances.emplace_back();
+  } else {
+    slot = te.free_instances.back();
+    te.free_instances.pop_back();
+  }
+  te.live[k] = slot;
+  instance_record& rec = te.instances[slot];
   rec.activation = now;
-  auto procs = g.processors();
-  if (procs.empty()) procs.push_back(home);
-  rec.pending_shards.insert(procs.begin(), procs.end());
+  rec.deadline_timer = sim::invalid_event;
+  rec.sync_waiter.reset();
   if (origin.waiter_node.has_value()) rec.sync_waiter = origin;
+  rec.pending.assign((te.involved.size() + 63) / 64, 0);
+  for (std::size_t i = 0; i < te.involved.size(); ++i)
+    rec.pending[i / 64] |= std::uint64_t{1} << (i % 64);
   // Completing exactly at the deadline is timely: the check runs one tick
   // after a+D so that same-instant completion events are processed first.
   // Anchored at the home node so the timer lands on the home shard even
@@ -249,7 +259,6 @@ std::optional<instance_number> system::activate_internal(
     rec.deadline_timer =
         rt_->at_node(home, now + g.deadline() + duration::nanoseconds(1),
                      [this, t, k] { on_deadline(t, k); });
-  instances_.at(t).emplace(k, std::move(rec));
   ++st.activations;
   if (trace_.enabled())
     trace_.record(now, home, sim::trace_kind::instance_activated,
@@ -260,19 +269,16 @@ std::optional<instance_number> system::activate_internal(
   // the home's own shard directly, remote nodes by create_shard token —
   // the only cross-node effect is a message, so no shard ever calls into a
   // foreign dispatcher.
-  auto start_shards = [this, t, k, now, home,
-                       procs = std::move(procs)]() mutable {
+  auto start_shards = [this, t, k, now, home] {
     processor& c = cpu(home);
     c.post_interrupt(
-        c.tracing() ? "inv_start:" + graphs_.at(t)->name() : std::string(),
-        cfg_.costs.c_inv_start,
-        [this, t, k, now, home, procs = std::move(procs)] {
-          auto it = graphs_.find(t);
-          if (it == graphs_.end()) return;
+        c.tracing() ? "inv_start:" + graph(t).name() : std::string(),
+        cfg_.costs.c_inv_start, [this, t, k, now, home] {
           if (!instance_live(t, k)) return;  // aborted before start
-          for (node_id n : procs) {
+          const task_entry& te = tasks_[t - 1];
+          for (node_id n : te.involved) {
             if (n == home) {
-              if (!disp(n).halted()) disp(n).create_shard(*it->second, k, now);
+              if (!disp(n).halted()) disp(n).create_shard(*te.graph, k, now);
             } else {
               control_token tok;
               tok.k = control_token::kind::create_shard;
@@ -297,12 +303,22 @@ std::optional<instance_number> system::activate_internal(
 
 // -------------------------------------------------------- instance tracking --
 
+system::instance_record* system::find_instance(task_entry& te,
+                                               instance_number k) {
+  const std::uint32_t* slot = te.live.find(k);
+  return slot == nullptr ? nullptr : &te.instances[*slot];
+}
+
+void system::release_instance(task_entry& te, instance_number k) {
+  te.free_instances.push_back(*te.live.find(k));
+  te.live.erase(k);
+}
+
 void system::on_deadline(task_id t, instance_number k) {
-  auto& per_task = instances_.at(t);
-  auto it = per_task.find(k);
-  if (it == per_task.end()) return;  // completed in time
-  it->second.deadline_timer = sim::invalid_event;
-  const task_graph& g = *graphs_.at(t);
+  instance_record* rec = find_instance(entry(t), k);
+  if (rec == nullptr) return;  // completed in time
+  rec->deadline_timer = sim::invalid_event;
+  const task_graph& g = graph(t);
   monitor_event ev;
   ev.kind = monitor_event_kind::deadline_miss;
   ev.at = rt_->now();
@@ -310,38 +326,46 @@ void system::on_deadline(task_id t, instance_number k) {
   ev.task = t;
   ev.instance = k;
   ev.subject = g.name();
-  monitor_.record(ev);
+  monitor_.record(std::move(ev));
   if (g.abort_on_deadline_miss())
     abort_instance(t, k, "deadline miss", /*as_rejection=*/false);
 }
 
 void system::on_shard_complete(task_id t, instance_number k, node_id from) {
-  auto& per_task = instances_.at(t);
-  auto it = per_task.find(k);
-  if (it == per_task.end()) return;
-  it->second.pending_shards.erase(from);
-  if (it->second.pending_shards.empty()) finish_instance(t, k);
+  task_entry& te = entry(t);
+  instance_record* rec = find_instance(te, k);
+  if (rec == nullptr) return;
+  const auto it =
+      std::lower_bound(te.involved.begin(), te.involved.end(), from);
+  if (it != te.involved.end() && *it == from) {
+    const auto i = static_cast<std::size_t>(it - te.involved.begin());
+    rec->pending[i / 64] &= ~(std::uint64_t{1} << (i % 64));
+  }
+  if (std::all_of(rec->pending.begin(), rec->pending.end(),
+                  [](std::uint64_t w) { return w == 0; }))
+    finish_instance(t, k);
 }
 
 void system::finish_instance(task_id t, instance_number k) {
-  auto& per_task = instances_.at(t);
-  auto it = per_task.find(k);
-  require(it != per_task.end(), "finish_instance: unknown instance");
-  instance_record rec = std::move(it->second);
-  per_task.erase(it);
-  if (rec.deadline_timer != sim::invalid_event)
-    rt_->cancel(rec.deadline_timer);
+  task_entry& te = entry(t);
+  instance_record* rec = find_instance(te, k);
+  require(rec != nullptr, "finish_instance: unknown instance");
+  const time_point activation = rec->activation;
+  const sim::event_id deadline_timer = rec->deadline_timer;
+  const std::optional<activation_origin> waiter = rec->sync_waiter;
+  release_instance(te, k);
+  if (deadline_timer != sim::invalid_event) rt_->cancel(deadline_timer);
 
-  const task_graph& g = *graphs_.at(t);
-  auto& st = task_stats_[t];
+  const task_graph& g = *te.graph;
+  task_stats& st = te.stats;
   ++st.completions;
-  st.response_times.add(rt_->now() - rec.activation);
+  st.response_times.add(rt_->now() - activation);
   if (trace_.enabled())
     trace_.record(rt_->now(), g.home_node(),
                   sim::trace_kind::instance_completed,
                   g.name() + "#" + std::to_string(k));
   if (const auto& retire = disp(g.home_node()).retire_hook())
-    retire(t, k, rec.activation, rt_->now(), /*completed=*/true);
+    retire(t, k, activation, rt_->now(), /*completed=*/true);
 
   // c_inv_end in kernel context on the home node; a synchronous invoker (if
   // any) resumes after the handler.
@@ -349,7 +373,7 @@ void system::finish_instance(task_id t, instance_number k) {
   processor& c = cpu(home);
   c.post_interrupt(
       c.tracing() ? "inv_end:" + g.name() : std::string(),
-      cfg_.costs.c_inv_end, [this, home, waiter = rec.sync_waiter] {
+      cfg_.costs.c_inv_end, [this, home, waiter] {
         if (waiter.has_value()) deliver_sync_return(home, *waiter);
       });
 }
@@ -375,21 +399,19 @@ void system::deliver_sync_return(node_id from,
 }
 
 void system::abort_instance(task_id t, instance_number k,
-                            const std::string& reason, bool as_rejection) {
-  auto tit = instances_.find(t);
-  if (tit == instances_.end()) return;
-  auto it = tit->second.find(k);
-  if (it == tit->second.end()) return;
-  if (it->second.deadline_timer != sim::invalid_event)
-    rt_->cancel(it->second.deadline_timer);
-  const time_point activation = it->second.activation;
-  tit->second.erase(it);
+                            std::string_view reason, bool as_rejection) {
+  if (t < 1 || t > tasks_.size()) return;
+  task_entry& te = tasks_[t - 1];
+  instance_record* rec = find_instance(te, k);
+  if (rec == nullptr) return;
+  if (rec->deadline_timer != sim::invalid_event)
+    rt_->cancel(rec->deadline_timer);
+  const time_point activation = rec->activation;
+  release_instance(te, k);
 
-  const task_graph& g = *graphs_.at(t);
+  const task_graph& g = *te.graph;
   const node_id home = g.home_node();
-  auto procs = g.processors();
-  if (procs.empty()) procs.push_back(home);
-  for (node_id n : procs) {
+  for (node_id n : te.involved) {
     if (n == home) {
       if (!disp(n).halted()) disp(n).abort_shard(t, k, reason);
     } else {
@@ -398,14 +420,14 @@ void system::abort_instance(task_id t, instance_number k,
       tok.k = control_token::kind::abort_shard;
       tok.task = t;
       tok.instance = k;
-      std::snprintf(tok.reason, sizeof tok.reason, "%s", reason.c_str());
+      std::snprintf(tok.reason, sizeof tok.reason, "%.*s",
+                    static_cast<int>(reason.size()), reason.data());
       net(home).send(n, control_channel, tok, 64);
     }
   }
 
   if (as_rejection) {
-    auto& st = task_stats_[t];
-    ++st.rejections;
+    ++te.stats.rejections;
     monitor_event ev;
     ev.kind = monitor_event_kind::instance_rejected;
     ev.at = rt_->now();
@@ -414,7 +436,7 @@ void system::abort_instance(task_id t, instance_number k,
     ev.instance = k;
     ev.subject = g.name();
     ev.detail = reason;
-    monitor_.record(ev);
+    monitor_.record(std::move(ev));
   }
 
   if (!disp(home).halted())
@@ -573,7 +595,7 @@ void system::crash_node(node_id n) {
   ev.at = rt_->now();
   ev.node = n;
   ev.subject = "node" + std::to_string(n);
-  monitor_.record(ev);
+  monitor_.record(std::move(ev));
   disp(n).halt();
 }
 
@@ -587,7 +609,7 @@ void system::recover_node(node_id n) {
   ev.at = rt_->now();
   ev.node = n;
   ev.subject = "node" + std::to_string(n);
-  monitor_.record(ev);
+  monitor_.record(std::move(ev));
 }
 
 // -------------------------------------------------------- deadlock detection --
@@ -611,7 +633,7 @@ std::size_t system::analyze_stalled(std::vector<stalled_eu>& all) {
   // Condition setters: map condition -> stalled EUs that would set it.
   std::map<condition_id, std::vector<std::size_t>> stalled_setters;
   for (std::size_t i = 0; i < all.size(); ++i) {
-    const auto* c = graphs_.at(all[i].w.task)->as_code(all[i].w.eu);
+    const auto* c = graph(all[i].w.task).as_code(all[i].w.eu);
     if (c == nullptr) continue;
     for (condition_id cd : c->sets) stalled_setters[cd].push_back(i);
   }
@@ -681,9 +703,9 @@ std::size_t system::analyze_stalled(std::vector<stalled_eu>& all) {
     ev.node = all[i].node;
     ev.task = w.task;
     ev.instance = w.instance;
-    ev.subject = graphs_.at(w.task)->eu_name(w.eu);
+    ev.subject = graph(w.task).eu_name(w.eu);
     ev.detail = "wait-for cycle";
-    monitor_.record(ev);
+    monitor_.record(std::move(ev));
   }
   return involved;
 }

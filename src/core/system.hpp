@@ -12,11 +12,12 @@
 #pragma once
 
 #include <any>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/cost_model.hpp"
@@ -30,6 +31,7 @@
 #include "sim/network.hpp"
 #include "sim/runtime.hpp"
 #include "sim/trace.hpp"
+#include "util/sparse_map.hpp"
 #include "util/stats.hpp"
 
 namespace hades::core {
@@ -82,7 +84,7 @@ class system {
   task_id register_task(task_graph g);
 
   [[nodiscard]] const task_graph& graph(task_id t) const {
-    return *graphs_.at(t);
+    return *tasks_.at(t - 1).graph;  // std::out_of_range for unknown ids
   }
   [[nodiscard]] std::vector<task_id> tasks() const;
 
@@ -140,15 +142,19 @@ class system {
   }
 
   // --- per-task state & results ----------------------------------------------
-  [[nodiscard]] std::any& task_state(task_id t) { return task_states_[t]; }
+  [[nodiscard]] std::any& task_state(task_id t) {
+    return tasks_.at(t - 1).state;
+  }
 
   struct task_stats {
     std::uint64_t activations = 0;
     std::uint64_t completions = 0;
     std::uint64_t rejections = 0;
-    sample_set response_times;  // nanoseconds
+    running_stats response_times;  // nanoseconds
   };
-  [[nodiscard]] task_stats& stats_for(task_id t) { return task_stats_[t]; }
+  [[nodiscard]] task_stats& stats_for(task_id t) {
+    return tasks_.at(t - 1).stats;
+  }
 
   /// Scan all dispatchers for stalled-EU cycles (deadlock detection,
   /// monitoring activity (iv) of paper 3.2.1). Records deadlock_suspected
@@ -179,7 +185,7 @@ class system {
   std::optional<instance_number> activate_internal(
       task_id t, const activation_origin& origin);
   void on_shard_complete(task_id t, instance_number k, node_id from);
-  void abort_instance(task_id t, instance_number k, const std::string& reason,
+  void abort_instance(task_id t, instance_number k, std::string_view reason,
                       bool as_rejection);
   /// An activate_request token landed on `home` (the target task's home
   /// node): run the activation there and answer a synchronous invoker with
@@ -190,8 +196,7 @@ class system {
   /// A dl_probe token landed on `n`: report its stalled EUs to `reply_to`.
   void on_deadlock_probe(node_id n, std::uint64_t epoch, node_id reply_to);
   [[nodiscard]] bool instance_live(task_id t, instance_number k) const {
-    auto it = instances_.find(t);
-    return it != instances_.end() && it->second.contains(k);
+    return t >= 1 && t <= tasks_.size() && tasks_[t - 1].live.contains(k);
   }
 
  private:
@@ -205,11 +210,31 @@ class system {
     sim::event_id clk_timer = sim::invalid_event;
   };
 
+  // One slot of a task's instance pool. A freed slot keeps its `pending`
+  // storage for the next instance that takes it.
   struct instance_record {
     time_point activation;
-    std::set<node_id> pending_shards;
     sim::event_id deadline_timer = sim::invalid_event;
     std::optional<activation_origin> sync_waiter;
+    // Bit i set: the shard on the task's involved[i] has not completed.
+    std::vector<std::uint64_t> pending;
+  };
+
+  // Everything the system keeps per task, at index id - 1 of `tasks_`.
+  struct task_entry {
+    std::unique_ptr<const task_graph> graph;  // never moves once registered
+    // Nodes with a shard of every instance: graph->processors() (ascending),
+    // or the home node alone for a task with no Code_EU.
+    std::vector<node_id> involved;
+    instance_number next_instance = 0;
+    time_point last_activation;  // arrival-law supervision
+    bool ever_activated = false;
+    task_stats stats;
+    std::any state;
+    // Live instances: records in a slot pool, found by instance number.
+    std::vector<instance_record> instances;
+    std::vector<std::uint32_t> free_instances;
+    util::sparse_map<instance_number, std::uint32_t> live;
   };
 
   // A stalled EU as seen by the deadlock analysis, tagged with its node.
@@ -225,6 +250,10 @@ class system {
     std::vector<dispatcher::waiting_eu> waits;
   };
 
+  [[nodiscard]] task_entry& entry(task_id t) { return tasks_.at(t - 1); }
+  [[nodiscard]] instance_record* find_instance(task_entry& te,
+                                               instance_number k);
+  void release_instance(task_entry& te, instance_number k);
   void arm_periodic(task_id t);
   void arm_clock_interrupts(node_id n);
   void schedule_clock_tick(node_id n, time_point at);
@@ -247,26 +276,21 @@ class system {
   std::unique_ptr<sim::network> net_;
   std::vector<std::unique_ptr<node_ctx>> nodes_;
 
-  // Per-task bookkeeping. Every per-task entry is created at registration
-  // time and owned by the task's home shard from then on: activation,
-  // deadline and completion handlers all execute on the home node's shard
-  // (DESIGN.md, "Shard confinement"), so the outer maps see no structural
-  // mutation during a run and the inner state no cross-shard access.
-  std::map<task_id, std::shared_ptr<const task_graph>> graphs_;
-  std::map<task_id, instance_number> next_instance_;
-  std::map<task_id, time_point> last_activation_;
-  std::map<task_id, bool> ever_activated_;
+  // Per-task bookkeeping, one entry per registered task (index id - 1).
+  // Each entry is created at registration time and owned by the task's
+  // home shard from then on: activation, deadline and completion handlers
+  // all execute on the home node's shard (DESIGN.md, "Shard confinement"),
+  // so the vector sees no structural mutation during a run and an entry
+  // no cross-shard access. After warm-up an instance's whole lifecycle
+  // reuses the entry's pool slots and allocates nothing.
+  std::vector<task_entry> tasks_;
   std::map<resource_id, node_id> resource_home_;
-  std::map<task_id, std::map<instance_number, instance_record>> instances_;
   // Per-node condition views (see set_condition): index [node][cond]. The
   // authority is node 0's view; the others converge one cond_update hop
   // later. Each inner map is only touched by its node's shard during a
   // run; outside event execution (tests, between runs) the public
   // setters update all views at once.
   std::vector<std::map<condition_id, bool>> node_conditions_;
-  std::map<task_id, std::any> task_states_;
-  std::map<task_id, task_stats> task_stats_;
-  task_id next_task_ = 1;
 
   // Distributed deadlock-scan state, owned by the scan home's shard
   // (node 0): per-epoch collected stalled EUs; an epoch is erased when

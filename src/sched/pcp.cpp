@@ -28,7 +28,7 @@ priority pcp_policy::task_priority(task_id t) const {
 }
 
 priority pcp_policy::ceiling_of(
-    const std::vector<core::resource_claim>& claims) const {
+    std::span<const core::resource_claim> claims) const {
   priority c = prio::idle;
   for (const auto& claim : claims) {
     auto it = ceiling_.find(claim.res);

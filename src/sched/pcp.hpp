@@ -14,6 +14,7 @@
 #pragma once
 
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -51,12 +52,12 @@ class pcp_policy final : public core::policy {
   struct blocked_req {
     kthread_id thread;
     priority prio;
-    std::vector<core::resource_claim> resources;
+    std::span<const core::resource_claim> resources;  // into the task graph
   };
 
   [[nodiscard]] priority task_priority(task_id t) const;
-  [[nodiscard]] priority ceiling_of(const std::vector<core::resource_claim>&
-                                        claims) const;
+  [[nodiscard]] priority ceiling_of(
+      std::span<const core::resource_claim> claims) const;
   /// Highest ceiling among resources held by threads other than `self`.
   [[nodiscard]] priority blocking_ceiling(kthread_id self) const;
   void try_grant(const blocked_req& req, core::scheduler_context& ctx,

@@ -37,6 +37,7 @@ class event_callback {
   static constexpr std::size_t inline_capacity = 64;
 
   event_callback() noexcept = default;
+  event_callback(std::nullptr_t) noexcept {}  // NOLINT: an empty callback
 
   template <typename F>
     requires(!std::is_same_v<std::decay_t<F>, event_callback> &&

@@ -1,15 +1,17 @@
-// Open-addressed node_id -> T map for sparse per-node protocol state
-// (DESIGN.md, "Scalable topology layer").
+// Open-addressed hash map for sparse keyed state (DESIGN.md, "Scalable
+// topology layer" and "Simulated kernel").
 //
 // The flat protocols kept per-(source, destination) state in dense
 // reserve_nodes-sized vectors: O(N) per node, O(N²) system-wide — 10k nodes
 // put the wire's FIFO floors alone in the gigabytes. The scalable
 // topologies talk to a bounded neighbour set (cluster members, tree
 // children, aggregator peers), so per-node state is keyed by the handful of
-// nodes actually communicated with. This map is the shared container for
-// that: linear-probe open addressing over power-of-two slot arrays, keys
-// are node ids, empty slots are marked by a reserved sentinel key, and the
-// backing array doubles at 70% load.
+// nodes actually communicated with. `sparse_node_map` is the shared
+// container for that. The dispatcher finds its live shards by
+// `(task, instance)` through the same map. Linear-probe open addressing
+// over power-of-two slot arrays; empty slots are marked by a reserved
+// sentinel key (`sparse_key<Key>::empty`), and the backing array doubles at
+// 70% load.
 //
 // Ownership: a sparse_map instance is confined to the shard that owns its
 // enclosing per-node state (the same rule as every other per-node
@@ -28,15 +30,42 @@
 
 namespace hades::util {
 
-template <typename T>
-class sparse_node_map {
- public:
-  static constexpr node_id empty_key = std::numeric_limits<node_id>::max();
+/// Key traits of `sparse_map`: the sentinel marking an empty slot (a key
+/// never stored) and the hash. Specialize for each key type.
+template <typename Key>
+struct sparse_key;
 
-  sparse_node_map() = default;
+template <>
+struct sparse_key<node_id> {
+  static constexpr node_id empty = std::numeric_limits<node_id>::max();
+  [[nodiscard]] static std::size_t hash(node_id k) noexcept {
+    // Fibonacci multiplicative hash: node ids are sequential, so identity
+    // hashing would cluster every cluster's members into one probe run.
+    std::uint64_t x = static_cast<std::uint64_t>(k) + 1;
+    x *= 0x9E3779B97F4A7C15ull;
+    return static_cast<std::size_t>(x >> 32);
+  }
+};
+
+/// Sequence numbers (task instance numbers), hashed like node ids.
+template <>
+struct sparse_key<std::uint64_t> {
+  static constexpr std::uint64_t empty =
+      std::numeric_limits<std::uint64_t>::max();
+  [[nodiscard]] static std::size_t hash(std::uint64_t k) noexcept {
+    return static_cast<std::size_t>(((k + 1) * 0x9E3779B97F4A7C15ull) >> 32);
+  }
+};
+
+template <typename Key, typename T>
+class sparse_map {
+ public:
+  static constexpr Key empty_key = sparse_key<Key>::empty;
+
+  sparse_map() = default;
 
   /// Value for `key`, default-constructing the slot on first touch.
-  T& operator[](node_id key) {
+  T& operator[](const Key& key) {
     if (slots_.empty()) rehash(8);
     std::size_t i = probe(key);
     if (slots_[i].key == empty_key) {
@@ -52,21 +81,21 @@ class sparse_node_map {
   }
 
   /// Pointer to the value for `key`, or nullptr. Never allocates.
-  [[nodiscard]] T* find(node_id key) noexcept {
+  [[nodiscard]] T* find(const Key& key) noexcept {
     if (slots_.empty()) return nullptr;
     const std::size_t i = probe(key);
     return slots_[i].key == key ? &slots_[i].value : nullptr;
   }
-  [[nodiscard]] const T* find(node_id key) const noexcept {
-    return const_cast<sparse_node_map*>(this)->find(key);
+  [[nodiscard]] const T* find(const Key& key) const noexcept {
+    return const_cast<sparse_map*>(this)->find(key);
   }
 
-  [[nodiscard]] bool contains(node_id key) const noexcept {
+  [[nodiscard]] bool contains(const Key& key) const noexcept {
     return find(key) != nullptr;
   }
 
   /// Remove `key` if present (backward-shift deletion keeps probes intact).
-  void erase(node_id key) noexcept {
+  void erase(const Key& key) noexcept {
     if (slots_.empty()) return;
     std::size_t i = probe(key);
     if (slots_[i].key != key) return;
@@ -118,20 +147,16 @@ class sparse_node_map {
 
  private:
   struct slot {
-    node_id key = empty_key;
+    Key key = empty_key;
     T value{};
   };
 
-  [[nodiscard]] static std::size_t hash(node_id k) noexcept {
-    // Fibonacci multiplicative hash: node ids are sequential, so identity
-    // hashing would cluster every cluster's members into one probe run.
-    std::uint64_t x = static_cast<std::uint64_t>(k) + 1;
-    x *= 0x9E3779B97F4A7C15ull;
-    return static_cast<std::size_t>(x >> 32);
+  [[nodiscard]] static std::size_t hash(const Key& k) noexcept {
+    return sparse_key<Key>::hash(k);
   }
 
   /// Index of `key`'s slot, or of the empty slot where it would insert.
-  [[nodiscard]] std::size_t probe(node_id key) const noexcept {
+  [[nodiscard]] std::size_t probe(const Key& key) const noexcept {
     const std::size_t mask = slots_.size() - 1;
     std::size_t i = hash(key) & mask;
     while (slots_[i].key != empty_key && slots_[i].key != key)
@@ -150,5 +175,9 @@ class sparse_node_map {
   std::vector<slot> slots_;
   std::size_t size_ = 0;
 };
+
+/// Per-node protocol state keyed by node id.
+template <typename T>
+using sparse_node_map = sparse_map<node_id, T>;
 
 }  // namespace hades::util

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 namespace hades {
 
@@ -52,10 +51,3 @@ struct kthread_id {
 inline constexpr kthread_id invalid_kthread{0};
 
 }  // namespace hades
-
-template <>
-struct std::hash<hades::kthread_id> {
-  std::size_t operator()(hades::kthread_id id) const noexcept {
-    return std::hash<std::uint64_t>{}(id.value);
-  }
-};

@@ -1,10 +1,12 @@
 // Zero-allocation gate for the simulated kernel's per-event path.
 //
 // With tracing off, a warmed-up `core::system` must move frames through
-// net_task::send -> wire -> NIC interrupt -> channel handler, and cycle
-// kernel threads through make_runnable / set_priority / completion, without
-// a single heap allocation. Reading the monitor and the trace back must
-// not allocate either. A counting global operator new (the pattern of
+// net_task::send -> wire -> NIC interrupt -> channel handler, cycle kernel
+// threads through make_runnable / set_priority / completion, and run task
+// instances from activation to completion (shards, threads, scheduler
+// notifications, precedence tokens, instance records), without a single
+// heap allocation. Reading the monitor and the trace back must not
+// allocate either. A counting global operator new (the pattern of
 // bench/bench_wire.cpp) sees every allocation in the process; each phase
 // runs once to warm the pools, rings and queues up to their high-water
 // mark, then once more under the counter with the identical pattern. The
@@ -19,6 +21,7 @@
 #include <string>
 
 #include "core/system.hpp"
+#include "sched/edf.hpp"
 #include "services/reliable_comm.hpp"
 
 namespace {
@@ -162,6 +165,74 @@ TEST(KernelAllocTest, ThreadCyclesAllocateNothing) {
   EXPECT_GT(bg_done, bg_warm);
   EXPECT_GT(cpu.stats().preemptions, preemptions);
   EXPECT_EQ(sim::event_callback::heap_allocations(), closures);
+}
+
+// The instance lifecycle: activation, c_inv_start, shard creation on both
+// nodes (the remote one by token), one thread and one EDF Atv/Trm pair per
+// Code_EU, a local and a remote precedence, shard completion back to the
+// home, the instance record's retirement and c_inv_end. Names are longer
+// than the small-string buffer, the deadline is armed and cancelled, and
+// every unit runs exactly its WCET, so no monitor event is due.
+TEST(KernelAllocTest, ActivationToCompletionCycleAllocatesNothing) {
+  system sys(2, quiet_kernel());
+  sys.attach_policy(0, std::make_shared<sched::edf_policy>());
+  sys.attach_policy(1, std::make_shared<sched::edf_policy>());
+  task_builder b("activation_to_completion_task");
+  b.deadline(10_ms).law(arrival_law::aperiodic());
+  const eu_index head = b.add_code_eu("instance_head_on_home_node", 0, 40_us);
+  const eu_index local = b.add_code_eu("local_successor_on_home", 0, 30_us);
+  const eu_index remote = b.add_code_eu("remote_successor_on_node_1", 1, 30_us);
+  b.precede(head, local).precede(head, remote, 64);
+  const task_id t = sys.register_task(b.build());
+
+  const auto batch = [&] {
+    for (int i = 0; i < 32; ++i) {
+      ASSERT_TRUE(sys.activate(t));
+      sys.run_for(300_us);  // consecutive instances overlap
+    }
+    sys.run_for(20_ms);  // drain
+  };
+
+  batch();  // warm-up: pools, slot tables, rings and EDF's list at peak
+  ASSERT_EQ(sys.stats_for(t).completions, 32u);
+  const std::uint64_t closures = sim::event_callback::heap_allocations();
+
+  EXPECT_EQ(allocations_during(batch), 0u);
+  EXPECT_EQ(sys.stats_for(t).completions, 64u);
+  EXPECT_EQ(sys.mon().events().size(), 0u);
+  EXPECT_EQ(sys.disp(1).stats().eus_completed, 64u);
+  EXPECT_EQ(sim::event_callback::heap_allocations(), closures);
+}
+
+// `monitor::record` copies a moved-in event once: the log keeps a copy (the
+// two strings) and the routed redelivery shares the event itself in one
+// control block.
+TEST(KernelAllocTest, RecordingAMovedEventCopiesItOnce) {
+  system::config cfg = quiet_kernel();
+  cfg.kernel_background = false;  // the redelivery is the only event
+  system sys(1, cfg);
+  std::size_t heard = 0;
+  sys.mon().subscribe_at_node(
+      0, 10_us, [&](const monitor_event& e) { heard += e.detail.size(); });
+  const std::string text(48, 'x');
+  const auto make = [&] {
+    monitor_event e;
+    e.kind = monitor_event_kind::deadline_miss;
+    e.node = 0;
+    e.subject = text;
+    e.detail = text;
+    return e;
+  };
+  sys.mon().record(make());  // warm-up: the log and the event pool
+  sys.run_for(1_ms);
+  sys.mon().clear();
+
+  monitor_event e = make();
+  EXPECT_EQ(allocations_during([&] { sys.mon().record(std::move(e)); }), 3u);
+  sys.run_for(1_ms);
+  EXPECT_EQ(heard, 2 * text.size());
+  ASSERT_EQ(sys.mon().events().size(), 1u);
+  EXPECT_EQ(sys.mon().events().back().subject, text);
 }
 
 // The observation sinks keep one vector each. A single engine appends in

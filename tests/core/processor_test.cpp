@@ -296,6 +296,26 @@ TEST(ProcessorTest, UnknownThreadThrows) {
   EXPECT_THROW(f.cpu.destroy(kthread_id{999}), invariant_violation);
 }
 
+// A destroyed thread's slot goes to the next thread created, under a new
+// id: the old id names nothing any more, and ids keep creation order.
+TEST(ProcessorTest, ReusedSlotGetsAFreshLaterId) {
+  fixture f;
+  const kthread_id a = f.cpu.create("a", 5, 5, 1_ms, nullptr);
+  const kthread_id b = f.cpu.create("b", 5, 5, 1_ms, nullptr);
+  f.cpu.destroy(a);
+  const kthread_id c = f.cpu.create("c", 5, 5, 2_ms, nullptr);
+  EXPECT_EQ(processor::slot_of(c), processor::slot_of(a));
+  EXPECT_NE(c, a);
+  EXPECT_FALSE(f.cpu.exists(a));
+  EXPECT_THROW(static_cast<void>(f.cpu.executed(a)), invariant_violation);
+  EXPECT_THROW(f.cpu.destroy(a), invariant_violation);
+  EXPECT_TRUE(f.cpu.exists(c));
+  EXPECT_EQ(f.cpu.name(c), "c");
+  EXPECT_EQ(f.cpu.remaining(c), 2_ms);
+  EXPECT_GT(c, a);
+  EXPECT_GT(c, b);
+}
+
 TEST(ProcessorTest, RunQueueOrderedByPriorityThenFifo) {
   fixture f;
   auto run = f.cpu.create("run", 9, 9, 10_ms, nullptr);
