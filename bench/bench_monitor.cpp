@@ -1,9 +1,21 @@
 // E10 — monitoring activities (paper section 3.2.1): detection latency for
 // every monitored event class. The paper notes no existing environment
 // implemented all of them; this bench exercises each detector and reports
-// how long after the fault the monitor event fires.
+// how long after the fault the monitor event fires. Two host timings
+// follow: a small system's whole monitored-event path, and one warmed
+// `monitor::record` with a routed listener (the cost every shed, orphan
+// and suspicion pays).
+//
+// Usage: bench_monitor [--json PATH] [google-benchmark flags]
+// `--json PATH` writes the stamped BENCH_monitor.json: one
+// `<benchmark>_ns` key per host timing, its real time per iteration.
 #include <benchmark/benchmark.h>
 
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "bench/json_out.hpp"
 #include "bench/table.hpp"
 #include "core/system.hpp"
 #include "services/fault_detector.hpp"
@@ -175,11 +187,90 @@ void bm_monitor_event_path(benchmark::State& state) {
 }
 BENCHMARK(bm_monitor_event_path)->Unit(benchmark::kMicrosecond);
 
+// One warmed `record` of an `instance_rejected` event per iteration, names
+// interned at the call as the shed path does, with one routed listener that
+// wants the kind. Every 1,024 records the clock stops while the engine runs
+// their redeliveries and the log is cleared.
+void bm_monitor_record(benchmark::State& state) {
+  core::system::config cfg = quiet();
+  cfg.kernel_background = false;
+  core::system sys(1, cfg);
+  std::uint64_t heard = 0;
+  sys.mon().subscribe_at_node(0, 20_us,
+                              {core::monitor_event_kind::instance_rejected},
+                              [&](const core::monitor_event&) { ++heard; });
+  constexpr std::uint64_t batch = 1024;
+  std::uint64_t recorded = 0;
+  const auto record = [&] {
+    core::monitor_event e;
+    e.kind = core::monitor_event_kind::instance_rejected;
+    e.at = sys.now();
+    e.node = 0;
+    e.task = 1;
+    e.instance = recorded;
+    e.subject = sys.mon().intern("gw1_c2");
+    e.detail = sys.mon().intern("shed: value density");
+    sys.mon().record(e);
+  };
+  const auto drain = [&] {
+    sys.run_for(1_ms);
+    sys.mon().clear();
+  };
+  for (; recorded < batch; ++recorded) record();  // warm-up: names, log, pool
+  drain();
+  for (auto _ : state) {
+    record();
+    if (++recorded % batch == 0) {
+      state.PauseTiming();
+      drain();
+      state.ResumeTiming();
+    }
+  }
+  benchmark::DoNotOptimize(heard);
+}
+BENCHMARK(bm_monitor_record);
+
+// The console table, plus each run's real time per iteration in the JSON
+// document.
+class json_reporter final : public benchmark::ConsoleReporter {
+ public:
+  explicit json_reporter(bench::json_doc& json)
+      : ConsoleReporter(OO_None), json_(&json) {}
+
+  void ReportRuns(const std::vector<Run>& runs) override {
+    ConsoleReporter::ReportRuns(runs);
+    for (const Run& r : runs) {
+      if (r.error_occurred || r.run_type != Run::RT_Iteration) continue;
+      json_->num(r.benchmark_name() + "_ns",
+                 r.GetAdjustedRealTime() * 1e9 /
+                     benchmark::GetTimeUnitMultiplier(r.time_unit));
+    }
+  }
+
+ private:
+  bench::json_doc* json_;
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Strip --json PATH before google-benchmark sees (and rejects) it.
+  std::string json_path;
+  int kept = 1;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
+      json_path = argv[++i];
+    else
+      argv[kept++] = argv[i];
+  }
+  argc = kept;
+
   sweep();
+  bench::json_doc json;
+  bench::stamp(json, 1, 1);
+  json_reporter reporter(json);
   benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  benchmark::RunSpecifiedBenchmarks(&reporter);
+  if (!json_path.empty() && !json.write(json_path)) return 1;
   return 0;
 }

@@ -103,7 +103,7 @@ int main() {
     if (e.at < time_point::at(600_ms)) continue;
     if (++shown > 5) break;
     std::printf("  %s [%s] %s\n", e.at.to_string().c_str(),
-                core::to_string(e.kind), e.subject.c_str());
+                core::to_string(e.kind), sys.mon().subject_text(e).c_str());
   }
   return 0;
 }

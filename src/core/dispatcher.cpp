@@ -222,8 +222,8 @@ void dispatcher::create_shard(const task_graph& g, instance_number k,
         ev.node = node_;
         ev.task = key.first;
         ev.instance = key.second;
-        ev.subject = e.info.eu_name;
-        mon_->record(std::move(ev));
+        ev.subject = mon_->intern(e.info.eu_name);
+        mon_->record(ev);
         // Missing *remote* predecessors at this point are the signature of
         // a network omission (paper 3.2.1 event v).
         for (eu_index p : sp->graph->preds(idx)) {
@@ -235,10 +235,10 @@ void dispatcher::create_shard(const task_graph& g, instance_number k,
           om.node = node_;
           om.task = key.first;
           om.instance = key.second;
-          om.subject = e.info.eu_name;
-          om.detail = "remote precedence from '" +
-                      sp->graph->eu_name(p) + "' missing";
-          mon_->record(std::move(om));
+          om.subject = mon_->intern(e.info.eu_name);
+          om.detail = mon_->intern("remote precedence from '" +
+                                   sp->graph->eu_name(p) + "' missing");
+          mon_->record(om);
         }
       });
     }
@@ -301,9 +301,9 @@ void dispatcher::abort_shard(task_id t, instance_number k,
       ev.node = node_;
       ev.task = t;
       ev.instance = k;
-      ev.subject = eu.info.eu_name;
-      ev.detail = reason;
-      mon_->record(std::move(ev));
+      ev.subject = mon_->intern(eu.info.eu_name);
+      ev.detail = mon_->intern(reason);
+      mon_->record(ev);
       record_trace(sim::trace_kind::thread_killed, cpu_->name(eu.thread),
                    reason);
     }
@@ -616,10 +616,10 @@ void dispatcher::eu_complete(shard_key key, eu_index idx) {
     ev.node = node_;
     ev.task = key.first;
     ev.instance = key.second;
-    ev.subject = eu.info.eu_name;
-    ev.detail = "actual " + eu.actual.to_string() + " < wcet " +
-                eu.code->wcet.to_string();
-    mon_->record(std::move(ev));
+    ev.subject = mon_->intern(eu.info.eu_name);
+    ev.detail = mon_->intern("actual " + eu.actual.to_string() + " < wcet " +
+                             eu.code->wcet.to_string());
+    mon_->record(ev);
   }
 
   if (eu.code->body) {

@@ -1,7 +1,6 @@
 #include "core/monitor.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <sstream>
 
 namespace hades::core {
@@ -12,64 +11,94 @@ bool before(const monitor_event& a, const monitor_event& b) {
   return a.at != b.at ? a.at < b.at : a.shard < b.shard;
 }
 
+std::string node_name(node_id n) { return "node" + std::to_string(n); }
+
+bool is_suspicion(monitor_event_kind k) {
+  return k == monitor_event_kind::node_suspected ||
+         k == monitor_event_kind::node_unsuspected;
+}
+
 }  // namespace
+
+name_id monitor::intern(std::string_view text) {
+  if (text.empty()) return no_name;
+  if (const auto it = name_index_.find(text); it != name_index_.end())
+    return it->second;
+  const auto id = static_cast<name_id>(names_.size() + 1);
+  const auto it = name_index_.emplace(std::string(text), id).first;
+  names_.push_back(&it->first);
+  return id;
+}
+
+std::string monitor::subject_text(const monitor_event& e) const {
+  if (e.subject != no_name) return std::string(name(e.subject));
+  switch (e.kind) {
+    case monitor_event_kind::node_crash:
+    case monitor_event_kind::node_recover:
+      return node_name(e.node);
+    case monitor_event_kind::node_suspected:
+    case monitor_event_kind::node_unsuspected:
+      return node_name(e.subject_node);
+    default:
+      return {};
+  }
+}
+
+std::string monitor::detail_text(const monitor_event& e) const {
+  if (e.detail != no_name) return std::string(name(e.detail));
+  if (is_suspicion(e.kind)) return "observer " + node_name(e.node);
+  return {};
+}
 
 void monitor::record(monitor_event e) {
   e.shard = rt_ != nullptr ? rt_->executing_shard() : 0;
   if (!events_.empty() && before(e, events_.back())) sorted_ = false;
-  if (listeners_.empty() && routed_.empty()) {
-    events_.push_back(std::move(e));
-    return;
-  }
-  // The log keeps a copy, whose strings are sized to fit however the
-  // caller built them, and listeners are notified from the caller's event,
-  // never from a reference into the vector: a synchronous listener may
-  // re-enter record (dependency_tracker aborting instances records fresh
-  // orphan events), and the resulting push_back would invalidate any
-  // reference held across the callback.
   events_.push_back(e);
-  if (routed_.empty() || rt_ == nullptr) {
-    for (const auto& l : listeners_) l(e);
-    for (const auto& r : routed_) r.fn(e);
-    return;
-  }
-  // With routed listeners the caller's event moves into the block every
-  // redelivery shares, so each scheduled closure is `this`, an index and a
-  // shared_ptr: inline in the event core, and no copy of the listener.
-  auto shared = std::make_shared<const monitor_event>(std::move(e));
-  for (const auto& l : listeners_) l(*shared);
+  // Listeners see `e`, never a reference into the vector: a synchronous
+  // listener may re-enter record (dependency_tracker aborting instances
+  // records fresh orphan events), and the resulting push_back would
+  // invalidate any reference held across the callback.
+  for (const auto& l : listeners_) l(e);
   // Redeliver on each home shard at a backend-independent date. One wire
   // frame per foreign home: the receiving process fans the event out to
-  // every listener at that home, so duplicates would double-deliver.
+  // every listener at that home that wants it, so duplicates would
+  // double-deliver.
   std::vector<node_id> forwarded_homes;
   for (std::size_t i = 0; i < routed_.size(); ++i) {
     const routed_listener& r = routed_[i];
+    if (!r.kinds.contains(e.kind)) continue;
     if (forwarder_ != nullptr) {
       const bool already =
           std::find(forwarded_homes.begin(), forwarded_homes.end(), r.home) !=
           forwarded_homes.end();
       if (already) continue;
-      if (forwarder_(*shared, r.home, r.delay)) {
+      if (forwarder_(e, r.home, r.delay)) {
         forwarded_homes.push_back(r.home);
         continue;
       }
     }
-    rt_->at_node(r.home, rt_->now() + r.delay,
-                 [this, i, shared] { routed_[i].fn(*shared); });
+    redeliver(i, e);
   }
 }
 
-void monitor::deliver_forwarded(const monitor_event& e, node_id home) {
+void monitor::redeliver(std::size_t listener_index, const monitor_event& e) {
+  const routed_listener& r = routed_[listener_index];
   if (rt_ == nullptr) {
-    for (const auto& r : routed_)
-      if (r.home == home) r.fn(e);
+    r.fn(e);
     return;
   }
-  auto shared = std::make_shared<const monitor_event>(e);
+  // `this`, an index and the 48-byte record: inline in the event core.
+  rt_->at_node(r.home, rt_->now() + r.delay,
+               [this, listener_index, e] { routed_[listener_index].fn(e); });
+}
+
+void monitor::deliver_forwarded(monitor_event e, std::string_view subject,
+                                std::string_view detail, node_id home) {
+  e.subject = intern(subject);
+  e.detail = intern(detail);
   for (std::size_t i = 0; i < routed_.size(); ++i)
-    if (routed_[i].home == home)
-      rt_->at_node(home, rt_->now() + routed_[i].delay,
-                   [this, i, shared] { routed_[i].fn(*shared); });
+    if (routed_[i].home == home && routed_[i].kinds.contains(e.kind))
+      redeliver(i, e);
 }
 
 const std::vector<monitor_event>& monitor::events() const {
@@ -90,8 +119,9 @@ std::string monitor::render() const {
       os << '?';
     else
       os << e.node;
-    os << "  [" << to_string(e.kind) << "] " << e.subject;
-    if (!e.detail.empty()) os << " : " << e.detail;
+    os << "  [" << to_string(e.kind) << "] " << subject_text(e);
+    const std::string detail = detail_text(e);
+    if (!detail.empty()) os << " : " << detail;
     os << '\n';
   }
   return os.str();

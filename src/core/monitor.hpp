@@ -13,6 +13,13 @@
 // The monitor itself is an event sink with query helpers; the detectors
 // live in the dispatcher/system, which know the execution state.
 //
+// Records are fixed-size (DESIGN.md, "Monitor records"): 48 trivially
+// copyable bytes, with the subject and detail text held as ids into a
+// table the monitor owns. `intern` copies each distinct string once, on
+// first sight, and only the thread executing the monitor's runtime may call
+// it. Node kinds (crash, recovery, suspicion) store no text at all: their
+// subject and detail are rebuilt from `node` and `subject_node`.
+//
 // Shard confinement (DESIGN.md): the monitor keeps one vector of events in
 // execution order. Each record carries the shard that appended it
 // (`runtime::executing_shard()`, 0 when unbound), and `events()`
@@ -24,17 +31,21 @@
 //     must only touch state owned by that shard (or the monitor must only
 //     be used on a single-shard backend).
 //   * `subscribe_at_node` — the listener is re-invoked on the shard owning
-//     `home`, at `record date + delay`, via `runtime::at_node`. With a
-//     `delay` no smaller than the backend's lookahead this is legal from
-//     any shard, and because the delay is a constant the redelivery date is
-//     identical on every backend — what keeps mode switching bit-identical
-//     across shard counts.
+//     `home`, at `record date + delay`, via `runtime::at_node`, for the
+//     kinds it names. With a `delay` no smaller than the backend's
+//     lookahead this is legal from any shard, and because the delay is a
+//     constant the redelivery date is identical on every backend — what
+//     keeps mode switching bit-identical across shard counts.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <unordered_map>
 #include <vector>
 
 #include "sim/runtime.hpp"
@@ -43,7 +54,7 @@
 
 namespace hades::core {
 
-enum class monitor_event_kind {
+enum class monitor_event_kind : std::uint8_t {
   deadline_miss,
   arrival_law_violation,
   early_termination,
@@ -76,6 +87,29 @@ enum class monitor_event_kind {
   return "?";
 }
 
+/// A set of monitor event kinds, one bit per kind.
+class kind_set {
+ public:
+  constexpr kind_set() = default;
+  constexpr kind_set(std::initializer_list<monitor_event_kind> kinds) {
+    for (const monitor_event_kind k : kinds) bits_ |= bit(k);
+  }
+  [[nodiscard]] constexpr bool contains(monitor_event_kind k) const {
+    return (bits_ & bit(k)) != 0;
+  }
+
+ private:
+  static constexpr std::uint32_t bit(monitor_event_kind k) {
+    return std::uint32_t{1} << static_cast<unsigned>(k);
+  }
+  std::uint32_t bits_ = 0;
+};
+
+/// Index into a monitor's name table (`monitor::intern`); 0 is the empty
+/// string. Ids are local to one monitor.
+using name_id = std::uint32_t;
+inline constexpr name_id no_name = 0;
+
 struct monitor_event {
   monitor_event_kind kind = monitor_event_kind::deadline_miss;
   std::uint32_t shard = 0;  // set by `record`: the shard that appended it
@@ -86,24 +120,46 @@ struct monitor_event {
   node_id subject_node = invalid_node;
   task_id task = invalid_task;
   instance_number instance = 0;
-  std::string subject;
-  std::string detail;
+  /// Text ids; read them back with `monitor::subject_text`/`detail_text`.
+  /// Node kinds leave both empty (see the file comment).
+  name_id subject = no_name;
+  name_id detail = no_name;
 };
+static_assert(std::is_trivially_copyable_v<monitor_event>);
+static_assert(sizeof(monitor_event) <= 48);
 
 class monitor {
  public:
   using listener = std::function<void(const monitor_event&)>;
 
   monitor() = default;
+  // Listeners and the name table point into the monitor itself.
+  monitor(const monitor&) = delete;
+  monitor& operator=(const monitor&) = delete;
 
   /// Attach to a runtime: `record` tags each event with the executing
   /// shard, and `subscribe_at_node` redelivers through the runtime. The
   /// owning `core::system` calls this from its constructor.
   void bind(hades::runtime& rt) { rt_ = &rt; }
 
-  /// Append `e` (callers move it in). Without listeners the log keeps the
-  /// event itself. With listeners it keeps one copy, and the event itself
-  /// is what they are notified with: routed redeliveries share it.
+  /// The id of `text`, copying it into the name table the first time it is
+  /// seen; later calls with equal text find it without allocating. Only the
+  /// thread executing the bound runtime's events may call this (a transport
+  /// receiver thread hands text over instead, see `deliver_forwarded`).
+  [[nodiscard]] name_id intern(std::string_view text);
+  /// The text of an id from this monitor's `intern`.
+  [[nodiscard]] std::string_view name(name_id id) const {
+    return id == no_name ? std::string_view{} : *names_.at(id - 1);
+  }
+  /// The subject and detail text of `e`, byte for byte what `render`
+  /// prints. Node kinds rebuild theirs: the subject is `node<N>` and a
+  /// suspicion's detail `observer node<observer>`.
+  [[nodiscard]] std::string subject_text(const monitor_event& e) const;
+  [[nodiscard]] std::string detail_text(const monitor_event& e) const;
+
+  /// Append `e`, then notify synchronous listeners and schedule (or
+  /// forward) a redelivery for each routed listener that wants `e.kind`.
+  /// Listeners receive a copy, so a listener that records in turn is safe.
   void record(monitor_event e);
 
   /// Subscribe to every future event, synchronously on the recording shard
@@ -111,44 +167,44 @@ class monitor {
   void subscribe(listener l) { listeners_.push_back(std::move(l)); }
 
   /// Subscribe with deterministic cross-shard redelivery: the listener runs
-  /// on the shard owning `home`, at the event date + `delay`. `delay` must
-  /// be >= the backend's cross-shard lookahead (the network's delta_min for
-  /// system runs); it is applied on every backend so redelivery dates are
+  /// on the shard owning `home`, at the event date + `delay`, for the
+  /// `kinds` it names; other kinds cost it nothing. `delay` must be >= the
+  /// backend's cross-shard lookahead (the network's delta_min for system
+  /// runs); it is applied on every backend so redelivery dates are
   /// backend-independent. Without a bound runtime the listener fires
   /// synchronously.
-  void subscribe_at_node(node_id home, duration delay, listener l) {
-    routed_.push_back({home, delay, std::move(l)});
+  void subscribe_at_node(node_id home, duration delay, kind_set kinds,
+                         listener l) {
+    routed_.push_back({home, delay, kinds, std::move(l)});
   }
 
   /// Multi-process runtimes: a routed listener whose home node lives in
   /// another OS process cannot be re-invoked through `at_node` (closures do
   /// not cross address spaces — the realtime backend silently drops foreign
   /// `at_node`s). A forwarder intercepts those redeliveries: `record` offers
-  /// it each (event, home, delay) triple once per distinct home; returning
-  /// true means "home is foreign, I shipped the event" (the owning process
-  /// re-injects it via `deliver_forwarded`), false falls through to the
-  /// local `at_node` path. Null (every sim run) changes nothing.
+  /// it each (event, home, delay) triple once per distinct home whose
+  /// listeners want the kind; returning true means "home is foreign, I
+  /// shipped the event" (the owning process re-injects it via
+  /// `deliver_forwarded`), false falls through to the local `at_node` path.
+  /// Null (every sim run) changes nothing.
   using forward_fn =
       std::function<bool(const monitor_event&, node_id home, duration delay)>;
   void set_forwarder(forward_fn f) { forwarder_ = std::move(f); }
 
   /// Re-deliver an event forwarded from another process to the routed
-  /// listeners subscribed at `home` (which this process owns). The event is
-  /// NOT re-recorded — its originating process already logged it — so merged
-  /// streams concatenated across processes stay duplicate-free. Callable
-  /// from a transport receiver thread.
-  void deliver_forwarded(const monitor_event& e, node_id home);
+  /// listeners subscribed at `home` (which this process owns). Name ids do
+  /// not cross processes, so the subject and detail arrive as text and are
+  /// interned here: call on the runtime's event thread, never on a
+  /// transport receiver thread. The event is NOT re-recorded — its
+  /// originating process already logged it — so merged streams
+  /// concatenated across processes stay duplicate-free.
+  void deliver_forwarded(monitor_event e, std::string_view subject,
+                         std::string_view detail, node_id home);
 
   /// Every event, ordered by {time, shard, per-shard sequence}. Sorted in
   /// place when needed; query between runs.
   [[nodiscard]] const std::vector<monitor_event>& events() const;
 
-  [[nodiscard]] std::vector<monitor_event> of_kind(monitor_event_kind k) const {
-    std::vector<monitor_event> out;
-    for (const auto& e : events())
-      if (e.kind == k) out.push_back(e);
-    return out;
-  }
   [[nodiscard]] std::size_t count(monitor_event_kind k) const {
     std::size_t n = 0;
     for (const auto& e : events_)
@@ -162,6 +218,8 @@ class monitor {
       if (e.kind == k && e.task == t) ++n;
     return n;
   }
+  /// Drop the events. The name table stays: ids held elsewhere remain
+  /// readable.
   void clear() {
     events_.clear();
     sorted_ = true;
@@ -173,13 +231,27 @@ class monitor {
   struct routed_listener {
     node_id home = 0;
     duration delay = duration::zero();
+    kind_set kinds;
     listener fn;
   };
+  struct name_hash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const noexcept {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
+  void redeliver(std::size_t listener_index, const monitor_event& e);
 
   hades::runtime* rt_ = nullptr;
   // Execution order; `events()` sorts it when `sorted_` is false.
   mutable std::vector<monitor_event> events_;
   mutable bool sorted_ = true;
+  // Name table: each distinct text once, as a key of `name_index_` (node
+  // keys never move), and `names_[id - 1]` points at it.
+  std::unordered_map<std::string, name_id, name_hash, std::equal_to<>>
+      name_index_;
+  std::vector<const std::string*> names_;
   std::vector<listener> listeners_;
   std::vector<routed_listener> routed_;
   forward_fn forwarder_;  // null outside multi-process realtime runs

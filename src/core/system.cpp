@@ -199,18 +199,17 @@ std::optional<instance_number> system::activate_internal(
       ev.at = now;
       ev.node = home;
       ev.task = t;
-      ev.subject = g.name();
-      ev.detail = "gap " + gap.to_string() + " < " + g.law().period.to_string();
+      ev.subject = monitor_.intern(g.name());
+      ev.detail = monitor_.intern("gap " + gap.to_string() + " < " +
+                                  g.law().period.to_string());
+      monitor_.record(ev);
       if (cfg_.reject_arrival_violations) {
-        monitor_event rej = ev;
-        monitor_.record(std::move(ev));
-        rej.kind = monitor_event_kind::instance_rejected;
-        rej.detail = "arrival-law violation";
-        monitor_.record(std::move(rej));
+        ev.kind = monitor_event_kind::instance_rejected;
+        ev.detail = monitor_.intern("arrival-law violation");
+        monitor_.record(ev);
         ++st.rejections;
         return std::nullopt;
       }
-      monitor_.record(std::move(ev));
     }
   }
   te.ever_activated = true;
@@ -226,9 +225,9 @@ std::optional<instance_number> system::activate_internal(
     rej.at = now;
     rej.node = home;
     rej.task = t;
-    rej.subject = g.name();
-    rej.detail = "admission control";
-    monitor_.record(std::move(rej));
+    rej.subject = monitor_.intern(g.name());
+    rej.detail = monitor_.intern("admission control");
+    monitor_.record(rej);
     ++st.rejections;
     return std::nullopt;
   }
@@ -325,8 +324,8 @@ void system::on_deadline(task_id t, instance_number k) {
   ev.node = g.home_node();
   ev.task = t;
   ev.instance = k;
-  ev.subject = g.name();
-  monitor_.record(std::move(ev));
+  ev.subject = monitor_.intern(g.name());
+  monitor_.record(ev);
   if (g.abort_on_deadline_miss())
     abort_instance(t, k, "deadline miss", /*as_rejection=*/false);
 }
@@ -434,9 +433,9 @@ void system::abort_instance(task_id t, instance_number k,
     ev.node = g.home_node();
     ev.task = t;
     ev.instance = k;
-    ev.subject = g.name();
-    ev.detail = reason;
-    monitor_.record(std::move(ev));
+    ev.subject = monitor_.intern(g.name());
+    ev.detail = monitor_.intern(reason);
+    monitor_.record(ev);
   }
 
   if (!disp(home).halted())
@@ -594,8 +593,7 @@ void system::crash_node(node_id n) {
   ev.kind = monitor_event_kind::node_crash;
   ev.at = rt_->now();
   ev.node = n;
-  ev.subject = "node" + std::to_string(n);
-  monitor_.record(std::move(ev));
+  monitor_.record(ev);
   disp(n).halt();
 }
 
@@ -608,8 +606,7 @@ void system::recover_node(node_id n) {
   ev.kind = monitor_event_kind::node_recover;
   ev.at = rt_->now();
   ev.node = n;
-  ev.subject = "node" + std::to_string(n);
-  monitor_.record(std::move(ev));
+  monitor_.record(ev);
 }
 
 // -------------------------------------------------------- deadlock detection --
@@ -703,9 +700,9 @@ std::size_t system::analyze_stalled(std::vector<stalled_eu>& all) {
     ev.node = all[i].node;
     ev.task = w.task;
     ev.instance = w.instance;
-    ev.subject = graph(w.task).eu_name(w.eu);
-    ev.detail = "wait-for cycle";
-    monitor_.record(std::move(ev));
+    ev.subject = monitor_.intern(graph(w.task).eu_name(w.eu));
+    ev.detail = monitor_.intern("wait-for cycle");
+    monitor_.record(ev);
   }
   return involved;
 }

@@ -3,6 +3,7 @@
 #include <cstring>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <type_traits>
 
 #include "core/dispatcher.hpp"
@@ -61,7 +62,7 @@ struct reader {
   }
 };
 
-void put_string(std::vector<std::byte>& out, const std::string& s) {
+void put_string(std::vector<std::byte>& out, std::string_view s) {
   put(out, static_cast<std::uint32_t>(s.size()));
   put_bytes(out, s.data(), s.size());
 }
@@ -141,7 +142,8 @@ void register_hades_codecs() {
   });
 }
 
-void encode_monitor_event(const core::monitor_event& e,
+void encode_monitor_event(const core::monitor& mon,
+                          const core::monitor_event& e,
                           std::vector<std::byte>& out) {
   put(out, static_cast<std::uint32_t>(e.kind));
   put(out, e.at.nanoseconds());
@@ -149,23 +151,24 @@ void encode_monitor_event(const core::monitor_event& e,
   put(out, e.task);
   put(out, e.instance);
   put(out, e.subject_node);
-  put_string(out, e.subject);
-  put_string(out, e.detail);
+  put_string(out, mon.name(e.subject));
+  put_string(out, mon.name(e.detail));
 }
 
-core::monitor_event decode_monitor_event(const std::byte* data,
-                                         std::size_t len) {
+monitor_event_text decode_monitor_event(const std::byte* data,
+                                        std::size_t len) {
   reader r{data, len};
-  core::monitor_event e;
+  monitor_event_text t;
+  core::monitor_event& e = t.event;
   e.kind = static_cast<core::monitor_event_kind>(r.get<std::uint32_t>());
   e.at = time_point::at(duration::nanoseconds(r.get<std::int64_t>()));
   e.node = r.get<node_id>();
   e.task = r.get<task_id>();
   e.instance = r.get<instance_number>();
   e.subject_node = r.get<node_id>();
-  e.subject = get_string(r);
-  e.detail = get_string(r);
-  return e;
+  t.subject = get_string(r);
+  t.detail = get_string(r);
+  return t;
 }
 
 }  // namespace hades::rt

@@ -7,6 +7,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/monitor.hpp"
@@ -19,12 +20,23 @@ namespace hades::rt {
 /// encoded), and the plain `int` campaign application payload. Idempotent.
 void register_hades_codecs();
 
-/// Serialize / rebuild a monitor event (cross-process `subscribe_at_node`
-/// forwarding). Length-prefixed strings; same-binary byte format, like the
-/// trivial payload codecs.
-void encode_monitor_event(const core::monitor_event& e,
+/// A monitor event as it crosses processes. Name ids are local to one
+/// monitor, so the subject and detail travel as text; the receiving
+/// process interns them on its engine thread (`monitor::deliver_forwarded`).
+struct monitor_event_text {
+  core::monitor_event event;  // subject and detail ids unset
+  std::string subject;
+  std::string detail;
+};
+
+/// Serialize / rebuild a monitor event recorded in `mon` (cross-process
+/// `subscribe_at_node` forwarding). Length-prefixed strings; same-binary
+/// byte format, like the trivial payload codecs. Decoding touches no
+/// monitor, so a transport receiver thread may call it.
+void encode_monitor_event(const core::monitor& mon,
+                          const core::monitor_event& e,
                           std::vector<std::byte>& out);
-core::monitor_event decode_monitor_event(const std::byte* data,
-                                         std::size_t len);
+monitor_event_text decode_monitor_event(const std::byte* data,
+                                        std::size_t len);
 
 }  // namespace hades::rt

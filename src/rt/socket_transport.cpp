@@ -165,7 +165,7 @@ struct socket_transport::impl {
     const std::uint32_t dest_proc = rt->shard_of(home);
     if (dest_proc == rt->executing_shard()) return false;
     std::vector<std::byte> payload;
-    encode_monitor_event(e, payload);
+    encode_monitor_event(*mon, e, payload);
     frame_header h;
     h.kind = kind_monitor;
     h.dst = home;
@@ -186,8 +186,13 @@ struct socket_transport::impl {
 
   void deliver(const frame_header& h, const std::byte* payload) {
     if (h.kind == kind_monitor) {
-      mon->deliver_forwarded(decode_monitor_event(payload, h.payload_len),
-                             h.dst);
+      // Interning writes the monitor's name table, which belongs to the
+      // engine thread: decode here, hand the text over, intern there.
+      rt->at_node(h.dst, rt->now(),
+                  [m = mon, t = decode_monitor_event(payload, h.payload_len),
+                   home = h.dst] {
+                    m->deliver_forwarded(t.event, t.subject, t.detail, home);
+                  });
       return;
     }
     sim::message m;

@@ -33,7 +33,9 @@
 // Monitor events forwarded across processes (`monitor::set_forwarder`)
 // ride the same socket but bypass both the fault model and sequence
 // recovery: in-process they travel through the scheduler, not the LAN, so
-// the transport must not subject them to wire faults.
+// the transport must not subject them to wire faults. They carry their
+// subject and detail as text; the receiver thread only decodes and hands
+// the event to the engine thread, which interns the text into its monitor.
 //
 // The receiver measures real end-to-end latency (minus any intentional
 // extra delay) against the network's delta_max and counts violations; the

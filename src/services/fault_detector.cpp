@@ -14,8 +14,6 @@ hades::core::monitor_event suspicion_event(core::monitor_event_kind kind,
   ev.at = at;
   ev.node = observer;
   ev.subject_node = subject;
-  ev.subject = "node" + std::to_string(subject);
-  ev.detail = "observer node" + std::to_string(observer);
   return ev;
 }
 

@@ -30,9 +30,13 @@ mode_manager::mode_manager(core::system& sys, thresholds t, node_id home)
     : sys_(&sys), thresholds_(t), home_(home) {
   // Redelivered on the home shard one minimum network hop after the
   // recording — a backend-independent date that equals the sharded
-  // backend's cross-shard lookahead (see header).
+  // backend's cross-shard lookahead (see header). Only the kinds
+  // `consider` acts on are redelivered.
+  using kind = core::monitor_event_kind;
   sys_->mon().subscribe_at_node(
       home_, sys_->network().config().delta_min,
+      {kind::deadline_miss, kind::node_crash, kind::node_suspected,
+       kind::node_unsuspected},
       [this](const core::monitor_event& e) { consider(e); });
   // Capture protocol: every node answers requests for the tasks it homes;
   // replies only matter on `home`, where the capture map lives.

@@ -12,10 +12,12 @@
 //
 // Shard confinement (DESIGN.md): mode state lives on the shard owning
 // `home` (node 0 by default). The manager subscribes to the monitor with
-// `subscribe_at_node`, so every monitor event — recorded on whatever shard
-// the fault touched — is redelivered on the home shard at
-// `event date + delta_min`. The delay is the same constant on every
-// backend, which keeps switch dates bit-identical across shard counts; it is also exactly the sharded backend's cross-shard lookahead,
+// `subscribe_at_node` for the four kinds it counts (deadline misses,
+// crashes, suspicions and their retractions), so each such event —
+// recorded on whatever shard the fault touched — is redelivered on the
+// home shard at `event date + delta_min`. The delay is the same constant
+// on every backend, which keeps switch dates bit-identical across shard
+// counts; it is also exactly the sharded backend's cross-shard lookahead,
 // making the redelivery legal from any shard. Switch latency is therefore
 // one minimum network hop — still far inside the scenario checkers'
 // millisecond bound.

@@ -6,10 +6,12 @@
 // instances from activation to completion (shards, threads, scheduler
 // notifications, precedence tokens, instance records), without a single
 // heap allocation. Reading the monitor and the trace back must not
-// allocate either. A counting global operator new (the pattern of
-// bench/bench_wire.cpp) sees every allocation in the process; each phase
-// runs once to warm the pools, rings and queues up to their high-water
-// mark, then once more under the counter with the identical pattern. The
+// allocate either, nor recording a monitor event once its names are
+// interned, an overloaded gateway's sheds included. A counting global
+// operator new (the pattern of bench/bench_wire.cpp) sees every allocation
+// in the process; each phase runs once to warm the pools, rings and queues
+// up to their high-water mark, then once more under the counter with the
+// identical pattern. The
 // in-order dedup insert that every reliable-comm receive runs is held to
 // the same bar, and so is a total-order broadcast storm.
 #include <gtest/gtest.h>
@@ -23,6 +25,7 @@
 #include "core/system.hpp"
 #include "sched/edf.hpp"
 #include "services/reliable_comm.hpp"
+#include "traffic/gateway.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
@@ -204,35 +207,87 @@ TEST(KernelAllocTest, ActivationToCompletionCycleAllocatesNothing) {
   EXPECT_EQ(sim::event_callback::heap_allocations(), closures);
 }
 
-// `monitor::record` copies a moved-in event once: the log keeps a copy (the
-// two strings) and the routed redelivery shares the event itself in one
-// control block.
-TEST(KernelAllocTest, RecordingAMovedEventCopiesItOnce) {
+// Monitor records are 48 trivially copyable bytes with interned names:
+// once the names have been seen and the log and event pool have grown,
+// recording an event with a synchronous and a routed listener allocates
+// nothing, and constructing a monitor allocates nothing either.
+TEST(KernelAllocTest, RecordingAnEventAllocatesNothing) {
   system::config cfg = quiet_kernel();
   cfg.kernel_background = false;  // the redelivery is the only event
   system sys(1, cfg);
   std::size_t heard = 0;
+  std::size_t routed = 0;
+  sys.mon().subscribe([&](const monitor_event& e) {
+    heard += sys.mon().name(e.subject).size();
+  });
   sys.mon().subscribe_at_node(
-      0, 10_us, [&](const monitor_event& e) { heard += e.detail.size(); });
-  const std::string text(48, 'x');
-  const auto make = [&] {
+      0, 10_us, {monitor_event_kind::deadline_miss},
+      [&](const monitor_event& e) { routed += sys.mon().name(e.detail).size(); });
+  const std::string subject(48, 's');
+  const std::string detail(40, 'd');
+  const auto record = [&] {
     monitor_event e;
     e.kind = monitor_event_kind::deadline_miss;
     e.node = 0;
-    e.subject = text;
-    e.detail = text;
-    return e;
+    e.subject = sys.mon().intern(subject);
+    e.detail = sys.mon().intern(detail);
+    sys.mon().record(e);
   };
-  sys.mon().record(make());  // warm-up: the log and the event pool
+  record();  // warm-up: the names, the log and the event pool
   sys.run_for(1_ms);
   sys.mon().clear();
 
-  monitor_event e = make();
-  EXPECT_EQ(allocations_during([&] { sys.mon().record(std::move(e)); }), 3u);
+  EXPECT_EQ(allocations_during(record), 0u);
   sys.run_for(1_ms);
-  EXPECT_EQ(heard, 2 * text.size());
+  EXPECT_EQ(heard, 2 * subject.size());
+  EXPECT_EQ(routed, 2 * detail.size());
   ASSERT_EQ(sys.mon().events().size(), 1u);
-  EXPECT_EQ(sys.mon().events().back().subject, text);
+  EXPECT_EQ(sys.mon().subject_text(sys.mon().events().back()), subject);
+  EXPECT_EQ(sys.mon().detail_text(sys.mon().events().back()), detail);
+  EXPECT_EQ(allocations_during([] { monitor m; }), 0u);
+}
+
+// A warmed, overloaded traffic gateway: every arrival its controller
+// bounces and every admitted request it sheds records an
+// `instance_rejected` event (a shed request that had started also records
+// `orphan_killed`), and none of those records allocates once the task and
+// reason names are interned and the log has reached its length.
+TEST(KernelAllocTest, GatewaySheddingRecordsWithoutAllocating) {
+  system sys(2, quiet_kernel());
+  sys.attach_policy(1, std::make_shared<sched::edf_policy>());
+  traffic::gateway_config gc;
+  gc.arrivals.mix = traffic::arrival_mix::poisson;
+  gc.arrivals.rate_per_s = 4'000.0;  // ~3x what the node can serve
+  gc.arrivals.population = 1'000'000;
+  gc.classes = {
+      {200_us, 3_ms, 4, 5},
+      {500_us, 10_ms, 3, 3},
+      {1500_us, 40_ms, 1, 2},
+  };
+  gc.admission.feas.slot_width = 1_ms;
+  gc.start = time_point::at(1_ms);
+  traffic::gateway gw(sys, 1, std::move(gc), 7);
+  gw.start();
+
+  // Warm-up, 20 windows long: the names, the log's capacity, and the
+  // instance, shard and controller pools at their high-water (a shorter
+  // one leaves the window a fresh instance slot to grow).
+  sys.run_for(1_s);
+  const auto warm = gw.snapshot();
+  ASSERT_GT(warm.shed, 0u);
+  ASSERT_GT(warm.rejected, 0u);
+  const std::size_t warm_events = sys.mon().events().size();
+  sys.mon().clear();
+  const std::uint64_t closures = sim::event_callback::heap_allocations();
+
+  EXPECT_EQ(allocations_during([&] { sys.run_for(50_ms); }), 0u);
+  const auto after = gw.snapshot();
+  EXPECT_GT(after.shed, warm.shed);
+  EXPECT_GT(after.rejected, warm.rejected);
+  EXPECT_EQ(sys.mon().count(monitor_event_kind::instance_rejected),
+            (after.shed - warm.shed) + (after.rejected - warm.rejected));
+  EXPECT_LT(sys.mon().events().size(), warm_events);
+  EXPECT_EQ(sim::event_callback::heap_allocations(), closures);
 }
 
 // The observation sinks keep one vector each. A single engine appends in
@@ -251,8 +306,8 @@ TEST(KernelAllocTest, ReadingTheSinksAllocatesNothing) {
         e.kind = monitor_event_kind::deadline_miss;
         e.at = sys.now();
         e.node = n;
-        e.subject = subject;
-        sys.mon().record(std::move(e));
+        e.subject = sys.mon().intern(subject);
+        sys.mon().record(e);
         sys.trace().record(sys.now(), n, sim::trace_kind::custom, subject);
       });
     }
@@ -268,7 +323,7 @@ TEST(KernelAllocTest, ReadingTheSinksAllocatesNothing) {
   std::size_t after = 0;
   EXPECT_EQ(allocations_during([&] { after = read_sinks(); }), 0u);
   EXPECT_GE(after, warm + 64);
-  EXPECT_EQ(sys.mon().events().back().subject, subject);
+  EXPECT_EQ(sys.mon().subject_text(sys.mon().events().back()), subject);
 }
 
 // A warmed total-order broadcast storm under tree diffusion: relaying

@@ -1,5 +1,7 @@
-// Shard-tagged monitor: {time, shard, per-shard sequence} event order and
-// deterministic routed subscriptions (DESIGN.md, "Shard confinement").
+// Shard-tagged monitor: {time, shard, per-shard sequence} event order,
+// deterministic routed subscriptions filtered by kind (DESIGN.md, "Shard
+// confinement") and the name table behind fixed-size records (DESIGN.md,
+// "Monitor records").
 #include "core/monitor.hpp"
 
 #include <gtest/gtest.h>
@@ -16,7 +18,6 @@ monitor_event ev(time_point at, node_id node, monitor_event_kind kind) {
   e.kind = kind;
   e.at = at;
   e.node = node;
-  e.subject = "node" + std::to_string(node);
   return e;
 }
 
@@ -66,7 +67,7 @@ TEST(MonitorShardTest, MergedStreamOrdersByTimeThenShardThenSeq) {
   EXPECT_EQ(merged[3].kind, monitor_event_kind::deadline_miss);
 
   EXPECT_EQ(mon.count(monitor_event_kind::node_crash), 2u);
-  EXPECT_EQ(mon.of_kind(monitor_event_kind::deadline_miss).size(), 1u);
+  EXPECT_EQ(mon.count(monitor_event_kind::deadline_miss), 1u);
 }
 
 // A record made between runs, from outside event execution, belongs to
@@ -98,9 +99,10 @@ TEST(MonitorShardTest, RoutedSubscriptionArrivesAtRecordDatePlusDelay) {
   mon.bind(*rt);
 
   std::vector<std::pair<time_point, monitor_event_kind>> seen;
-  mon.subscribe_at_node(0, 100_us, [&](const monitor_event& e) {
-    seen.emplace_back(rt->now(), e.kind);
-  });
+  mon.subscribe_at_node(0, 100_us, {monitor_event_kind::node_crash},
+                        [&](const monitor_event& e) {
+                          seen.emplace_back(rt->now(), e.kind);
+                        });
 
   // Recorded on shard 1 (cross-shard for the home-0 listener), exactly at
   // the lookahead so the redelivery is legal from any shard.
@@ -120,11 +122,50 @@ TEST(MonitorShardTest, UnboundMonitorDeliversSynchronously) {
   monitor mon;
   std::size_t sync_calls = 0, routed_calls = 0;
   mon.subscribe([&](const monitor_event&) { ++sync_calls; });
-  mon.subscribe_at_node(3, 1_ms, [&](const monitor_event&) { ++routed_calls; });
+  mon.subscribe_at_node(3, 1_ms, {monitor_event_kind::deadline_miss},
+                        [&](const monitor_event&) { ++routed_calls; });
   mon.record(ev(time_point::at(1_ms), 0, monitor_event_kind::deadline_miss));
   EXPECT_EQ(sync_calls, 1u);
   EXPECT_EQ(routed_calls, 1u);
   EXPECT_EQ(mon.events().size(), 1u);
+}
+
+// A routed listener costs nothing for kinds it does not name: recording
+// one schedules no redelivery, on either shard.
+TEST(MonitorShardTest, UnwantedKindSchedulesNoRedelivery) {
+  auto rt = two_shards();
+  monitor mon;
+  mon.bind(*rt);
+  std::size_t calls = 0;
+  mon.subscribe_at_node(0, 100_us, {monitor_event_kind::deadline_miss},
+                        [&](const monitor_event&) { ++calls; });
+
+  const std::size_t before = rt->pending();
+  mon.record(ev(time_point::zero(), 1, monitor_event_kind::instance_rejected));
+  EXPECT_EQ(rt->pending(), before);
+  mon.record(ev(time_point::zero(), 1, monitor_event_kind::deadline_miss));
+  EXPECT_EQ(rt->pending(), before + 1);
+  rt->run_until(time_point::at(1_ms));
+  EXPECT_EQ(calls, 1u);
+  EXPECT_EQ(mon.events().size(), 2u);
+}
+
+// The name table: equal text gets the same id, the empty string is
+// `no_name`, and an id reads back its text after later inserts.
+TEST(MonitorNameTest, InternCopiesEachTextOnce) {
+  monitor mon;
+  EXPECT_EQ(mon.intern(""), no_name);
+  EXPECT_EQ(mon.name(no_name), "");
+  const std::string long_text(48, 'x');
+  const name_id a = mon.intern("shed: value density");
+  const name_id b = mon.intern(long_text);
+  EXPECT_NE(a, no_name);
+  EXPECT_NE(a, b);
+  for (int i = 0; i < 100; ++i) (void)mon.intern("t" + std::to_string(i));
+  EXPECT_EQ(mon.intern(std::string("shed: value") + " density"), a);
+  EXPECT_EQ(mon.intern(long_text), b);
+  EXPECT_EQ(mon.name(a), "shed: value density");
+  EXPECT_EQ(mon.name(b), long_text);
 }
 
 }  // namespace

@@ -190,5 +190,139 @@ TEST(EndToEndTest, SyncInvocationAcrossNodes) {
   EXPECT_GT(sys.stats_for(caller).response_times.max(), 4e6);
 }
 
+// The monitor's text, pinned: one small system per fault class, each event
+// written by its real record site, covering all 12 kinds (three wordings of
+// `instance_rejected` and two of `orphan_killed`). The expected text was
+// rendered by the string-carrying records that interned names replaced;
+// any drift in a subject or detail fails here.
+std::string render_every_kind() {
+  core::system::config cfg;
+  cfg.costs = core::cost_model::zero();
+  cfg.kernel_background = false;
+  cfg.net.delta_min = 10_us;
+  cfg.net.delta_max = 10_us;
+  cfg.net.per_byte = 0_ns;
+  std::string out;
+  {  // a deadline miss aborts its instance and kills the started thread
+    core::system sys(1, cfg);
+    core::task_builder b("late");
+    b.deadline(1_ms).abort_on_deadline_miss(true);
+    b.add_code_eu("late_eu", 0, 5_ms);
+    sys.activate(sys.register_task(b.build()));
+    sys.run_for(20_ms);
+    out += sys.mon().render();
+  }
+  {  // a sporadic task re-activated inside its pseudo-period
+    core::system sys(1, cfg);
+    core::task_builder b("sporadic");
+    b.deadline(10_ms).law(core::arrival_law::sporadic(10_ms));
+    b.add_code_eu("sporadic_eu", 0, 1_ms);
+    const auto t = sys.register_task(b.build());
+    sys.activate(t);
+    sys.run_for(2_ms);
+    sys.activate(t);
+    sys.run_for(10_ms);
+    out += sys.mon().render();
+  }
+  {  // a thread that ends before its wcet
+    core::system sys(1, cfg);
+    core::task_builder b("early");
+    core::code_eu e;
+    e.name = "early_eu";
+    e.wcet = 10_ms;
+    e.actual = [](instance_number) { return 2_ms; };
+    b.add_code_eu(std::move(e));
+    sys.activate(sys.register_task(b.build()));
+    sys.run_for(20_ms);
+    out += sys.mon().render();
+  }
+  {  // a lost precedence token: latest start passes, omission suspected
+    core::system sys(2, cfg);
+    core::task_builder b("dist");
+    b.deadline(100_ms);
+    const auto a = b.add_code_eu("producer_eu", 0, 1_ms);
+    core::code_eu ce;
+    ce.name = "consumer_eu";
+    ce.processor = 1;
+    ce.wcet = 1_ms;
+    ce.attrs.latest_offset = 5_ms;
+    const auto c = b.add_code_eu(std::move(ce));
+    b.precede(a, c, 64);
+    sys.activate(sys.register_task(b.build()));
+    sys.run_for(100_us);
+    sys.network().drop_next(0, 1, 1);
+    sys.run_for(50_ms);
+    out += sys.mon().render();
+  }
+  {  // two tasks waiting on each other's condition
+    core::system sys(1, cfg);
+    const auto make = [&](const std::string& n, condition_id waits,
+                          condition_id sets) {
+      core::task_builder b(n);
+      core::code_eu e;
+      e.name = n + "_eu";
+      e.wcet = 1_ms;
+      e.waits_all = {waits};
+      e.sets = {sets};
+      b.add_code_eu(std::move(e));
+      return sys.register_task(b.build());
+    };
+    sys.activate(make("a", 1, 2));
+    sys.activate(make("b", 2, 1));
+    sys.run_for(5_ms);
+    sys.detect_deadlocks();
+    out += sys.mon().render();
+  }
+  {  // the traffic edge's two rejections: admission control, then a shed
+    core::system sys(1, cfg);
+    core::task_builder b("gw1_c2");
+    b.deadline(10_ms);
+    b.add_code_eu("serve", 0, 2_ms);
+    const auto t = sys.register_task(b.build());
+    sys.disp(0).set_admission_hook([](task_id, time_point) { return false; });
+    sys.activate(t);
+    sys.disp(0).set_admission_hook({});
+    sys.run_for(1_ms);
+    sys.activate(t);
+    sys.run_for(1_ms);
+    sys.abort_instance(t, 0, "shed: value density", /*as_rejection=*/true);
+    sys.run_for(5_ms);
+    out += sys.mon().render();
+  }
+  {  // a crash and recovery, seen by the heartbeat detector
+    core::system sys(2, cfg);
+    svc::fault_detector fd(sys, {10_ms, 25_ms});
+    fd.start();
+    sys.run_for(50_ms);
+    sys.crash_node(1);
+    sys.run_for(50_ms);
+    sys.recover_node(1);
+    sys.run_for(50_ms);
+    out += sys.mon().render();
+  }
+  return out;
+}
+
+TEST(MonitorTextTest, EveryKindRendersItsPinnedText) {
+  EXPECT_EQ(
+      render_every_kind(),
+      "t=1.000ms  n0  [deadline-miss] late\n"
+      "t=1.000ms  n0  [orphan-killed] late_eu : deadline miss\n"
+      "t=2.000ms  n0  [arrival-law-violation] sporadic : gap 2.000ms < 10.000ms\n"
+      "t=2.000ms  n0  [instance-rejected] sporadic : arrival-law violation\n"
+      "t=2.000ms  n0  [early-termination] early_eu : actual 2.000ms < wcet 10.000ms\n"
+      "t=5.000ms  n1  [latest-start-violation] consumer_eu\n"
+      "t=5.000ms  n1  [network-omission-suspected] consumer_eu : remote precedence from 'producer_eu' missing\n"
+      "t=5.000ms  n0  [deadlock-suspected] a_eu : wait-for cycle\n"
+      "t=5.000ms  n0  [deadlock-suspected] b_eu : wait-for cycle\n"
+      "t=0ns  n0  [instance-rejected] gw1_c2 : admission control\n"
+      "t=2.000ms  n0  [orphan-killed] serve : shed: value density\n"
+      "t=2.000ms  n0  [instance-rejected] gw1_c2 : shed: value density\n"
+      "t=50.000ms  n1  [node-crash] node1\n"
+      "t=80.000ms  n0  [node-suspected] node1 : observer node0\n"
+      "t=100.000ms  n1  [node-recover] node1\n"
+      "t=110.010ms  n0  [node-unsuspected] node1 : observer node0\n");
+}
+
 }  // namespace
 }  // namespace hades

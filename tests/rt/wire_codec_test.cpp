@@ -82,24 +82,56 @@ TEST_F(WireCodecTest, UnknownTagThrowsAtDecode) {
                hades::error);
 }
 
+// A record crosses processes as text: decoding it into a second monitor
+// interns fresh ids there and keeps every field and both texts, including
+// the text a node kind rebuilds from its node fields.
 TEST_F(WireCodecTest, MonitorEventRoundTrips) {
+  core::monitor sender;
+  core::monitor receiver;
+  (void)receiver.intern("an earlier name");  // ids differ across monitors
+
   core::monitor_event e;
-  e.kind = core::monitor_event_kind::node_suspected;
+  e.kind = core::monitor_event_kind::orphan_killed;
   e.at = time_point::at(7_ms);
   e.node = 3;
-  e.subject_node = 6;
-  e.subject = "fd";
-  e.detail = "subject 6 missed 2 heartbeats";
-  std::vector<std::byte> bytes;
-  rt::encode_monitor_event(e, bytes);
-  const core::monitor_event back =
-      rt::decode_monitor_event(bytes.data(), bytes.size());
+  e.task = 9;
+  e.instance = 41;
+  e.subject = sender.intern("serve");
+  e.detail = sender.intern("shed: value density");
+  core::monitor_event s;
+  s.kind = core::monitor_event_kind::node_suspected;
+  s.at = time_point::at(8_ms);
+  s.node = 3;
+  s.subject_node = 6;
+
+  std::vector<core::monitor_event> got;
+  receiver.subscribe_at_node(3, 1_ms,
+                             {core::monitor_event_kind::orphan_killed,
+                              core::monitor_event_kind::node_suspected},
+                             [&](const core::monitor_event& r) {
+                               got.push_back(r);
+                             });
+  for (const core::monitor_event& sent : {e, s}) {
+    std::vector<std::byte> bytes;
+    rt::encode_monitor_event(sender, sent, bytes);
+    const rt::monitor_event_text t =
+        rt::decode_monitor_event(bytes.data(), bytes.size());
+    receiver.deliver_forwarded(t.event, t.subject, t.detail, /*home=*/3);
+  }
+  ASSERT_EQ(got.size(), 2u);
+  const core::monitor_event& back = got[0];
   EXPECT_EQ(back.kind, e.kind);
   EXPECT_EQ(back.at, e.at);
   EXPECT_EQ(back.node, e.node);
-  EXPECT_EQ(back.subject_node, e.subject_node);
-  EXPECT_EQ(back.subject, e.subject);
-  EXPECT_EQ(back.detail, e.detail);
+  EXPECT_EQ(back.task, e.task);
+  EXPECT_EQ(back.instance, e.instance);
+  EXPECT_NE(back.subject, e.subject);
+  EXPECT_EQ(receiver.subject_text(back), "serve");
+  EXPECT_EQ(receiver.detail_text(back), "shed: value density");
+  EXPECT_EQ(got[1].subject_node, 6u);
+  EXPECT_EQ(receiver.subject_text(got[1]), sender.subject_text(s));
+  EXPECT_EQ(receiver.detail_text(got[1]), "observer node3");
+  EXPECT_TRUE(receiver.events().empty());  // forwarded, not re-recorded
 }
 
 }  // namespace

@@ -115,23 +115,32 @@ void fold_observables(core::system& sys, fold& f) {
     f.mix(st.rejections);
     f.mix(st.response_times.count());
   }
-  auto evs = sys.mon().events();
-  std::sort(evs.begin(), evs.end(),
-            [](const core::monitor_event& a, const core::monitor_event& b) {
-              return std::tie(a.at, a.kind, a.node, a.task, a.instance,
-                              a.subject, a.detail) <
-                     std::tie(b.at, b.kind, b.node, b.task, b.instance,
-                              b.subject, b.detail);
-            });
+  // Names are folded as text: ids follow intern order, which follows record
+  // order, which differs across shard layouts.
+  struct event_text {
+    core::monitor_event e;
+    std::string subject;
+    std::string detail;
+  };
+  const core::monitor& mon = sys.mon();
+  std::vector<event_text> evs;
+  for (const auto& e : mon.events())
+    evs.push_back({e, mon.subject_text(e), mon.detail_text(e)});
+  std::sort(evs.begin(), evs.end(), [](const event_text& a, const event_text& b) {
+    return std::tie(a.e.at, a.e.kind, a.e.node, a.e.task, a.e.instance,
+                    a.subject, a.detail) <
+           std::tie(b.e.at, b.e.kind, b.e.node, b.e.task, b.e.instance,
+                    b.subject, b.detail);
+  });
   f.mix(evs.size());
-  for (const auto& e : evs) {
+  for (const auto& [e, subject, detail] : evs) {
     f.mix(static_cast<std::uint64_t>(e.kind));
     f.mix(e.at);
     f.mix(e.node);
     f.mix(e.task);
     f.mix(e.instance);
-    f.mix(e.subject);
-    f.mix(e.detail);
+    f.mix(subject);
+    f.mix(detail);
   }
   const auto net = sys.network().stats();
   f.mix(net.sent);
