@@ -73,14 +73,16 @@ void bcast_sweep() {
       sys.run_for(2_ms);
     }
     // Agreement: every node delivered the same set.
+    auto sorted_log = [&svc](node_id a) {
+      const auto v = svc.delivery_log(a);
+      std::vector<svc::delivery_logs::entry> l(v.begin(), v.end());
+      std::sort(l.begin(), l.end());
+      return l;
+    };
+    const auto l0 = sorted_log(0);
     int violations = 0;
-    for (node_id a = 1; a < 4; ++a) {
-      auto la = svc.delivery_log(a);
-      auto l0 = svc.delivery_log(0);
-      std::sort(la.begin(), la.end());
-      std::sort(l0.begin(), l0.end());
-      if (la != l0) ++violations;
-    }
+    for (node_id a = 1; a < 4; ++a)
+      if (sorted_log(a) != l0) ++violations;
     sample_set lat;
     t.row({bench::pct(loss), std::to_string(n), std::to_string(violations),
            "-", svc.delivery_bound(64).to_string()});

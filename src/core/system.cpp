@@ -247,9 +247,11 @@ std::optional<instance_number> system::activate_internal(
   rec.deadline_timer = sim::invalid_event;
   rec.sync_waiter.reset();
   if (origin.waiter_node.has_value()) rec.sync_waiter = origin;
-  rec.pending.assign((te.involved.size() + 63) / 64, 0);
+  // `involved` is never empty; words past the first exist beyond 64 nodes.
+  rec.pending = 0;
+  rec.pending_high.assign((te.involved.size() - 1) / 64, 0);
   for (std::size_t i = 0; i < te.involved.size(); ++i)
-    rec.pending[i / 64] |= std::uint64_t{1} << (i % 64);
+    rec.pending_word(i) |= std::uint64_t{1} << (i % 64);
   // Completing exactly at the deadline is timely: the check runs one tick
   // after a+D so that same-instant completion events are processed first.
   // Anchored at the home node so the timer lands on the home shard even
@@ -338,9 +340,10 @@ void system::on_shard_complete(task_id t, instance_number k, node_id from) {
       std::lower_bound(te.involved.begin(), te.involved.end(), from);
   if (it != te.involved.end() && *it == from) {
     const auto i = static_cast<std::size_t>(it - te.involved.begin());
-    rec->pending[i / 64] &= ~(std::uint64_t{1} << (i % 64));
+    rec->pending_word(i) &= ~(std::uint64_t{1} << (i % 64));
   }
-  if (std::all_of(rec->pending.begin(), rec->pending.end(),
+  if (rec->pending == 0 &&
+      std::all_of(rec->pending_high.begin(), rec->pending_high.end(),
                   [](std::uint64_t w) { return w == 0; }))
     finish_instance(t, k);
 }

@@ -210,14 +210,20 @@ class system {
     sim::event_id clk_timer = sim::invalid_event;
   };
 
-  // One slot of a task's instance pool. A freed slot keeps its `pending`
-  // storage for the next instance that takes it.
+  // One slot of a task's instance pool. A freed slot keeps its
+  // `pending_high` storage for the next instance that takes it.
   struct instance_record {
     time_point activation;
     sim::event_id deadline_timer = sim::invalid_event;
     std::optional<activation_origin> sync_waiter;
     // Bit i set: the shard on the task's involved[i] has not completed.
-    std::vector<std::uint64_t> pending;
+    // Word 0 is inline; a task spanning more than 64 nodes keeps words 1..
+    // in `pending_high`.
+    std::uint64_t pending = 0;
+    std::vector<std::uint64_t> pending_high;
+    std::uint64_t& pending_word(std::size_t i) {
+      return i < 64 ? pending : pending_high[i / 64 - 1];
+    }
   };
 
   // Everything the system keeps per task, at index id - 1 of `tasks_`.

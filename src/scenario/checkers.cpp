@@ -157,8 +157,8 @@ std::vector<check_result> check_detector(const plan& p, const observation& o) {
 
 std::vector<check_result> check_broadcast(const plan& p, const observation& o,
                                           bool expect_order_faults) {
-  using msg_key = std::pair<node_id, std::uint64_t>;
-  using delivery_log = std::vector<msg_key>;
+  using msg_key = svc::delivery_logs::entry;
+  using delivery_log = svc::delivery_logs::view;
   std::vector<check_result> out;
   const ground_truth truth(p, o.nodes, o.horizon);
   require(o.sent_at.size() >= o.nodes && o.delivery_logs.size() >= o.nodes,

@@ -32,6 +32,7 @@
 
 #include "scenario/plan.hpp"
 #include "services/mode_manager.hpp"
+#include "services/reliable_comm.hpp"
 
 namespace hades::scenario {
 
@@ -60,7 +61,7 @@ struct observation {
 
   // Reliable broadcast. sent_at[origin][i] is the send date of the
   // (i+1)-th broadcast from `origin` (service seq numbers start at 1).
-  std::vector<std::vector<std::pair<node_id, std::uint64_t>>> delivery_logs;
+  svc::delivery_logs delivery_logs;
   std::vector<std::vector<time_point>> sent_at;
   duration delivery_bound = duration::zero();  // worst-case Delta-delivery
   std::uint64_t order_faults = 0;

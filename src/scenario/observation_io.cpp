@@ -91,7 +91,7 @@ merged_observation merge_partial_observations(
         is >> n;
         if (first) {
           obs.nodes = n;
-          obs.delivery_logs.resize(n);
+          obs.delivery_logs = svc::delivery_logs(n);
           obs.sent_at.resize(n);
         } else {
           validate(obs.nodes == n,
@@ -132,7 +132,7 @@ merged_observation merge_partial_observations(
         is >> n >> origin >> seq;
         validate(n < obs.delivery_logs.size(),
                  "merge_partial_observations: delivery node out of range");
-        obs.delivery_logs[n].emplace_back(origin, seq);
+        obs.delivery_logs.append(n, {origin, seq});
       } else if (key == "sent") {
         node_id n = 0;
         std::int64_t at = 0;

@@ -31,12 +31,14 @@ mode_manager::mode_manager(core::system& sys, thresholds t, node_id home)
   // Redelivered on the home shard one minimum network hop after the
   // recording — a backend-independent date that equals the sharded
   // backend's cross-shard lookahead (see header). Only the kinds
-  // `consider` acts on are redelivered.
+  // `consider` acts on are redelivered: suspicions only when they count.
   using kind = core::monitor_event_kind;
   sys_->mon().subscribe_at_node(
       home_, sys_->network().config().delta_min,
-      {kind::deadline_miss, kind::node_crash, kind::node_suspected,
-       kind::node_unsuspected},
+      thresholds_.suspicions_for_degraded > 0
+          ? core::kind_set{kind::deadline_miss, kind::node_crash,
+                           kind::node_suspected, kind::node_unsuspected}
+          : core::kind_set{kind::deadline_miss, kind::node_crash},
       [this](const core::monitor_event& e) { consider(e); });
   // Capture protocol: every node answers requests for the tasks it homes;
   // replies only matter on `home`, where the capture map lives.
@@ -70,11 +72,9 @@ void mode_manager::consider(const core::monitor_event& e) {
       ++crashes_;
       break;
     case core::monitor_event_kind::node_suspected:
-      if (thresholds_.suspicions_for_degraded == 0) return;
       ++suspected_subjects_[e.subject_node];
       break;
     case core::monitor_event_kind::node_unsuspected: {
-      if (thresholds_.suspicions_for_degraded == 0) return;
       auto it = suspected_subjects_.find(e.subject_node);
       if (it != suspected_subjects_.end() && --it->second == 0)
         suspected_subjects_.erase(it);

@@ -12,8 +12,9 @@
 //
 // Shard confinement (DESIGN.md): mode state lives on the shard owning
 // `home` (node 0 by default). The manager subscribes to the monitor with
-// `subscribe_at_node` for the four kinds it counts (deadline misses,
-// crashes, suspicions and their retractions), so each such event —
+// `subscribe_at_node` for the kinds it counts (deadline misses, crashes,
+// and suspicions and their retractions only when `suspicions_for_degraded`
+// is set), so each such event —
 // recorded on whatever shard the fault touched — is redelivered on the
 // home shard at `event date + delta_min`. The delay is the same constant
 // on every backend, which keeps switch dates bit-identical across shard

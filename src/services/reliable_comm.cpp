@@ -69,14 +69,37 @@ std::size_t reliable_p2p::state_bytes() const {
   return bytes;
 }
 
+// ------------------------------------------------------------ delivery_logs
+
+void delivery_logs::append(node_id n, entry e) {
+  node_log& l = nodes_[n];
+  if (l.tail.empty()) {
+    if (l.prefix == trunk_.size()) {
+      trunk_.push_back(e);
+      ++l.prefix;
+      return;
+    }
+    if (trunk_[l.prefix] == e) {
+      ++l.prefix;
+      return;
+    }
+  }
+  l.tail.push_back(e);
+}
+
+std::size_t delivery_logs::entries_held() const {
+  std::size_t held = trunk_.size();
+  for (const node_log& l : nodes_) held += l.tail.size();
+  return held;
+}
+
 // ------------------------------------------------------- reliable_broadcast
 
 reliable_broadcast::reliable_broadcast(core::system& sys, params p)
-    : sys_(&sys), params_(p) {
+    : sys_(&sys), params_(p), logs_(sys.node_count()) {
   const std::size_t n = sys_->node_count();
   seen_.resize(n);
   holdback_.resize(n);
-  logs_.resize(n);
   next_seq_.assign(n, 0);
   relays_.assign(n, 0);
   delivered_.assign(n, 0);
@@ -223,15 +246,14 @@ void reliable_broadcast::flush(node_id n) {
 }
 
 void reliable_broadcast::deliver(node_id n, const bcast_msg& msg) {
-  if (params_.record_deliveries) logs_[n].emplace_back(msg.origin, msg.seq);
+  if (params_.record_deliveries) logs_.append(n, {msg.origin, msg.seq});
   ++delivered_[n];
   auto it = handlers_.find(n);
   if (it != handlers_.end() && it->second) it->second(msg);
 }
 
-std::vector<std::vector<std::pair<node_id, std::uint64_t>>>
-reliable_broadcast::take_delivery_logs() {
-  return std::exchange(logs_, decltype(logs_)(logs_.size()));
+delivery_logs reliable_broadcast::take_delivery_logs() {
+  return std::exchange(logs_, delivery_logs(logs_.size()));
 }
 
 duration reliable_broadcast::delivery_bound(std::size_t size_bytes) const {
@@ -257,11 +279,9 @@ std::size_t reliable_broadcast::state_bytes() const {
   for (const auto& queue : holdback_)
     bytes += queue.size() * (sizeof(order_key) + sizeof(bcast_msg) + 32);
   bytes += next_seq_.size() * sizeof(std::uint64_t);
-  // The opt-in delivery logs are unbounded by design (one entry per
-  // delivery) — charge them while enabled so soak assertions see them.
-  for (const auto& log : logs_)
-    bytes += log.size() * sizeof(std::pair<node_id, std::uint64_t>);
-  return bytes;
+  // The opt-in delivery logs grow with the run — charge the entries they
+  // hold while enabled so soak assertions see them.
+  return bytes + logs_.entries_held() * sizeof(delivery_logs::entry);
 }
 
 }  // namespace hades::svc

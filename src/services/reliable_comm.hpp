@@ -48,22 +48,35 @@
 // hold-back; such stragglers are delivered immediately and counted in
 // `order_faults()`.
 //
+// The per-node delivery logs kept for grading (`delivery_logs`) store a
+// sequence the nodes share once: Delta-delivery releases the same sequence
+// on every correct node, so the logs are one shared trunk plus a tail for
+// each node that departed from it (a crash gap, a partition, an order
+// fault). They grow with the trunk and with the forked nodes' tails, not
+// by one entry per delivery.
+//
 // Shard confinement (DESIGN.md): every container is indexed by the node the
-// handler executes on — dedup windows, hold-back queues and delivery logs
-// by receiver, broadcast sequence numbers by origin — and pre-sized at
-// construction, so different shards never share a map node (sparse-map
-// slot growth happens on the owning node's shard). Counters are per-node
-// and summed at read time. `on_deliver` handlers run on the delivering
-// node's shard and must stay shard-confined. The
-// suspicion oracle is called as (observer = relaying node, subject) from
-// the relayer's shard — the fault detector's observer-confined state
-// satisfies this by construction.
+// handler executes on — dedup windows, hold-back queues and delivery-log
+// prefixes and tails by receiver, broadcast sequence numbers by origin —
+// and pre-sized at construction, so different shards never share a map
+// node (sparse-map slot growth happens on the owning node's shard). The
+// one exception is the delivery logs' trunk, which every shard appends to
+// (see `delivery_logs`). Counters are per-node and summed at read time.
+// `on_deliver` handlers run on the delivering node's shard and must stay
+// shard-confined. The suspicion oracle is called as (observer = relaying
+// node, subject) from the relayer's shard — the fault detector's
+// observer-confined state satisfies this by construction.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <set>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "core/system.hpp"
@@ -165,6 +178,107 @@ class reliable_p2p {
   std::vector<std::uint64_t> delivered_;  // per receiver
 };
 
+/// Per-node (origin, seq) delivery logs that store a shared sequence once:
+/// one trunk of entries, and for each node how many trunk entries it
+/// delivered (its prefix) plus a tail of its own. `append(n, e)` extends
+/// the trunk when `n` is at the trunk's end, advances `n`'s prefix when `e`
+/// is `n`'s next trunk entry, and otherwise forks `n`: `e` and every later
+/// entry of `n` go to its tail. `(*this)[n]` reads back exactly the
+/// sequence appended for `n`, and no more entries are held than appended.
+///
+/// The trunk is the one broadcast structure every shard appends to. Its
+/// content follows execution order, which differs across shard layouts, so
+/// only views are ever compared. Every backend runs one process's events
+/// on one thread, so appends from different shards never race (the rule
+/// the monitor's name table relies on too).
+class delivery_logs {
+ public:
+  using entry = std::pair<node_id, std::uint64_t>;  // (origin, seq)
+
+  /// One node's log, read-only: its trunk prefix, then its tail. Valid
+  /// until the next append to the container it was taken from.
+  class view {
+   public:
+    class iterator {
+     public:
+      using iterator_category = std::forward_iterator_tag;
+      using value_type = entry;
+      using difference_type = std::ptrdiff_t;
+      using pointer = const entry*;
+      using reference = const entry&;
+
+      iterator() = default;
+      reference operator*() const {
+        return i_ < prefix_.size() ? prefix_[i_] : tail_[i_ - prefix_.size()];
+      }
+      iterator& operator++() {
+        ++i_;
+        return *this;
+      }
+      iterator operator++(int) {
+        iterator old = *this;
+        ++i_;
+        return old;
+      }
+      friend bool operator==(const iterator& a, const iterator& b) {
+        return a.i_ == b.i_;
+      }
+
+     private:
+      friend class view;
+      iterator(const view& v, std::size_t i)
+          : prefix_(v.prefix_), tail_(v.tail_), i_(i) {}
+      std::span<const entry> prefix_, tail_;
+      std::size_t i_ = 0;
+    };
+    using const_iterator = iterator;
+
+    [[nodiscard]] std::size_t size() const {
+      return prefix_.size() + tail_.size();
+    }
+    const entry& operator[](std::size_t i) const {
+      return *iterator(*this, i);
+    }
+    [[nodiscard]] iterator begin() const { return {*this, 0}; }
+    [[nodiscard]] iterator end() const { return {*this, size()}; }
+    friend bool operator==(const view& a, const view& b) {
+      return a.size() == b.size() && std::equal(a.begin(), a.end(), b.begin());
+    }
+
+   private:
+    friend class delivery_logs;
+    view(std::span<const entry> prefix, std::span<const entry> tail)
+        : prefix_(prefix), tail_(tail) {}
+    std::span<const entry> prefix_, tail_;
+  };
+
+  delivery_logs() = default;
+  explicit delivery_logs(std::size_t nodes) : nodes_(nodes) {}
+
+  /// The number of nodes.
+  [[nodiscard]] std::size_t size() const { return nodes_.size(); }
+  void append(node_id n, entry e);
+  [[nodiscard]] view operator[](node_id n) const {
+    const node_log& l = nodes_[n];
+    return {std::span(trunk_).first(l.prefix), l.tail};
+  }
+  /// `(*this)[n]`, or std::out_of_range when `n` is not a node.
+  [[nodiscard]] view at(node_id n) const {
+    (void)nodes_.at(n);
+    return (*this)[n];
+  }
+  /// Entries stored: the trunk plus every tail.
+  [[nodiscard]] std::size_t entries_held() const;
+
+ private:
+  struct node_log {
+    std::size_t prefix = 0;   // trunk entries this node delivered
+    std::vector<entry> tail;  // every entry since the fork; empty: unforked
+  };
+  std::vector<entry> trunk_;
+  std::vector<node_log> nodes_;
+};
+
 class reliable_broadcast {
  public:
   enum class diffusion_kind {
@@ -182,9 +296,12 @@ class reliable_broadcast {
     /// horizon is computed from this bound, and `broadcast` rejects larger
     /// total-order payloads.
     std::size_t max_message_bytes = 64;
-    /// Keep per-node (origin, seq) delivery logs for test assertions.
-    /// Unbounded by design (one entry per delivery) — disable for long
-    /// soaks; `state_bytes()` accounts for it while enabled.
+    /// Keep per-node (origin, seq) delivery logs for test assertions and
+    /// grading. Nodes that deliver the same sequence share it, so the logs
+    /// grow with that shared trunk and with the tails of nodes that forked
+    /// from it, not by one entry per delivery; they are still unbounded
+    /// over the horizon — disable for long soaks. `state_bytes()` charges
+    /// the entries held while enabled.
     bool record_deliveries = true;
     diffusion_kind diffusion = diffusion_kind::flood;
     /// k of the spanning tree (diffusion_kind::tree only).
@@ -233,17 +350,15 @@ class reliable_broadcast {
   /// Approximate bytes of dedup + hold-back state held — bounded under
   /// sustained traffic.
   [[nodiscard]] std::size_t state_bytes() const;
-  /// Per-node sequence of delivered (origin, seq) pairs — for
-  /// agreement/total-order assertions in tests. Empty when
-  /// `params::record_deliveries` is off.
-  [[nodiscard]] const std::vector<std::pair<node_id, std::uint64_t>>&
-  delivery_log(node_id n) const {
+  /// Node `n`'s sequence of delivered (origin, seq) pairs, valid until the
+  /// next delivery — for agreement/total-order assertions in tests. Empty
+  /// when `params::record_deliveries` is off.
+  [[nodiscard]] delivery_logs::view delivery_log(node_id n) const {
     return logs_.at(n);
   }
   /// Hand every node's delivery log over to the caller, leaving the
   /// service's logs empty (recording goes on into them).
-  [[nodiscard]] std::vector<std::vector<std::pair<node_id, std::uint64_t>>>
-  take_delivery_logs();
+  [[nodiscard]] delivery_logs take_delivery_logs();
 
  private:
   /// Total-order release key: (sent_at, origin, seq), identical on every
@@ -285,7 +400,7 @@ class reliable_broadcast {
   std::function<bool(node_id, node_id)> suspicion_;
   std::vector<util::sparse_node_map<dedup_window>> seen_;  // [node]: origin
   std::vector<std::vector<held>> holdback_;  // per node, min-heap on key
-  std::vector<std::vector<std::pair<node_id, std::uint64_t>>> logs_;
+  delivery_logs logs_;
   std::vector<std::uint64_t> next_seq_;      // per origin
   std::vector<std::uint64_t> relays_;        // per relaying node
   std::vector<std::uint64_t> delivered_;     // per delivering node

@@ -251,8 +251,9 @@ TEST(KernelAllocTest, RecordingAnEventAllocatesNothing) {
 // bounces and every admitted request it sheds records an
 // `instance_rejected` event (a shed request that had started also records
 // `orphan_killed`), and none of those records allocates once the task and
-// reason names are interned and the log has reached its length.
-TEST(KernelAllocTest, GatewaySheddingRecordsWithoutAllocating) {
+// reason names are interned and the log has reached its length. Returns
+// the allocations of a 50 ms window after `warm_up`.
+std::uint64_t gateway_shedding_window_allocations(duration warm_up) {
   system sys(2, quiet_kernel());
   sys.attach_policy(1, std::make_shared<sched::edf_policy>());
   traffic::gateway_config gc;
@@ -269,18 +270,16 @@ TEST(KernelAllocTest, GatewaySheddingRecordsWithoutAllocating) {
   traffic::gateway gw(sys, 1, std::move(gc), 7);
   gw.start();
 
-  // Warm-up, 20 windows long: the names, the log's capacity, and the
-  // instance, shard and controller pools at their high-water (a shorter
-  // one leaves the window a fresh instance slot to grow).
-  sys.run_for(1_s);
+  sys.run_for(warm_up);
   const auto warm = gw.snapshot();
-  ASSERT_GT(warm.shed, 0u);
-  ASSERT_GT(warm.rejected, 0u);
+  EXPECT_GT(warm.shed, 0u);
+  EXPECT_GT(warm.rejected, 0u);
   const std::size_t warm_events = sys.mon().events().size();
   sys.mon().clear();
   const std::uint64_t closures = sim::event_callback::heap_allocations();
 
-  EXPECT_EQ(allocations_during([&] { sys.run_for(50_ms); }), 0u);
+  const std::uint64_t allocs =
+      allocations_during([&] { sys.run_for(50_ms); });
   const auto after = gw.snapshot();
   EXPECT_GT(after.shed, warm.shed);
   EXPECT_GT(after.rejected, warm.rejected);
@@ -288,6 +287,20 @@ TEST(KernelAllocTest, GatewaySheddingRecordsWithoutAllocating) {
             (after.shed - warm.shed) + (after.rejected - warm.rejected));
   EXPECT_LT(sys.mon().events().size(), warm_events);
   EXPECT_EQ(sim::event_callback::heap_allocations(), closures);
+  return allocs;
+}
+
+// Warm-up 20 windows long: the names, the log's capacity, and the
+// instance, shard and controller pools at their high-water.
+TEST(KernelAllocTest, GatewaySheddingRecordsWithoutAllocating) {
+  EXPECT_EQ(gateway_shedding_window_allocations(1_s), 0u);
+}
+
+// A 200 ms warm-up leaves the window a fresh instance slot to take. Its
+// pending-shard mask is one inline word (the task spans at most 64
+// nodes), so taking it allocates nothing either.
+TEST(KernelAllocTest, GatewaySheddingShortWarmUpAllocatesNothing) {
+  EXPECT_EQ(gateway_shedding_window_allocations(200_ms), 0u);
 }
 
 // The observation sinks keep one vector each. A single engine appends in

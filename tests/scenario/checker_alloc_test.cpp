@@ -85,14 +85,14 @@ observation broadcast_run(std::size_t nodes, std::size_t per_origin,
   o.horizon = ms(2000);
   o.delivery_bound = 5_ms;
   o.sent_at.assign(nodes, {});
-  o.delivery_logs.assign(nodes, {});
+  o.delivery_logs = svc::delivery_logs(nodes);
   for (std::size_t k = 0; k < per_origin; ++k)
     for (node_id origin = 1; origin <= 3; ++origin) {
       o.sent_at[origin].push_back(
           ms(200) + duration::microseconds(static_cast<std::int64_t>(
                         (3 * k + origin) * 500)));
       for (node_id n = 1; n < nodes; ++n)
-        o.delivery_logs[n].emplace_back(origin, k + 1);
+        o.delivery_logs.append(n, {origin, k + 1});
     }
   return o;
 }

@@ -17,7 +17,7 @@ namespace {
 
 using namespace hades::literals;
 
-using delivery_log = std::vector<std::pair<node_id, std::uint64_t>>;
+using delivery_log = std::vector<svc::delivery_logs::entry>;
 
 time_point ms(std::int64_t v) { return time_point::at(duration::milliseconds(v)); }
 
@@ -27,9 +27,14 @@ observation bcast_obs(std::size_t nodes) {
   o.nodes = nodes;
   o.horizon = ms(1000);
   o.delivery_bound = 10_ms;
-  o.delivery_logs.assign(nodes, {});
+  o.delivery_logs = svc::delivery_logs(nodes);
   o.sent_at.assign(nodes, {});
   return o;
+}
+
+/// Append `log` to node `n`'s delivery log.
+void set_log(observation& o, node_id n, const delivery_log& log) {
+  for (const auto& e : log) o.delivery_logs.append(n, e);
 }
 
 const check_result& named(const std::vector<check_result>& rs,
@@ -59,7 +64,7 @@ TEST(BroadcastChecker, IdenticalLogsPassEveryCheck) {
   o.sent_at[0] = {ms(100), ms(200)};
   o.sent_at[1] = {ms(110)};
   const delivery_log log = {{0, 1}, {1, 1}, {0, 2}};
-  for (auto& l : o.delivery_logs) l = log;
+  for (node_id n = 0; n < 3; ++n) set_log(o, n, log);
   const auto rs = check_broadcast(plan{}, o, false);
   ASSERT_EQ(rs.size(), 4u);
   EXPECT_EQ(rs[0].name, "broadcast.agreement");
@@ -76,9 +81,9 @@ TEST(BroadcastChecker, PartialDeliveryFailsAgreementAndValidity) {
   observation o = bcast_obs(3);
   o.sent_at[0] = {ms(100)};
   o.sent_at[1] = {ms(110)};
-  o.delivery_logs[0] = {{0, 1}, {1, 1}};
-  o.delivery_logs[1] = {{0, 1}, {1, 1}};
-  o.delivery_logs[2] = {{0, 1}};
+  set_log(o, 0, {{0, 1}, {1, 1}});
+  set_log(o, 1, {{0, 1}, {1, 1}});
+  set_log(o, 2, {{0, 1}});
   const auto rs = check_broadcast(plan{}, o, false);
   expect_fail(rs, "broadcast.agreement",
               "message (1, 1) delivered by 2/3 correct nodes");
@@ -92,7 +97,7 @@ TEST(BroadcastChecker, UndeliveredQuietMessageFailsValidityOnly) {
   observation o = bcast_obs(3);
   o.sent_at[0] = {ms(100)};
   o.sent_at[2] = {ms(120), ms(130)};
-  for (auto& l : o.delivery_logs) l = {{0, 1}, {2, 1}};
+  for (node_id n = 0; n < 3; ++n) set_log(o, n, {{0, 1}, {2, 1}});
   const auto rs = check_broadcast(plan{}, o, false);
   // Agreement grades only what some correct node delivered.
   expect_pass(rs, "broadcast.agreement");
@@ -107,9 +112,9 @@ TEST(BroadcastChecker, UngradeableMessagesAreNotGraded) {
   o.sent_at[0] = {ms(100), ms(350), ms(995)};
   // (0, 2) was sent during the partition, (0, 3) too close to the horizon
   // for worst-case delivery: neither is graded.
-  o.delivery_logs[0] = {{0, 1}, {0, 2}, {0, 3}};
-  o.delivery_logs[1] = {{0, 1}};
-  o.delivery_logs[2] = {{0, 1}};
+  set_log(o, 0, {{0, 1}, {0, 2}, {0, 3}});
+  set_log(o, 1, {{0, 1}});
+  set_log(o, 2, {{0, 1}});
   const auto rs = check_broadcast(p, o, false);
   expect_pass(rs, "broadcast.agreement");
   expect_pass(rs, "broadcast.validity");
@@ -120,10 +125,10 @@ TEST(BroadcastChecker, PairwiseOrderReportsTheFirstDisagreeingPair) {
   observation o = bcast_obs(4);
   o.sent_at[0] = {ms(100)};
   o.sent_at[1] = {ms(100)};
-  o.delivery_logs[0] = {{0, 1}, {1, 1}};
-  o.delivery_logs[1] = {{0, 1}, {1, 1}};
-  o.delivery_logs[2] = {{1, 1}, {0, 1}};
-  o.delivery_logs[3] = {{1, 1}, {0, 1}};
+  set_log(o, 0, {{0, 1}, {1, 1}});
+  set_log(o, 1, {{0, 1}, {1, 1}});
+  set_log(o, 2, {{1, 1}, {0, 1}});
+  set_log(o, 3, {{1, 1}, {0, 1}});
   const auto rs = check_broadcast(plan{}, o, false);
   expect_pass(rs, "broadcast.agreement");
   expect_pass(rs, "broadcast.validity");
@@ -150,9 +155,9 @@ TEST(BroadcastChecker, CrashedOriginIsGradedForAgreementNotValidity) {
   p.crash(ms(500), 2);
   // (2, 1) left while the origin was up; (2, 2) is dated while it was down.
   o.sent_at[2] = {ms(100), ms(600)};
-  o.delivery_logs[0] = {{2, 1}, {2, 2}};
-  o.delivery_logs[1] = {{2, 2}};
-  o.delivery_logs[2] = {{2, 2}, {2, 1}};  // not correct: never compared
+  set_log(o, 0, {{2, 1}, {2, 2}});
+  set_log(o, 1, {{2, 2}});
+  set_log(o, 2, {{2, 2}, {2, 1}});  // not correct: never compared
   const auto rs = check_broadcast(p, o, false);
   expect_fail(rs, "broadcast.agreement",
               "message (2, 1) delivered by 1/2 correct nodes");
@@ -164,9 +169,9 @@ TEST(BroadcastChecker, DuplicateDeliveryCountsOnceAndOrdersByLastCopy) {
   observation o = bcast_obs(3);
   o.sent_at[0] = {ms(100)};
   o.sent_at[1] = {ms(110)};
-  o.delivery_logs[0] = {{0, 1}, {1, 1}};
-  o.delivery_logs[1] = {{0, 1}, {1, 1}, {0, 1}};
-  o.delivery_logs[2] = {{1, 1}};
+  set_log(o, 0, {{0, 1}, {1, 1}});
+  set_log(o, 1, {{0, 1}, {1, 1}, {0, 1}});
+  set_log(o, 2, {{1, 1}});
   const auto rs = check_broadcast(plan{}, o, false);
   // Node 1's second copy does not stand in for node 2's missing one.
   expect_fail(rs, "broadcast.agreement",
@@ -183,8 +188,8 @@ TEST(BroadcastChecker, DeliveryOfAnUnsentMessageThrows) {
        {std::pair<node_id, std::uint64_t>{0, 2}, {0, 0}, {3, 1}}) {
     observation o = bcast_obs(3);
     o.sent_at[0] = {ms(100)};
-    for (auto& l : o.delivery_logs) l = {{0, 1}};
-    o.delivery_logs[1].push_back(unsent);
+    for (node_id n = 0; n < 3; ++n) set_log(o, n, {{0, 1}});
+    o.delivery_logs.append(1, unsent);
     EXPECT_THROW((void)check_broadcast(plan{}, o, false), invariant_violation)
         << "(" << unsent.first << ", " << unsent.second << ")";
   }
@@ -202,10 +207,10 @@ observation wide_obs(std::size_t nodes, plan& p) {
   o.sent_at[2] = {ms(110), ms(210)};
   o.sent_at[3] = {ms(300)};
   const delivery_log usual = {{1, 1}, {2, 1}, {1, 2}, {2, 2}};
-  for (node_id n = 1; n < nodes; ++n) o.delivery_logs[n] = usual;
-  o.delivery_logs[7] = {{1, 1}, {1, 2}, {2, 1}, {2, 2}};
-  o.delivery_logs[40].emplace_back(3, 1);
-  o.delivery_logs[50] = o.delivery_logs[7];
+  const delivery_log pairs_first = {{1, 1}, {1, 2}, {2, 1}, {2, 2}};
+  for (node_id n = 1; n < nodes; ++n)
+    set_log(o, n, n == 7 || n == 50 ? pairs_first : usual);
+  o.delivery_logs.append(40, {3, 1});
   return o;
 }
 

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 namespace hades::svc {
 namespace {
@@ -71,6 +74,132 @@ TEST(DedupWindowTest, OverflowSkipsTheOldestGapAndRejectsItsLateArrivals) {
   EXPECT_EQ(w.watermark(), 5u);
   EXPECT_TRUE(w.insert(6));
   EXPECT_EQ(w.watermark(), 7u);
+}
+
+// --- shared-prefix delivery logs ---------------------------------------------
+
+using entry = delivery_logs::entry;
+using entries = std::vector<entry>;
+
+entries as_vector(delivery_logs::view v) { return {v.begin(), v.end()}; }
+
+/// Delivery logs with a plain vector per node beside them: every append
+/// goes to both, and no more entries may be held than were appended.
+struct mirrored_logs {
+  explicit mirrored_logs(std::size_t nodes) : logs(nodes), ref(nodes) {}
+
+  void append(node_id n, entry e) {
+    logs.append(n, e);
+    ref[n].push_back(e);
+    ++appended;
+    EXPECT_LE(logs.entries_held(), appended);
+  }
+  void append(node_id n, const entries& es) {
+    for (const entry& e : es) append(n, e);
+  }
+  /// Each view reads back its node's vector through size, iteration and
+  /// indexing, and two views compare equal exactly when the vectors do.
+  void expect_exact() const {
+    ASSERT_EQ(logs.size(), ref.size());
+    for (node_id n = 0; n < ref.size(); ++n) {
+      const delivery_logs::view v = logs[n];
+      ASSERT_EQ(v.size(), ref[n].size()) << "node " << n;
+      EXPECT_EQ(as_vector(v), ref[n]) << "node " << n;
+      for (std::size_t i = 0; i < v.size(); ++i)
+        EXPECT_EQ(v[i], ref[n][i]) << "node " << n << " entry " << i;
+      for (node_id m = 0; m < ref.size(); ++m)
+        EXPECT_EQ(v == logs[m], ref[n] == ref[m]) << n << " vs " << m;
+    }
+  }
+
+  delivery_logs logs;
+  std::vector<entries> ref;
+  std::size_t appended = 0;
+};
+
+TEST(DeliveryLogsTest, FollowersHoldTheSequenceOnce) {
+  mirrored_logs m(5);
+  for (std::uint64_t k = 1; k <= 20; ++k)
+    for (node_id n = 0; n < 5; ++n) m.append(n, {k % 3, k});
+  m.expect_exact();
+  EXPECT_EQ(m.logs.entries_held(), 20u);
+  EXPECT_EQ(m.logs.at(4), m.logs[0]);
+  EXPECT_THROW((void)m.logs.at(5), std::out_of_range);
+}
+
+TEST(DeliveryLogsTest, ForksDuplicatesAndGapsReadBackExactly) {
+  mirrored_logs m(6);
+  const entries trunk = {{0, 1}, {1, 1}, {0, 2}, {2, 1}, {1, 2}};
+  m.append(0, trunk);                     // lays the trunk down
+  m.append(1, trunk);                     // follows it to its end
+  m.append(2, {{0, 1}, {2, 1}});          // a gap: forks mid-trunk
+  m.append(3, {{1, 1}});                  // forks before the first entry
+  m.append(4, {{0, 1}, {1, 1}, {0, 1}});  // a duplicate forks it
+  m.append(1, {{2, 2}});                  // at the end: extends the trunk
+  m.append(0, {{0, 3}});                  // forks at the trunk's last entry
+  m.append(1, {{2, 2}, {2, 2}});          // duplicates at the trunk's end
+  m.append(5, {{0, 1}, {1, 1}, {0, 2}, {2, 1}, {1, 2}, {2, 2}, {0, 3}});
+  m.expect_exact();
+  // Every node but node 1 has forked; node 1 goes on extending the trunk.
+  m.append(1, {{1, 3}, {1, 4}});
+  m.expect_exact();
+  EXPECT_EQ(m.logs.entries_held(), 10u + 5);  // the trunk, five 1-entry tails
+}
+
+TEST(DeliveryLogsTest, SeededRandomStreamsReadBackExactly) {
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    rng r(seed);
+    const auto nodes = static_cast<std::size_t>(r.uniform_int(2, 8));
+    // One common sequence, as Delta-delivery would release it.
+    entries common;
+    std::vector<std::uint64_t> next_seq(4, 0);
+    for (int i = 0; i < 60; ++i) {
+      const auto origin = static_cast<node_id>(r.uniform_int(0, 3));
+      common.emplace_back(origin, ++next_seq[origin]);
+    }
+    // Each node's stream: the common sequence with its own rate of gaps,
+    // duplicates, swapped neighbours and foreign entries (0 for a clean
+    // follower), and a crash gap on some nodes.
+    std::vector<entries> streams(nodes);
+    for (entries& st : streams) {
+      const double fault = r.uniform_int(0, 2) == 0 ? 0.0 : r.uniform(0, 0.2);
+      const auto down = static_cast<std::size_t>(r.uniform_int(0, 80));
+      const auto up = down + static_cast<std::size_t>(r.uniform_int(0, 20));
+      for (std::size_t i = 0; i < common.size(); ++i) {
+        if (i >= down && i < up) continue;
+        const double u = r.uniform01();
+        if (u < fault / 4) continue;  // a gap
+        if (u < fault / 2 && i + 1 < common.size()) {
+          st.push_back(common[i + 1]);  // neighbours swapped
+          st.push_back(common[i]);
+          ++i;
+          continue;
+        }
+        st.push_back(common[i]);
+        if (u < 3 * fault / 4) {
+          st.push_back(common[i]);  // a duplicate
+        } else if (u < fault) {
+          st.emplace_back(static_cast<node_id>(r.uniform_int(0, 3)),
+                          static_cast<std::uint64_t>(r.uniform_int(1, 99)));
+        }
+      }
+    }
+    // Interleave the streams at random, as shards and dates would.
+    mirrored_logs m(nodes);
+    std::vector<std::size_t> at(nodes, 0);
+    for (;;) {
+      std::vector<node_id> open;
+      for (node_id n = 0; n < nodes; ++n)
+        if (at[n] < streams[n].size()) open.push_back(n);
+      if (open.empty()) break;
+      const node_id n = open[static_cast<std::size_t>(
+          r.uniform_int(0, static_cast<std::int64_t>(open.size()) - 1))];
+      m.append(n, streams[n][at[n]++]);
+      if (m.appended % 97 == 0) m.expect_exact();
+    }
+    m.expect_exact();
+  }
 }
 
 TEST(ReliableP2pTest, DeliversOnceDespiteRedundantCopies) {
@@ -192,6 +321,36 @@ TEST(ReliableBroadcastTest, ManyBroadcastsSameOrderEverywhere) {
   EXPECT_EQ(svc.delivery_log(0).size(), 30u);
 }
 
+// Delta-delivery releases one sequence on every node, so the logs hold it
+// once: at most one entry per message sent, not one per delivery.
+TEST(ReliableBroadcastTest, TotalOrderLogsShareOnePrefix) {
+  constexpr std::size_t nodes = 64;
+  constexpr std::size_t sent = 300;
+  core::system sys(nodes, lan());
+  reliable_broadcast::params p;
+  p.total_order = true;
+  p.stability_delay = 2_ms;
+  p.diffusion = reliable_broadcast::diffusion_kind::tree;
+  reliable_broadcast svc(sys, p);
+  rng r(11);
+  for (std::size_t i = 0; i < sent; ++i) {
+    const auto src = static_cast<node_id>(r.uniform_int(0, nodes - 1));
+    sys.engine().after(duration::microseconds(r.uniform_int(0, 50'000)),
+                       [&svc, src, i] { svc.broadcast(src, i); });
+  }
+  sys.run_for(100_ms);
+  ASSERT_EQ(svc.delivery_log(0).size(), sent);
+  for (node_id n = 1; n < nodes; ++n)
+    EXPECT_EQ(svc.delivery_log(n), svc.delivery_log(0)) << "node " << n;
+  const std::size_t with_logs = svc.state_bytes();
+  const delivery_logs logs = svc.take_delivery_logs();
+  const std::size_t held = (with_logs - svc.state_bytes()) / sizeof(entry);
+  EXPECT_LE(held, sent);
+  EXPECT_EQ(held, logs.entries_held());
+  EXPECT_EQ(svc.delivery_log(0).size(), 0u);
+  EXPECT_EQ(logs[nodes - 1].size(), sent);
+}
+
 // Regression (ISSUE 2): a relay that arrives after sent_at + Delta used to
 // be delivered at arrival, interleaving behind younger messages on that
 // node while every other node delivered in timestamp order — agreement
@@ -222,7 +381,7 @@ TEST(ReliableBroadcastTest, TotalOrderSurvivesRelayPastStabilityDeadline) {
   const std::vector<std::pair<node_id, std::uint64_t>> expected{{0, 1},
                                                                 {1, 1}};
   for (node_id n = 0; n < 3; ++n)
-    EXPECT_EQ(svc.delivery_log(n), expected) << "node " << n;
+    EXPECT_EQ(as_vector(svc.delivery_log(n)), expected) << "node " << n;
   EXPECT_EQ(svc.order_faults(), 0u);  // within the diffusion bound
   // The advertised bound covers the relay path that exceeded Delta.
   EXPECT_GE(svc.delivery_bound(64), 100_us);
@@ -332,7 +491,7 @@ TEST(ReliableBroadcastTest, TotalOrderSurvivesMixedPayloadSizes) {
   const std::vector<std::pair<node_id, std::uint64_t>> expected{{0, 1},
                                                                 {1, 1}};
   for (node_id n = 0; n < 3; ++n)
-    EXPECT_EQ(svc.delivery_log(n), expected) << "node " << n;
+    EXPECT_EQ(as_vector(svc.delivery_log(n)), expected) << "node " << n;
   EXPECT_EQ(svc.order_faults(), 0u);
   // Oversized total-order payloads are rejected outright.
   EXPECT_THROW(svc.broadcast(0, 1, 8192), hades::invariant_violation);

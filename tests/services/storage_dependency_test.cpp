@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "services/dependency.hpp"
 #include "services/mode_manager.hpp"
 #include "services/storage.hpp"
@@ -187,6 +189,27 @@ TEST(ModeManagerTest, StateCapturedAtSwitch) {
   const std::string* snap = mm.captured<std::string>(t);
   ASSERT_NE(snap, nullptr);
   EXPECT_EQ(*snap, "snapshot-me");
+}
+
+// The manager is redelivered only the kinds it counts: with
+// suspicions_for_degraded == 0 a recorded suspicion schedules nothing,
+// and with a threshold set it is redelivered and degrades the mode.
+TEST(ModeManagerTest, SuspicionsAreRedeliveredOnlyWhenTheyCount) {
+  for (const std::size_t threshold : {0u, 1u}) {
+    SCOPED_TRACE("suspicions_for_degraded " + std::to_string(threshold));
+    core::system sys(2, quiet());
+    mode_manager mm(sys, {1, 3, 1, 0, threshold});
+    core::monitor_event e;
+    e.kind = core::monitor_event_kind::node_suspected;
+    e.at = sys.now();
+    e.node = 0;
+    e.subject_node = 1;
+    const std::size_t before = sys.engine().pending();
+    sys.mon().record(e);
+    EXPECT_EQ(sys.engine().pending(), before + threshold);
+    sys.run_for(1_ms);
+    EXPECT_EQ(mm.mode(), threshold == 0 ? op_mode::normal : op_mode::degraded);
+  }
 }
 
 TEST(ModeManagerTest, ForceModeResetsCounters) {

@@ -233,7 +233,10 @@ std::vector<std::vector<std::pair<node_id, std::uint64_t>>> broadcast_storm(
   }
   sys.run_for(50_ms);
   std::vector<std::vector<std::pair<node_id, std::uint64_t>>> logs;
-  for (node_id n = 0; n < n_nodes; ++n) logs.push_back(bcast.delivery_log(n));
+  for (node_id n = 0; n < n_nodes; ++n) {
+    const auto l = bcast.delivery_log(n);
+    logs.emplace_back(l.begin(), l.end());
+  }
   return logs;
 }
 
