@@ -12,11 +12,10 @@
 // `<benchmark>_ns` key per microbenchmark, its real time per iteration.
 #include <benchmark/benchmark.h>
 
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "bench/json_out.hpp"
+#include "bench/gbench_main.hpp"
 #include "bench/table.hpp"
 #include "core/system.hpp"
 #include "sim/engine.hpp"
@@ -137,49 +136,12 @@ void bm_engine_event_dispatch(benchmark::State& state) {
 }
 BENCHMARK(bm_engine_event_dispatch);
 
-// The console table, plus each run's real time per iteration in the JSON
-// document.
-class json_reporter final : public benchmark::ConsoleReporter {
- public:
-  explicit json_reporter(bench::json_doc& json)
-      : ConsoleReporter(OO_None), json_(&json) {}
-
-  void ReportRuns(const std::vector<Run>& runs) override {
-    ConsoleReporter::ReportRuns(runs);
-    for (const Run& r : runs) {
-      if (r.error_occurred || r.run_type != Run::RT_Iteration) continue;
-      json_->num(r.benchmark_name() + "_ns",
-                 r.GetAdjustedRealTime() * 1e9 /
-                     benchmark::GetTimeUnitMultiplier(r.time_unit));
-    }
-  }
-
- private:
-  bench::json_doc* json_;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Strip --json PATH before google-benchmark sees (and rejects) it.
-  std::string json_path;
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-      json_path = argv[++i];
-    else
-      argv[kept++] = argv[i];
-  }
-  argc = kept;
-
-  print_section4_table();
-  std::printf("\nhost-side microbenchmarks of this dispatcher (the paper's "
-              "\"worst-case scenario benchmarks\"):\n");
-  bench::json_doc json;
-  bench::stamp(json, 1, 1);
-  json_reporter reporter(json);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  if (!json_path.empty() && !json.write(json_path)) return 1;
-  return 0;
+  return bench::gbench_main(argc, argv, [](json::doc&) {
+    print_section4_table();
+    std::printf("\nhost-side microbenchmarks of this dispatcher (the paper's "
+                "\"worst-case scenario benchmarks\"):\n");
+  });
 }

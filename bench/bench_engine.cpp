@@ -253,7 +253,7 @@ int main(int argc, char** argv) {
               standing, heap_peak);
 
   if (!json_path.empty()) {
-    hades::bench::json_doc json;
+    json::doc json;
     json.str("bench", "engine");
     hades::bench::stamp(json, 0, 1);  // engine-level: no node workload
     json.num("events", static_cast<std::uint64_t>(total));
@@ -264,7 +264,7 @@ int main(int argc, char** argv) {
     json.num("same_instant_events_per_sec_pooled", pooled_same);
     json.num("same_instant_heap_growth",
              static_cast<std::uint64_t>(heap_growth));
-    json.write(json_path);
+    if (!json.write(json_path)) return 1;
   }
   if (heap_growth > 0) {
     std::printf("FAIL: same-instant links grew the ready heap by %zu\n",

@@ -20,10 +20,9 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
-#include <cstring>
 #include <string>
 
-#include "bench/json_out.hpp"
+#include "bench/gbench_main.hpp"
 #include "bench/table.hpp"
 #include "core/system.hpp"
 #include "sched/feasibility.hpp"
@@ -57,7 +56,7 @@ bool misses_in_simulation(const std::vector<sched::analyzed_task>& ts,
   return sys.mon().count(core::monitor_event_kind::deadline_miss) > 0;
 }
 
-void acceptance_sweep(bench::json_doc& json) {
+void acceptance_sweep(json::doc& json) {
   const auto costs = core::cost_model::chorus_like();
   bench::table t({"U", "naive accept", "cost accept", "naive-accepted miss%",
                   "cost-accepted miss%"});
@@ -167,7 +166,7 @@ BENCHMARK(bm_incremental_cycle);
 // Manual timing of the same contrast for the JSON artifact: ns per
 // admission decision when every decision re-runs the batch test on a
 // 50-task set, versus one incremental wheel cycle.
-void incremental_compare(bench::json_doc& json) {
+void incremental_compare(json::doc& json) {
   rng r(7);
   sched::workload_params p;
   p.task_count = 50;
@@ -225,23 +224,8 @@ void incremental_compare(bench::json_doc& json) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Strip --json PATH before google-benchmark sees (and rejects) it.
-  std::string json_path;
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-      json_path = argv[++i];
-    else
-      argv[kept++] = argv[i];
-  }
-  argc = kept;
-
-  bench::json_doc json;
-  bench::stamp(json, 1, 1);
-  acceptance_sweep(json);
-  incremental_compare(json);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  if (!json_path.empty()) json.write(json_path);
-  return 0;
+  return bench::gbench_main(argc, argv, [](json::doc& json) {
+    acceptance_sweep(json);
+    incremental_compare(json);
+  });
 }

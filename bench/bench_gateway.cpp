@@ -24,50 +24,18 @@
 //
 // Usage: bench_gateway [--smoke] [--require-throughput] [--json PATH]
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "bench/alloc_count.hpp"
 #include "bench/json_out.hpp"
 #include "traffic/admission.hpp"
 #include "traffic/arrival.hpp"
 #include "util/hdr_histogram.hpp"
-
-// --- global allocation counter ----------------------------------------------
-// Counts every operator-new in the binary; the measured decision loop must
-// not move it at all.
-
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new(std::size_t size, std::align_val_t al) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(al),
-                                   (size + static_cast<std::size_t>(al) - 1) &
-                                       ~(static_cast<std::size_t>(al) - 1)))
-    return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void* operator new[](std::size_t size) { return operator new(size); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 using namespace hades;
 using namespace hades::traffic;
@@ -162,7 +130,7 @@ mix_outcome run_mix(arrival_mix mix, double rate_per_s, const char* name,
 
   for (std::uint64_t i = 0; i < warmup; ++i) step();
 
-  const std::uint64_t allocs_before = g_allocs.load();
+  const std::uint64_t allocs_before = alloc_count::calls();
   const auto t0 = std::chrono::steady_clock::now();
   for (std::uint64_t i = 0; i < measured; ++i) step();
   const auto t1 = std::chrono::steady_clock::now();
@@ -170,7 +138,7 @@ mix_outcome run_mix(arrival_mix mix, double rate_per_s, const char* name,
   mix_outcome out;
   out.name = name;
   out.decisions = measured;
-  out.steady_allocs = g_allocs.load() - allocs_before;
+  out.steady_allocs = alloc_count::calls() - allocs_before;
   out.wall_s = std::chrono::duration<double>(t1 - t0).count();
   out.per_s = static_cast<double>(measured) / out.wall_s;
   const auto& s = ctrl.stats();
@@ -221,7 +189,7 @@ int main(int argc, char** argv) {
                {arrival_mix::diurnal, 150'000.0, "diurnal"},
                {arrival_mix::poisson, 20'000.0, "quiet"}};
 
-  bench::json_doc json;
+  json::doc json;
   bench::stamp(json, 1, 1);
   json.num("decisions_per_mix", measured);
 
@@ -265,7 +233,7 @@ int main(int argc, char** argv) {
   }
   json.num("min_decisions_per_s", min_per_s);
   json.num("steady_allocs_total", total_allocs);
-  if (!json_path.empty()) json.write(json_path);
+  if (!json_path.empty() && !json.write(json_path)) return 1;
 
   // The zero-allocation contract is absolute — no SKIP, no threshold: any
   // steady-state allocation on the admit/complete/shed path is a defect on

@@ -13,12 +13,11 @@
 // Usage: bench_sched_compare [--json PATH] [google-benchmark flags]
 #include <benchmark/benchmark.h>
 
-#include <cstring>
 #include <deque>
 #include <string>
 #include <unordered_map>
 
-#include "bench/json_out.hpp"
+#include "bench/gbench_main.hpp"
 #include "bench/table.hpp"
 #include "core/system.hpp"
 #include "sched/edf.hpp"
@@ -117,7 +116,7 @@ outcome run_one(const std::vector<sched::analyzed_task>& ts, which w) {
   return o;
 }
 
-void sweep(bench::json_doc& json) {
+void sweep(json::doc& json) {
   bench::table t({"U", "RM miss%", "EDF miss%", "Spring miss%",
                   "Spring reject%", "EDF+wheel miss%", "EDF+wheel reject%"});
   rng r(99);
@@ -172,22 +171,5 @@ BENCHMARK(bm_edf_run)->Unit(benchmark::kMillisecond);
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Strip --json PATH before google-benchmark sees (and rejects) it.
-  std::string json_path;
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-      json_path = argv[++i];
-    else
-      argv[kept++] = argv[i];
-  }
-  argc = kept;
-
-  bench::json_doc json;
-  bench::stamp(json, 1, 1);
-  sweep(json);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  if (!json_path.empty()) json.write(json_path);
-  return 0;
+  return bench::gbench_main(argc, argv, sweep);
 }

@@ -25,8 +25,8 @@
 // node count (DESIGN.md, "Scalable topology layer"): hierarchical fault
 // detection (clusters of 50), clustered clock sync, and spanning-tree
 // Delta-ordered broadcast from 8 spread origins, run at 256/1k/4k/10k
-// nodes on 4 shards. Peak live heap is tracked by counting operator
-// new/delete replacements, and the per-point bytes/node is the number the
+// nodes on 4 shards. Peak live heap comes from the counting allocator
+// (bench/alloc_count.hpp), and the per-point bytes/node is the number the
 // CI scaling gate holds near-linear: `--require-scaling` fails unless
 // bytes/node at 10k stays within 2x of the 1k point and the 10k point
 // still clears a throughput floor.
@@ -47,11 +47,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <malloc.h>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "bench/alloc_count.hpp"
 #include "bench/json_out.hpp"
 #include "core/system.hpp"
 #include "services/clock_sync.hpp"
@@ -61,65 +60,6 @@
 
 using namespace hades;
 using namespace hades::literals;
-
-// --- peak-live-heap tracking -------------------------------------------------
-// The scale curve gates on memory per node, so this binary replaces the
-// global allocation functions with thin counting wrappers around malloc.
-// Live bytes use malloc_usable_size (what the allocator actually holds, not
-// the request). The aligned forms matter: the per-node padded state structs
-// are alignas(64) and live in vectors, and the default aligned operator
-// delete does NOT fall back to the unsized plain one. The benchmark is
-// single-threaded, so plain counters suffice.
-
-namespace heap_track {
-
-inline std::uint64_t live = 0;
-inline std::uint64_t peak = 0;
-
-inline void count(void* p) {
-  if (p == nullptr) return;
-  live += malloc_usable_size(p);
-  peak = std::max(peak, live);
-}
-inline void uncount(void* p) {
-  if (p != nullptr) live -= malloc_usable_size(p);
-}
-/// Forget the historical peak: it restarts from the current live size.
-inline void reset_peak() { peak = live; }
-
-}  // namespace heap_track
-
-void* operator new(std::size_t size) {
-  void* p = std::malloc(size > 0 ? size : 1);
-  if (p == nullptr) throw std::bad_alloc();
-  heap_track::count(p);
-  return p;
-}
-void* operator new(std::size_t size, std::align_val_t align) {
-  const std::size_t al =
-      std::max(static_cast<std::size_t>(align), sizeof(void*));
-  void* p = nullptr;
-  if (posix_memalign(&p, al, size > 0 ? size : al) != 0)
-    throw std::bad_alloc();
-  heap_track::count(p);
-  return p;
-}
-void operator delete(void* p) noexcept {
-  heap_track::uncount(p);
-  std::free(p);
-}
-void operator delete(void* p, std::size_t) noexcept {
-  heap_track::uncount(p);
-  std::free(p);
-}
-void operator delete(void* p, std::align_val_t) noexcept {
-  heap_track::uncount(p);
-  std::free(p);
-}
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  heap_track::uncount(p);
-  std::free(p);
-}
 
 namespace {
 
@@ -307,8 +247,8 @@ struct scale_result {
 // memory number); the suspicion oracle is wired so re-parenting is on the
 // path even though no faults are injected here.
 scale_result run_scale_point(std::size_t nodes, duration horizon) {
-  const std::uint64_t baseline = heap_track::live;
-  heap_track::reset_peak();
+  const std::uint64_t baseline = alloc_count::live_bytes();
+  alloc_count::reset_peak();
 
   scale_result r;
   {
@@ -375,7 +315,8 @@ scale_result run_scale_point(std::size_t nodes, duration horizon) {
     r.checksum ^= ns.sent * 13 + ns.delivered * 17;
     // Read the peak while the system is still alive: it is the high-water
     // mark of system + services + in-flight events over the whole run.
-    r.peak_bytes = heap_track::peak > baseline ? heap_track::peak - baseline : 0;
+    const std::uint64_t peak = alloc_count::peak_bytes();
+    r.peak_bytes = peak > baseline ? peak - baseline : 0;
   }
   return r;
 }
@@ -406,7 +347,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
       json_path = argv[++i];
   }
-  hades::bench::json_doc json;
+  json::doc json;
   json.str("bench", "sharded");
 
   if (scale_curve || require_scaling || scale_nodes > 0) {
@@ -448,7 +389,7 @@ int main(int argc, char** argv) {
         evs_10k = evs;
       }
     }
-    if (!json_path.empty()) json.write(json_path);
+    if (!json_path.empty() && !json.write(json_path)) return 1;
     if (require_scaling) {
       if (bpn_1k <= 0 || bpn_10k <= 0) {
         std::printf("FAIL: scaling gate needs both the 1k and 10k points\n");
@@ -551,6 +492,6 @@ int main(int argc, char** argv) {
   }
   std::printf("  full-system checksums identical across all configurations\n");
 
-  if (!json_path.empty()) json.write(json_path);
+  if (!json_path.empty() && !json.write(json_path)) return 1;
   return 0;
 }

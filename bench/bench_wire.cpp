@@ -40,49 +40,18 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <new>
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "bench/alloc_count.hpp"
 #include "bench/json_out.hpp"
 #include "bench/table.hpp"
 #include "sim/engine.hpp"
 #include "sim/network.hpp"
 #include "util/rng.hpp"
-
-// --- global allocation counter ----------------------------------------------
-// Counts every operator-new in the binary; the steady-state measurement
-// phase of the new wire must not move it at all.
-
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new(std::size_t size, std::align_val_t al) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(al),
-                                   (size + static_cast<std::size_t>(al) - 1) &
-                                       ~(static_cast<std::size_t>(al) - 1)))
-    return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void* operator new[](std::size_t size) { return operator new(size); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 using namespace hades;
 using namespace hades::literals;
@@ -374,7 +343,7 @@ run_result run_new_broadcast(std::size_t rounds, std::size_t toggles) {
     e.run();
   };
   for (std::uint64_t i = 0; i < 64; ++i) round(i);  // warm pools and slabs
-  const std::uint64_t allocs_before = g_allocs.load();
+  const std::uint64_t allocs_before = alloc_count::calls();
   const auto stats_before = sim::wire_payload::stats();
   const auto t0 = std::chrono::steady_clock::now();
   for (std::uint64_t i = 0; i < rounds; ++i) round(i);
@@ -383,7 +352,7 @@ run_result run_new_broadcast(std::size_t rounds, std::size_t toggles) {
   run_result r;
   r.wall_s = dt.count();
   r.messages = rounds * kNodes * (kNodes - 1);
-  r.allocs = g_allocs.load() - allocs_before;
+  r.allocs = alloc_count::calls() - allocs_before;
   r.checksum = checksum;
   const auto stats_after = sim::wire_payload::stats();
   if (stats_after.chunk_allocs != stats_before.chunk_allocs ||
@@ -412,7 +381,7 @@ run_result run_legacy_broadcast(std::size_t rounds, std::size_t toggles) {
     e.run();
   };
   for (std::uint64_t i = 0; i < 64; ++i) round(i);
-  const std::uint64_t allocs_before = g_allocs.load();
+  const std::uint64_t allocs_before = alloc_count::calls();
   const auto t0 = std::chrono::steady_clock::now();
   for (std::uint64_t i = 0; i < rounds; ++i) round(i);
   const std::chrono::duration<double> dt =
@@ -420,7 +389,7 @@ run_result run_legacy_broadcast(std::size_t rounds, std::size_t toggles) {
   run_result r;
   r.wall_s = dt.count();
   r.messages = rounds * kNodes * (kNodes - 1);
-  r.allocs = g_allocs.load() - allocs_before;
+  r.allocs = alloc_count::calls() - allocs_before;
   r.checksum = checksum;
   return r;
 }
@@ -505,7 +474,7 @@ int main(int argc, char** argv) {
               speedup, plan_speedup);
 
   if (!json_path.empty()) {
-    bench::json_doc j;
+    json::doc j;
     j.str("bench", "wire");
     bench::stamp(j, kNodes, 1);
     j.num("messages", nw.messages);
@@ -517,7 +486,7 @@ int main(int argc, char** argv) {
     j.num("allocs_per_msg_legacy", allocs_per_msg(lg));
     j.num("speedup", speedup);
     j.num("long_plan_speedup", plan_speedup);
-    j.write(json_path);
+    if (!j.write(json_path)) return 1;
   }
 
   // Hard gate, any mode: the steady state must allocate nothing at all.

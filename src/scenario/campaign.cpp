@@ -10,8 +10,8 @@
 
 #include "core/system.hpp"
 #include "scenario/deployment.hpp"
-#include "scenario/json_min.hpp"
 #include "util/fnv.hpp"
+#include "util/json.hpp"
 
 namespace hades::scenario {
 
@@ -181,7 +181,7 @@ cell_result run_cell(const scenario_spec& spec, std::uint64_t seed,
 std::string render_verdict_json(const cell_result& c) {
   std::ostringstream os;
   os << "{\n"
-     << "  \"scenario\": \"" << jmin::escape(c.scenario) << "\",\n"
+     << "  \"scenario\": \"" << json::escape(c.scenario) << "\",\n"
      << "  \"seed\": " << c.seed << ",\n"
      << "  \"shards\": " << c.shards << ",\n"
      << "  \"horizon_ns\": " << c.obs.horizon.nanoseconds() << ",\n"
@@ -214,10 +214,10 @@ std::string render_verdict_json(const cell_result& c) {
   os << "\n  },\n  \"checks\": [\n";
   for (std::size_t i = 0; i < c.checks.size(); ++i) {
     const check_result& ck = c.checks[i];
-    os << "    {\"name\": \"" << jmin::escape(ck.name) << "\", \"passed\": "
+    os << "    {\"name\": \"" << json::escape(ck.name) << "\", \"passed\": "
        << (ck.passed ? "true" : "false");
     if (!ck.detail.empty())
-      os << ", \"detail\": \"" << jmin::escape(ck.detail) << "\"";
+      os << ", \"detail\": \"" << json::escape(ck.detail) << "\"";
     os << "}" << (i + 1 < c.checks.size() ? "," : "") << "\n";
   }
   os << "  ]\n}\n";
@@ -229,7 +229,7 @@ std::string campaign_result::summary_json() const {
   os << "{\n  \"passed\": " << (passed ? "true" : "false") << ",\n"
      << "  \"cells\": " << cells.size() << ",\n  \"failures\": [\n";
   for (std::size_t i = 0; i < failures.size(); ++i)
-    os << "    \"" << jmin::escape(failures[i]) << "\""
+    os << "    \"" << json::escape(failures[i]) << "\""
        << (i + 1 < failures.size() ? "," : "") << "\n";
   os << "  ]\n}\n";
   return os.str();

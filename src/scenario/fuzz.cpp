@@ -8,10 +8,10 @@
 #include <iterator>
 #include <sstream>
 
-#include "scenario/json_min.hpp"
 #include "services/channels.hpp"
 #include "util/error.hpp"
 #include "util/fnv.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace hades::scenario {
@@ -362,7 +362,7 @@ std::string fuzz_case_to_json(const fuzz_case& c) {
   os << "{\n  \"format\": \"hades-fuzz-case v1\",\n"
      << "  \"case_seed\": " << static_cast<std::int64_t>(c.case_seed)
      << ",\n"
-     << "  \"name\": \"" << jmin::escape(s.name) << "\",\n"
+     << "  \"name\": \"" << json::escape(s.name) << "\",\n"
      << "  \"nodes\": " << s.nodes << ",\n"
      << "  \"horizon_ns\": " << s.horizon.count() << ",\n"
      << "  \"fd_period_ns\": " << s.fd.heartbeat_period.count() << ",\n"
@@ -383,11 +383,11 @@ std::string fuzz_case_to_json(const fuzz_case& c) {
 }
 
 fuzz_case fuzz_case_from_json(const std::string& text) {
-  const jmin::value root = jmin::parse(text);
-  require(root.k == jmin::value::kind::object,
+  const json::value root = json::parse(text);
+  require(root.k == json::value::kind::object,
           "fuzz json: expected an object");
   fuzz_case c;
-  const jmin::value* fmt = root.find("format");
+  const json::value* fmt = root.find("format");
   if (fmt != nullptr && fmt->as_string() == "hades-plan v1") {
     // Convenience: a bare plan document wraps into the curated base spec
     // with truthful expectations, so `--shrink` works straight off a
@@ -671,7 +671,7 @@ std::string fuzz_result::summary_json() const {
      << "  \"signatures\": [";
   for (std::size_t i = 0; i < failure_signatures.size(); ++i)
     os << (i == 0 ? "\n    \"" : ",\n    \"")
-       << jmin::escape(failure_signatures[i]) << "\"";
+       << json::escape(failure_signatures[i]) << "\"";
   os << (failure_signatures.empty() ? "]" : "\n  ]") << "\n}\n";
   return os.str();
 }

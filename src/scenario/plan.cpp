@@ -8,7 +8,7 @@
 #include <utility>
 
 #include "core/system.hpp"
-#include "scenario/json_min.hpp"
+#include "util/json.hpp"
 
 namespace hades::scenario {
 
@@ -358,14 +358,6 @@ void ground_truth::unreachable_windows(node_id o, node_id s,
   merge(out);
 }
 
-// Each query indexes just enough nodes to answer for the ones it names.
-
-std::vector<window> plan::down_windows(node_id n, time_point horizon) const {
-  const ground_truth truth(*this, 0, horizon);
-  const std::span<const window> ws = truth.down_windows(n);
-  return {ws.begin(), ws.end()};
-}
-
 bool plan::down_at(node_id n, time_point t) const {
   return ground_truth(*this, 0, time_point::infinity()).down_at(n, t);
 }
@@ -376,41 +368,10 @@ bool plan::ever_down(node_id n) const {
   return false;
 }
 
-std::vector<window> plan::separated_windows(node_id a, node_id b,
-                                            time_point horizon) const {
-  std::vector<window> out;
-  ground_truth(*this, std::size_t{std::max(a, b)} + 1, horizon)
-      .separated_windows(a, b, out);
-  return out;
-}
-
-std::vector<window> plan::link_down_windows(node_id src, node_id dst,
-                                            time_point horizon) const {
-  std::vector<window> out;
-  ground_truth(*this, 0, horizon).link_down_windows(src, dst, out);
-  return out;
-}
-
-std::vector<window> plan::unreachable_windows(node_id o, node_id s,
-                                              time_point horizon) const {
-  std::vector<window> out;
-  ground_truth(*this, std::size_t{std::max(o, s)} + 1, horizon)
-      .unreachable_windows(o, s, out);
-  return out;
-}
-
 bool plan::clock_faulty(node_id n) const {
   for (const action& a : actions)
     if (a.kind == action_kind::clock_fault && a.a == n) return true;
   return false;
-}
-
-std::vector<window> plan::disturbed_windows(time_point horizon) const {
-  return ground_truth(*this, 0, horizon).disturbed_windows();
-}
-
-bool plan::quiet(time_point t, duration pad, time_point horizon) const {
-  return ground_truth(*this, 0, horizon).quiet(t, pad);
 }
 
 // -------------------------------------------------------- validation -----
@@ -541,7 +502,7 @@ std::string plan_to_json(const plan& p, int indent) {
   std::ostringstream os;
   os << pad << "{\n"
      << pad << "  \"format\": \"hades-plan v1\",\n"
-     << pad << "  \"name\": \"" << jmin::escape(p.name) << "\",\n"
+     << pad << "  \"name\": \"" << json::escape(p.name) << "\",\n"
      << pad << "  \"actions\": [";
   for (std::size_t i = 0; i < p.actions.size(); ++i) {
     const action& a = p.actions[i];
@@ -598,16 +559,16 @@ std::string plan_to_json(const plan& p, int indent) {
 
 namespace {
 
-plan plan_from_value(const jmin::value& v) {
-  require(v.k == jmin::value::kind::object, "plan json: expected object");
+plan plan_from_value(const json::value& v) {
+  require(v.k == json::value::kind::object, "plan json: expected object");
   require(v.at("format").as_string() == "hades-plan v1",
           "plan json: unsupported format");
   plan p;
   p.name = v.at("name").as_string();
-  const jmin::value& actions = v.at("actions");
-  require(actions.k == jmin::value::kind::array,
+  const json::value& actions = v.at("actions");
+  require(actions.k == json::value::kind::array,
           "plan json: \"actions\" must be an array");
-  for (const jmin::value& av : actions.arr) {
+  for (const json::value& av : actions.arr) {
     action a;
     a.kind = kind_from_string(av.at("kind").as_string());
     a.at = time_point::at(duration::nanoseconds(av.at("at_ns").as_int()));
@@ -623,13 +584,13 @@ plan plan_from_value(const jmin::value& v) {
     if (const auto* f = av.find("extra_ns"))
       a.extra = duration::nanoseconds(f->as_int());
     if (const auto* f = av.find("groups")) {
-      require(f->k == jmin::value::kind::array,
+      require(f->k == json::value::kind::array,
               "plan json: \"groups\" must be an array");
-      for (const jmin::value& gv : f->arr) {
-        require(gv.k == jmin::value::kind::array,
+      for (const json::value& gv : f->arr) {
+        require(gv.k == json::value::kind::array,
                 "plan json: each group must be an array");
         std::vector<node_id> g;
-        for (const jmin::value& mv : gv.arr)
+        for (const json::value& mv : gv.arr)
           g.push_back(static_cast<node_id>(mv.as_int()));
         a.groups.push_back(std::move(g));
       }
@@ -642,14 +603,14 @@ plan plan_from_value(const jmin::value& v) {
 }  // namespace
 
 plan plan_from_json(const std::string& text) {
-  const jmin::value root = jmin::parse(text);
+  const json::value root = json::parse(text);
   // Accept enclosing documents (e.g. "hades-fuzz-case v1") that embed the
   // timeline as a "plan" member: anything that isn't itself a plan document
   // but carries one delegates to it.
-  if (root.k == jmin::value::kind::object) {
-    const jmin::value* fmt = root.find("format");
+  if (root.k == json::value::kind::object) {
+    const json::value* fmt = root.find("format");
     if (fmt == nullptr || fmt->as_string() != "hades-plan v1")
-      if (const jmin::value* inner = root.find("plan"))
+      if (const json::value* inner = root.find("plan"))
         return plan_from_value(*inner);
   }
   return plan_from_value(root);

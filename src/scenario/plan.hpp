@@ -95,44 +95,18 @@ struct plan {
   plan& clock_byzantine(time_point at, node_id n, double rate,
                         duration offset);
 
-  // --- ground-truth queries for checkers --------------------------------
-  /// Intervals during which node n was crashed (clipped to [0, horizon)).
-  [[nodiscard]] std::vector<window> down_windows(node_id n,
-                                                 time_point horizon) const;
+  // --- single-node queries ------------------------------------------------
+  // Graders index the whole timeline once instead (`ground_truth`).
+  /// True when node n is crashed at t (an outage never ends unless a
+  /// recover action ends it).
   [[nodiscard]] bool down_at(node_id n, time_point t) const;
   [[nodiscard]] bool ever_down(node_id n) const;
   [[nodiscard]] bool correct_throughout(node_id n) const {
     return !ever_down(n);
   }
-
-  /// Intervals during which a partition separated nodes a and b.
-  [[nodiscard]] std::vector<window> separated_windows(
-      node_id a, node_id b, time_point horizon) const;
-
-  /// Intervals during which the directed link src -> dst was down.
-  [[nodiscard]] std::vector<window> link_down_windows(
-      node_id src, node_id dst, time_point horizon) const;
-
-  /// Intervals during which node s was unreachable from observer o: s down,
-  /// an (o, s) partition in force, or the directed link s -> o down (what
-  /// silences s's heartbeats towards o under an asymmetric partition).
-  /// Overlapping intervals are merged.
-  [[nodiscard]] std::vector<window> unreachable_windows(
-      node_id o, node_id s, time_point horizon) const;
-
   /// True when a clock_fault action ever targets node n (Byzantine clock:
   /// exclude from skew grading).
   [[nodiscard]] bool clock_faulty(node_id n) const;
-
-  /// Intervals during which probabilistic network faults (global omission
-  /// rate, performance faults), a partition, or any directional link-down
-  /// were in force. Scripted bursts are NOT disturbances: the reliable
-  /// primitives mask them deterministically.
-  [[nodiscard]] std::vector<window> disturbed_windows(
-      time_point horizon) const;
-  /// True when no disturbance overlaps [t, t + pad).
-  [[nodiscard]] bool quiet(time_point t, duration pad,
-                           time_point horizon) const;
 
   // --- structural validation --------------------------------------------
   /// Every way the timeline is ill-formed, in date order (empty = valid):
@@ -151,9 +125,8 @@ struct plan {
 /// queries every (observer, subject) pair: the timeline is sorted once,
 /// every node's outages and every direction's link-downs get their own
 /// windows, and each partition is resolved to a node -> group array. A
-/// pair query then reads only its own nodes' state. The plan's ground-truth
-/// queries build one of these and read it, so both answer from the same
-/// code.
+/// pair query then reads only its own nodes' state. Windows are clipped to
+/// [0, horizon).
 ///
 /// Node ids at or above `nodes` are in no partition group. Building costs
 /// O(actions log actions + nodes x partition actions).
@@ -161,25 +134,32 @@ class ground_truth {
  public:
   ground_truth(const plan& p, std::size_t nodes, time_point horizon);
 
-  /// plan::down_windows(n, horizon).
+  /// Intervals during which node n was crashed.
   [[nodiscard]] std::span<const window> down_windows(node_id n) const;
-  /// plan::down_at(n, t): an outage still open at the horizon never ends.
+  /// Node n is crashed at t: an outage still open at the horizon never
+  /// ends.
   [[nodiscard]] bool down_at(node_id n, time_point t) const;
-  /// plan::disturbed_windows(horizon).
+  /// Intervals during which probabilistic network faults (global omission
+  /// rate, performance faults), a partition, or any directional link-down
+  /// were in force, merged. Scripted bursts are NOT disturbances: the
+  /// reliable primitives mask them deterministically.
   [[nodiscard]] const std::vector<window>& disturbed_windows() const {
     return disturbed_;
   }
-  /// plan::quiet(t, pad, horizon).
+  /// True when no disturbance overlaps [t, t + pad).
   [[nodiscard]] bool quiet(time_point t, duration pad) const;
 
   // Pair queries clear `out` and fill it, so a sweep over every pair
   // reuses one buffer.
-  /// plan::separated_windows(a, b, horizon).
+  /// Intervals during which a partition separated nodes a and b.
   void separated_windows(node_id a, node_id b, std::vector<window>& out) const;
-  /// plan::link_down_windows(src, dst, horizon).
+  /// Intervals during which the directed link src -> dst was down.
   void link_down_windows(node_id src, node_id dst,
                          std::vector<window>& out) const;
-  /// plan::unreachable_windows(o, s, horizon).
+  /// Intervals during which node s was unreachable from observer o: s down,
+  /// an (o, s) partition in force, or the directed link s -> o down (what
+  /// silences s's heartbeats towards o under an asymmetric partition).
+  /// Overlapping intervals are merged.
   void unreachable_windows(node_id o, node_id s,
                            std::vector<window>& out) const;
 

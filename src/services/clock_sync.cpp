@@ -34,7 +34,6 @@ clock_sync_service::clock_sync_service(core::system& sys, params p)
   inbox_.resize(sys_->node_count());
   summaries_.resize(sys_->node_count());
   round_of_.assign(sys_->node_count(), 0);
-  rounds_.assign(sys_->node_count(), 0);
   corrections_.resize(sys_->node_count());
   for (node_id n = 0; n < sys_->node_count(); ++n) {
     sys_->net(n).on_channel(ch_clock_sync, [this, n](const sim::message& m) {
@@ -146,7 +145,7 @@ std::optional<duration> clock_sync_service::trimmed_offset(
 void clock_sync_service::apply_correction(node_id n, duration correction) {
   sys_->clock(n).adjust(correction);
   corrections_[n].add(static_cast<double>(std::abs(correction.count())));
-  ++rounds_[n];
+  ++rounds_;
   sys_->trace().record(sys_->now(), n, sim::trace_kind::service_event,
                        "clock_sync", "correction " + correction.to_string());
 }

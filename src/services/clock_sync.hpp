@@ -25,10 +25,11 @@
 // which the scenario skew checker's grading windows account for).
 //
 // The achieved skew bound is checked by tests and measured by
-// bench_clock_sync (E6). All state is node-confined ([node]-indexed,
-// touched only from that node's events, i.e. its shard) and every send is
-// anchored on the sending node's chain, preserving the campaign's
-// cross-backend checksum determinism.
+// bench_clock_sync (E6). All state but the rounds total is node-confined
+// ([node]-indexed, touched only from that node's events, i.e. its shard);
+// the total never races, since every backend runs one process's events on
+// one thread. Every send is anchored on the sending node's chain,
+// preserving the campaign's cross-backend checksum determinism.
 #pragma once
 
 #include <cstdint>
@@ -63,9 +64,7 @@ class clock_sync_service {
   /// exclude.
   [[nodiscard]] duration max_skew(const std::vector<node_id>& nodes = {}) const;
 
-  [[nodiscard]] std::uint64_t rounds_completed() const {
-    return sum_counters(rounds_);
-  }
+  [[nodiscard]] std::uint64_t rounds_completed() const { return rounds_; }
   /// Merged per-node correction statistics (all state is node-confined;
   /// merging in node order keeps the summary shard-count independent).
   [[nodiscard]] running_stats correction_magnitude() const;
@@ -98,7 +97,7 @@ class clock_sync_service {
   std::vector<std::vector<reading>> inbox_;      // per node (phase 1)
   std::vector<std::vector<reading>> summaries_;  // per aggregator (phase 2)
   std::vector<std::uint64_t> round_of_;          // per node
-  std::vector<std::uint64_t> rounds_;            // per node
+  std::uint64_t rounds_ = 0;
   std::vector<running_stats> corrections_;       // per node
 };
 

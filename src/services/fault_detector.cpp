@@ -29,8 +29,6 @@ fault_detector::fault_detector(core::system& sys, params p)
   const std::size_t n = sys_->node_count();
   obs_.resize(n);
   for (auto& o : obs_) o.horizon = start_;
-  sent_.assign(n, 0);
-  recoveries_.assign(n, 0);
   for (node_id me = 0; me < n; ++me) {
     sys_->net(me).on_channel(ch_heartbeat, [this, me](const sim::message& m) {
       on_heartbeat(me, m);
@@ -73,7 +71,7 @@ void fault_detector::suspect(node_id observer, node_id subject) {
 
 void fault_detector::unsuspect(node_id observer, node_id subject) {
   obs_[observer].suspicion.erase(subject);
-  ++recoveries_[observer];
+  ++recoveries_;
   const time_point now = sys_->now();
   sys_->trace().record(now, observer, sim::trace_kind::service_event,
                        "fault_detector",
@@ -102,7 +100,7 @@ void fault_detector::flat_tick(node_id n) {
     return;
   }
   sys_->net(n).send_all(ch_heartbeat, std::uint64_t{0}, 32);
-  ++sent_[n];
+  ++sent_;
   const time_point now = sys_->now();
   for (node_id peer = 0; peer < sys_->node_count(); ++peer) {
     if (peer == n || o.suspicion.contains(peer)) continue;
@@ -214,7 +212,7 @@ void fault_detector::hier_tick(node_id n) {
         if (v != n && !o.suspicion.contains(v)) o.last_heard[v] = now;
     }
     send_digest(n);
-    ++sent_[n];
+    ++sent_;
     // Direct supervision of own-cluster members (one-hop heartbeats).
     for (node_id v = clusters_.first(c); v < clusters_.end(c); ++v) {
       if (v == n || o.suspicion.contains(v)) continue;
@@ -246,7 +244,7 @@ void fault_detector::hier_tick(node_id n) {
     o.agg_role = false;
     // Member: heartbeat to the aggregator, supervise only it.
     sys_->net(n).send(agg, ch_heartbeat, std::uint64_t{0}, 32);
-    ++sent_[n];
+    ++sent_;
     if (now - heard(o, agg) > params_.timeout) {
       suspect(n, agg);
       const node_id na = aggregator_view(o, c);

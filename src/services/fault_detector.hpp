@@ -58,7 +58,8 @@
 //
 // Shard confinement: all detector state is [observer]-indexed and touched
 // only from the observer's tick/receive events, i.e. on the observer's
-// shard. Counters are per-observer and summed at read time. Suspicion
+// shard. The counters are plain totals, which never race: every backend
+// runs one process's events on one thread. Suspicion
 // transitions are additionally recorded into the system monitor
 // (node_suspected / node_unsuspected, the suspected node in
 // `subject_node`), which is how suspicion-driven mode policies receive them
@@ -78,7 +79,6 @@
 #include "services/channels.hpp"
 #include "services/topology.hpp"
 #include "util/sparse_map.hpp"
-#include "util/stats.hpp"
 
 namespace hades::svc {
 
@@ -110,11 +110,9 @@ class fault_detector {
     const time_point* at = obs_[observer].suspicion.find(subject);
     return at != nullptr ? std::optional<time_point>(*at) : std::nullopt;
   }
-  [[nodiscard]] std::uint64_t heartbeats_sent() const {
-    return sum_counters(sent_);
-  }
+  [[nodiscard]] std::uint64_t heartbeats_sent() const { return sent_; }
   [[nodiscard]] std::uint64_t recoveries_observed() const {
-    return sum_counters(recoveries_);
+    return recoveries_;
   }
   [[nodiscard]] const params& config() const { return params_; }
   [[nodiscard]] bool hierarchical() const { return params_.cluster_size > 0; }
@@ -202,8 +200,8 @@ class fault_detector {
   std::vector<observer_state> obs_;  // [observer]
   std::vector<suspect_fn> callbacks_;
   std::vector<suspect_fn> recover_callbacks_;
-  std::vector<std::uint64_t> sent_;        // per observer
-  std::vector<std::uint64_t> recoveries_;  // per observer
+  std::uint64_t sent_ = 0;
+  std::uint64_t recoveries_ = 0;
 };
 
 }  // namespace hades::svc

@@ -12,8 +12,6 @@ reliable_p2p::reliable_p2p(core::system& sys, params p)
   const std::size_t n = sys_->node_count();
   next_seq_.resize(n);
   seen_.resize(n);
-  dups_.assign(n, 0);
-  delivered_.assign(n, 0);
   for (node_id me = 0; me < n; ++me)
     sys_->net(me).on_channel(ch_reliable_p2p,
                              [this, me](const sim::message& m) {
@@ -44,10 +42,10 @@ void reliable_p2p::on_message(node_id n, const sim::message& m) {
   const auto* f = m.payload.get<frame>();
   if (f == nullptr) return;
   if (!seen_[n][m.src].insert(f->seq)) {
-    ++dups_[n];
+    ++dups_;
     return;
   }
-  ++delivered_[n];
+  ++delivered_;
   auto hit = handlers_.find(n);
   if (hit != handlers_.end() && hit->second) hit->second(m.src, f->payload);
 }
@@ -101,9 +99,6 @@ reliable_broadcast::reliable_broadcast(core::system& sys, params p)
   seen_.resize(n);
   holdback_.resize(n);
   next_seq_.assign(n, 0);
-  relays_.assign(n, 0);
-  delivered_.assign(n, 0);
-  order_faults_.assign(n, 0);
   for (node_id me = 0; me < n; ++me)
     sys_->net(me).on_channel(ch_reliable_bcast,
                              [this, me](const sim::message& m) {
@@ -208,7 +203,7 @@ void reliable_broadcast::accept(node_id n, const bcast_msg& msg) {
   // sender crash after a partial send (agreement) without undercutting the
   // per-byte latency model.
   if (n != msg.origin) {
-    ++relays_[n];
+    ++relays_;
     relay(n, msg);
   }
   if (!params_.total_order) {
@@ -225,7 +220,7 @@ void reliable_broadcast::accept(node_id n, const bcast_msg& msg) {
     // Arrival at the release date is the legal worst case; strictly past it
     // only a performance-faulty network gets here. Release immediately
     // either way (agreement over order).
-    if (sys_->now() > due) ++order_faults_[n];
+    if (sys_->now() > due) ++order_faults_;
     flush(n);
   } else {
     sys_->engine().at(due, [this, n] {
@@ -247,7 +242,7 @@ void reliable_broadcast::flush(node_id n) {
 
 void reliable_broadcast::deliver(node_id n, const bcast_msg& msg) {
   if (params_.record_deliveries) logs_.append(n, {msg.origin, msg.seq});
-  ++delivered_[n];
+  ++delivered_;
   auto it = handlers_.find(n);
   if (it != handlers_.end() && it->second) it->second(msg);
 }

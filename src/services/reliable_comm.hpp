@@ -61,7 +61,8 @@
 // and pre-sized at construction, so different shards never share a map
 // node (sparse-map slot growth happens on the owning node's shard). The
 // one exception is the delivery logs' trunk, which every shard appends to
-// (see `delivery_logs`). Counters are per-node and summed at read time.
+// (see `delivery_logs`). The counters are plain totals: every backend runs
+// one process's events on one thread, so their increments never race.
 // `on_deliver` handlers run on the delivering node's shard and must stay
 // shard-confined. The suspicion oracle is called as (observer = relaying
 // node, subject) from the relayer's shard — the fault detector's
@@ -83,7 +84,6 @@
 #include "services/channels.hpp"
 #include "services/topology.hpp"
 #include "util/sparse_map.hpp"
-#include "util/stats.hpp"
 
 namespace hades::svc {
 
@@ -151,12 +151,8 @@ class reliable_p2p {
   /// Worst-case fault-free + <=k-omission delivery bound for `size` bytes.
   [[nodiscard]] duration p2p_bound(std::size_t size_bytes) const;
 
-  [[nodiscard]] std::uint64_t duplicates_suppressed() const {
-    return sum_counters(dups_);
-  }
-  [[nodiscard]] std::uint64_t delivered() const {
-    return sum_counters(delivered_);
-  }
+  [[nodiscard]] std::uint64_t duplicates_suppressed() const { return dups_; }
+  [[nodiscard]] std::uint64_t delivered() const { return delivered_; }
   /// Approximate bytes of dedup state held — bounded under sustained
   /// traffic (watermark + window per active (receiver, src) pair).
   [[nodiscard]] std::size_t state_bytes() const;
@@ -174,8 +170,8 @@ class reliable_p2p {
   // Sparse per-link state, keyed by the peers actually communicated with.
   std::vector<util::sparse_node_map<std::uint64_t>> next_seq_;  // [src]: dst
   std::vector<util::sparse_node_map<dedup_window>> seen_;       // [recv]: src
-  std::vector<std::uint64_t> dups_;       // per receiver
-  std::vector<std::uint64_t> delivered_;  // per receiver
+  std::uint64_t dups_ = 0;
+  std::uint64_t delivered_ = 0;
 };
 
 /// Per-node (origin, seq) delivery logs that store a shared sequence once:
@@ -338,15 +334,11 @@ class reliable_broadcast {
   /// max(stability_delay, diffusion of the largest admitted payload).
   [[nodiscard]] duration delivery_bound(std::size_t size_bytes) const;
 
-  [[nodiscard]] std::uint64_t relays() const { return sum_counters(relays_); }
-  [[nodiscard]] std::uint64_t delivered() const {
-    return sum_counters(delivered_);
-  }
+  [[nodiscard]] std::uint64_t relays() const { return relays_; }
+  [[nodiscard]] std::uint64_t delivered() const { return delivered_; }
   /// Messages that arrived after their release date (performance-faulty
   /// network): delivered immediately, possibly breaching total order.
-  [[nodiscard]] std::uint64_t order_faults() const {
-    return sum_counters(order_faults_);
-  }
+  [[nodiscard]] std::uint64_t order_faults() const { return order_faults_; }
   /// Approximate bytes of dedup + hold-back state held — bounded under
   /// sustained traffic.
   [[nodiscard]] std::size_t state_bytes() const;
@@ -402,9 +394,9 @@ class reliable_broadcast {
   std::vector<std::vector<held>> holdback_;  // per node, min-heap on key
   delivery_logs logs_;
   std::vector<std::uint64_t> next_seq_;      // per origin
-  std::vector<std::uint64_t> relays_;        // per relaying node
-  std::vector<std::uint64_t> delivered_;     // per delivering node
-  std::vector<std::uint64_t> order_faults_;  // per delivering node
+  std::uint64_t relays_ = 0;
+  std::uint64_t delivered_ = 0;
+  std::uint64_t order_faults_ = 0;
   // relay_targets' buffers, reused by every tree relay. Events run one at
   // a time on every backend, and a relay's sends only queue frames, so no
   // second relay starts while one walks these.

@@ -9,8 +9,6 @@ namespace hades::sim {
 std::uint32_t engine::alloc_slot() {
   if (free_head_ == npos) {
     require(slabs_.size() < npos / slab_size, "engine: event pool exhausted");
-    if (alloc_hook_ != nullptr)
-      alloc_hook_(slab_size * sizeof(slot), alloc_user_);
     auto slab = std::make_unique<slot[]>(slab_size);
     const auto base = static_cast<std::uint32_t>(slabs_.size() * slab_size);
     for (std::size_t k = slab_size; k-- > 0;) {
@@ -39,11 +37,6 @@ void engine::free_slot(std::uint32_t i) {
 // --- 4-ary ready heap ------------------------------------------------------
 
 void engine::push_rec(time_point t, std::uint32_t slot, std::uint32_t gen) {
-  if (heap_.size() == heap_.capacity() && alloc_hook_ != nullptr) {
-    const std::size_t next_cap =
-        heap_.capacity() == 0 ? 16 : heap_.capacity() * 2;
-    alloc_hook_(next_cap * sizeof(heap_rec), alloc_user_);
-  }
   heap_.push_back(heap_rec{t, next_seq_++, slot, gen});
   sift_up(heap_.size() - 1);
 }

@@ -79,15 +79,6 @@ class engine final : public runtime {
   };
   [[nodiscard]] pool_stats pool() const;
 
-  /// Counting allocator hook: invoked with the byte size of every backing
-  /// allocation the engine makes (new slab, ready-heap growth). Tests use it
-  /// to prove the steady state allocates nothing.
-  using alloc_hook = void (*)(std::size_t bytes, void* user);
-  void set_alloc_hook(alloc_hook h, void* user) {
-    alloc_hook_ = h;
-    alloc_user_ = user;
-  }
-
  private:
   static constexpr std::uint32_t npos = 0xFFFFFFFFu;
   static constexpr std::size_t slab_size = 256;
@@ -157,8 +148,6 @@ class engine final : public runtime {
   time_point now_ = time_point::zero();
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
-  alloc_hook alloc_hook_ = nullptr;
-  void* alloc_user_ = nullptr;
 };
 
 }  // namespace hades::sim

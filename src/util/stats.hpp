@@ -13,16 +13,6 @@
 
 namespace hades {
 
-/// Total of a vector of node-confined counters (the shard-confinement
-/// pattern: each node/shard increments its own slot, readers sum — see
-/// DESIGN.md, "Shard confinement").
-[[nodiscard]] inline std::uint64_t sum_counters(
-    const std::vector<std::uint64_t>& per_node) {
-  std::uint64_t total = 0;
-  for (std::uint64_t v : per_node) total += v;
-  return total;
-}
-
 /// Streaming summary statistics (Welford's algorithm), value-semantic.
 class running_stats {
  public:

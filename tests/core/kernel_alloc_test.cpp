@@ -7,57 +7,28 @@
 // notifications, precedence tokens, instance records), without a single
 // heap allocation. Reading the monitor and the trace back must not
 // allocate either, nor recording a monitor event once its names are
-// interned, an overloaded gateway's sheds included. A counting global
-// operator new (the pattern of bench/bench_wire.cpp) sees every allocation
-// in the process; each phase runs once to warm the pools, rings and queues
-// up to their high-water mark, then once more under the counter with the
-// identical pattern. The
-// in-order dedup insert that every reliable-comm receive runs is held to
-// the same bar, and so is a total-order broadcast storm.
+// interned, an overloaded gateway's sheds included. Underneath it all, the
+// event core schedules, cancels and runs from its pools. The counting
+// global operator new (bench/alloc_count.hpp) sees every allocation in the
+// process; each phase runs once to warm the pools, rings and queues up to
+// their high-water mark, then once more under the counter with the
+// identical pattern. The in-order dedup insert that every reliable-comm
+// receive runs is held to the same bar, and so is a total-order broadcast
+// storm.
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <new>
 #include <string>
+#include <vector>
 
+#include "bench/alloc_count.hpp"
 #include "core/system.hpp"
 #include "sched/edf.hpp"
 #include "services/reliable_comm.hpp"
+#include "sim/engine.hpp"
 #include "traffic/gateway.hpp"
-
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new(std::size_t size, std::align_val_t al) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  const auto a = static_cast<std::size_t>(al);
-  if (void* p = std::aligned_alloc(a, (size + a - 1) & ~(a - 1))) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return operator new(size); }
-void* operator new[](std::size_t size, std::align_val_t al) {
-  return operator new(size, al);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace hades::core {
 namespace {
@@ -84,10 +55,48 @@ struct frame_body {
   std::uint64_t words[6] = {};
 };
 
-std::uint64_t allocations_during(const auto& phase) {
-  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
-  phase();
-  return g_allocs.load(std::memory_order_relaxed) - before;
+// A block stored here has escaped, so no new/delete pair can be elided.
+void* volatile g_escaped = nullptr;
+
+// The counter itself: every replaceable form counts once and gives its
+// bytes back on delete. std::stable_sort takes its scratch buffer from the
+// nothrow form and frees it with plain delete; a counter that replaced only
+// some forms would pair an allocator's new with another's delete there.
+TEST(KernelAllocTest, CounterSeesEveryReplaceableForm) {
+  const std::align_val_t al{64};
+  void* p = nullptr;
+  alloc_count::reset_peak();
+  const std::uint64_t live = alloc_count::live_bytes();
+  const auto one = [&](auto make) {
+    return alloc_count::calls_during([&] { g_escaped = p = make(); });
+  };
+
+  EXPECT_EQ(one([] { return ::operator new(24); }), 1u);
+  ::operator delete(p);
+  EXPECT_EQ(one([] { return ::operator new[](24); }), 1u);
+  ::operator delete[](p);
+  EXPECT_EQ(one([&] { return ::operator new(24, al); }), 1u);
+  ::operator delete(p, al);
+  EXPECT_EQ(one([&] { return ::operator new[](24, al); }), 1u);
+  ::operator delete[](p, al);
+  EXPECT_EQ(one([] { return ::operator new(24, std::nothrow); }), 1u);
+  ::operator delete(p, std::nothrow);
+  EXPECT_EQ(one([] { return ::operator new[](24, std::nothrow); }), 1u);
+  ::operator delete[](p);
+  EXPECT_EQ(one([&] { return ::operator new(24, al, std::nothrow); }), 1u);
+  ::operator delete(p, al, std::nothrow);
+  EXPECT_EQ(alloc_count::live_bytes(), live);
+  EXPECT_GE(alloc_count::peak_bytes(), live + 24);
+
+  std::vector<int> v(256);
+  for (std::size_t i = 0; i < v.size(); ++i)
+    v[i] = static_cast<int>((i * 37) % v.size());
+  const std::uint64_t unsorted = alloc_count::live_bytes();
+  EXPECT_GE(alloc_count::calls_during(
+                [&] { std::stable_sort(v.begin(), v.end()); }),
+            1u);
+  EXPECT_TRUE(std::is_sorted(v.begin(), v.end()));
+  EXPECT_EQ(alloc_count::live_bytes(), unsorted);
 }
 
 TEST(KernelAllocTest, FramesThroughNetTaskAllocateNothing) {
@@ -120,7 +129,7 @@ TEST(KernelAllocTest, FramesThroughNetTaskAllocateNothing) {
   ASSERT_EQ(warm, 32u * 5);
   const std::uint64_t closures = sim::event_callback::heap_allocations();
 
-  EXPECT_EQ(allocations_during(traffic), 0u);
+  EXPECT_EQ(alloc_count::calls_during(traffic), 0u);
   EXPECT_EQ(received, 2 * warm);
   EXPECT_EQ(sim::event_callback::heap_allocations(), closures);
   EXPECT_GT(checksum, 0u);
@@ -163,7 +172,7 @@ TEST(KernelAllocTest, ThreadCyclesAllocateNothing) {
   const std::uint64_t preemptions = cpu.stats().preemptions;
   const std::uint64_t closures = sim::event_callback::heap_allocations();
 
-  EXPECT_EQ(allocations_during(cycles), 0u);
+  EXPECT_EQ(alloc_count::calls_during(cycles), 0u);
   EXPECT_EQ(done, 512u);
   EXPECT_GT(bg_done, bg_warm);
   EXPECT_GT(cpu.stats().preemptions, preemptions);
@@ -200,7 +209,7 @@ TEST(KernelAllocTest, ActivationToCompletionCycleAllocatesNothing) {
   ASSERT_EQ(sys.stats_for(t).completions, 32u);
   const std::uint64_t closures = sim::event_callback::heap_allocations();
 
-  EXPECT_EQ(allocations_during(batch), 0u);
+  EXPECT_EQ(alloc_count::calls_during(batch), 0u);
   EXPECT_EQ(sys.stats_for(t).completions, 64u);
   EXPECT_EQ(sys.mon().events().size(), 0u);
   EXPECT_EQ(sys.disp(1).stats().eus_completed, 64u);
@@ -237,14 +246,14 @@ TEST(KernelAllocTest, RecordingAnEventAllocatesNothing) {
   sys.run_for(1_ms);
   sys.mon().clear();
 
-  EXPECT_EQ(allocations_during(record), 0u);
+  EXPECT_EQ(alloc_count::calls_during(record), 0u);
   sys.run_for(1_ms);
   EXPECT_EQ(heard, 2 * subject.size());
   EXPECT_EQ(routed, 2 * detail.size());
   ASSERT_EQ(sys.mon().events().size(), 1u);
   EXPECT_EQ(sys.mon().subject_text(sys.mon().events().back()), subject);
   EXPECT_EQ(sys.mon().detail_text(sys.mon().events().back()), detail);
-  EXPECT_EQ(allocations_during([] { monitor m; }), 0u);
+  EXPECT_EQ(alloc_count::calls_during([] { monitor m; }), 0u);
 }
 
 // A warmed, overloaded traffic gateway: every arrival its controller
@@ -279,7 +288,7 @@ std::uint64_t gateway_shedding_window_allocations(duration warm_up) {
   const std::uint64_t closures = sim::event_callback::heap_allocations();
 
   const std::uint64_t allocs =
-      allocations_during([&] { sys.run_for(50_ms); });
+      alloc_count::calls_during([&] { sys.run_for(50_ms); });
   const auto after = gw.snapshot();
   EXPECT_GT(after.shed, warm.shed);
   EXPECT_GT(after.rejected, warm.rejected);
@@ -334,7 +343,7 @@ TEST(KernelAllocTest, ReadingTheSinksAllocatesNothing) {
   const std::size_t warm = read_sinks();
   record_burst();
   std::size_t after = 0;
-  EXPECT_EQ(allocations_during([&] { after = read_sinks(); }), 0u);
+  EXPECT_EQ(alloc_count::calls_during([&] { after = read_sinks(); }), 0u);
   EXPECT_GE(after, warm + 64);
   EXPECT_EQ(sys.mon().subject_text(sys.mon().events().back()), subject);
 }
@@ -378,11 +387,37 @@ TEST(KernelAllocTest, TotalOrderTreeBroadcastStormAllocatesNothing) {
   ASSERT_GT(bcast.relays(), 0u);
   const std::uint64_t closures = sim::event_callback::heap_allocations();
 
-  EXPECT_EQ(allocations_during(storm), 0u);
+  EXPECT_EQ(alloc_count::calls_during(storm), 0u);
   EXPECT_EQ(delivered, 2 * warm);
   EXPECT_EQ(bcast.order_faults(), 0u);
   EXPECT_EQ(sim::event_callback::heap_allocations(), closures);
   EXPECT_GT(checksum, 0u);
+}
+
+// The event core on its own: once the slab pool and the ready heap have
+// reached their high-water mark, scheduling, cancelling and running
+// allocate nothing, and every closure stays inline.
+TEST(KernelAllocTest, EngineSteadyStateAllocatesNothing) {
+  sim::engine e;
+  std::vector<sim::event_id> ids;
+  ids.reserve(512);
+  const auto churn = [&](int rounds) {
+    for (int r = 0; r < rounds; ++r) {
+      ids.clear();
+      for (int i = 0; i < 512; ++i)
+        ids.push_back(e.after(duration::microseconds(1 + i % 7), [] {}));
+      for (std::size_t i = 0; i < ids.size(); i += 2) e.cancel(ids[i]);
+      e.run();
+    }
+  };
+
+  // Warm-up sizes the slab pool and the ready heap.
+  EXPECT_GT(alloc_count::calls_during([&] { churn(4); }), 0u);
+  const std::uint64_t closures = sim::event_callback::heap_allocations();
+
+  EXPECT_EQ(alloc_count::calls_during([&] { churn(64); }), 0u);
+  EXPECT_EQ(sim::event_callback::heap_allocations(), closures);
+  EXPECT_TRUE(e.empty());
 }
 
 // Every reliable-comm receiver runs each arriving sequence number through
@@ -390,7 +425,7 @@ TEST(KernelAllocTest, TotalOrderTreeBroadcastStormAllocatesNothing) {
 TEST(KernelAllocTest, InOrderDedupInsertsAllocateNothing) {
   svc::dedup_window w;
   std::uint64_t accepted = 0;
-  EXPECT_EQ(allocations_during([&] {
+  EXPECT_EQ(alloc_count::calls_during([&] {
               for (std::uint64_t s = 1; s <= 1000; ++s) accepted += w.insert(s);
             }),
             0u);

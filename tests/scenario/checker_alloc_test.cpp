@@ -1,63 +1,15 @@
 // Grading allocates per plan and per node, never per delivery or per
 // suspicion: the broadcast and detector checkers must make the same number
-// of heap allocations when the observation they grade grows tenfold. A
-// counting global operator new (the pattern of core/kernel_alloc_test.cpp)
-// sees every allocation in the process.
+// of heap allocations when the observation they grade grows tenfold. The
+// counting global operator new (bench/alloc_count.hpp) sees every
+// allocation in the process.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
-#include <tuple>
 #include <vector>
 
+#include "bench/alloc_count.hpp"
 #include "scenario/checkers.hpp"
-
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new(std::size_t size, std::align_val_t al) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  const auto a = static_cast<std::size_t>(al);
-  if (void* p = std::aligned_alloc(a, (size + a - 1) & ~(a - 1))) return p;
-  throw std::bad_alloc();
-}
-// std::stable_sort's scratch buffer comes from the nothrow form; replacing it
-// too keeps every allocation on malloc/free (and counted).
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size == 0 ? 1 : size);
-}
-void* operator new[](std::size_t size) { return operator new(size); }
-void* operator new[](std::size_t size, std::align_val_t al) {
-  return operator new(size, al);
-}
-void* operator new[](std::size_t size, const std::nothrow_t& nt) noexcept {
-  return operator new(size, nt);
-}
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace hades::scenario {
 namespace {
@@ -68,10 +20,10 @@ time_point ms(std::int64_t v) { return time_point::at(duration::milliseconds(v))
 
 template <typename F>
 std::uint64_t allocations_during(F&& grade) {
-  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t before = alloc_count::calls();
   for (const check_result& r : grade())
     EXPECT_TRUE(r.passed) << r.name << ": " << r.detail;
-  return g_allocs.load(std::memory_order_relaxed) - before;
+  return alloc_count::calls() - before;
 }
 
 /// Node 0 crashes and a partition comes and goes; every other node

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/system.hpp"
 #include "sched/spring.hpp"
 #include "scenario/checkers.hpp"
@@ -31,7 +33,8 @@ TEST(PlanTest, DownWindowsTrackCrashRecoverPairs) {
   p.crash(time_point::at(100_ms), 3)
       .recover(time_point::at(300_ms), 3)
       .crash(time_point::at(700_ms), 3);
-  const auto ws = p.down_windows(3, time_point::at(1_s));
+  const ground_truth truth(p, 4, time_point::at(1_s));
+  const auto ws = truth.down_windows(3);
   ASSERT_EQ(ws.size(), 2u);
   EXPECT_EQ(ws[0].from, time_point::at(100_ms));
   EXPECT_EQ(ws[0].to, time_point::at(300_ms));
@@ -46,13 +49,17 @@ TEST(PlanTest, DownWindowsTrackCrashRecoverPairs) {
 TEST(PlanTest, SeparationWindowsFollowPartitionAndHeal) {
   plan p;
   p.split(time_point::at(200_ms), {{0, 1}, {2, 3}}).heal(time_point::at(500_ms));
-  const auto apart = p.separated_windows(0, 2, time_point::at(1_s));
+  const ground_truth truth(p, 5, time_point::at(1_s));
+  std::vector<window> apart;
+  truth.separated_windows(0, 2, apart);
   ASSERT_EQ(apart.size(), 1u);
   EXPECT_EQ(apart[0].from, time_point::at(200_ms));
   EXPECT_EQ(apart[0].to, time_point::at(500_ms));
-  EXPECT_TRUE(p.separated_windows(0, 1, time_point::at(1_s)).empty());
+  truth.separated_windows(0, 1, apart);
+  EXPECT_TRUE(apart.empty());
   // Node 4 is unlisted: connected to both sides.
-  EXPECT_TRUE(p.separated_windows(0, 4, time_point::at(1_s)).empty());
+  truth.separated_windows(0, 4, apart);
+  EXPECT_TRUE(apart.empty());
 }
 
 TEST(PlanTest, QuietExcludesRateWindowsButNotBursts) {
@@ -60,34 +67,37 @@ TEST(PlanTest, QuietExcludesRateWindowsButNotBursts) {
   p.omission_rate(time_point::at(300_ms), 0.2)
       .omission_rate(time_point::at(600_ms), 0.0)
       .omission_burst(time_point::at(800_ms), 0, 1, 2);
-  const auto horizon = time_point::at(1_s);
-  EXPECT_TRUE(p.quiet(time_point::at(100_ms), 10_ms, horizon));
-  EXPECT_FALSE(p.quiet(time_point::at(400_ms), 10_ms, horizon));
-  EXPECT_FALSE(p.quiet(time_point::at(295_ms), 10_ms, horizon));  // pad overlaps
-  EXPECT_TRUE(p.quiet(time_point::at(700_ms), 10_ms, horizon));
+  const ground_truth truth(p, 2, time_point::at(1_s));
+  EXPECT_TRUE(truth.quiet(time_point::at(100_ms), 10_ms));
+  EXPECT_FALSE(truth.quiet(time_point::at(400_ms), 10_ms));
+  EXPECT_FALSE(truth.quiet(time_point::at(295_ms), 10_ms));  // pad overlaps
+  EXPECT_TRUE(truth.quiet(time_point::at(700_ms), 10_ms));
   // Scripted bursts are masked deterministically: still quiet.
-  EXPECT_TRUE(p.quiet(time_point::at(800_ms), 10_ms, horizon));
+  EXPECT_TRUE(truth.quiet(time_point::at(800_ms), 10_ms));
 }
 
 TEST(PlanTest, LinkDownWindowsAreDirectional) {
   plan p;
   p.link_down(time_point::at(200_ms), 4, 1).link_up(time_point::at(500_ms), 4, 1);
-  const auto horizon = time_point::at(1_s);
-  const auto ws = p.link_down_windows(4, 1, horizon);
+  const ground_truth truth(p, 5, time_point::at(1_s));
+  std::vector<window> ws;
+  truth.link_down_windows(4, 1, ws);
   ASSERT_EQ(ws.size(), 1u);
   EXPECT_EQ(ws[0].from, time_point::at(200_ms));
   EXPECT_EQ(ws[0].to, time_point::at(500_ms));
   // The reverse direction never went down.
-  EXPECT_TRUE(p.link_down_windows(1, 4, horizon).empty());
+  truth.link_down_windows(1, 4, ws);
+  EXPECT_TRUE(ws.empty());
   // Heartbeats travel subject -> observer: node 1 cannot hear node 4 while
   // 4 -> 1 is dead, but node 4 still hears node 1.
-  const auto unreachable = p.unreachable_windows(1, 4, horizon);
-  ASSERT_EQ(unreachable.size(), 1u);
-  EXPECT_EQ(unreachable[0].from, time_point::at(200_ms));
-  EXPECT_TRUE(p.unreachable_windows(4, 1, horizon).empty());
+  truth.unreachable_windows(1, 4, ws);
+  ASSERT_EQ(ws.size(), 1u);
+  EXPECT_EQ(ws[0].from, time_point::at(200_ms));
+  truth.unreachable_windows(4, 1, ws);
+  EXPECT_TRUE(ws.empty());
   // A dead direction disturbs broadcast gradeability like a partition does.
-  EXPECT_FALSE(p.quiet(time_point::at(300_ms), 10_ms, horizon));
-  EXPECT_TRUE(p.quiet(time_point::at(600_ms), 10_ms, horizon));
+  EXPECT_FALSE(truth.quiet(time_point::at(300_ms), 10_ms));
+  EXPECT_TRUE(truth.quiet(time_point::at(600_ms), 10_ms));
 }
 
 TEST(PlanTest, ClockFaultMarksTheNodeByzantine) {
@@ -96,7 +106,8 @@ TEST(PlanTest, ClockFaultMarksTheNodeByzantine) {
   EXPECT_TRUE(p.clock_faulty(2));
   EXPECT_FALSE(p.clock_faulty(3));
   // A Byzantine clock is not a network disturbance.
-  EXPECT_TRUE(p.quiet(time_point::at(300_ms), 10_ms, time_point::at(1_s)));
+  const ground_truth truth(p, 4, time_point::at(1_s));
+  EXPECT_TRUE(truth.quiet(time_point::at(300_ms), 10_ms));
 }
 
 // --- injector end-to-end ----------------------------------------------------

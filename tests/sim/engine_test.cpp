@@ -283,37 +283,6 @@ TEST(EngineTest, RunUntilDrainsSameInstantChains) {
 
 // --- pool behaviour ---------------------------------------------------------
 
-namespace {
-void churn(engine& e, int rounds, int events_per_round) {
-  for (int r = 0; r < rounds; ++r) {
-    std::vector<event_id> ids;
-    ids.reserve(static_cast<std::size_t>(events_per_round));
-    for (int i = 0; i < events_per_round; ++i)
-      ids.push_back(e.after(duration::microseconds(1 + i % 7), [] {}));
-    for (std::size_t i = 0; i < ids.size(); i += 2) e.cancel(ids[i]);
-    e.run();
-  }
-}
-}  // namespace
-
-TEST(EnginePoolTest, SteadyStateAllocatesNothing) {
-  engine e;
-  std::size_t backing_allocs = 0;
-  e.set_alloc_hook(
-      [](std::size_t, void* user) { ++*static_cast<std::size_t*>(user); },
-      &backing_allocs);
-
-  churn(e, 4, 512);  // warm-up sizes the slab pool and the ready heap
-  const std::size_t after_warmup = backing_allocs;
-  EXPECT_GT(after_warmup, 0u);
-  const std::uint64_t cb_heap_before = event_callback::heap_allocations();
-
-  churn(e, 64, 512);  // steady state: pure pool reuse
-  EXPECT_EQ(backing_allocs, after_warmup);
-  EXPECT_EQ(event_callback::heap_allocations(), cb_heap_before);
-  EXPECT_TRUE(e.empty());
-}
-
 TEST(EnginePoolTest, SmallClosuresNeverTouchTheHeap) {
   const std::uint64_t before = event_callback::heap_allocations();
   engine e;
