@@ -144,8 +144,8 @@ class monitor {
 
   /// The id of `text`, copying it into the name table the first time it is
   /// seen; later calls with equal text find it without allocating. Only the
-  /// thread executing the bound runtime's events may call this (a transport
-  /// receiver thread hands text over instead, see `deliver_forwarded`).
+  /// thread executing the bound runtime's events may call this (forwarded
+  /// text arrives through `deliver_forwarded` on that thread).
   [[nodiscard]] name_id intern(std::string_view text);
   /// The text of an id from this monitor's `intern`.
   [[nodiscard]] std::string_view name(name_id id) const {
@@ -194,8 +194,8 @@ class monitor {
   /// Re-deliver an event forwarded from another process to the routed
   /// listeners subscribed at `home` (which this process owns). Name ids do
   /// not cross processes, so the subject and detail arrive as text and are
-  /// interned here: call on the runtime's event thread, never on a
-  /// transport receiver thread. The event is NOT re-recorded — its
+  /// interned here: call on the runtime's event thread, where the socket
+  /// transport decodes forwarded frames. The event is NOT re-recorded — its
   /// originating process already logged it — so merged streams
   /// concatenated across processes stay duplicate-free.
   void deliver_forwarded(monitor_event e, std::string_view subject,

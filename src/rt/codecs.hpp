@@ -31,8 +31,9 @@ struct monitor_event_text {
 
 /// Serialize / rebuild a monitor event recorded in `mon` (cross-process
 /// `subscribe_at_node` forwarding). Length-prefixed strings; same-binary
-/// byte format, like the trivial payload codecs. Decoding touches no
-/// monitor, so a transport receiver thread may call it.
+/// byte format, like the trivial payload codecs. The socket transport
+/// decodes on the receiving process's engine thread, which then interns
+/// the text.
 void encode_monitor_event(const core::monitor& mon,
                           const core::monitor_event& e,
                           std::vector<std::byte>& out);

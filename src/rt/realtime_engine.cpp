@@ -58,9 +58,8 @@ class realtime_engine final : public hades::runtime {
   // --- scheduling ----------------------------------------------------------
 
   event_id at(time_point t, event_fn fn) override {
-    event_fn w = unlocked(std::move(fn));
     std::lock_guard lk(mu_);
-    const event_id id = core_.at(not_before_core(t), std::move(w));
+    const event_id id = core_.at(not_before_core(t), std::move(fn));
     cv_.notify_all();  // a waiting run loop re-evaluates its horizon
     return id;
   }
@@ -98,7 +97,7 @@ class realtime_engine final : public hades::runtime {
   bool step() override {
     std::unique_lock lk(mu_);
     if (!wait_due(lk, time_point::infinity())) return false;
-    core_.step();
+    fire_unlocked(lk, time_point::infinity());
     return true;
   }
 
@@ -107,7 +106,7 @@ class realtime_engine final : public hades::runtime {
     require(t >= now(), "realtime_engine::run_until: date in the past");
     std::unique_lock lk(mu_);
     const std::uint64_t before = core_.executed();
-    while (wait_due(lk, t)) core_.step();
+    while (wait_due(lk, t)) fire_unlocked(lk, t);
     // Nothing dated <= t is left, so this only settles the core at t.
     core_.run_until(t);
     // Settle the clock at exactly t for callers that schedule relative to
@@ -125,7 +124,7 @@ class realtime_engine final : public hades::runtime {
     const std::uint64_t before = core_.executed();
     while (core_.executed() - before < max_events &&
            wait_due(lk, time_point::infinity()))
-      core_.step();
+      fire_unlocked(lk, time_point::infinity());
     return core_.executed() - before;
   }
 
@@ -167,27 +166,24 @@ class realtime_engine final : public hades::runtime {
     return t < core_.now() ? core_.now() : t;
   }
 
-  /// The core invokes callbacks from step(), under the run loop's lock;
-  /// the wrapper releases mu_ around the user function, so another thread
-  /// may schedule or cancel while it runs (the core already tolerates the
-  /// same calls made from inside a callback). Capturing a whole event_fn
-  /// outgrows event_callback's inline buffer: each realtime event costs
-  /// one heap allocation.
-  event_fn unlocked(event_fn fn) {
-    require(static_cast<bool>(fn), "realtime_engine: empty event function");
-    return [this, fn = std::move(fn)]() mutable {
-      struct relock {
-        realtime_engine* e;
-        ~relock() {
-          e->mu_.lock();
-          e->exec_tid_.store(std::thread::id{}, std::memory_order_relaxed);
-        }
-      };
-      exec_tid_.store(std::this_thread::get_id(), std::memory_order_relaxed);
-      mu_.unlock();
-      const relock guard{this};
-      fn();
+  /// Take the next event dated <= `limit` off the core and run its
+  /// callback with mu_ released, so another thread may schedule or cancel
+  /// while it runs (the core already tolerates the same calls made from
+  /// inside a callback). `lk` holds mu_ again on return.
+  void fire_unlocked(std::unique_lock<std::mutex>& lk, time_point limit) {
+    event_fn fn = core_.take_due(limit);
+    struct relock {
+      realtime_engine* e;
+      std::unique_lock<std::mutex>& lk;
+      ~relock() {
+        lk.lock();
+        e->exec_tid_.store(std::thread::id{}, std::memory_order_relaxed);
+      }
     };
+    exec_tid_.store(std::this_thread::get_id(), std::memory_order_relaxed);
+    lk.unlock();
+    const relock guard{this, lk};
+    fn();
   }
 
   /// Wait until the core's next event is due on the wall clock and return

@@ -34,8 +34,14 @@
 // ride the same socket but bypass both the fault model and sequence
 // recovery: in-process they travel through the scheduler, not the LAN, so
 // the transport must not subject them to wire faults. They carry their
-// subject and detail as text; the receiver thread only decodes and hands
-// the event to the engine thread, which interns the text into its monitor.
+// subject and detail as text.
+//
+// The receiver thread reads only frame headers. It hands each datagram
+// that leaves sequence recovery to the destination's engine thread as
+// bytes, in one `at_node` event, and that thread decodes it: a data
+// frame's payload into its own `wire_payload` pool, a monitor event's
+// text into its monitor. Every payload is acquired and released on the
+// engine thread (DESIGN.md, "Wire fast path").
 //
 // The receiver measures real end-to-end latency (minus any intentional
 // extra delay) against the network's delta_max and counts violations; the

@@ -187,6 +187,14 @@ void engine::cancel(event_id id) {
 
 // --- execution -------------------------------------------------------------
 
+event_fn engine::claim(std::uint32_t i) {
+  event_fn fn = std::move(slot_at(i).fn);
+  free_slot(i);
+  --live_;
+  ++executed_;
+  return fn;
+}
+
 void engine::fire(std::uint32_t i) {
   const bool was_in_event = in_event_;
   in_event_ = true;
@@ -195,11 +203,13 @@ void engine::fire(std::uint32_t i) {
     bool prev;
     ~reset() { *flag = prev; }
   } guard{&in_event_, was_in_event};
-  event_fn fn = std::move(slot_at(i).fn);
-  free_slot(i);
-  --live_;
-  ++executed_;
-  fn();
+  claim(i)();
+}
+
+event_fn engine::take_due(time_point limit) {
+  const std::uint32_t i = pop_due(limit);
+  if (i == npos) return nullptr;
+  return claim(i);
 }
 
 bool engine::step() {

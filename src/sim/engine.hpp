@@ -68,6 +68,12 @@ class engine final : public runtime {
   /// compute the conservative horizon and by the realtime backend's wait.
   [[nodiscard]] time_point peek_time();
 
+  /// Unlink the next event dated <= `limit`, move the clock to its date,
+  /// count it as executed and hand its callback to the caller, who runs
+  /// it; empty when none is due. The realtime backend runs the callback
+  /// with its own lock released.
+  [[nodiscard]] event_fn take_due(time_point limit);
+
   // --- pool observability ---------------------------------------------------
   struct pool_stats {
     std::size_t slabs = 0;          // slabs ever allocated
@@ -133,6 +139,9 @@ class engine final : public runtime {
   /// the clock to its date; npos when none is due.
   std::uint32_t pop_due(time_point limit);
 
+  /// Free a just-unlinked slot, count its event as executed, and return
+  /// its callback.
+  event_fn claim(std::uint32_t slot);
   /// Execute the event held by a just-unlinked slot.
   void fire(std::uint32_t slot);
 

@@ -166,15 +166,6 @@ void network::deliver_now(message& m) {
   handlers_[m.dst](m);
 }
 
-void network::deliver_remote(message m) {
-  // The transport's receiver thread hands frames over as they surface from
-  // per-link sequence recovery; schedule on the destination's shard at the
-  // current date so the handler runs in event context with the same
-  // delivery-date node-down check local frames get.
-  rt_->at_node(m.dst, rt_->now(),
-               [this, m = std::move(m)]() mutable { deliver_now(m); });
-}
-
 std::uint64_t network::unicast(node_id src, node_id dst, int channel,
                                wire_payload payload, std::size_t size_bytes) {
   return submit(source(src), rt_->now(), src, dst, channel, std::move(payload),

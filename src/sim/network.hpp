@@ -18,8 +18,8 @@
 //
 // Wire fast path (DESIGN.md, "Wire fast path"): a steady-state fault-free
 // send costs zero heap allocations and zero lock acquisitions. Payloads are
-// `wire_payload`s (slab-pooled, refcount-shared across broadcast fan-out —
-// never `std::any`'s per-copy heap box). Per-source destination-keyed state
+// `wire_payload`s (drawn from the running thread's slab pool, refcount-shared
+// across broadcast fan-out — never `std::any`'s per-copy heap box). Per-source destination-keyed state
 // (FIFO floor, per-link omission rate, scripted drop bursts, directional
 // link-down timeline) lives in one open-addressed `sparse_node_map` slot
 // per destination *actually sent to* — sized by the topology's neighbour
@@ -228,12 +228,11 @@ class network {
   /// run) costs one branch.
   using remote_hook = std::function<bool(const message&, duration extra)>;
   void set_remote_hook(remote_hook hook) { remote_hook_ = std::move(hook); }
-  /// Inject a frame that arrived from a remote transport: schedules the
-  /// destination's handler on its owning shard at the current date, with the
-  /// same delivery-date node-down check local frames get. Callable from the
-  /// transport's receiver thread (the realtime backend's scheduling calls
-  /// are thread-safe).
-  void deliver_remote(message m);
+  /// Deliver a frame that arrived from a remote transport, at once, with
+  /// the node-down check, counters, observer and handler local frames get.
+  /// Call on the engine thread, inside the event the transport scheduled on
+  /// the destination's owner: the frame's payload belongs to that thread.
+  void deliver_remote(message& m) { deliver_now(m); }
 
   // --- observability ---------------------------------------------------
   struct counters {

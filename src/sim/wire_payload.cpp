@@ -1,145 +1,138 @@
 #include "sim/wire_payload.hpp"
 
-#include <mutex>
+#include <iterator>
+#include <vector>
 
 #include "util/error.hpp"
 
-namespace hades::sim::detail {
+namespace hades::sim {
 
 namespace {
 
-// Free-list striping: stripes only spread CAS contention between threads
-// (each thread pushes and pops its own stripe first), every list is safe
-// for any number of concurrent producers and consumers, so stripe
-// assignment needs no lifetime management — a recycled stripe id is merely
-// a shared stripe, never a correctness problem.
-constexpr std::size_t kStripes = 8;
-constexpr std::size_t kBlocksPerChunk = 256;
-constexpr std::size_t kMaxChunks = 4096;  // ~1M blocks per size class
+using detail::payload_block;
 
-// Treiber head: {aba tag : 32 | block index + 1 : 32}; low word 0 = empty.
-struct alignas(64) free_list {
-  std::atomic<std::uint64_t> head{0};
-};
-
-struct class_state {
-  std::atomic<std::byte*> chunks[kMaxChunks] = {};
-  std::atomic<std::uint32_t> chunk_count{0};
-  free_list lists[kStripes];
-  std::mutex grow_mu;
-};
-
-class_state g_classes[payload_pool::num_classes];
-std::atomic<std::uint64_t> g_chunk_allocs{0};
-std::atomic<std::uint64_t> g_oversize_allocs{0};
-std::atomic<std::int64_t> g_pooled_live{0};
-std::atomic<std::uint32_t> g_stripe_seq{0};
-
-std::uint32_t my_stripe() {
-  thread_local const std::uint32_t stripe =
-      g_stripe_seq.fetch_add(1, std::memory_order_relaxed) % kStripes;
-  return stripe;
-}
+/// Payload byte capacities of the size classes. Chosen around what HADES
+/// actually sends: clock-sync readings (16), control tokens and p2p frames
+/// (32), broadcast envelopes and replication wire records (64), then
+/// headroom for application payloads.
+constexpr std::size_t class_sizes[] = {16, 32, 64, 128, 256, 512, 1024};
+constexpr std::size_t num_classes = std::size(class_sizes);
+constexpr std::size_t blocks_per_chunk = 256;
 
 constexpr std::size_t stride_of(std::size_t cls) {
-  return sizeof(payload_block) + payload_pool::class_sizes[cls];
+  return sizeof(payload_block) + class_sizes[cls];
 }
 
-payload_block* block_at(std::size_t cls, std::uint32_t index) {
-  std::byte* base =
-      g_classes[cls].chunks[index / kBlocksPerChunk].load(std::memory_order_acquire);
-  return reinterpret_cast<payload_block*>(
-      base + static_cast<std::size_t>(index % kBlocksPerChunk) * stride_of(cls));
-}
+/// One thread's pool. A free block keeps its free-list link in its payload
+/// area.
+struct pool {
+  payload_block* free[num_classes] = {};
+  std::vector<std::byte*> chunks;
+  wire_payload::stats_t st;
+  std::uint64_t heap_live = 0;  // oversize blocks currently handed out
 
-void push(free_list& fl, payload_block* b) noexcept {
-  std::uint64_t h = fl.head.load(std::memory_order_relaxed);
-  for (;;) {
-    b->next.store(static_cast<std::uint32_t>(h),
-                  std::memory_order_relaxed);  // previous head's index + 1
-    const std::uint64_t nh =
-        (h & 0xFFFFFFFF00000000ull) | (static_cast<std::uint64_t>(b->index) + 1);
-    if (fl.head.compare_exchange_weak(h, nh, std::memory_order_release,
-                                      std::memory_order_relaxed))
-      return;
+  pool() = default;
+  pool(const pool&) = delete;
+  pool& operator=(const pool&) = delete;
+  ~pool() {
+    for (std::byte* c : chunks) ::operator delete(c);
   }
-}
 
-payload_block* pop(std::size_t cls, free_list& fl) noexcept {
-  std::uint64_t h = fl.head.load(std::memory_order_acquire);
-  for (;;) {
-    const auto idx1 = static_cast<std::uint32_t>(h);
-    if (idx1 == 0) return nullptr;
-    payload_block* b = block_at(cls, idx1 - 1);
-    // `next` may be overwritten by an unrelated push if another thread pops
-    // this block and frees it before our CAS; the bumped ABA tag then fails
-    // the CAS, so the stale read is never acted upon.
-    const std::uint32_t next = b->next.load(std::memory_order_relaxed);
-    const std::uint64_t nh =
-        ((h >> 32) + 1) << 32 | static_cast<std::uint64_t>(next);
-    if (fl.head.compare_exchange_weak(h, nh, std::memory_order_acq_rel,
-                                      std::memory_order_acquire))
-      return b;
+  void push(payload_block* b) {
+    std::memcpy(b->data(), &free[b->size_class], sizeof(payload_block*));
+    free[b->size_class] = b;
   }
-}
 
-/// Allocate one more chunk for `cls`, push all but one block onto the
-/// caller's stripe, and return the held-back block. Growth is the only
-/// locked path and stops once the pool matches the working set.
-payload_block* grow(std::size_t cls, std::uint32_t stripe) {
-  class_state& cs = g_classes[cls];
-  std::lock_guard lk(cs.grow_mu);
-  const std::uint32_t c = cs.chunk_count.load(std::memory_order_relaxed);
-  require(c < kMaxChunks, "wire_payload: slab pool exhausted (size class)");
-  auto* base = static_cast<std::byte*>(
-      ::operator new(kBlocksPerChunk * stride_of(cls)));
-  const auto first = static_cast<std::uint32_t>(c * kBlocksPerChunk);
-  for (std::size_t i = 0; i < kBlocksPerChunk; ++i) {
-    auto* b = ::new (base + i * stride_of(cls)) payload_block{};
-    b->index = first + static_cast<std::uint32_t>(i);
-    b->size_class = static_cast<std::uint8_t>(cls);
+  payload_block* pop(std::size_t cls) {
+    payload_block* b = free[cls];
+    if (b == nullptr) return grow(cls);
+    std::memcpy(&free[cls], b->data(), sizeof(payload_block*));
+    return b;
   }
-  cs.chunks[c].store(base, std::memory_order_release);
-  cs.chunk_count.store(c + 1, std::memory_order_release);
-  g_chunk_allocs.fetch_add(1, std::memory_order_relaxed);
-  for (std::size_t i = 1; i < kBlocksPerChunk; ++i)
-    push(cs.lists[stripe],
-         reinterpret_cast<payload_block*>(base + i * stride_of(cls)));
-  return reinterpret_cast<payload_block*>(base);
+
+  /// Carve one more chunk for `cls`: its first block is returned, the rest
+  /// go on the free list. Growth stops once the pool matches the working
+  /// set.
+  payload_block* grow(std::size_t cls) {
+    chunks.push_back(nullptr);  // the slot first: a failed push leaks nothing
+    std::byte* base = chunks.back() = static_cast<std::byte*>(
+        ::operator new(blocks_per_chunk * stride_of(cls)));
+    ++st.chunk_allocs;
+    for (std::size_t i = blocks_per_chunk; i-- > 0;) {
+      auto* b = ::new (base + i * stride_of(cls)) payload_block{};
+      b->size_class = static_cast<std::uint8_t>(cls);
+      b->owner = this;
+      if (i > 0) push(b);
+    }
+    return reinterpret_cast<payload_block*>(base);
+  }
+};
+
+// The calling thread's pool, made on first use. A plain pointer stays
+// readable after the thread's thread_local destructors have run, when the
+// main thread's static destructors may still release payloads.
+thread_local pool* t_pool = nullptr;
+
+// Frees the thread's pool when the thread exits. A pool with live blocks is
+// kept with its chunks: no later pool can take its address, so a late
+// release fails the owner check instead of reading freed memory.
+struct pool_reaper {
+  pool_reaper() = default;
+  pool_reaper(const pool_reaper&) = delete;
+  pool_reaper& operator=(const pool_reaper&) = delete;
+  ~pool_reaper() {
+    const pool* p = t_pool;
+    if (p == nullptr || p->st.pooled_live != 0 || p->heap_live != 0) return;
+    delete p;
+    t_pool = nullptr;
+  }
+};
+thread_local pool_reaper t_reaper;
+
+pool& local() {
+  if (t_pool == nullptr) {
+    t_pool = new pool;
+    (void)&t_reaper;  // first use registers the reaper's destructor
+  }
+  return *t_pool;
 }
 
 }  // namespace
 
-payload_block* payload_pool::acquire(std::size_t bytes) {
+payload_block* detail::payload_pool::acquire(std::size_t bytes) {
+  pool& p = local();
   std::size_t cls = 0;
   while (cls < num_classes && class_sizes[cls] < bytes) ++cls;
-  if (cls == num_classes) return nullptr;
-  class_state& cs = g_classes[cls];
-  const std::uint32_t home = my_stripe();
-  payload_block* b = pop(cls, cs.lists[home]);
-  for (std::size_t probe = 1; b == nullptr && probe < kStripes; ++probe)
-    b = pop(cls, cs.lists[(home + probe) % kStripes]);
-  if (b == nullptr) b = grow(cls, home);
-  b->refs.store(1, std::memory_order_relaxed);
-  b->on_heap = 0;
-  g_pooled_live.fetch_add(1, std::memory_order_relaxed);
+  if (cls == num_classes) {
+    auto* b = ::new (::operator new(sizeof(payload_block) + bytes))
+        payload_block{};
+    b->on_heap = 1;
+    b->owner = &p;
+    ++p.st.oversize_allocs;
+    ++p.heap_live;
+    return b;
+  }
+  payload_block* b = p.pop(cls);
+  b->refs = 1;
+  ++p.st.pooled_live;
   return b;
 }
 
-void payload_pool::release(payload_block* b) noexcept {
-  g_pooled_live.fetch_sub(1, std::memory_order_relaxed);
-  push(g_classes[b->size_class].lists[my_stripe()], b);
+void detail::payload_pool::release(payload_block* b) {
+  pool* p = t_pool;
+  require(b->owner == p,
+          "wire_payload: block released on a thread that did not acquire it");
+  if (b->on_heap != 0) {
+    --p->heap_live;
+    ::operator delete(b);
+    return;
+  }
+  --p->st.pooled_live;
+  p->push(b);
 }
 
-payload_pool::pool_stats payload_pool::stats() noexcept {
-  return {g_chunk_allocs.load(std::memory_order_relaxed),
-          g_oversize_allocs.load(std::memory_order_relaxed),
-          static_cast<std::uint64_t>(
-              g_pooled_live.load(std::memory_order_relaxed))};
+wire_payload::stats_t wire_payload::stats() noexcept {
+  return t_pool != nullptr ? t_pool->st : stats_t{};
 }
 
-void payload_pool::count_oversize() noexcept {
-  g_oversize_allocs.fetch_add(1, std::memory_order_relaxed);
-}
-
-}  // namespace hades::sim::detail
+}  // namespace hades::sim

@@ -11,34 +11,33 @@
 //   * inline  — trivially-copyable values of at most 8 bytes (heartbeat
 //     counters, test ints) live in the storage word itself; copying the
 //     handle copies the value, nothing is ever allocated;
-//   * pooled  — larger values live in slab blocks drawn from striped
-//     lock-free free lists (below) and are *shared by atomic refcount*:
-//     copying the handle — which `network::broadcast` does once per
-//     destination, and receivers do when they stash a message — bumps a
-//     counter instead of deep-copying the value. Payloads are therefore
+//   * pooled  — larger values live in slab blocks and are *shared by
+//     refcount*: copying the handle — which `network::broadcast` does once
+//     per destination, and receivers do when they stash a message — bumps
+//     a counter instead of deep-copying the value. Payloads are therefore
 //     immutable once sent; receivers only ever observe `const T&`.
 //
-// The slab pool is the same preallocated-resource discipline as the event
-// core (PR 1) applied to frames: fixed power-of-two size classes, blocks
-// carved from chunks that are allocated once and recycled forever, free
-// lists per (class, stripe) so the threads sharing the pool (campaign
-// cells, the realtime receiver) rarely contend. Each free list is a
-// Treiber stack over 32-bit *block indices* with a 32-bit ABA tag
-// packed into one 64-bit CAS word — lock-free for any number of producers
-// and consumers, which is what lets a payload allocated on one thread be
-// released on another (the realtime socket receiver thread, campaign cells
-// on a thread pool) without a lock anywhere on the steady-state path. Only
-// chunk growth takes a mutex, and growth stops once the pool is warm;
-// `wire_payload::stats()` exposes the growth counters so benches and tests
-// can assert the steady state allocates nothing.
+// One thread owns each payload. Every backend runs a process's events on
+// one thread, a campaign cell runs wholly on one pool thread, and the
+// realtime socket transport hands received bytes to the engine thread,
+// which decodes them there. So the slab pool is the calling thread's own:
+// fixed power-of-two size classes, blocks carved 256 at a time from chunks
+// the pool allocates once and recycles forever, one plain intrusive free
+// list per class, and plain-integer refcounts and counters. A block
+// records the pool that acquired it, and releasing it on any other thread
+// fails `require` — always on, like every invariant (util/error.hpp). A
+// thread's pool frees its chunks when the thread exits; one that still has
+// live blocks then is kept instead, so a late release fails the check
+// rather than reading freed memory.
 //
-// Values bigger than the largest size class (or over-aligned beyond
-// max_align_t) fall back to the heap, refcounted the same way, and are
-// counted in `stats().oversize_allocs` — nothing HADES sends steady-state
-// is oversized.
+// Values bigger than the largest size class fall back to the heap,
+// refcounted and owned the same way, and are counted in
+// `stats().oversize_allocs` — nothing HADES sends steady-state is
+// oversized. `wire_payload::stats()` reports the calling thread's pool, so
+// benches and tests read it on the thread that did the work and can assert
+// that the steady state allocates nothing.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -53,46 +52,24 @@ namespace detail {
 /// Header preceding every pooled or heap payload block. 16 bytes, keeping
 /// the value that follows aligned to max_align_t.
 struct payload_block {
-  std::atomic<std::uint32_t> refs{1};
-  std::uint32_t index = 0;  // global block index within its size class
-  // Free-list link (index + 1; 0 = end). Atomic because a racing pop may
-  // read it while a concurrent push rewrites it; the ABA tag discards the
-  // stale read (see pop() in wire_payload.cpp).
-  std::atomic<std::uint32_t> next{0};
+  std::uint32_t refs = 1;
   std::uint8_t size_class = 0;
-  std::uint8_t on_heap = 0;  // oversize fallback: free with operator delete
+  std::uint8_t on_heap = 0;  // oversize fallback: freed with operator delete
   std::uint16_t padding_ = 0;
+  const void* owner = nullptr;  // the thread pool that acquired the block
 
   [[nodiscard]] void* data() noexcept { return this + 1; }
 };
 static_assert(sizeof(payload_block) == 16);
 
-/// Striped lock-free slab pool, one free list per (size class, stripe).
-class payload_pool {
- public:
-  /// Payload byte capacities of the size classes. Chosen around what HADES
-  /// actually sends: clock-sync readings (16), control tokens and p2p
-  /// frames (32), broadcast envelopes and replication wire records (64),
-  /// then headroom for application payloads.
-  static constexpr std::size_t class_sizes[] = {16, 32, 64, 128, 256, 512, 1024};
-  static constexpr std::size_t num_classes =
-      sizeof(class_sizes) / sizeof(class_sizes[0]);
-  static constexpr std::size_t max_pooled = class_sizes[num_classes - 1];
-
-  /// Acquire a block whose payload area holds at least `bytes`, or nullptr
-  /// when `bytes` exceeds every size class (caller falls back to the heap).
+/// The calling thread's slab pool (see file comment).
+struct payload_pool {
+  /// A block with room for `bytes` and a refcount of 1: pooled up to the
+  /// largest size class, a counted heap block above it.
   static payload_block* acquire(std::size_t bytes);
-  /// Return a block to its class's free list (refcount already at zero).
-  static void release(payload_block* b) noexcept;
-
-  struct pool_stats {
-    std::uint64_t chunk_allocs = 0;    // slab growth events (warm-up only)
-    std::uint64_t oversize_allocs = 0; // heap-fallback payloads
-    std::uint64_t pooled_live = 0;     // blocks currently handed out
-  };
-  [[nodiscard]] static pool_stats stats() noexcept;
-
-  static void count_oversize() noexcept;
+  /// Return a block whose refcount reached zero. Fails `require` unless the
+  /// calling thread acquired it.
+  static void release(payload_block* b);
 };
 
 }  // namespace detail
@@ -109,8 +86,7 @@ class wire_payload {
   }
 
   wire_payload(const wire_payload& o) noexcept : word_(o.word_), ops_(o.ops_) {
-    if (ops_ != nullptr && !ops_->is_inline)
-      block()->refs.fetch_add(1, std::memory_order_relaxed);
+    if (ops_ != nullptr && !ops_->is_inline) ++block()->refs;
   }
   wire_payload(wire_payload&& o) noexcept : word_(o.word_), ops_(o.ops_) {
     o.ops_ = nullptr;
@@ -152,39 +128,29 @@ class wire_payload {
       return static_cast<const T*>(block()->data());
   }
 
+  /// Drop this handle's reference. Releasing the last one on a thread that
+  /// did not acquire the block terminates: the owner check throws here.
   void reset() noexcept {
     if (ops_ == nullptr) return;
     if (!ops_->is_inline) {
       detail::payload_block* b = block();
-      // Unique-ref fast path: observing 1 while holding a reference means
-      // no other owner exists, so the block can be reclaimed without an
-      // atomic RMW (the common unicast case).
-      if (b->refs.load(std::memory_order_acquire) == 1 ||
-          b->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      if (--b->refs == 0) {
         ops_->destroy(b->data());
-        if (b->on_heap != 0) {
-          b->~payload_block();
-          ::operator delete(b);
-        } else {
-          detail::payload_pool::release(b);
-        }
+        detail::payload_pool::release(b);
       }
     }
     ops_ = nullptr;
   }
 
   struct stats_t {
-    std::uint64_t chunk_allocs = 0;
-    std::uint64_t oversize_allocs = 0;
-    std::uint64_t pooled_live = 0;
+    std::uint64_t chunk_allocs = 0;     // slab growth events (warm-up only)
+    std::uint64_t oversize_allocs = 0;  // heap-fallback payloads
+    std::uint64_t pooled_live = 0;      // pooled blocks currently handed out
   };
-  /// Pool growth / fallback counters: `chunk_allocs` and `oversize_allocs`
-  /// stay flat across a warmed-up steady state — the zero-allocation
-  /// assertion benches and tests gate on.
-  [[nodiscard]] static stats_t stats() noexcept {
-    const auto s = detail::payload_pool::stats();
-    return {s.chunk_allocs, s.oversize_allocs, s.pooled_live};
-  }
+  /// The calling thread's pool counters: `chunk_allocs` and
+  /// `oversize_allocs` stay flat across a warmed-up steady state — the
+  /// zero-allocation assertion benches and tests gate on.
+  [[nodiscard]] static stats_t stats() noexcept;
 
  private:
   template <typename T>
@@ -221,26 +187,11 @@ class wire_payload {
       word_ = 0;
       ::new (static_cast<void*>(&word_)) T(std::forward<V>(value));
     } else {
-      detail::payload_block* b = nullptr;
-      if constexpr (sizeof(T) <= detail::payload_pool::max_pooled &&
-                    alignof(T) <= alignof(std::max_align_t)) {
-        b = detail::payload_pool::acquire(sizeof(T));
-      }
-      if (b == nullptr) {  // oversized or over-aligned: heap fallback
-        void* raw = ::operator new(sizeof(detail::payload_block) + sizeof(T));
-        b = ::new (raw) detail::payload_block{};
-        b->on_heap = 1;
-        detail::payload_pool::count_oversize();
-      }
+      detail::payload_block* b = detail::payload_pool::acquire(sizeof(T));
       try {
         ::new (b->data()) T(std::forward<V>(value));
       } catch (...) {
-        if (b->on_heap != 0) {
-          b->~payload_block();
-          ::operator delete(b);
-        } else {
-          detail::payload_pool::release(b);
-        }
+        detail::payload_pool::release(b);
         throw;
       }
       std::memcpy(&word_, &b, sizeof b);

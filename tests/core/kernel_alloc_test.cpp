@@ -13,8 +13,8 @@
 // process; each phase runs once to warm the pools, rings and queues up to
 // their high-water mark, then once more under the counter with the
 // identical pattern. The in-order dedup insert that every reliable-comm
-// receive runs is held to the same bar, and so is a total-order broadcast
-// storm.
+// receive runs is held to the same bar, and so are a total-order broadcast
+// storm and a chain of realtime events.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -418,6 +418,36 @@ TEST(KernelAllocTest, EngineSteadyStateAllocatesNothing) {
   EXPECT_EQ(alloc_count::calls_during([&] { churn(64); }), 0u);
   EXPECT_EQ(sim::event_callback::heap_allocations(), closures);
   EXPECT_TRUE(e.empty());
+}
+
+// The realtime backend runs each due callback with its lock released. It
+// takes the callback off the core instead of wrapping it, so a warmed chain
+// of realtime events allocates nothing and every closure stays inline.
+TEST(KernelAllocTest, RealtimeEventChainAllocatesNothing) {
+  hades::runtime::options o;
+  o.backend = "realtime";
+  const auto rt = hades::runtime::make(o);
+  struct link {
+    hades::runtime* rt;
+    int* left;
+    void operator()() const {
+      if (--*left > 0) rt->at(rt->now(), link{*this});
+    }
+  };
+  int left = 0;
+  const auto chain = [&] {
+    left = 1000;
+    rt->at(rt->now(), link{rt.get(), &left});
+    rt->run();
+  };
+
+  chain();  // warm-up sizes the core's slab pool and ready heap
+  const std::uint64_t closures = sim::event_callback::heap_allocations();
+
+  EXPECT_EQ(alloc_count::calls_during(chain), 0u);
+  EXPECT_EQ(sim::event_callback::heap_allocations(), closures);
+  EXPECT_EQ(left, 0);
+  EXPECT_TRUE(rt->empty());
 }
 
 // Every reliable-comm receiver runs each arriving sequence number through

@@ -1,24 +1,28 @@
-// Cross-process monitor forwarding over the loopback socket transport, with
-// both processes inside this test: two realtime runtimes on one shared
-// epoch, each owning one node. A record on process 0 for a routed listener
-// homed on process 1's node ships as text; process 1's receiver thread
-// decodes it and hands it to its engine thread, which interns the names
-// and redelivers (DESIGN.md, "Monitor records"). Under TSan this test is
-// the receiver-to-engine handoff.
+// Cross-process traffic over the loopback socket transport, with both
+// processes inside this test: two realtime runtimes on one shared epoch,
+// each owning one node. The receiver thread reads only frame headers and
+// hands each datagram to the engine thread as bytes; the engine thread
+// decodes it there. A forwarded monitor event's names are interned into
+// the receiving monitor, and a data frame's payload lands in the engine
+// thread's own wire_payload pool (DESIGN.md, "Monitor records" and "Wire
+// fast path"). Under TSan this test is the receiver-to-engine handoff.
 #include "rt/socket_transport.hpp"
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/monitor.hpp"
 #include "sim/network.hpp"
 #include "sim/runtime.hpp"
+#include "sim/wire_codec.hpp"
 #include "util/error.hpp"
 
 namespace hades {
@@ -37,6 +41,24 @@ std::int64_t steady_now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+/// Two realtime processes on an epoch 20 ms ahead; node n lives in
+/// process n.
+void make_processes(process (&p)[2]) {
+  const std::int64_t epoch = steady_now_ns() + 20'000'000;
+  for (std::uint32_t i = 0; i < 2; ++i) {
+    hades::runtime::options o;
+    o.backend = "realtime";
+    o.node_count = 2;
+    o.process_index = i;
+    o.process_count = 2;
+    o.epoch_ns = epoch;
+    p[i].rt = hades::runtime::make(o);
+    p[i].net = std::make_unique<sim::network>(*p[i].rt, sim::network::params{});
+    p[i].net->reserve_nodes(2);
+    p[i].mon.bind(*p[i].rt);
+  }
 }
 
 /// Bind both transports on adjacent loopback ports, moving to another pair
@@ -59,25 +81,30 @@ bool start_transports(process (&p)[2]) {
   return false;
 }
 
+/// Run process 0 on this thread and process 1 on its own until 200 ms,
+/// stop both transports, and return process 1's engine thread.
+std::thread::id run_both(process (&p)[2]) {
+  const time_point horizon = time_point::at(200_ms);
+  std::thread::id engine1;
+  std::thread t1([&] {
+    engine1 = std::this_thread::get_id();
+    p[1].rt->run_until(horizon);
+  });
+  p[0].rt->run_until(horizon);
+  t1.join();
+  for (process& q : p) q.tx->stop();
+  return engine1;
+}
+
 TEST(SocketTransportTest, ForwardedMonitorEventIsInternedOnTheEngineThread) {
-  const std::int64_t epoch = steady_now_ns() + 20'000'000;  // 20 ms ahead
   process p[2];
+  make_processes(p);
   std::string heard;
   std::thread::id heard_on;
-  for (std::uint32_t i = 0; i < 2; ++i) {
-    hades::runtime::options o;
-    o.backend = "realtime";
-    o.node_count = 2;  // node n lives in process n
-    o.process_index = i;
-    o.process_count = 2;
-    o.epoch_ns = epoch;
-    p[i].rt = hades::runtime::make(o);
-    p[i].net = std::make_unique<sim::network>(*p[i].rt, sim::network::params{});
-    p[i].net->reserve_nodes(2);
-    p[i].mon.bind(*p[i].rt);
+  for (process& q : p) {
     // Every process subscribes, as a deployment's mode manager does; only
     // the home node's owner runs the listener.
-    core::monitor& mon = p[i].mon;
+    core::monitor& mon = q.mon;
     mon.subscribe_at_node(
         1, 1_ms, {core::monitor_event_kind::instance_rejected},
         [&heard, &heard_on, &mon](const core::monitor_event& e) {
@@ -106,15 +133,7 @@ TEST(SocketTransportTest, ForwardedMonitorEventIsInternedOnTheEngineThread) {
       p[1].rt->at(p[1].rt->now() + 50_us, [&tick] { tick(); });
   };
   p[1].rt->at(time_point::at(1_ms), [&tick] { tick(); });
-  const time_point horizon = time_point::at(200_ms);
-  std::thread::id engine1;
-  std::thread t1([&] {
-    engine1 = std::this_thread::get_id();
-    p[1].rt->run_until(horizon);
-  });
-  p[0].rt->run_until(horizon);
-  t1.join();
-  for (process& q : p) q.tx->stop();
+  const std::thread::id engine1 = run_both(p);
 
   EXPECT_EQ(heard, "gw1_c2 : shed: value density");
   EXPECT_EQ(heard_on, engine1);
@@ -122,6 +141,78 @@ TEST(SocketTransportTest, ForwardedMonitorEventIsInternedOnTheEngineThread) {
   EXPECT_TRUE(p[1].mon.events().empty());  // forwarded, not re-recorded
   EXPECT_EQ(p[0].tx->stats().sent, 1u);
   EXPECT_EQ(p[1].tx->stats().received, 1u);
+}
+
+// A payload type only this test puts on the wire: 24 bytes, so each
+// process holds it in a pooled block, not inline.
+struct probe_frame {
+  std::uint64_t a = 0;
+  std::uint64_t b = 0;
+  std::uint64_t c = 0;
+};
+constexpr std::uint32_t probe_tag = 0x50524F42;  // "PROB"
+std::thread::id g_probe_decoded_on;  // read once both processes stopped
+
+void register_probe_codec() {
+  sim::wire_codec::register_codec(
+      probe_tag,
+      [](const sim::wire_payload& p, std::vector<std::byte>& out) {
+        const probe_frame* v = p.get<probe_frame>();
+        if (v == nullptr) return false;
+        const auto* b = reinterpret_cast<const std::byte*>(v);
+        out.insert(out.end(), b, b + sizeof *v);
+        return true;
+      },
+      [](const std::byte* data, std::size_t len) {
+        validate(len == sizeof(probe_frame), "probe_frame: size mismatch");
+        g_probe_decoded_on = std::this_thread::get_id();
+        probe_frame v;
+        std::memcpy(&v, data, sizeof v);
+        return sim::wire_payload(v);
+      });
+}
+
+TEST(SocketTransportTest, DataFrameIsDecodedOnTheEngineThread) {
+  register_probe_codec();
+  process p[2];
+  make_processes(p);
+  probe_frame got;
+  std::thread::id got_on;
+  std::uint64_t live_before = 0;
+  std::uint64_t live_in_handler = 0;
+  std::uint64_t live_after = 0;
+  p[1].net->attach(1, [&](sim::message& m) {
+    if (const probe_frame* v = m.payload.get<probe_frame>()) {
+      got = *v;
+      got_on = std::this_thread::get_id();
+      live_in_handler = sim::wire_payload::stats().pooled_live;
+    }
+  });
+  ASSERT_TRUE(start_transports(p));
+
+  p[1].rt->at(time_point::at(1_ms), [&] {
+    live_before = sim::wire_payload::stats().pooled_live;
+  });
+  p[0].rt->at(time_point::at(5_ms), [&p] {
+    p[0].net->unicast(0, 1, 3, probe_frame{11, 22, 33}, 64);
+  });
+  p[1].rt->at(time_point::at(150_ms), [&] {
+    live_after = sim::wire_payload::stats().pooled_live;
+  });
+  const std::thread::id engine1 = run_both(p);
+
+  EXPECT_EQ(got.a, 11u);
+  EXPECT_EQ(got.b, 22u);
+  EXPECT_EQ(got.c, 33u);
+  EXPECT_EQ(got_on, engine1);
+  EXPECT_EQ(g_probe_decoded_on, engine1);
+  // The decoded payload is a block of process 1's engine-thread pool, and
+  // goes back to it once the handler is done with the frame.
+  EXPECT_EQ(live_in_handler, live_before + 1);
+  EXPECT_EQ(live_after, live_before);
+  EXPECT_EQ(p[0].tx->stats().sent, 1u);
+  EXPECT_EQ(p[1].tx->stats().received, 1u);
+  EXPECT_EQ(p[1].net->stats().delivered, 1u);
 }
 
 }  // namespace

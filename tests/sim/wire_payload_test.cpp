@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <barrier>
 #include <cstdint>
+#include <future>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -136,6 +139,68 @@ TEST(WirePayloadTest, AssignmentReleasesPrevious) {
   p = wire_payload(17);  // type change pooled -> inline
   EXPECT_EQ(counting_value::live, 0);
   EXPECT_EQ(*p.get<int>(), 17);
+}
+
+// Each thread draws from its own pool: two threads that hold the same
+// working set at once each count only their own blocks, and neither grows
+// the other's chunks (nor the main thread's).
+TEST(WirePayloadTest, ThreadsChurnTheirOwnPools) {
+  constexpr std::size_t held = 300;  // two chunks of 256 blocks
+  const auto main_before = wire_payload::stats();
+  std::barrier sync(2);
+  wire_payload::stats_t at_peak[2];
+  wire_payload::stats_t at_end[2];
+  const auto churn = [&](int t) {
+    std::vector<wire_payload> v;
+    v.reserve(held);
+    for (int round = 0; round < 20; ++round) {
+      for (std::size_t i = 0; i < held; ++i)
+        v.emplace_back(big_pod{i, static_cast<std::uint64_t>(round), 0});
+      if (round == 0) {
+        sync.arrive_and_wait();  // both threads hold their blocks
+        at_peak[t] = wire_payload::stats();
+        sync.arrive_and_wait();
+      }
+      v.clear();
+    }
+    at_end[t] = wire_payload::stats();
+  };
+  std::thread a(churn, 0);
+  std::thread b(churn, 1);
+  a.join();
+  b.join();
+  for (int t = 0; t < 2; ++t) {
+    EXPECT_EQ(at_peak[t].pooled_live, held);
+    EXPECT_EQ(at_peak[t].chunk_allocs, 2u);
+    EXPECT_EQ(at_end[t].chunk_allocs, 2u);
+    EXPECT_EQ(at_end[t].pooled_live, 0u);
+  }
+  const auto main_after = wire_payload::stats();
+  EXPECT_EQ(main_after.chunk_allocs, main_before.chunk_allocs);
+  EXPECT_EQ(main_after.pooled_live, main_before.pooled_live);
+}
+
+// One thread owns each payload: releasing a block on a thread that did not
+// acquire it fails the owner check. reset() is noexcept, so the failed
+// `require` terminates the process with its message.
+TEST(WirePayloadDeathTest, ReleaseOnAnotherThreadDies) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        wire_payload p;
+        std::promise<void> acquired;
+        std::promise<void> done;
+        std::thread owner([&] {
+          p = wire_payload(big_pod{1, 2, 3});
+          acquired.set_value();
+          done.get_future().wait();  // the owner stays alive
+        });
+        acquired.get_future().wait();
+        p.reset();
+        done.set_value();
+        owner.join();
+      },
+      "block released on a thread that did not acquire it");
 }
 
 }  // namespace
