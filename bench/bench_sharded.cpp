@@ -27,9 +27,9 @@
 // Delta-ordered broadcast from 8 spread origins, run at 256/1k/4k/10k
 // nodes on 4 shards. Peak live heap comes from the counting allocator
 // (bench/alloc_count.hpp), and the per-point bytes/node is the number the
-// CI scaling gate holds near-linear: `--require-scaling` fails unless
-// bytes/node at 10k stays within 2x of the 1k point and the 10k point
-// still clears a throughput floor.
+// CI scaling gate holds: `--require-scaling` fails unless bytes/node at 1k
+// stays under a fixed ceiling, bytes/node at 10k stays within 2x of the 1k
+// point, and the 10k point still clears a throughput floor.
 //
 // Usage: bench_sharded [--smoke] [--json PATH] [--scale-curve] [--nodes N]
 //                      [--require-scaling]
@@ -39,6 +39,7 @@
 //                     256/1k under --smoke)
 //   --nodes N         run ONLY one ad-hoc scale point at N nodes
 //   --require-scaling run the full curve and exit non-zero unless
+//                     bytes/node(1k) <= kMaxBytesPerNode1k,
 //                     bytes/node(10k) <= 2x bytes/node(1k) and the 10k
 //                     point sustains >= 50k events/s
 #include <algorithm>
@@ -233,6 +234,12 @@ bench_result run_full_system(std::size_t shards, duration horizon) {
 
 // --- scale-curve workload ----------------------------------------------------
 
+// Ceiling on the 1k point's peak heap per node. The counting allocator
+// makes the figure exact for a build: 7,379 bytes/node with GCC 12 and
+// libstdc++ (one channel table per system, FIFO-floor-only link state,
+// 24-byte dedup windows), plus 10%.
+constexpr double kMaxBytesPerNode1k = 8117;
+
 struct scale_result {
   double wall_s = 0;
   std::uint64_t events = 0;
@@ -395,6 +402,11 @@ int main(int argc, char** argv) {
         std::printf("FAIL: scaling gate needs both the 1k and 10k points\n");
         return 1;
       }
+      if (bpn_1k > kMaxBytesPerNode1k) {
+        std::printf("FAIL: %.0f bytes/node at 1k exceeds the %.0f ceiling\n",
+                    bpn_1k, kMaxBytesPerNode1k);
+        return 1;
+      }
       if (bpn_10k > 2.0 * bpn_1k) {
         std::printf(
             "FAIL: memory per node grew superlinearly: %.0f bytes/node at "
@@ -409,9 +421,9 @@ int main(int argc, char** argv) {
         return 1;
       }
       std::printf(
-          "scaling gate OK: %.2fx bytes/node 1k->10k (<= 2x), %.0f ev/s at "
-          "10k (>= 50k)\n",
-          bpn_10k / bpn_1k, evs_10k);
+          "scaling gate OK: %.0f bytes/node at 1k (<= %.0f), %.2fx "
+          "bytes/node 1k->10k (<= 2x), %.0f ev/s at 10k (>= 50k)\n",
+          bpn_1k, kMaxBytesPerNode1k, bpn_10k / bpn_1k, evs_10k);
     }
     return 0;
   }

@@ -44,25 +44,25 @@ dispatcher::dispatcher(system& sys, runtime& rt, node_id node,
       net_(&net),
       mon_(&mon),
       costs_(costs),
-      trace_(trace) {
-  net_->on_channel(control_channel, [this](const sim::message& m) {
-    const auto* tok = m.payload.get<control_token>();
-    require(tok != nullptr, "dispatcher: malformed control token");
-    // Kinds needing the frame's source node are demuxed here; everything
-    // else goes through on_token (shared with early-token replay).
-    if (tok->k == control_token::kind::shard_complete) {
-      sys_->on_shard_complete(tok->task, tok->instance, m.src);
-    } else if (tok->k == control_token::kind::dl_probe) {
-      if (!halted_) sys_->on_deadlock_probe(node_, tok->aux, m.src);
-    } else {
-      on_token(*tok);
-    }
-  });
-}
+      trace_(trace) {}
 
 dispatcher::~dispatcher() {
   if (sched_thread_ != invalid_kthread && cpu_->exists(sched_thread_))
     cpu_->destroy(sched_thread_);
+}
+
+void dispatcher::on_control_frame(const sim::message& m) {
+  const auto* tok = m.payload.get<control_token>();
+  require(tok != nullptr, "dispatcher: malformed control token");
+  // Kinds needing the frame's source node are demuxed here; everything
+  // else goes through on_token (shared with early-token replay).
+  if (tok->k == control_token::kind::shard_complete) {
+    sys_->on_shard_complete(tok->task, tok->instance, m.src);
+  } else if (tok->k == control_token::kind::dl_probe) {
+    if (!halted_) sys_->on_deadlock_probe(node_, tok->aux, m.src);
+  } else {
+    on_token(*tok);
+  }
 }
 
 void dispatcher::record_trace(sim::trace_kind k, std::string_view subject,

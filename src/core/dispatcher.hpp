@@ -348,6 +348,9 @@ class dispatcher final : public scheduler_context {
   void scheduler_step();
 
   // tokens
+  /// A frame on the control channel reached this node (the system's
+  /// channel-0 handler calls it).
+  void on_control_frame(const sim::message& m);
   void on_token(const control_token& tok);
   /// A per-instance token (precedence, sync_*, abort_shard) can outrun its
   /// own shard's create_shard token: the two ride different links (home->A

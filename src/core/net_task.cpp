@@ -2,9 +2,10 @@
 
 namespace hades::core {
 
-net_task::net_task(runtime& rt, processor& cpu, sim::network& net,
-                   node_id node, const cost_model& costs, priority prio)
-    : rt_(&rt), cpu_(&cpu), net_(&net), node_(node), costs_(costs) {
+net_task::net_task(processor& cpu, sim::network& net, node_id node,
+                   const std::vector<channel_handler>& channels,
+                   const cost_model& costs, priority prio)
+    : cpu_(&cpu), net_(&net), node_(node), table_(&channels), costs_(costs) {
   thread_ = cpu_->create("net_mngt@" + std::to_string(node), prio, prio,
                          duration::zero(), [this] { transmit_head(); });
   net_->attach(node_, [this](sim::message& m) { on_frame(m); });
@@ -27,13 +28,6 @@ void net_task::send_all(int channel, const sim::wire_payload& payload,
   net_->for_each_attached([&](node_id n) {
     if (n != node_) send(n, channel, payload, size_bytes);
   });
-}
-
-void net_task::on_channel(int channel, channel_handler h) {
-  require(channel >= 0, "net_task: channel ids are non-negative");
-  if (channels_.size() <= static_cast<std::size_t>(channel))
-    channels_.resize(static_cast<std::size_t>(channel) + 1);
-  channels_[static_cast<std::size_t>(channel)] = std::move(h);
 }
 
 void net_task::pump() {
@@ -64,7 +58,7 @@ void net_task::on_frame(sim::message& m) {
         if (halted_) return;
         ++received_;
         const auto ch = static_cast<std::size_t>(m.channel);
-        if (ch < channels_.size() && channels_[ch]) channels_[ch](m);
+        if (ch < table_->size() && (*table_)[ch]) (*table_)[ch](node_, m);
       });
 }
 

@@ -9,9 +9,12 @@
 // per outbound message before handing the frame to the wire.
 //
 // Inbound frames cost `w_net` in interrupt context (the ATM-card handler of
-// paper section 4.2) before being demultiplexed to the registered channel
-// handler. Dispatchers use channel 0 for control tokens; services register
-// their own channels.
+// paper section 4.2) before being demultiplexed by channel. The channel
+// table belongs to the owning `system`, one handler per channel for every
+// node (`system::on_channel`); the task reads it when the NIC interrupt
+// completes and passes its own node id. The system registers channel 0
+// (dispatcher control tokens) and channel 1 (system replies); services
+// register their own channels once each.
 #pragma once
 
 #include <functional>
@@ -25,11 +28,16 @@
 
 namespace hades::core {
 
+/// The consumer of one inbound channel on every node of a system
+/// (`system::on_channel`), called with the receiving node's id.
+using channel_handler = std::function<void(node_id, const sim::message&)>;
+
 class net_task {
  public:
-  using channel_handler = std::function<void(const sim::message&)>;
-
-  net_task(runtime& rt, processor& cpu, sim::network& net, node_id node,
+  /// `channels` is the owning system's channel table, indexed by channel
+  /// id; it outlives the task and is only read here.
+  net_task(processor& cpu, sim::network& net, node_id node,
+           const std::vector<channel_handler>& channels,
            const cost_model& costs, priority prio = prio::net_task);
   ~net_task();
   net_task(const net_task&) = delete;
@@ -43,9 +51,6 @@ class net_task {
   /// shared across the fan-out by refcount, never deep-copied.
   void send_all(int channel, const sim::wire_payload& payload,
                 std::size_t size_bytes = 64);
-
-  /// Register the consumer of one inbound channel.
-  void on_channel(int channel, channel_handler h);
 
   /// Stop processing (node crash): pending messages are dropped and inbound
   /// frames ignored.
@@ -71,16 +76,15 @@ class net_task {
   void transmit_head();     // thread completion: put the head on the wire
   void on_frame(sim::message& m);
 
-  runtime* rt_;
   processor* cpu_;
   sim::network* net_;
   node_id node_;
+  const std::vector<channel_handler>* table_;  // the system's, by channel
   cost_model costs_;
   kthread_id thread_;
   bool thread_busy_ = false;
   bool halted_ = false;
   ring_fifo<outbound> queue_;
-  std::vector<channel_handler> channels_;  // channel-indexed; registration-time growth
   std::uint64_t sent_ = 0;
   std::uint64_t received_ = 0;
 };

@@ -47,8 +47,9 @@ system::system(std::size_t node_count, config cfg) : cfg_(std::move(cfg)) {
     const double drift =
         n < cfg_.clock_drift.size() ? cfg_.clock_drift[n] : 0.0;
     ctx->clock = std::make_unique<sim::hardware_clock>(*rt_, drift);
-    ctx->net = std::make_unique<net_task>(*rt_, *ctx->cpu, *net_,
-                                          static_cast<node_id>(n), cfg_.costs);
+    ctx->net = std::make_unique<net_task>(*ctx->cpu, *net_,
+                                          static_cast<node_id>(n), channels_,
+                                          cfg_.costs);
     ctx->disp = std::make_unique<dispatcher>(*this, *rt_,
                                              static_cast<node_id>(n),
                                              *ctx->cpu, *ctx->net, monitor_,
@@ -57,17 +58,26 @@ system::system(std::size_t node_count, config cfg) : cfg_(std::move(cfg)) {
     arm_clock_interrupts(static_cast<node_id>(n));
   }
   node_conditions_.resize(node_count);
+  on_channel(control_channel, [this](node_id n, const sim::message& m) {
+    nodes_[n]->disp->on_control_frame(m);
+  });
   // Deadlock-scan replies (variable-length stalled-EU lists) ride the
   // system channel; only the scan home consumes them, but every node gets
   // the handler so the scan home is not hard-wired into the wire format.
-  for (std::size_t n = 0; n < node_count; ++n)
-    nodes_[n]->net->on_channel(system_channel, [this](const sim::message& m) {
-      const auto* r = m.payload.get<dl_reply>();
-      require(r != nullptr, "system: malformed system-channel message");
-      auto it = dl_pending_.find(r->epoch);
-      if (it == dl_pending_.end()) return;  // epoch already analyzed
-      for (const auto& w : r->waits) it->second.push_back({r->from, w});
-    });
+  on_channel(system_channel, [this](node_id, const sim::message& m) {
+    const auto* r = m.payload.get<dl_reply>();
+    require(r != nullptr, "system: malformed system-channel message");
+    auto it = dl_pending_.find(r->epoch);
+    if (it == dl_pending_.end()) return;  // epoch already analyzed
+    for (const auto& w : r->waits) it->second.push_back({r->from, w});
+  });
+}
+
+void system::on_channel(int channel, channel_handler h) {
+  require(channel >= 0, "system: channel ids are non-negative");
+  const auto ch = static_cast<std::size_t>(channel);
+  if (channels_.size() <= ch) channels_.resize(ch + 1);
+  channels_[ch] = std::move(h);
 }
 
 system::~system() = default;

@@ -78,6 +78,14 @@ class system {
   }
   [[nodiscard]] const cost_model& costs() const { return cfg_.costs; }
 
+  // --- inbound channels -----------------------------------------------------
+  /// Register the consumer of channel `channel` on every node: each node's
+  /// net_mngt task calls `h(node, frame)` once its NIC interrupt completes,
+  /// passing its own id. One table serves the whole system; the system
+  /// registers channels 0 and 1 itself, and each service registers its own
+  /// once at construction. A later registration replaces an earlier one.
+  void on_channel(int channel, channel_handler h);
+
   // --- task registration ----------------------------------------------------
   /// Register a HEUG; returns its system-wide id. Periodic tasks are armed
   /// automatically (first activation at law.offset).
@@ -280,6 +288,10 @@ class system {
   sim::trace_recorder trace_;
   monitor monitor_;
   std::unique_ptr<sim::network> net_;
+  // Channel-indexed inbound handlers shared by every node's net_task.
+  // Written at construction (the system's and the services'), then only
+  // read, so every shard may read it.
+  std::vector<channel_handler> channels_;
   std::vector<std::unique_ptr<node_ctx>> nodes_;
 
   // Per-task bookkeeping, one entry per registered task (index id - 1).

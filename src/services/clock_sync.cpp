@@ -35,11 +35,9 @@ clock_sync_service::clock_sync_service(core::system& sys, params p)
   summaries_.resize(sys_->node_count());
   round_of_.assign(sys_->node_count(), 0);
   corrections_.resize(sys_->node_count());
-  for (node_id n = 0; n < sys_->node_count(); ++n) {
-    sys_->net(n).on_channel(ch_clock_sync, [this, n](const sim::message& m) {
-      on_message(n, m);
-    });
-  }
+  sys_->on_channel(ch_clock_sync, [this](node_id n, const sim::message& m) {
+    on_message(n, m);
+  });
 }
 
 void clock_sync_service::start() {

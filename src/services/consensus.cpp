@@ -15,10 +15,10 @@ consensus_service::consensus_service(core::system& sys, params p)
   for (node_id n = 0; n < sys_->node_count(); ++n) {
     decided_[n] = false;
     decision_[n] = 0;
-    sys_->net(n).on_channel(ch_consensus, [this, n](const sim::message& m) {
-      on_message(n, m);
-    });
   }
+  sys_->on_channel(ch_consensus, [this](node_id n, const sim::message& m) {
+    on_message(n, m);
+  });
 }
 
 void consensus_service::run(const std::map<node_id, std::int64_t>& proposals) {

@@ -29,15 +29,13 @@ fault_detector::fault_detector(core::system& sys, params p)
   const std::size_t n = sys_->node_count();
   obs_.resize(n);
   for (auto& o : obs_) o.horizon = start_;
-  for (node_id me = 0; me < n; ++me) {
-    sys_->net(me).on_channel(ch_heartbeat, [this, me](const sim::message& m) {
-      on_heartbeat(me, m);
+  sys_->on_channel(ch_heartbeat, [this](node_id me, const sim::message& m) {
+    on_heartbeat(me, m);
+  });
+  if (hierarchical())
+    sys_->on_channel(ch_fd_digest, [this](node_id me, const sim::message& m) {
+      on_digest(me, m);
     });
-    if (hierarchical())
-      sys_->net(me).on_channel(ch_fd_digest, [this, me](const sim::message& m) {
-        on_digest(me, m);
-      });
-  }
 }
 
 void fault_detector::start() {

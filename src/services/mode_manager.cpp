@@ -42,25 +42,20 @@ mode_manager::mode_manager(core::system& sys, thresholds t, node_id home)
       [this](const core::monitor_event& e) { consider(e); });
   // Capture protocol: every node answers requests for the tasks it homes;
   // replies only matter on `home`, where the capture map lives.
-  for (std::size_t n = 0; n < sys_->node_count(); ++n) {
-    const auto nid = static_cast<node_id>(n);
-    sys_->net(nid).on_channel(
-        ch_mode_capture, [this, nid](const sim::message& m) {
-          if (const auto* rq = m.payload.get<capture_request>()) {
-            capture_reply rep;
-            rep.epoch = rq->epoch;
-            rep.task = rq->task;
-            rep.state = sys_->task_state(rq->task);  // read on the owning shard
-            sys_->net(nid).send(rq->reply_to, ch_mode_capture,
-                                std::move(rep), 64);
-            return;
-          }
-          const auto* rp = m.payload.get<capture_reply>();
-          if (rp == nullptr) return;
-          if (rp->epoch != switches_) return;  // superseded switch: drop
-          captured_[rp->task] = sim::wire_payload(std::any(rp->state));
-        });
-  }
+  sys_->on_channel(ch_mode_capture, [this](node_id n, const sim::message& m) {
+    if (const auto* rq = m.payload.get<capture_request>()) {
+      capture_reply rep;
+      rep.epoch = rq->epoch;
+      rep.task = rq->task;
+      rep.state = sys_->task_state(rq->task);  // read on the owning shard
+      sys_->net(n).send(rq->reply_to, ch_mode_capture, std::move(rep), 64);
+      return;
+    }
+    const auto* rp = m.payload.get<capture_reply>();
+    if (rp == nullptr) return;
+    if (rp->epoch != switches_) return;  // superseded switch: drop
+    captured_[rp->task] = sim::wire_payload(std::any(rp->state));
+  });
 }
 
 void mode_manager::consider(const core::monitor_event& e) {

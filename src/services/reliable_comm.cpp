@@ -12,11 +12,9 @@ reliable_p2p::reliable_p2p(core::system& sys, params p)
   const std::size_t n = sys_->node_count();
   next_seq_.resize(n);
   seen_.resize(n);
-  for (node_id me = 0; me < n; ++me)
-    sys_->net(me).on_channel(ch_reliable_p2p,
-                             [this, me](const sim::message& m) {
-                               on_message(me, m);
-                             });
+  sys_->on_channel(ch_reliable_p2p, [this](node_id me, const sim::message& m) {
+    on_message(me, m);
+  });
 }
 
 void reliable_p2p::send(node_id src, node_id dst, sim::wire_payload payload,
@@ -99,11 +97,10 @@ reliable_broadcast::reliable_broadcast(core::system& sys, params p)
   seen_.resize(n);
   holdback_.resize(n);
   next_seq_.assign(n, 0);
-  for (node_id me = 0; me < n; ++me)
-    sys_->net(me).on_channel(ch_reliable_bcast,
-                             [this, me](const sim::message& m) {
-                               on_message(me, m);
-                             });
+  sys_->on_channel(ch_reliable_bcast,
+                   [this](node_id me, const sim::message& m) {
+                     on_message(me, m);
+                   });
 }
 
 void reliable_broadcast::broadcast(node_id src, sim::wire_payload payload,

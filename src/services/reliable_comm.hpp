@@ -6,10 +6,12 @@
 // copies spaced by `retry_spacing`; receivers deduplicate on (src, seq),
 // with sequence numbers counted per (src, dst) link so the dedup state can
 // be kept as a contiguous-prefix watermark plus a bounded out-of-order
-// window (`dedup_window`) instead of an ever-growing set. Per-link send and
-// dedup state lives in open-addressed sparse maps keyed by the peers
-// actually talked to (util/sparse_map.hpp) — O(active links), never O(N)
-// per node. Worst-case delivery latency is
+// window (`dedup_window`) instead of an ever-growing set. A window is 24
+// bytes, and its out-of-order set is allocated only when a number first
+// arrives early, so an in-order stream costs the watermark alone. Per-link
+// send and dedup state lives in open-addressed sparse maps keyed by the
+// peers actually talked to (util/sparse_map.hpp) — O(active links), never
+// O(N) per node. Worst-case delivery latency is
 //     k * retry_spacing + delta_max + per-byte cost
 // which `p2p_bound()` exposes for feasibility integration.
 //
@@ -55,11 +57,14 @@
 // fault). They grow with the trunk and with the forked nodes' tails, not
 // by one entry per delivery.
 //
-// Shard confinement (DESIGN.md): every container is indexed by the node the
-// handler executes on — dedup windows, hold-back queues and delivery-log
-// prefixes and tails by receiver, broadcast sequence numbers by origin —
-// and pre-sized at construction, so different shards never share a map
-// node (sparse-map slot growth happens on the owning node's shard). The
+// Each service registers one handler per channel with the system
+// (`core::system::on_channel`), which every node's net_mngt task calls
+// with its own id. Shard confinement (DESIGN.md): every container is
+// indexed by the node the handler executes on — dedup windows, hold-back
+// queues and delivery-log prefixes and tails by receiver, broadcast
+// sequence numbers by origin — and pre-sized at construction, so
+// different shards never share a map node (sparse-map slot growth and a
+// window's first out-of-order set happen on the owning node's shard). The
 // one exception is the delivery logs' trunk, which every shard appends to
 // (see `delivery_logs`). The counters are plain totals: every backend runs
 // one process's events on one thread, so their increments never race.
@@ -75,6 +80,7 @@
 #include <functional>
 #include <iterator>
 #include <map>
+#include <memory>
 #include <set>
 #include <span>
 #include <utility>
@@ -93,9 +99,13 @@ namespace hades::svc {
 /// than `max_window` gaps outstanding — message loss beyond the masked
 /// omission degree), the oldest gap is declared lost and the watermark
 /// advances, so state stays bounded under unbounded traffic.
+///
+/// 24 bytes: most streams arrive in order and only ever move the
+/// watermark, so the out-of-order set is allocated on the first number
+/// that arrives early, and kept from then on.
 class dedup_window {
  public:
-  explicit dedup_window(std::size_t max_window = 1024)
+  explicit dedup_window(std::uint32_t max_window = 1024)
       : max_window_(max_window) {}
 
   /// Returns true iff `seq` was never seen before (and records it).
@@ -103,18 +113,18 @@ class dedup_window {
     if (seq <= contiguous_) return false;
     // In order, the watermark moves without a tree node. After an overflow
     // the next number may already be held, which makes it a duplicate.
-    if (seq == contiguous_ + 1 &&
-        (pending_.empty() || *pending_.begin() != seq))
+    if (seq == contiguous_ + 1 && (held() == 0 || *pending_->begin() != seq))
       ++contiguous_;
-    else if (!pending_.insert(seq).second)
+    else if (!pending().insert(seq).second)
       return false;
-    while (!pending_.empty() && *pending_.begin() == contiguous_ + 1) {
+    if (held() == 0) return true;
+    while (!pending_->empty() && *pending_->begin() == contiguous_ + 1) {
       ++contiguous_;
-      pending_.erase(pending_.begin());
+      pending_->erase(pending_->begin());
     }
-    while (pending_.size() > max_window_) {
-      contiguous_ = *pending_.begin();
-      pending_.erase(pending_.begin());
+    while (pending_->size() > max_window_) {
+      contiguous_ = *pending_->begin();
+      pending_->erase(pending_->begin());
     }
     return true;
   }
@@ -123,13 +133,23 @@ class dedup_window {
   [[nodiscard]] std::size_t state_bytes() const {
     // The set's per-node overhead (3 pointers + colour, rounded up) plus
     // the key — an estimate, for growth assertions rather than accounting.
-    return sizeof(*this) + pending_.size() * (sizeof(std::uint64_t) + 32);
+    return sizeof(*this) + held() * (sizeof(std::uint64_t) + 32);
   }
 
  private:
-  std::size_t max_window_;
+  using seq_set = std::set<std::uint64_t>;
+
+  [[nodiscard]] std::size_t held() const {
+    return pending_ ? pending_->size() : 0;
+  }
+  seq_set& pending() {
+    if (!pending_) pending_ = std::make_unique<seq_set>();
+    return *pending_;
+  }
+
   std::uint64_t contiguous_ = 0;  // every seq <= contiguous_ was seen
-  std::set<std::uint64_t> pending_;  // seen out of order, above the prefix
+  std::uint32_t max_window_;
+  std::unique_ptr<seq_set> pending_;  // seen out of order, above the prefix
 };
 
 class reliable_p2p {

@@ -11,11 +11,9 @@ replicated_service::replicated_service(core::system& sys, fault_detector& fd,
   if (!apply_) apply_ = [](std::int64_t acc, std::int64_t v) { return acc + v; };
   primary_ = params_.replicas.front();
   for (node_id n : params_.replicas) state_[n] = {};
-  for (node_id n = 0; n < sys_->node_count(); ++n) {
-    sys_->net(n).on_channel(ch_replication, [this, n](const sim::message& m) {
-      on_message(n, m);
-    });
-  }
+  sys_->on_channel(ch_replication, [this](node_id n, const sim::message& m) {
+    on_message(n, m);
+  });
   // Failover on suspicion of the primary (any observer suffices: the
   // detector is perfect under the platform assumptions).
   fd.on_suspect([this](node_id, node_id suspect, time_point) {

@@ -51,11 +51,11 @@ bool network::global_state::partitioned_at(node_id a, node_id b,
 }
 
 void network::set_link_down(node_id src, node_id dst, bool down) {
-  source(src).dst[dst].link_down.set(rt_->now(), down);
+  source(src).faults[dst].down.set(rt_->now(), down);
 }
 
 void network::drop_next(node_id src, node_id dst, int count, int channel) {
-  auto& bursts = source(src).dst[dst].scripted_drops;
+  auto& bursts = source(src).faults[dst].scripted_drops;
   for (auto& b : bursts)
     if (b.channel == channel) {
       b.remaining += count;
@@ -64,28 +64,32 @@ void network::drop_next(node_id src, node_id dst, int count, int channel) {
   bursts.push_back({channel, count});
 }
 
-bool network::should_drop(source_state& s, dst_state& ds, node_id src,
-                          node_id dst, int channel, time_point t) {
+bool network::should_drop(source_state& s, node_id src, node_id dst,
+                          int channel, time_point t) {
   const global_state& g = global_;
   // Deterministic (draw-free) drop causes first, so a dropped frame never
   // perturbs the per-source rng stream.
   if (g.node_down_at(src, t) || g.node_down_at(dst, t)) return true;
   if (g.partitioned_at(src, dst, t)) return true;
-  if (!ds.link_down.empty()) {
-    const bool* down = ds.link_down.at(t);
-    if (down != nullptr && *down) return true;
+  double p = -1.0;
+  // A source no fault setter touched has no slots: `find` returns at once.
+  if (link_faults* lf = s.faults.find(dst)) {
+    if (!lf->down.empty()) {
+      const bool* down = lf->down.at(t);
+      if (down != nullptr && *down) return true;
+    }
+    if (auto& bursts = lf->scripted_drops; !bursts.empty()) {
+      // Channel-scoped bursts are consumed before an any_channel burst on
+      // the same link, regardless of registration order.
+      for (const int key : {channel, any_channel})
+        for (auto& b : bursts)
+          if (b.channel == key && b.remaining > 0) {
+            --b.remaining;
+            return true;
+          }
+    }
+    p = lf->omission;
   }
-  if (auto& bursts = ds.scripted_drops; !bursts.empty()) {
-    // Channel-scoped bursts are consumed before an any_channel burst on the
-    // same link, regardless of registration order.
-    for (const int key : {channel, any_channel})
-      for (auto& b : bursts)
-        if (b.channel == key && b.remaining > 0) {
-          --b.remaining;
-          return true;
-        }
-  }
-  double p = ds.link_omission;
   if (p < 0.0) {
     const double* global = g.omission_rate.at(t);
     p = global != nullptr ? *global : 0.0;
@@ -125,10 +129,7 @@ std::uint64_t network::submit(source_state& s, time_point now, node_id src,
   m.sent_at = now;
   ++counters_.sent;
 
-  // One probe serves the drop checks and the FIFO floor. First contact with
-  // a destination creates its slot; afterwards the path allocates nothing.
-  dst_state& ds = s.dst[dst];
-  if (should_drop(s, ds, src, dst, channel, now)) {
+  if (should_drop(s, src, dst, channel, now)) {
     ++counters_.dropped;
     return m.id;
   }
@@ -145,9 +146,11 @@ std::uint64_t network::submit(source_state& s, time_point now, node_id src,
 
   time_point deliver_at = now + lat;
   // ATM virtual circuits are FIFO: never deliver before an earlier frame on
-  // the same link.
-  if (deliver_at < ds.last_delivery) deliver_at = ds.last_delivery;
-  ds.last_delivery = deliver_at;
+  // the same link. The first delivery to a destination creates its floor;
+  // afterwards the path allocates nothing.
+  time_point& floor = s.fifo_floor[dst];
+  if (deliver_at < floor) deliver_at = floor;
+  floor = deliver_at;
 
   const std::uint64_t id = m.id;
   rt_->at_node(dst, deliver_at,

@@ -19,18 +19,20 @@
 // Wire fast path (DESIGN.md, "Wire fast path"): a steady-state fault-free
 // send costs zero heap allocations and zero lock acquisitions. Payloads are
 // `wire_payload`s (drawn from the running thread's slab pool, refcount-shared
-// across broadcast fan-out — never `std::any`'s per-copy heap box). Per-source destination-keyed state
-// (FIFO floor, per-link omission rate, scripted drop bursts, directional
-// link-down timeline) lives in one open-addressed `sparse_node_map` slot
-// per destination *actually sent to* — sized by the topology's neighbour
-// set, not by N, so 10k-node runs with clustered/tree topologies keep wire
-// state near-linear system-wide instead of the O(N²) a dense
-// [source][destination] layout costs (DESIGN.md, "Scalable topology
-// layer"). One probe per send replaces four vector indexings; after the
-// first send to a destination the slot exists and the path allocates
-// nothing. Timeline lookups binary-search their sorted entries
-// (`std::upper_bound`), so long pre-registered fault plans do not tax every
-// send.
+// across broadcast fan-out — never `std::any`'s per-copy heap box). The
+// only per-link state every link needs is its FIFO floor: one 16-byte
+// open-addressed `sparse_node_map` slot per destination *actually
+// delivered to* — sized by the topology's neighbour set, not by N, so
+// 10k-node runs with clustered/tree topologies keep wire state near-linear
+// system-wide instead of the O(N²) a dense [source][destination] layout
+// costs (DESIGN.md, "Scalable topology layer"). The per-link fault program
+// (omission rate, scripted drop bursts, directional link-down timeline)
+// lives in a second per-source map that only the link fault setters
+// write; a send probes it only when it holds an entry, so a fault-free
+// send makes one probe. After the first delivery to a destination its slot
+// exists and the path allocates nothing. Timeline lookups binary-search
+// their sorted entries (`std::upper_bound`), so long pre-registered fault
+// plans do not tax every send.
 //
 // Shard confinement (DESIGN.md): all per-link send-side state lives in one
 // `source_state` per node, touched only at send time, i.e. on the shard
@@ -46,7 +48,7 @@
 //
 // `reserve_nodes` pre-creates source slots and the handler table (the
 // owning `core::system` calls it with its node count); per-destination
-// slots inside a source's sparse map grow on first contact.
+// slots inside a source's sparse maps grow on first contact.
 #pragma once
 
 #include <algorithm>
@@ -166,7 +168,7 @@ class network {
   /// Per-link omission probability, overrides the global rate. Send-side
   /// state: call from the source's shard (the injector anchors on it).
   void set_link_omission(node_id src, node_id dst, double p) {
-    source(src).dst[dst].link_omission = p;
+    source(src).faults[dst].omission = p;
   }
   /// Deterministically drop the next `count` messages src -> dst.
   /// `channel >= 0` restricts the burst to that channel (so a scripted
@@ -323,25 +325,26 @@ class network {
     int remaining = 0;
   };
 
-  /// Everything this source keeps about one destination: the FIFO floor and
-  /// the per-link fault program. One sparse-map slot per destination ever
-  /// sent to (or fault-programmed) — the neighbour set, not N.
-  struct dst_state {
-    time_point last_delivery;        // FIFO floor on this link
-    double link_omission = -1.0;     // <0 = unset, fall back to global rate
+  /// The fault program of one src -> dst link. Only `set_link_omission`,
+  /// `drop_next` and `set_link_down` create one.
+  struct link_faults {
+    double omission = -1.0;  // <0 = unset, fall back to global rate
     std::vector<drop_burst> scripted_drops;
-    timeline<bool> link_down;        // src -> dst, dated
+    timeline<bool> down;     // src -> dst, dated
   };
 
   /// Send-side state of one node, owned by the shard owning the node: only
   /// events executing there (the node's sends, injector actions anchored on
-  /// the node) may touch it. Destination-keyed state is a sparse map keyed
-  /// by the destinations this source talks to.
+  /// the node) may touch it. Destination-keyed state is two sparse maps:
+  /// the FIFO floor of every destination this source delivered to (the
+  /// neighbour set, not N; 16-byte slots), and the fault program of every
+  /// link a fault plan touched, empty in a fault-free run.
   struct source_state {
     explicit source_state(rng r) : stream(std::move(r)) {}
     rng stream;
     std::uint64_t next_seq = 0;
-    util::sparse_node_map<dst_state> dst;
+    util::sparse_node_map<time_point> fifo_floor;  // last delivery date
+    util::sparse_node_map<link_faults> faults;
   };
 
   void new_source();
@@ -361,8 +364,8 @@ class network {
   /// observer, handler. Shared by locally scheduled deliveries and frames
   /// injected by `deliver_remote`.
   void deliver_now(message& m);
-  bool should_drop(source_state& s, dst_state& ds, node_id src, node_id dst,
-                   int channel, time_point now);
+  bool should_drop(source_state& s, node_id src, node_id dst, int channel,
+                   time_point now);
   /// The send fast path. `fan_out`/`broadcast` hoist the clock read and the
   /// source lookup out of their per-destination loop.
   std::uint64_t submit(source_state& s, time_point now, node_id src,

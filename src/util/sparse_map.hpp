@@ -165,8 +165,9 @@ class sparse_map {
   }
 
   void rehash(std::size_t new_cap) {
-    std::vector<slot> old = std::move(slots_);
-    slots_.assign(new_cap, slot{});
+    // Value-initialized rather than copied from a prototype slot, so a
+    // move-only T works.
+    std::vector<slot> old = std::exchange(slots_, std::vector<slot>(new_cap));
     size_ = 0;
     for (auto& s : old)
       if (s.key != empty_key) (*this)[s.key] = std::move(s.value);

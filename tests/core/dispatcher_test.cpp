@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+#include <vector>
+
 #include "core/system.hpp"
 
 namespace hades::core {
@@ -588,7 +592,8 @@ TEST(DispatcherTest, HigherPriorityTaskPreemptsLower) {
 TEST(DispatcherTest, AppMessagingThroughExecutionContext) {
   system sys(2, zero_cost());
   std::vector<int> got;
-  sys.net(1).on_channel(42, [&](const sim::message& m) {
+  sys.on_channel(42, [&](node_id n, const sim::message& m) {
+    EXPECT_EQ(n, 1u);
     got.push_back(*m.payload.get<int>());
   });
   task_builder b("sender");
@@ -601,6 +606,39 @@ TEST(DispatcherTest, AppMessagingThroughExecutionContext) {
   sys.activate(t);
   sys.run_for(20_ms);
   EXPECT_EQ(got, (std::vector<int>{123}));
+}
+
+// One handler per channel serves every node: each frame reaches it with the
+// receiving node's id, a crashed node's net_mngt task passes nothing on,
+// and a recovered one does again.
+TEST(SystemChannelTest, OneHandlerServesEveryNodeWithItsId) {
+  system sys(4, zero_cost());
+  // (handler's node id, frame destination, payload), sorted by node id.
+  using arrival = std::tuple<node_id, node_id, int>;
+  std::vector<arrival> got;
+  sys.on_channel(42, [&](node_id n, const sim::message& m) {
+    got.emplace_back(n, m.dst, *m.payload.get<int>());
+  });
+  const auto round = [&](int value) {
+    got.clear();
+    sys.net(0).send_all(42, value, 16);
+    sys.net(3).send(0, 42, value + 1, 16);
+    sys.run_for(1_ms);
+    std::sort(got.begin(), got.end());
+    return got;
+  };
+
+  EXPECT_EQ(round(10), (std::vector<arrival>{
+                           {0, 0, 11}, {1, 1, 10}, {2, 2, 10}, {3, 3, 10}}));
+  sys.crash_node(2);
+  EXPECT_TRUE(sys.net(2).halted());
+  EXPECT_EQ(round(20),
+            (std::vector<arrival>{{0, 0, 21}, {1, 1, 20}, {3, 3, 20}}));
+  sys.recover_node(2);
+  EXPECT_FALSE(sys.net(2).halted());
+  EXPECT_EQ(round(30), (std::vector<arrival>{
+                           {0, 0, 31}, {1, 1, 30}, {2, 2, 30}, {3, 3, 30}}));
+  EXPECT_EQ(sys.net(2).received(), 2u);
 }
 
 TEST(DispatcherTest, DeterministicAcrossRuns) {

@@ -14,18 +14,23 @@
 // their high-water mark, then once more under the counter with the
 // identical pattern. The in-order dedup insert that every reliable-comm
 // receive runs is held to the same bar, and so are a total-order broadcast
-// storm and a chain of realtime events.
+// storm and a chain of realtime events. Construction may allocate, but
+// building services on a 1,000-node system must cost fewer allocations
+// than there are nodes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <new>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench/alloc_count.hpp"
 #include "core/system.hpp"
 #include "sched/edf.hpp"
+#include "services/clock_sync.hpp"
+#include "services/fault_detector.hpp"
 #include "services/reliable_comm.hpp"
 #include "sim/engine.hpp"
 #include "traffic/gateway.hpp"
@@ -102,13 +107,14 @@ TEST(KernelAllocTest, CounterSeesEveryReplaceableForm) {
 TEST(KernelAllocTest, FramesThroughNetTaskAllocateNothing) {
   system sys(3, quiet_kernel());
   std::uint64_t received = 0;
+  std::uint64_t to_sender = 0;  // node 0 only sends
   std::uint64_t checksum = 0;
-  for (node_id n : {1u, 2u})
-    sys.net(n).on_channel(kChannel, [&](const sim::message& m) {
-      ++received;
-      if (const auto* v = m.payload.get<std::uint64_t>()) checksum += *v;
-      if (const auto* b = m.payload.get<frame_body>()) checksum += b->words[0];
-    });
+  sys.on_channel(kChannel, [&](node_id n, const sim::message& m) {
+    to_sender += n == 0;
+    ++received;
+    if (const auto* v = m.payload.get<std::uint64_t>()) checksum += *v;
+    if (const auto* b = m.payload.get<frame_body>()) checksum += b->words[0];
+  });
 
   int round = 0;
   const auto traffic = [&] {
@@ -131,6 +137,7 @@ TEST(KernelAllocTest, FramesThroughNetTaskAllocateNothing) {
 
   EXPECT_EQ(alloc_count::calls_during(traffic), 0u);
   EXPECT_EQ(received, 2 * warm);
+  EXPECT_EQ(to_sender, 0u);
   EXPECT_EQ(sim::event_callback::heap_allocations(), closures);
   EXPECT_GT(checksum, 0u);
   // One NIC interrupt per frame, plus the clock ticks underneath.
@@ -448,6 +455,26 @@ TEST(KernelAllocTest, RealtimeEventChainAllocatesNothing) {
   EXPECT_EQ(sim::event_callback::heap_allocations(), closures);
   EXPECT_EQ(left, 0);
   EXPECT_TRUE(rt->empty());
+}
+
+// A service registers each of its channels once for the whole system, not
+// once per node: building the hierarchical detector, the broadcast and the
+// clock sync on a 1,000-node system costs fewer allocations than there are
+// nodes. Per-node channel tables cost two growths per node here.
+TEST(KernelAllocTest, ServiceConstructionAllocatesLessThanOncePerNode) {
+  constexpr std::size_t kNodes = 1000;
+  system sys(kNodes, quiet_kernel());
+  std::optional<svc::fault_detector> fd;
+  std::optional<svc::reliable_broadcast> bcast;
+  std::optional<svc::clock_sync_service> clocks;
+  const std::uint64_t calls = alloc_count::calls_during([&] {
+    fd.emplace(sys, svc::fault_detector::params{10_ms, 35_ms, 50});
+    bcast.emplace(sys, svc::reliable_broadcast::params{});
+    svc::clock_sync_service::params sp;
+    sp.cluster_size = 50;
+    clocks.emplace(sys, sp);
+  });
+  EXPECT_LT(calls, kNodes);
 }
 
 // Every reliable-comm receiver runs each arriving sequence number through

@@ -22,6 +22,10 @@ core::system::config lan() {
   return cfg;
 }
 
+// One window per (receiver, origin) pair: a 1,000-node broadcast keeps
+// thousands, so the in-order case holds no set header.
+static_assert(sizeof(dedup_window) <= 24);
+
 TEST(DedupWindowTest, InOrderNumberIsAcceptedOnce) {
   dedup_window w;
   EXPECT_TRUE(w.insert(1));

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -382,6 +383,52 @@ TEST(NetworkTest, FifoFloorsArePerDestination) {
   EXPECT_EQ(order[0], (std::pair<node_id, int>{2, 2}));
   EXPECT_EQ(order[1], (std::pair<node_id, int>{1, 1}));
   EXPECT_EQ(order[2], (std::pair<node_id, int>{1, 3}));
+}
+
+// A link's fault program is its own: a drop burst, a link-down window and
+// an omission rate on 0->1 drop only 0->1 frames, while 0->2 delivers every
+// frame on time, and 0->1's FIFO floor (raised by a late frame before the
+// faults) still holds back the first frame after them.
+TEST(NetworkTest, LinkFaultsStayOnTheirLinkAndKeepItsFifoFloor) {
+  engine e;
+  network::params p;
+  p.delta_min = p.delta_max = 10_us;
+  p.per_byte = 0_ns;
+  network net(e, p, 7);
+  std::vector<std::tuple<node_id, int, time_point>> got;
+  for (node_id n = 1; n <= 2; ++n)
+    net.attach(n, [&, n](const message& m) {
+      got.emplace_back(n, *m.payload.get<int>(), e.now());
+    });
+
+  net.set_performance_fault(1.0, 500_us);
+  net.unicast(0, 1, 0, 1, 8);  // 0->1 floor raised to 510us
+  net.set_performance_fault(0.0, duration::zero());
+
+  net.set_link_down(0, 1, true);
+  net.drop_next(0, 1, 1);
+  net.set_link_omission(0, 1, 1.0);
+  net.unicast(0, 1, 0, 2, 8);  // link down
+  net.unicast(0, 2, 0, 20, 8);
+  net.set_link_down(0, 1, false);  // same date: last write wins
+  net.unicast(0, 1, 0, 3, 8);  // the burst
+  net.unicast(0, 2, 0, 21, 8);
+  net.unicast(0, 1, 0, 4, 8);  // the omission rate
+  net.unicast(0, 2, 0, 22, 8);
+  net.set_link_omission(0, 1, 0.0);
+  net.unicast(0, 1, 0, 5, 8);  // fault-free again, held behind the floor
+  e.run();
+
+  const time_point on_time = time_point::at(10_us);
+  const time_point floor = time_point::at(510_us);
+  EXPECT_EQ(got, (std::vector<std::tuple<node_id, int, time_point>>{
+                     {2, 20, on_time},
+                     {2, 21, on_time},
+                     {2, 22, on_time},
+                     {1, 1, floor},
+                     {1, 5, floor}}));
+  EXPECT_EQ(net.stats().dropped, 3u);
+  EXPECT_EQ(net.stats().late, 1u);
 }
 
 // Growing the node set (reserve_nodes) must not disturb the rng stream —
