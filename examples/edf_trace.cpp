@@ -38,17 +38,18 @@ int main() {
 
   std::printf("Figure 2 reproduction — EDF / dispatcher cooperation\n\n");
   std::printf("%-12s %-22s %s\n", "time", "event", "detail");
-  for (const auto& e : sys.trace().events()) {
-    if (e.kind == sim::trace_kind::notification ||
-        e.kind == sim::trace_kind::priority_change) {
-      std::printf("%-12s %-22s %s -> %s\n", e.t.to_string().c_str(),
-                  std::string(sim::to_string(e.kind)).c_str(),
-                  e.subject.c_str(), e.detail.c_str());
+  const core::monitor& mon = sys.mon();
+  for (const auto& e : mon.events()) {
+    if (e.kind == core::monitor_event_kind::notification ||
+        e.kind == core::monitor_event_kind::priority_change) {
+      std::printf("%-12s %-22s %s -> %s\n", e.at.to_string().c_str(),
+                  core::to_string(e.kind), mon.subject_text(e).c_str(),
+                  mon.detail_text(e).c_str());
     }
   }
 
   std::printf("\nTimeline (one column = 0.25ms):\n%s\n",
-              sys.trace()
+              sys.mon()
                   .render_gantt(time_point::zero(), time_point::at(16_ms),
                                 250_us)
                   .c_str());

@@ -100,7 +100,9 @@ int main() {
   std::printf("monitor events after the crash (first 5):\n");
   int shown = 0;
   for (const auto& e : sys.mon().events()) {
-    if (e.at < time_point::at(600_ms)) continue;
+    if (e.at < time_point::at(600_ms) ||
+        !core::monitored_kinds.contains(e.kind))
+      continue;
     if (++shown > 5) break;
     std::printf("  %s [%s] %s\n", e.at.to_string().c_str(),
                 core::to_string(e.kind), sys.mon().subject_text(e).c_str());

@@ -47,7 +47,7 @@ int main() {
   std::printf("deadline misses: %zu\n",
               sys.mon().count(core::monitor_event_kind::deadline_miss));
   std::printf("\nFirst 30ms as a Gantt chart (one column = 0.5ms):\n%s\n",
-              sys.trace()
+              sys.mon()
                   .render_gantt(time_point::zero(), time_point::at(30_ms),
                                 500_us)
                   .c_str());

@@ -35,16 +35,8 @@ std::any& execution_context::task_state() { return sys_->task_state(task_); }
 // -------------------------------------------------------------- dispatcher --
 
 dispatcher::dispatcher(system& sys, runtime& rt, node_id node,
-                       processor& cpu, net_task& net, monitor& mon,
-                       const cost_model& costs, sim::trace_recorder* trace)
-    : sys_(&sys),
-      rt_(&rt),
-      node_(node),
-      cpu_(&cpu),
-      net_(&net),
-      mon_(&mon),
-      costs_(costs),
-      trace_(trace) {}
+                       processor& cpu, net_task& net, monitor& mon)
+    : sys_(&sys), rt_(&rt), node_(node), cpu_(&cpu), net_(&net), mon_(&mon) {}
 
 dispatcher::~dispatcher() {
   if (sched_thread_ != invalid_kthread && cpu_->exists(sched_thread_))
@@ -65,9 +57,9 @@ void dispatcher::on_control_frame(const sim::message& m) {
   }
 }
 
-void dispatcher::record_trace(sim::trace_kind k, std::string_view subject,
+void dispatcher::record_trace(monitor_event_kind k, std::string_view subject,
                               std::string_view detail) {
-  if (tracing()) trace_->record(rt_->now(), node_, k, subject, detail);
+  mon_->trace(rt_->now(), node_, k, subject, detail);
 }
 
 node_id dispatcher::eu_node(const task_graph& g, eu_index i) const {
@@ -167,9 +159,10 @@ void dispatcher::create_shard(const task_graph& g, instance_number k,
     // Fold the dispatcher activities this unit will cause into its demand
     // (section 4.1): action start/end plus one c_local / c_rel per outgoing
     // precedence constraint.
-    duration work = costs_.c_act_start + eu.actual + costs_.c_act_end;
+    const cost_model& costs = sys_->costs();
+    duration work = costs.c_act_start + eu.actual + costs.c_act_end;
     for (eu_index succ : g.succs(idx))
-      work += (eu_node(g, succ) == node_) ? costs_.c_local : costs_.c_rel;
+      work += (eu_node(g, succ) == node_) ? costs.c_local : costs.c_rel;
 
     eu.thread = cpu_->create(
         tracing() ? c.name + "#" + std::to_string(k) : std::string(),
@@ -304,7 +297,7 @@ void dispatcher::abort_shard(task_id t, instance_number k,
       ev.subject = mon_->intern(eu.info.eu_name);
       ev.detail = mon_->intern(reason);
       mon_->record(ev);
-      record_trace(sim::trace_kind::thread_killed, cpu_->name(eu.thread),
+      record_trace(monitor_event_kind::thread_killed, cpu_->name(eu.thread),
                    reason);
     }
     if (eu.resources_granted) {
@@ -318,7 +311,7 @@ void dispatcher::abort_shard(task_id t, instance_number k,
   drop_waiter_refs(key);
   release_shard(key);
   if (tracing())
-    record_trace(sim::trace_kind::instance_aborted,
+    record_trace(monitor_event_kind::instance_aborted,
                  "task" + std::to_string(t) + "#" + std::to_string(k), reason);
   reevaluate_resource_waiters();
 }
@@ -836,7 +829,7 @@ void dispatcher::shard_done(shard_key key) {
 void dispatcher::emit(notification_kind kind, const eu_rt& eu) {
   ++stats_.notifications;
   if (tracing())
-    record_trace(sim::trace_kind::notification,
+    record_trace(monitor_event_kind::notification,
                  std::string(eu.info.eu_name) + "#" +
                      std::to_string(eu.info.instance),
                  to_string(kind));
@@ -853,7 +846,7 @@ void dispatcher::emit(notification_kind kind, const eu_rt& eu) {
 void dispatcher::pump_scheduler() {
   if (policy_ == nullptr || sched_busy_ || fifo_.empty() || halted_) return;
   sched_busy_ = true;
-  cpu_->add_work(sched_thread_, costs_.scheduler_per_event);
+  cpu_->add_work(sched_thread_, sys_->costs().scheduler_per_event);
   cpu_->make_runnable(sched_thread_);
 }
 
@@ -874,7 +867,7 @@ void dispatcher::set_priority(kthread_id t, priority p) {
   eu_rt* eu = find_by_thread(t).second;
   if (eu == nullptr || !cpu_->exists(t)) return;  // terminated meanwhile
   if (tracing())
-    record_trace(sim::trace_kind::priority_change, cpu_->name(t),
+    record_trace(monitor_event_kind::priority_change, cpu_->name(t),
                  std::to_string(p));
   cpu_->set_priority(t, p);
   cpu_->set_threshold(t, p + eu->pt_boost);
@@ -885,7 +878,7 @@ void dispatcher::set_earliest(kthread_id t, time_point earliest) {
   if (eu == nullptr) return;
   if (eu->st != eu_state::waiting) return;  // only pre-start, per the paper
   if (tracing())
-    record_trace(sim::trace_kind::earliest_change, cpu_->name(t),
+    record_trace(monitor_event_kind::earliest_change, cpu_->name(t),
                  earliest.to_string());
   eu->earliest_abs = earliest;
   eu->protocol_held = false;

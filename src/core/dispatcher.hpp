@@ -45,14 +45,12 @@
 #include <utility>
 #include <vector>
 
-#include "core/cost_model.hpp"
 #include "core/monitor.hpp"
 #include "core/net_task.hpp"
 #include "core/processor.hpp"
 #include "core/scheduling.hpp"
 #include "core/task_model.hpp"
 #include "sim/runtime.hpp"
-#include "sim/trace.hpp"
 #include "util/ring.hpp"
 #include "util/sparse_map.hpp"
 
@@ -158,9 +156,10 @@ class execution_context {
 
 class dispatcher final : public scheduler_context {
  public:
+  /// Activity costs come from `sys.costs()`; monitored events and trace
+  /// records go to `mon`.
   dispatcher(system& sys, runtime& rt, node_id node, processor& cpu,
-             net_task& net, monitor& mon, const cost_model& costs,
-             sim::trace_recorder* trace);
+             net_task& net, monitor& mon);
   ~dispatcher() override;
   dispatcher(const dispatcher&) = delete;
   dispatcher& operator=(const dispatcher&) = delete;
@@ -364,10 +363,8 @@ class dispatcher final : public scheduler_context {
   bool stash_if_early(const control_token& tok);
 
   /// Trace records are kept: guard any subject or detail formatting on it.
-  [[nodiscard]] bool tracing() const {
-    return trace_ != nullptr && trace_->enabled();
-  }
-  void record_trace(sim::trace_kind k, std::string_view subject,
+  [[nodiscard]] bool tracing() const { return mon_->tracing(); }
+  void record_trace(monitor_event_kind k, std::string_view subject,
                     std::string_view detail = {});
   void cancel_timers(eu_rt& eu);
   void drop_waiter_refs(const shard_key& key);
@@ -379,8 +376,6 @@ class dispatcher final : public scheduler_context {
   processor* cpu_;
   net_task* net_;
   monitor* mon_;
-  cost_model costs_;
-  sim::trace_recorder* trace_;
 
   std::shared_ptr<policy> policy_;
   kthread_id sched_thread_;

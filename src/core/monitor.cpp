@@ -1,7 +1,11 @@
 #include "core/monitor.hpp"
 
 #include <algorithm>
+#include <map>
 #include <sstream>
+#include <utility>
+
+#include "util/error.hpp"
 
 namespace hades::core {
 
@@ -50,10 +54,28 @@ std::string monitor::detail_text(const monitor_event& e) const {
   return {};
 }
 
-void monitor::record(monitor_event e) {
+void monitor::append(monitor_event& e) {
   e.shard = rt_ != nullptr ? rt_->executing_shard() : 0;
   if (!events_.empty() && before(e, events_.back())) sorted_ = false;
   events_.push_back(e);
+}
+
+void monitor::trace(time_point at, node_id node, monitor_event_kind kind,
+                    std::string_view subject, std::string_view detail) {
+  if (!tracing_) return;
+  monitor_event e;
+  e.kind = kind;
+  e.at = at;
+  e.node = node;
+  e.subject = intern(subject);
+  e.detail = intern(detail);
+  append(e);
+}
+
+void monitor::record(monitor_event e) {
+  require(!traced_kinds.contains(e.kind),
+          "monitor::record: trace kinds enter through monitor::trace");
+  append(e);
   // Listeners see `e`, never a reference into the vector: a synchronous
   // listener may re-enter record (dependency_tracker aborting instances
   // records fresh orphan events), and the resulting push_back would
@@ -111,9 +133,10 @@ const std::vector<monitor_event>& monitor::events() const {
   return events_;
 }
 
-std::string monitor::render() const {
+std::string monitor::render(kind_set kinds) const {
   std::ostringstream os;
   for (const auto& e : events()) {
+    if (!kinds.contains(e.kind)) continue;
     os << e.at.to_string() << "  n";
     if (e.node == invalid_node)
       os << '?';
@@ -123,6 +146,63 @@ std::string monitor::render() const {
     const std::string detail = detail_text(e);
     if (!detail.empty()) os << " : " << detail;
     os << '\n';
+  }
+  return os.str();
+}
+
+std::string monitor::render_gantt(time_point t0, time_point t1,
+                                  duration column) const {
+  // Running intervals per subject, from the thread state transitions.
+  // Subjects are name-table views, which stay valid as long as the monitor.
+  std::map<std::string_view, std::vector<std::pair<time_point, time_point>>>
+      runs;
+  std::map<std::string_view, time_point> open;
+  for (const auto& e : events()) {
+    const std::string_view subject = name(e.subject);
+    if (e.kind == monitor_event_kind::thread_running) {
+      open[subject] = e.at;
+    } else if (e.kind == monitor_event_kind::thread_preempted ||
+               e.kind == monitor_event_kind::thread_blocked ||
+               e.kind == monitor_event_kind::thread_done ||
+               e.kind == monitor_event_kind::thread_killed) {
+      auto it = open.find(subject);
+      if (it != open.end()) {
+        runs[subject].emplace_back(it->second, e.at);
+        open.erase(it);
+      }
+    }
+  }
+  for (const auto& [subject, start] : open)
+    runs[subject].emplace_back(start, t1);
+
+  std::size_t name_width = 8;
+  for (const auto& [subject, r] : runs)
+    name_width = std::max(name_width, subject.size());
+
+  const auto span = t1 - t0;
+  const auto cols = static_cast<std::size_t>(std::max<std::int64_t>(
+      1, span.count() / std::max<std::int64_t>(1, column.count())));
+
+  std::ostringstream os;
+  os << std::string(name_width + 2, ' ') << t0.to_string() << " ... "
+     << t1.to_string() << "  (one column = " << column.to_string() << ")\n";
+  for (const auto& [subject, intervals] : runs) {
+    std::string row(cols, '.');
+    bool any = false;
+    for (const auto& [s, e] : intervals) {
+      const auto from = std::max(s, t0);
+      const auto to = std::min(e, t1);
+      if (to <= from) continue;
+      any = true;
+      auto c0 = static_cast<std::size_t>((from - t0).count() / column.count());
+      auto c1 = static_cast<std::size_t>((to - t0).count() / column.count());
+      c0 = std::min(c0, cols - 1);
+      c1 = std::min(std::max(c1, c0 + 1), cols);
+      for (std::size_t c = c0; c < c1; ++c) row[c] = '#';
+    }
+    if (!any) continue;  // subject never ran inside the window
+    os << subject << std::string(name_width - subject.size() + 2, ' ') << row
+       << '\n';
   }
   return os.str();
 }

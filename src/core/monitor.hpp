@@ -1,4 +1,5 @@
-// Monitoring service (paper section 3.2.1).
+// Monitoring service (paper section 3.2.1) and the run's one observation
+// log.
 //
 // The dispatcher monitors thread execution to detect: (i) deadline
 // violations; (ii) violations of the arrival law of task activation
@@ -10,6 +11,15 @@
 // detector additionally feeds node-suspicion events into the same stream,
 // so mode policies can react to partitions as well as crashes.
 //
+// The same log holds the execution trace: thread state transitions,
+// dispatcher/scheduler notifications, priority changes and service events
+// (the Figure 2 reproduction reads its Atv / priority-change / Trm
+// sequence from it, and `render_gantt` draws its timeline). Trace kinds are
+// kept only while tracing is on (`system::config::tracing`), enter through
+// `trace`, and never reach a listener or the forwarder. Monitoring kinds
+// enter through `record`. A reader that wants one family filters `events()`
+// by kind (`monitored_kinds`, `traced_kinds`).
+//
 // The monitor itself is an event sink with query helpers; the detectors
 // live in the dispatcher/system, which know the execution state.
 //
@@ -20,7 +30,7 @@
 // it. Node kinds (crash, recovery, suspicion) store no text at all: their
 // subject and detail are rebuilt from `node` and `subject_node`.
 //
-// Shard confinement (DESIGN.md): the monitor keeps one vector of events in
+// Shard confinement (DESIGN.md): the monitor keeps one vector of records in
 // execution order. Each record carries the shard that appended it
 // (`runtime::executing_shard()`, 0 when unbound), and `events()`
 // stable-sorts the vector in place by {time, shard} when something was
@@ -67,6 +77,23 @@ enum class monitor_event_kind : std::uint8_t {
   node_recover,
   node_suspected,    // fault detector: observer started suspecting `node`
   node_unsuspected,  // fault detector: observer heard `node` again
+  // Trace kinds (`monitor::trace`). The values above never move: fuzz
+  // coverage folds `1 << kind`, and the realtime codecs carry the number.
+  thread_created,
+  thread_runnable,
+  thread_running,
+  thread_preempted,
+  thread_blocked,
+  thread_done,
+  thread_killed,
+  notification,     // dispatcher -> scheduler FIFO insert
+  priority_change,  // scheduler primitive
+  earliest_change,  // scheduler primitive
+  instance_activated,
+  instance_completed,
+  instance_aborted,
+  service_event,
+  custom,  // the last kind
 };
 
 [[nodiscard]] constexpr const char* to_string(monitor_event_kind k) {
@@ -83,9 +110,27 @@ enum class monitor_event_kind : std::uint8_t {
     case monitor_event_kind::node_recover: return "node-recover";
     case monitor_event_kind::node_suspected: return "node-suspected";
     case monitor_event_kind::node_unsuspected: return "node-unsuspected";
+    case monitor_event_kind::thread_created: return "created";
+    case monitor_event_kind::thread_runnable: return "runnable";
+    case monitor_event_kind::thread_running: return "running";
+    case monitor_event_kind::thread_preempted: return "preempted";
+    case monitor_event_kind::thread_blocked: return "blocked";
+    case monitor_event_kind::thread_done: return "done";
+    case monitor_event_kind::thread_killed: return "killed";
+    case monitor_event_kind::notification: return "notification";
+    case monitor_event_kind::priority_change: return "priority-change";
+    case monitor_event_kind::earliest_change: return "earliest-change";
+    case monitor_event_kind::instance_activated: return "instance-activated";
+    case monitor_event_kind::instance_completed: return "instance-completed";
+    case monitor_event_kind::instance_aborted: return "instance-aborted";
+    case monitor_event_kind::service_event: return "service";
+    case monitor_event_kind::custom: return "custom";
   }
   return "?";
 }
+
+static_assert(static_cast<unsigned>(monitor_event_kind::custom) < 32,
+              "every kind needs a bit of kind_set");
 
 /// A set of monitor event kinds, one bit per kind.
 class kind_set {
@@ -93,6 +138,15 @@ class kind_set {
   constexpr kind_set() = default;
   constexpr kind_set(std::initializer_list<monitor_event_kind> kinds) {
     for (const monitor_event_kind k : kinds) bits_ |= bit(k);
+  }
+  /// Every kind from `first` through `last`, in declaration order.
+  [[nodiscard]] static constexpr kind_set span(monitor_event_kind first,
+                                               monitor_event_kind last) {
+    kind_set s;
+    for (auto k = static_cast<unsigned>(first);
+         k <= static_cast<unsigned>(last); ++k)
+      s.bits_ |= std::uint32_t{1} << k;
+    return s;
   }
   [[nodiscard]] constexpr bool contains(monitor_event_kind k) const {
     return (bits_ & bit(k)) != 0;
@@ -104,6 +158,14 @@ class kind_set {
   }
   std::uint32_t bits_ = 0;
 };
+
+/// What monitoring records (`monitor::record`): paper 3.2.1 and the fault
+/// detector.
+inline constexpr kind_set monitored_kinds = kind_set::span(
+    monitor_event_kind::deadline_miss, monitor_event_kind::node_unsuspected);
+/// What tracing records (`monitor::trace`).
+inline constexpr kind_set traced_kinds = kind_set::span(
+    monitor_event_kind::thread_created, monitor_event_kind::custom);
 
 /// Index into a monitor's name table (`monitor::intern`); 0 is the empty
 /// string. Ids are local to one monitor.
@@ -157,13 +219,27 @@ class monitor {
   [[nodiscard]] std::string subject_text(const monitor_event& e) const;
   [[nodiscard]] std::string detail_text(const monitor_event& e) const;
 
-  /// Append `e`, then notify synchronous listeners and schedule (or
-  /// forward) a redelivery for each routed listener that wants `e.kind`.
-  /// Listeners receive a copy, so a listener that records in turn is safe.
+  /// Append `e` (a monitored kind), then notify synchronous listeners and
+  /// schedule (or forward) a redelivery for each routed listener that wants
+  /// `e.kind`. Listeners receive a copy, so a listener that records in turn
+  /// is safe.
   void record(monitor_event e);
 
-  /// Subscribe to every future event, synchronously on the recording shard
-  /// (shard-local listeners and serial-mode services).
+  /// The tracing switch. A monitor starts with it off; the owning system
+  /// sets it from `config::tracing`.
+  void set_tracing(bool on) { tracing_ = on; }
+  [[nodiscard]] bool tracing() const { return tracing_; }
+
+  /// Append a trace record (a kind of `traced_kinds`) while tracing is on,
+  /// else do nothing. The subject and detail go through the name table,
+  /// and the record carries the executing shard as `record`'s do. No
+  /// listener and no forwarder ever sees it. Callers that format a subject
+  /// or detail guard the formatting on `tracing()`.
+  void trace(time_point at, node_id node, monitor_event_kind kind,
+             std::string_view subject, std::string_view detail = {});
+
+  /// Subscribe to every future monitored event, synchronously on the
+  /// recording shard (shard-local listeners and serial-mode services).
   void subscribe(listener l) { listeners_.push_back(std::move(l)); }
 
   /// Subscribe with deterministic cross-shard redelivery: the listener runs
@@ -201,8 +277,8 @@ class monitor {
   void deliver_forwarded(monitor_event e, std::string_view subject,
                          std::string_view detail, node_id home);
 
-  /// Every event, ordered by {time, shard, per-shard sequence}. Sorted in
-  /// place when needed; query between runs.
+  /// The log: every monitored and trace record, ordered by {time, shard,
+  /// per-shard sequence}. Sorted in place when needed; query between runs.
   [[nodiscard]] const std::vector<monitor_event>& events() const;
 
   [[nodiscard]] std::size_t count(monitor_event_kind k) const {
@@ -218,14 +294,21 @@ class monitor {
       if (e.kind == k && e.task == t) ++n;
     return n;
   }
-  /// Drop the events. The name table stays: ids held elsewhere remain
+  /// Drop the records. The name table stays: ids held elsewhere remain
   /// readable.
   void clear() {
     events_.clear();
     sorted_ = true;
   }
 
-  [[nodiscard]] std::string render() const;
+  /// One line per record of `kinds`, in log order.
+  [[nodiscard]] std::string render(kind_set kinds) const;
+
+  /// ASCII Gantt chart of thread execution between t0 and t1, one column
+  /// per `column`, built from the thread trace records: one row per subject
+  /// that ran inside the window, in subject order.
+  [[nodiscard]] std::string render_gantt(time_point t0, time_point t1,
+                                         duration column) const;
 
  private:
   struct routed_listener {
@@ -241,9 +324,11 @@ class monitor {
     }
   };
 
+  void append(monitor_event& e);
   void redeliver(std::size_t listener_index, const monitor_event& e);
 
   hades::runtime* rt_ = nullptr;
+  bool tracing_ = false;
   // Execution order; `events()` sorts it when `sorted_` is false.
   mutable std::vector<monitor_event> events_;
   mutable bool sorted_ = true;

@@ -5,7 +5,7 @@ namespace hades::core {
 net_task::net_task(processor& cpu, sim::network& net, node_id node,
                    const std::vector<channel_handler>& channels,
                    const cost_model& costs, priority prio)
-    : cpu_(&cpu), net_(&net), node_(node), table_(&channels), costs_(costs) {
+    : cpu_(&cpu), net_(&net), node_(node), table_(&channels), costs_(&costs) {
   thread_ = cpu_->create("net_mngt@" + std::to_string(node), prio, prio,
                          duration::zero(), [this] { transmit_head(); });
   net_->attach(node_, [this](sim::message& m) { on_frame(m); });
@@ -33,7 +33,7 @@ void net_task::send_all(int channel, const sim::wire_payload& payload,
 void net_task::pump() {
   if (halted_ || thread_busy_ || queue_.empty()) return;
   thread_busy_ = true;
-  cpu_->add_work(thread_, costs_.net_task_per_msg);
+  cpu_->add_work(thread_, costs_->net_task_per_msg);
   cpu_->make_runnable(thread_);
 }
 
@@ -54,7 +54,7 @@ void net_task::on_frame(sim::message& m) {
   // frame moves into the handler's body: the wire is done with it.
   cpu_->post_interrupt(
       cpu_->tracing() ? "nic@" + std::to_string(node_) : std::string(),
-      costs_.w_net, [this, m = std::move(m)] {
+      costs_->w_net, [this, m = std::move(m)] {
         if (halted_) return;
         ++received_;
         const auto ch = static_cast<std::size_t>(m.channel);

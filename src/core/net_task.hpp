@@ -35,7 +35,8 @@ using channel_handler = std::function<void(node_id, const sim::message&)>;
 class net_task {
  public:
   /// `channels` is the owning system's channel table, indexed by channel
-  /// id; it outlives the task and is only read here.
+  /// id, and `costs` its cost model; both outlive the task and are only
+  /// read here.
   net_task(processor& cpu, sim::network& net, node_id node,
            const std::vector<channel_handler>& channels,
            const cost_model& costs, priority prio = prio::net_task);
@@ -80,7 +81,7 @@ class net_task {
   sim::network* net_;
   node_id node_;
   const std::vector<channel_handler>* table_;  // the system's, by channel
-  cost_model costs_;
+  const cost_model* costs_;                    // the system's
   kthread_id thread_;
   bool thread_busy_ = false;
   bool halted_ = false;

@@ -20,9 +20,9 @@ const processor::thread& processor::get(kthread_id t) const {
   return *th;
 }
 
-void processor::trace(sim::trace_kind k, std::string_view subject,
+void processor::trace(monitor_event_kind k, std::string_view subject,
                       std::string_view detail) {
-  if (tracing()) trace_->record(rt_->now(), node_, k, subject, detail);
+  if (tracing()) mon_->trace(rt_->now(), node_, k, subject, detail);
 }
 
 void processor::enqueue(const thread& th, kthread_id t) {
@@ -64,7 +64,7 @@ kthread_id processor::create(std::string_view name, priority prio,
   th.pt = std::max(pt, prio);
   th.remaining = work;
   th.on_done = std::move(on_done);
-  trace(sim::trace_kind::thread_created, th.name);
+  trace(monitor_event_kind::thread_created, th.name);
   threads_[slot] = std::move(th);
   return threads_[slot].id;
 }
@@ -86,7 +86,7 @@ void processor::make_runnable(kthread_id t) {
   th.st = state::queued;
   th.queue_seq = next_queue_seq_++;
   enqueue(th, t);
-  trace(sim::trace_kind::thread_runnable, th.name);
+  trace(monitor_event_kind::thread_runnable, th.name);
   reschedule();
 }
 
@@ -116,7 +116,7 @@ void processor::requeue(kthread_id t) {
   enqueue(th, t);
   running_ = invalid_kthread;
   ++stats_.preemptions;
-  trace(sim::trace_kind::thread_preempted, th.name);
+  trace(monitor_event_kind::thread_preempted, th.name);
 }
 
 void processor::start_burst(kthread_id t) {
@@ -128,7 +128,7 @@ void processor::start_burst(kthread_id t) {
   if (th.burst_cs > zero) ++stats_.context_switches;
   last_on_cpu_ = t;
   th.burst_start = rt_->now();
-  trace(sim::trace_kind::thread_running, th.name);
+  trace(monitor_event_kind::thread_running, th.name);
   th.completion = rt_->at(rt_->now() + th.burst_cs + th.remaining,
                            [this, t] { complete(t); });
 }
@@ -143,7 +143,7 @@ void processor::complete(kthread_id t) {
   th.st = state::done;
   th.boosted = false;
   running_ = invalid_kthread;
-  trace(sim::trace_kind::thread_done, th.name);
+  trace(monitor_event_kind::thread_done, th.name);
   // The callback may destroy this thread or create/release others (growing
   // the thread table), so it runs from a local and the thread is found
   // again afterwards. Moved back if the thread survives: add_work can
@@ -175,7 +175,7 @@ void processor::reschedule() {
       // Paused by an interrupt burst that has now drained: resume.
       run.burst_cs = zero;  // returning from interrupt, no full switch
       run.burst_start = rt_->now();
-      trace(sim::trace_kind::thread_running, run.name);
+      trace(monitor_event_kind::thread_running, run.name);
       run.completion =
           rt_->at(rt_->now() + run.remaining, [this, t = running_] { complete(t); });
     }
@@ -192,13 +192,13 @@ void processor::suspend(kthread_id t) {
       pause_running();
       running_ = invalid_kthread;
       th.st = state::suspended;
-      trace(sim::trace_kind::thread_blocked, th.name);
+      trace(monitor_event_kind::thread_blocked, th.name);
       reschedule();
       return;
     case state::queued:
       dequeue(th);
       th.st = state::suspended;
-      trace(sim::trace_kind::thread_blocked, th.name);
+      trace(monitor_event_kind::thread_blocked, th.name);
       return;
     case state::suspended:
     case state::done:
@@ -258,7 +258,7 @@ void processor::post_interrupt(std::string_view name, duration wcet,
   ++stats_.interrupts;
   stats_.interrupt_time += wcet;
   stats_.busy += wcet;
-  trace(sim::trace_kind::custom, name, "interrupt");
+  trace(monitor_event_kind::custom, name, "interrupt");
 
   // The body waits in the FIFO; the completion event carries only `this`
   // and the post sequence number, so it stays inline in the event pool

@@ -12,7 +12,8 @@
 //
 // Execution is modelled in virtual time: a thread owns `remaining` work; a
 // completion event is scheduled while it runs and re-computed whenever it is
-// preempted or paused by an interrupt burst.
+// preempted or paused by an interrupt burst. Thread state transitions and
+// interrupts are trace records in the system's monitor while tracing is on.
 #pragma once
 
 #include <cstdint>
@@ -21,8 +22,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/monitor.hpp"
 #include "sim/runtime.hpp"
-#include "sim/trace.hpp"
 #include "util/error.hpp"
 #include "util/ring.hpp"
 #include "util/time.hpp"
@@ -36,9 +37,10 @@ struct kernel_params {
 
 class processor {
  public:
+  /// `mon` (optional) keeps the trace records; it outlives the processor.
   processor(runtime& rt, node_id node, kernel_params params,
-            sim::trace_recorder* trace = nullptr)
-      : rt_(&rt), node_(node), params_(params), trace_(trace) {}
+            monitor* mon = nullptr)
+      : rt_(&rt), node_(node), params_(params), mon_(mon) {}
   processor(const processor&) = delete;
   processor& operator=(const processor&) = delete;
 
@@ -78,7 +80,7 @@ class processor {
 
   /// True when this processor's trace records are kept.
   [[nodiscard]] bool tracing() const {
-    return trace_ != nullptr && trace_->enabled();
+    return mon_ != nullptr && mon_->tracing();
   }
 
   // --- queries -------------------------------------------------------------
@@ -164,7 +166,7 @@ class processor {
   void complete(kthread_id t);
   void finish_interrupt(std::uint64_t seq);
   void reschedule();
-  void trace(sim::trace_kind k, std::string_view subject,
+  void trace(monitor_event_kind k, std::string_view subject,
              std::string_view detail = {});
   [[nodiscard]] bool irq_active() const {
     return rt_->now() < irq_busy_until_;
@@ -173,7 +175,7 @@ class processor {
   runtime* rt_;
   node_id node_;
   kernel_params params_;
-  sim::trace_recorder* trace_;
+  monitor* mon_;
 
   // The thread table: a slot per thread, found by `slot_of(id)` and checked
   // against the slot's current id. A destroyed thread's slot keeps its

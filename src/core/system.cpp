@@ -29,11 +29,10 @@ std::unique_ptr<hades::runtime> system::make_backend(const config& cfg,
 system::system(std::size_t node_count, config cfg) : cfg_(std::move(cfg)) {
   validate(node_count > 0, "system: need at least one node");
   rt_ = make_backend(cfg_, node_count);
-  // Shard-confined sinks: each record is tagged with the executing shard
+  // The shard-confined log: each record is tagged with the executing shard
   // (single-engine backends have exactly one).
-  trace_.bind(*rt_);
-  trace_.enable(cfg_.tracing);
   monitor_.bind(*rt_);
+  monitor_.set_tracing(cfg_.tracing);
   net_ = std::make_unique<sim::network>(*rt_, cfg_.net, cfg_.seed);
   net_->reserve_nodes(node_count);
 
@@ -43,7 +42,7 @@ system::system(std::size_t node_count, config cfg) : cfg_(std::move(cfg)) {
   for (std::size_t n = 0; n < node_count; ++n) {
     auto ctx = std::make_unique<node_ctx>();
     ctx->cpu = std::make_unique<processor>(*rt_, static_cast<node_id>(n), kp,
-                                           &trace_);
+                                           &monitor_);
     const double drift =
         n < cfg_.clock_drift.size() ? cfg_.clock_drift[n] : 0.0;
     ctx->clock = std::make_unique<sim::hardware_clock>(*rt_, drift);
@@ -52,8 +51,7 @@ system::system(std::size_t node_count, config cfg) : cfg_(std::move(cfg)) {
                                           cfg_.costs);
     ctx->disp = std::make_unique<dispatcher>(*this, *rt_,
                                              static_cast<node_id>(n),
-                                             *ctx->cpu, *ctx->net, monitor_,
-                                             cfg_.costs, &trace_);
+                                             *ctx->cpu, *ctx->net, monitor_);
     nodes_.push_back(std::move(ctx));
     arm_clock_interrupts(static_cast<node_id>(n));
   }
@@ -271,9 +269,9 @@ std::optional<instance_number> system::activate_internal(
         rt_->at_node(home, now + g.deadline() + duration::nanoseconds(1),
                      [this, t, k] { on_deadline(t, k); });
   ++st.activations;
-  if (trace_.enabled())
-    trace_.record(now, home, sim::trace_kind::instance_activated,
-                  g.name() + "#" + std::to_string(k));
+  if (monitor_.tracing())
+    monitor_.trace(now, home, monitor_event_kind::instance_activated,
+                   g.name() + "#" + std::to_string(k));
 
   // Charge c_inv_start in kernel context on the home node, then create the
   // shards on every involved node (they share the activation date `now`):
@@ -372,10 +370,10 @@ void system::finish_instance(task_id t, instance_number k) {
   task_stats& st = te.stats;
   ++st.completions;
   st.response_times.add(rt_->now() - activation);
-  if (trace_.enabled())
-    trace_.record(rt_->now(), g.home_node(),
-                  sim::trace_kind::instance_completed,
-                  g.name() + "#" + std::to_string(k));
+  if (monitor_.tracing())
+    monitor_.trace(rt_->now(), g.home_node(),
+                   monitor_event_kind::instance_completed,
+                   g.name() + "#" + std::to_string(k));
   if (const auto& retire = disp(g.home_node()).retire_hook())
     retire(t, k, activation, rt_->now(), /*completed=*/true);
 

@@ -8,7 +8,9 @@
 // all checked against the declared arrival law, paper 3.1.2), the keeper of
 // system-wide condition variables, and the seat of cross-node instance
 // bookkeeping (deadline timers, shard completion, synchronous-invocation
-// returns) plus the kernel background activities of section 4.2.
+// returns) plus the kernel background activities of section 4.2. Its
+// monitor keeps the run's one observation log: monitored events always,
+// trace records while `config::tracing` is on.
 #pragma once
 
 #include <any>
@@ -30,7 +32,6 @@
 #include "sim/hardware_clock.hpp"
 #include "sim/network.hpp"
 #include "sim/runtime.hpp"
-#include "sim/trace.hpp"
 #include "util/sparse_map.hpp"
 #include "util/stats.hpp"
 
@@ -45,6 +46,7 @@ class system {
     bool kernel_background = true;     // clock interrupt per p_clk
     bool reject_arrival_violations = true;
     std::uint64_t seed = 42;
+    /// Keep trace records in the monitor (`monitor::set_tracing`).
     bool tracing = true;
     /// Runtime backend selection through the factory registry
     /// (`hades::runtime::make`; DESIGN.md, "Runtime factory & injector
@@ -68,7 +70,6 @@ class system {
   /// the discrete-event engine today; nothing outside src/sim may assume so.
   [[nodiscard]] hades::runtime& engine() { return *rt_; }
   [[nodiscard]] sim::network& network() { return *net_; }
-  [[nodiscard]] sim::trace_recorder& trace() { return trace_; }
   [[nodiscard]] monitor& mon() { return monitor_; }
   [[nodiscard]] processor& cpu(node_id n) { return *nodes_.at(n)->cpu; }
   [[nodiscard]] dispatcher& disp(node_id n) { return *nodes_.at(n)->disp; }
@@ -285,7 +286,6 @@ class system {
 
   config cfg_;
   std::unique_ptr<hades::runtime> rt_;
-  sim::trace_recorder trace_;
   monitor monitor_;
   std::unique_ptr<sim::network> net_;
   // Channel-indexed inbound handlers shared by every node's net_task.

@@ -16,7 +16,6 @@
 #include "sim/hardware_clock.hpp"
 #include "sim/network.hpp"
 #include "sim/runtime.hpp"
-#include "sim/trace.hpp"
 
 #include "core/cost_model.hpp"
 #include "core/dispatcher.hpp"

@@ -160,7 +160,12 @@ monitor_event_text decode_monitor_event(const std::byte* data,
   reader r{data, len};
   monitor_event_text t;
   core::monitor_event& e = t.event;
-  e.kind = static_cast<core::monitor_event_kind>(r.get<std::uint32_t>());
+  // Only monitored kinds are forwarded: trace records reach no forwarder.
+  const auto kind = r.get<std::uint32_t>();
+  validate(kind <= static_cast<std::uint32_t>(
+                       core::monitor_event_kind::node_unsuspected),
+           "rt codec: not a monitored event kind");
+  e.kind = static_cast<core::monitor_event_kind>(kind);
   e.at = time_point::at(duration::nanoseconds(r.get<std::int64_t>()));
   e.node = r.get<node_id>();
   e.task = r.get<task_id>();

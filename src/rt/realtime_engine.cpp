@@ -141,6 +141,8 @@ class realtime_engine final : public hades::runtime {
     return core_.executed();
   }
 
+  [[nodiscard]] const hdr_histogram& lateness() const { return lateness_; }
+
  private:
   [[nodiscard]] std::uint32_t owner(node_id n) const {
     if (o_.process_count == 1) return 0;
@@ -172,6 +174,10 @@ class realtime_engine final : public hades::runtime {
   /// inside a callback). `lk` holds mu_ again on return.
   void fire_unlocked(std::unique_lock<std::mutex>& lk, time_point limit) {
     event_fn fn = core_.take_due(limit);
+    // The core's clock now reads the event's date.
+    lateness_.record(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                         steady::now() - real_deadline(core_.now()))
+                         .count());
     struct relock {
       realtime_engine* e;
       std::unique_lock<std::mutex>& lk;
@@ -205,6 +211,7 @@ class realtime_engine final : public hades::runtime {
   mutable std::mutex mu_;  // guards core_
   std::condition_variable cv_;
   sim::engine core_;
+  hdr_histogram lateness_;  // written under mu_, by the run loop
   mutable std::atomic<std::int64_t> watermark_{0};
   std::atomic<std::thread::id> exec_tid_{};
 };
@@ -214,6 +221,12 @@ class realtime_engine final : public hades::runtime {
 std::unique_ptr<hades::runtime> make_realtime_engine(
     const hades::runtime::options& o) {
   return std::make_unique<realtime_engine>(o);
+}
+
+const hdr_histogram& wake_lateness(const hades::runtime& rt) {
+  const auto* e = dynamic_cast<const realtime_engine*>(&rt);
+  validate(e != nullptr, "wake_lateness: not a realtime backend");
+  return e->lateness();
 }
 
 }  // namespace hades::rt

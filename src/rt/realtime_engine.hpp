@@ -34,11 +34,15 @@
 //     dropped (returns `invalid_event`) — the owner runs the equivalent
 //     chain; what must cross processes rides the socket transport, not the
 //     scheduler.
+//   * every fired event records its wake lateness (`wake_lateness`): how
+//     long after its date's real deadline its callback started. The
+//     histogram is a fixed-size member, so recording allocates nothing.
 #pragma once
 
 #include <memory>
 
 #include "sim/runtime.hpp"
+#include "util/hdr_histogram.hpp"
 
 namespace hades::rt {
 
@@ -46,6 +50,13 @@ namespace hades::rt {
 /// `process_index`, `process_count`, `node_shard` and `node_count`).
 std::unique_ptr<hades::runtime> make_realtime_engine(
     const hades::runtime::options& o);
+
+/// The wake lateness of every event `rt` has fired, in real nanoseconds:
+/// for each event, the real time from its date's real deadline
+/// (`epoch + date * time_scale`) to the moment its callback starts. `rt`
+/// must come from `make_realtime_engine`. Read it between runs, on the
+/// thread that drives the engine.
+[[nodiscard]] const hdr_histogram& wake_lateness(const hades::runtime& rt);
 
 /// Ensure "sim", "sharded", and "realtime" are registered with
 /// `hades::runtime::make`'s registry. Idempotent; `runtime::make` and

@@ -144,8 +144,10 @@ void clock_sync_service::apply_correction(node_id n, duration correction) {
   sys_->clock(n).adjust(correction);
   corrections_[n].add(static_cast<double>(std::abs(correction.count())));
   ++rounds_;
-  sys_->trace().record(sys_->now(), n, sim::trace_kind::service_event,
-                       "clock_sync", "correction " + correction.to_string());
+  core::monitor& mon = sys_->mon();
+  if (mon.tracing())
+    mon.trace(sys_->now(), n, core::monitor_event_kind::service_event,
+              "clock_sync", "correction " + correction.to_string());
 }
 
 void clock_sync_service::conclude_round(node_id n, std::uint64_t round) {

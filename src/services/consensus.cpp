@@ -60,9 +60,10 @@ void consensus_service::finish() {
     if (sys_->crashed(n) || values.empty()) continue;
     decided_[n] = true;
     decision_[n] = *std::min_element(values.begin(), values.end());
-    sys_->trace().record(sys_->now(), n, sim::trace_kind::service_event,
-                         "consensus",
-                         "decide " + std::to_string(decision_[n]));
+    core::monitor& mon = sys_->mon();
+    if (mon.tracing())
+      mon.trace(sys_->now(), n, core::monitor_event_kind::service_event,
+                "consensus", "decide " + std::to_string(decision_[n]));
     for (const auto& cb : callbacks_) cb(n, decision_[n]);
   }
 }

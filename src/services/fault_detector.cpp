@@ -59,9 +59,6 @@ void fault_detector::suspect(node_id observer, node_id subject) {
   if (o.suspicion.contains(subject)) return;
   const time_point now = sys_->now();
   o.suspicion[subject] = now;
-  sys_->trace().record(now, observer, sim::trace_kind::service_event,
-                       "fault_detector",
-                       "suspect node" + std::to_string(subject));
   sys_->mon().record(suspicion_event(core::monitor_event_kind::node_suspected,
                                      now, observer, subject));
   for (const auto& cb : callbacks_) cb(observer, subject, now);
@@ -71,9 +68,6 @@ void fault_detector::unsuspect(node_id observer, node_id subject) {
   obs_[observer].suspicion.erase(subject);
   ++recoveries_;
   const time_point now = sys_->now();
-  sys_->trace().record(now, observer, sim::trace_kind::service_event,
-                       "fault_detector",
-                       "unsuspect node" + std::to_string(subject));
   sys_->mon().record(suspicion_event(
       core::monitor_event_kind::node_unsuspected, now, observer, subject));
   for (const auto& cb : recover_callbacks_) cb(observer, subject, now);

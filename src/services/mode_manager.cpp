@@ -115,9 +115,11 @@ void mode_manager::switch_to(op_mode m) {
       sys_->net(home_).send(h, ch_mode_capture, std::move(rq), 48);
     }
   }
-  sys_->trace().record(sys_->now(), home_, sim::trace_kind::service_event,
-                       "mode_manager",
-                       std::string(to_string(from)) + " -> " + to_string(m));
+  core::monitor& mon = sys_->mon();
+  if (mon.tracing())
+    mon.trace(sys_->now(), home_, core::monitor_event_kind::service_event,
+              "mode_manager",
+              std::string(to_string(from)) + " -> " + to_string(m));
   for (const auto& h : hooks_) h(from, m, sys_->now());
 }
 

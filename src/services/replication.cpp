@@ -128,8 +128,9 @@ void replicated_service::promote(node_id failed) {
   for (node_id rep : params_.replicas) {
     if (rep == failed || sys_->crashed(rep)) continue;
     primary_ = rep;
-    sys_->trace().record(sys_->now(), rep, sim::trace_kind::service_event,
-                         "replication", "promoted to primary");
+    sys_->mon().trace(sys_->now(), rep,
+                      core::monitor_event_kind::service_event, "replication",
+                      "promoted to primary");
     // Re-route requests stranded during the failover window.
     auto pending = std::move(pending_);
     pending_.clear();

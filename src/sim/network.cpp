@@ -191,17 +191,4 @@ std::size_t network::fan_out(node_id src, int channel,
   return n;
 }
 
-std::vector<std::uint64_t> network::broadcast(node_id src, int channel,
-                                              const wire_payload& payload,
-                                              std::size_t size_bytes) {
-  source_state& s = source(src);
-  const time_point now = rt_->now();
-  std::vector<std::uint64_t> ids;
-  for (node_id dst = 0; dst < handlers_.size(); ++dst) {
-    if (dst == src || !handlers_[dst]) continue;
-    ids.push_back(submit(s, now, src, dst, channel, payload, size_bytes));
-  }
-  return ids;
-}
-
 }  // namespace hades::sim

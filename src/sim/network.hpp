@@ -145,12 +145,6 @@ class network {
   std::size_t fan_out(node_id src, int channel, const wire_payload& payload,
                       std::size_t size_bytes = 64);
 
-  /// `fan_out` variant collecting per-destination message ids (allocates
-  /// the id vector; tests and diagnostics only).
-  std::vector<std::uint64_t> broadcast(node_id src, int channel,
-                                       const wire_payload& payload,
-                                       std::size_t size_bytes = 64);
-
   // --- fault injection -------------------------------------------------
   // The globally-read toggles (node-down, partition, omission rate,
   // performance faults) each have a date-taking variant programming the
@@ -366,8 +360,8 @@ class network {
   void deliver_now(message& m);
   bool should_drop(source_state& s, node_id src, node_id dst, int channel,
                    time_point now);
-  /// The send fast path. `fan_out`/`broadcast` hoist the clock read and the
-  /// source lookup out of their per-destination loop.
+  /// The send fast path. `fan_out` hoists the clock read and the source
+  /// lookup out of its per-destination loop.
   std::uint64_t submit(source_state& s, time_point now, node_id src,
                        node_id dst, int channel, wire_payload payload,
                        std::size_t size_bytes);

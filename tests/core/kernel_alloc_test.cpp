@@ -5,9 +5,10 @@
 // threads through make_runnable / set_priority / completion, and run task
 // instances from activation to completion (shards, threads, scheduler
 // notifications, precedence tokens, instance records), without a single
-// heap allocation. Reading the monitor and the trace back must not
-// allocate either, nor recording a monitor event once its names are
-// interned, an overloaded gateway's sheds included. Underneath it all, the
+// heap allocation. Reading the observation log back must not allocate
+// either, nor recording a monitor event once its names are interned, an
+// overloaded gateway's sheds included, nor a service's per-round work
+// while it has no trace text to format. Underneath it all, the
 // event core schedules, cancels and runs from its pools. The counting
 // global operator new (bench/alloc_count.hpp) sees every allocation in the
 // process; each phase runs once to warm the pools, rings and queues up to
@@ -319,12 +320,13 @@ TEST(KernelAllocTest, GatewaySheddingShortWarmUpAllocatesNothing) {
   EXPECT_EQ(gateway_shedding_window_allocations(200_ms), 0u);
 }
 
-// The observation sinks keep one vector each. A single engine appends in
-// time order, so reading them back sorts nothing and copies nothing — not
-// even subjects too long for the small-string buffer.
+// The observation log is one vector of monitored and trace records. A
+// single engine appends in time order, so reading it back sorts nothing and
+// copies nothing — not even subjects too long for the small-string buffer,
+// on either kind of record.
 TEST(KernelAllocTest, ReadingTheSinksAllocatesNothing) {
   system sys(2, quiet_kernel());
-  sys.trace().enable(true);
+  sys.mon().set_tracing(true);
   const std::string subject(48, 's');
   const auto record_burst = [&] {
     for (int i = 0; i < 32; ++i) {
@@ -337,22 +339,53 @@ TEST(KernelAllocTest, ReadingTheSinksAllocatesNothing) {
         e.node = n;
         e.subject = sys.mon().intern(subject);
         sys.mon().record(e);
-        sys.trace().record(sys.now(), n, sim::trace_kind::custom, subject);
+        sys.mon().trace(sys.now(), n, monitor_event_kind::custom, subject);
       });
     }
     sys.run_for(1_ms);
   };
-  const auto read_sinks = [&] {
-    return sys.mon().events().size() + sys.trace().events().size();
-  };
+  const auto read_log = [&] { return sys.mon().events().size(); };
 
-  record_burst();  // warm-up: the first read of each sink
-  const std::size_t warm = read_sinks();
+  record_burst();  // warm-up: the first read of the log
+  const std::size_t warm = read_log();
   record_burst();
   std::size_t after = 0;
-  EXPECT_EQ(alloc_count::calls_during([&] { after = read_sinks(); }), 0u);
+  EXPECT_EQ(alloc_count::calls_during([&] { after = read_log(); }), 0u);
   EXPECT_GE(after, warm + 64);
-  EXPECT_EQ(sys.mon().subject_text(sys.mon().events().back()), subject);
+  std::size_t monitored = 0, traced = 0;
+  for (const monitor_event& e : sys.mon().events()) {
+    if (sys.mon().name(e.subject) != subject) continue;
+    monitored += e.kind == monitor_event_kind::deadline_miss;
+    traced += e.kind == monitor_event_kind::custom;
+  }
+  EXPECT_EQ(monitored, 64u);
+  EXPECT_EQ(traced, 64u);
+}
+
+// With tracing off, a service builds no trace text: a warmed 200-node
+// clustered clock sync (clusters of 50, f = 1, drifting clocks) applies
+// its corrections with fewer allocations than a tenth of their number.
+// Formatting "correction <value>" for every one costs about one each.
+TEST(KernelAllocTest, ClockSyncCorrectionsFormatNoTraceText) {
+  constexpr std::size_t kNodes = 200;
+  system::config cfg = quiet_kernel();
+  for (std::size_t n = 0; n < kNodes; ++n)
+    cfg.clock_drift.push_back(1e-5 * (static_cast<double>(n % 7) - 3.0));
+  system sys(kNodes, cfg);
+  svc::clock_sync_service::params p;
+  p.cluster_size = 50;
+  p.max_faulty = 1;
+  svc::clock_sync_service clocks(sys, p);
+  clocks.start();
+
+  sys.run_for(1_s);  // warm-up: inboxes, rings and pools at their high-water
+  const std::uint64_t warm = clocks.rounds_completed();
+  ASSERT_GT(warm, 0u);
+  const std::uint64_t allocs =
+      alloc_count::calls_during([&] { sys.run_for(1_s); });
+  const std::uint64_t corrections = clocks.rounds_completed() - warm;
+  EXPECT_GE(corrections, 1000u);
+  EXPECT_LT(allocs * 10, corrections) << allocs << " allocations";
 }
 
 // A warmed total-order broadcast storm under tree diffusion: relaying

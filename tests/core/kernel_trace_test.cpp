@@ -1,11 +1,12 @@
 // Pins what tracing records for the simulated kernel.
 //
-// The per-event paths build trace subjects only while the recorder is on;
-// this test keeps those guards honest from the other side. A fixed two-node
+// The per-event paths build trace subjects only while tracing is on; this
+// test keeps those guards honest from the other side. A fixed two-node
 // system — clock and NIC interrupts, invocation start/end handlers, a
 // remote precedence, EDF priority changes and a deadline abort — must
-// render exactly the log below, which was recorded before the guards went
-// in (interrupt subjects such as `nic@1` and `clk@0` included).
+// render exactly the log below from its trace records, which was recorded
+// before the guards went in (interrupt subjects such as `nic@1` and `clk@0`
+// included) and while trace records still lived in a sink of their own.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -59,7 +60,7 @@ std::string traced_run() {
   sys.activate_at(tl, time_point::at(100_us));
   sys.activate_at(tu, time_point::at(200_us));
   sys.run_for(2500_us);  // clock ticks at 1 ms and 2 ms on both nodes
-  return sys.trace().render_log();
+  return sys.mon().render(traced_kinds);
 }
 
 constexpr const char* kRecorded = R"log(t=0ns  n0  [created] net_mngt@0

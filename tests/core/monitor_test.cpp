@@ -1,7 +1,7 @@
 // Shard-tagged monitor: {time, shard, per-shard sequence} event order,
 // deterministic routed subscriptions filtered by kind (DESIGN.md, "Shard
-// confinement") and the name table behind fixed-size records (DESIGN.md,
-// "Monitor records").
+// confinement") and the name table behind fixed-size records. The trace
+// records that share the log are tested in tests/sim/trace_test.cpp.
 #include "core/monitor.hpp"
 
 #include <gtest/gtest.h>

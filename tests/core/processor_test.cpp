@@ -12,9 +12,10 @@ namespace {
 using namespace hades::literals;
 
 struct fixture {
+  fixture() { mon.set_tracing(true); }
   sim::engine eng;
-  sim::trace_recorder trace;
-  processor cpu{eng, 0, kernel_params{}, &trace};
+  monitor mon;
+  processor cpu{eng, 0, kernel_params{}, &mon};
 };
 
 struct fixture_cs {
@@ -367,10 +368,11 @@ TEST(ProcessorTest, TraceRecordsLifecycle) {
   auto t = f.cpu.create("t", 5, 5, 1_ms, nullptr);
   f.cpu.make_runnable(t);
   f.eng.run();
-  EXPECT_EQ(f.trace.of_kind(sim::trace_kind::thread_created).size(), 1u);
-  EXPECT_EQ(f.trace.of_kind(sim::trace_kind::thread_runnable).size(), 1u);
-  EXPECT_EQ(f.trace.of_kind(sim::trace_kind::thread_running).size(), 1u);
-  EXPECT_EQ(f.trace.of_kind(sim::trace_kind::thread_done).size(), 1u);
+  EXPECT_EQ(f.mon.count(monitor_event_kind::thread_created), 1u);
+  EXPECT_EQ(f.mon.count(monitor_event_kind::thread_runnable), 1u);
+  EXPECT_EQ(f.mon.count(monitor_event_kind::thread_running), 1u);
+  EXPECT_EQ(f.mon.count(monitor_event_kind::thread_done), 1u);
+  EXPECT_EQ(f.mon.events().size(), 4u);
 }
 
 }  // namespace

@@ -155,8 +155,10 @@ TEST(EndToEndTest, DeterministicReplayOfAComplexSystem) {
       sys.attach_policy(n, std::make_shared<sched::edf_policy>());
     sys.network().set_omission_rate(0.05);
     sys.run_for(700_ms);
-    return std::make_tuple(sys.stats_for(id).completions,
-                           sys.mon().events().size(),
+    std::size_t monitored = 0;
+    for (const auto& e : sys.mon().events())
+      monitored += core::monitored_kinds.contains(e.kind);
+    return std::make_tuple(sys.stats_for(id).completions, monitored,
                            sys.network().stats().dropped,
                            sys.engine().executed());
   };
@@ -191,10 +193,11 @@ TEST(EndToEndTest, SyncInvocationAcrossNodes) {
 }
 
 // The monitor's text, pinned: one small system per fault class, each event
-// written by its real record site, covering all 12 kinds (three wordings of
-// `instance_rejected` and two of `orphan_killed`). The expected text was
-// rendered by the string-carrying records that interned names replaced;
-// any drift in a subject or detail fails here.
+// written by its real record site, covering all 12 monitored kinds (three
+// wordings of `instance_rejected` and two of `orphan_killed`). The expected
+// text was rendered by the string-carrying records that interned names
+// replaced; any drift in a subject or detail fails here. Tracing is on, so
+// each render names the monitored kinds.
 std::string render_every_kind() {
   core::system::config cfg;
   cfg.costs = core::cost_model::zero();
@@ -210,7 +213,7 @@ std::string render_every_kind() {
     b.add_code_eu("late_eu", 0, 5_ms);
     sys.activate(sys.register_task(b.build()));
     sys.run_for(20_ms);
-    out += sys.mon().render();
+    out += sys.mon().render(core::monitored_kinds);
   }
   {  // a sporadic task re-activated inside its pseudo-period
     core::system sys(1, cfg);
@@ -222,7 +225,7 @@ std::string render_every_kind() {
     sys.run_for(2_ms);
     sys.activate(t);
     sys.run_for(10_ms);
-    out += sys.mon().render();
+    out += sys.mon().render(core::monitored_kinds);
   }
   {  // a thread that ends before its wcet
     core::system sys(1, cfg);
@@ -234,7 +237,7 @@ std::string render_every_kind() {
     b.add_code_eu(std::move(e));
     sys.activate(sys.register_task(b.build()));
     sys.run_for(20_ms);
-    out += sys.mon().render();
+    out += sys.mon().render(core::monitored_kinds);
   }
   {  // a lost precedence token: latest start passes, omission suspected
     core::system sys(2, cfg);
@@ -252,7 +255,7 @@ std::string render_every_kind() {
     sys.run_for(100_us);
     sys.network().drop_next(0, 1, 1);
     sys.run_for(50_ms);
-    out += sys.mon().render();
+    out += sys.mon().render(core::monitored_kinds);
   }
   {  // two tasks waiting on each other's condition
     core::system sys(1, cfg);
@@ -271,7 +274,7 @@ std::string render_every_kind() {
     sys.activate(make("b", 2, 1));
     sys.run_for(5_ms);
     sys.detect_deadlocks();
-    out += sys.mon().render();
+    out += sys.mon().render(core::monitored_kinds);
   }
   {  // the traffic edge's two rejections: admission control, then a shed
     core::system sys(1, cfg);
@@ -287,7 +290,7 @@ std::string render_every_kind() {
     sys.run_for(1_ms);
     sys.abort_instance(t, 0, "shed: value density", /*as_rejection=*/true);
     sys.run_for(5_ms);
-    out += sys.mon().render();
+    out += sys.mon().render(core::monitored_kinds);
   }
   {  // a crash and recovery, seen by the heartbeat detector
     core::system sys(2, cfg);
@@ -298,7 +301,7 @@ std::string render_every_kind() {
     sys.run_for(50_ms);
     sys.recover_node(1);
     sys.run_for(50_ms);
-    out += sys.mon().render();
+    out += sys.mon().render(core::monitored_kinds);
   }
   return out;
 }

@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "rt/realtime_engine.hpp"
 #include "sim/runtime.hpp"
 #include "util/error.hpp"
 
@@ -342,6 +343,23 @@ TEST(RealtimeEngine, ChildrenDatedBeforeTheBoundRunInSchedulingOrder) {
   rt->run_until(t0 + 3_ms);
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
   EXPECT_TRUE(rt->empty());
+}
+
+TEST(RealtimeEngine, WakeLatenessRecordsABlockedCallbacksSuccessor) {
+  // The callback at t0 blocks for 3ms, so the event dated t0 + 1ms starts
+  // at least 2ms after its real deadline. Every fired event records once.
+  auto engine = runtime::make(options_for("realtime"));
+  const time_point t0 = engine->now() + 50_ms;
+  engine->at(t0,
+             [] { std::this_thread::sleep_for(std::chrono::milliseconds(3)); });
+  engine->at(t0 + 1_ms, [] {});
+  engine->run_until(t0 + 5_ms);
+  const hdr_histogram& late = rt::wake_lateness(*engine);
+  EXPECT_EQ(engine->executed(), 2u);
+  EXPECT_EQ(late.total(), engine->executed());
+  EXPECT_GE(late.max(), (2_ms).count());
+  EXPECT_THROW((void)rt::wake_lateness(*runtime::make(options_for("sim"))),
+               error);
 }
 
 TEST(RealtimeEngine, CrossThreadCancelReturnsWhileTheCallbackRuns) {

@@ -134,5 +134,21 @@ TEST_F(WireCodecTest, MonitorEventRoundTrips) {
   EXPECT_TRUE(receiver.events().empty());  // forwarded, not re-recorded
 }
 
+// Only monitored kinds cross processes. A frame naming a trace kind or an
+// unknown number is malformed, and decoding it fails before any kind_set
+// test shifts by that number.
+TEST_F(WireCodecTest, MonitorEventOfAnotherKindIsRejected) {
+  core::monitor sender;
+  core::monitor_event e;
+  e.kind = core::monitor_event_kind::thread_created;
+  std::vector<std::byte> bytes;
+  rt::encode_monitor_event(sender, e, bytes);
+  EXPECT_THROW((void)rt::decode_monitor_event(bytes.data(), bytes.size()),
+               hades::error);
+  bytes[0] = std::byte{200};
+  EXPECT_THROW((void)rt::decode_monitor_event(bytes.data(), bytes.size()),
+               hades::error);
+}
+
 }  // namespace
 }  // namespace hades

@@ -101,11 +101,12 @@ core::system::config parity_config(std::size_t shards) {
   return cfg;
 }
 
-// Fold everything a user of the system can observe. Monitor events are
+// Fold everything a user of the system can observe. Monitored events are
 // sorted by content, not stream position: the stream's {time, shard, seq}
 // order is already deterministic per backend, but the *shard* component
 // differs across shard counts for same-instant events, so cross-backend
-// comparison needs the canonical content order.
+// comparison needs the canonical content order. Trace records are left
+// out: tracing is on here, and this fold checks the monitored kinds.
 void fold_observables(core::system& sys, fold& f) {
   for (const task_id t : sys.tasks()) {
     const auto& st = sys.stats_for(t);
@@ -125,7 +126,8 @@ void fold_observables(core::system& sys, fold& f) {
   const core::monitor& mon = sys.mon();
   std::vector<event_text> evs;
   for (const auto& e : mon.events())
-    evs.push_back({e, mon.subject_text(e), mon.detail_text(e)});
+    if (core::monitored_kinds.contains(e.kind))
+      evs.push_back({e, mon.subject_text(e), mon.detail_text(e)});
   std::sort(evs.begin(), evs.end(), [](const event_text& a, const event_text& b) {
     return std::tie(a.e.at, a.e.kind, a.e.node, a.e.task, a.e.instance,
                     a.subject, a.detail) <

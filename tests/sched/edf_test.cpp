@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "core/system.hpp"
 
 namespace hades::sched {
@@ -107,8 +111,22 @@ TEST(EdfFigure2Test, CooperationTraceMatchesThePaper) {
   sys.activate_at(t2, time_point::at(3_ms));
   sys.run_for(50_ms);
 
+  // The trace records of one kind, as {subject, detail} text.
+  const core::monitor& mon = sys.mon();
+  struct text {
+    std::string_view subject, detail;
+    time_point at;
+  };
+  const auto of_kind = [&](core::monitor_event_kind k) {
+    std::vector<text> out;
+    for (const auto& e : mon.events())
+      if (e.kind == k)
+        out.push_back({mon.name(e.subject), mon.name(e.detail), e.at});
+    return out;
+  };
+
   // 1. Notification order: Atv(t1), Atv(t2), Trm(t2), Trm(t1).
-  const auto notif = sys.trace().of_kind(sim::trace_kind::notification);
+  const auto notif = of_kind(core::monitor_event_kind::notification);
   ASSERT_EQ(notif.size(), 4u);
   EXPECT_EQ(notif[0].subject, "t1#0");
   EXPECT_EQ(notif[0].detail, "Atv");
@@ -121,7 +139,7 @@ TEST(EdfFigure2Test, CooperationTraceMatchesThePaper) {
 
   // 2. Priority changes after Atv(t2): t2 raised to the top, t1 decreased —
   //    and nothing after Trm(t2) (EDF ignores terminations).
-  const auto prios = sys.trace().of_kind(sim::trace_kind::priority_change);
+  const auto prios = of_kind(core::monitor_event_kind::priority_change);
   ASSERT_EQ(prios.size(), 3u);
   EXPECT_EQ(prios[0].subject, "t1#0");  // Atv(t1): t1 gets the top rank
   EXPECT_EQ(prios[0].detail, std::to_string(prio::max_app));
@@ -129,7 +147,7 @@ TEST(EdfFigure2Test, CooperationTraceMatchesThePaper) {
   EXPECT_EQ(prios[1].detail, std::to_string(prio::max_app));
   EXPECT_EQ(prios[2].subject, "t1#0");  // ...and t1 is decreased
   EXPECT_EQ(prios[2].detail, std::to_string(prio::max_app - 1));
-  EXPECT_EQ(prios[1].t, time_point::at(3_ms));
+  EXPECT_EQ(prios[1].at, time_point::at(3_ms));
 
   // 3. Timeline: t1 runs [0,3], t2 runs [3,5], t1 resumes [5,12].
   EXPECT_DOUBLE_EQ(sys.stats_for(t2).response_times.max(), 2e6);

@@ -239,7 +239,7 @@ TEST_P(FeasibilitySafetyTest, CostAcceptedSetsNeverMissInSimulation) {
       sys.activate_at(ids[i], a);
   sys.run_for(400_ms);
   EXPECT_EQ(sys.mon().count(core::monitor_event_kind::deadline_miss), 0u)
-      << sys.mon().render();
+      << sys.mon().render(core::monitored_kinds);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, FeasibilitySafetyTest, ::testing::Range(0, 15));

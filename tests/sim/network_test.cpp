@@ -82,7 +82,7 @@ TEST(NetworkTest, BroadcastReachesAllButSender) {
   std::vector<node_id> got;
   for (node_id n = 0; n < 4; ++n)
     net.attach(n, [&, n](const message&) { got.push_back(n); });
-  net.broadcast(2, 0, std::string("b"), 8);
+  EXPECT_EQ(net.fan_out(2, 0, std::string("b"), 8), 3u);
   e.run();
   std::sort(got.begin(), got.end());
   EXPECT_EQ(got, (std::vector<node_id>{0, 1, 3}));

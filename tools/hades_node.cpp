@@ -7,7 +7,8 @@
 // cross-process frames — judged by the same network fault model as local
 // ones — riding UDP datagrams on 127.0.0.1 through the socket transport.
 // After the horizon the worker writes its partial observation (owned nodes
-// only) for the parent to merge.
+// only) for the parent to merge, with its transport counters and its
+// engine's wake lateness (p50, p99, p99.9 and maximum, real nanoseconds).
 //
 // Harness mode is the sim-vs-real gate CI runs: for each (scenario, seed)
 // it runs an in-process simulation reference with identical
@@ -39,6 +40,7 @@
 #include <vector>
 
 #include "rt/codecs.hpp"
+#include "rt/realtime_engine.hpp"
 #include "rt/socket_transport.hpp"
 #include "scenario/deployment.hpp"
 #include "scenario/observation_io.hpp"
@@ -150,6 +152,17 @@ int run_worker(const std::string& scenario_name, std::uint64_t seed,
     os << "delta_violations " << st.delta_violations;
     extra.push_back(os.str());
   }
+  {
+    const hdr_histogram& late = rt::wake_lateness(engine);
+    std::ostringstream os;
+    os << "wake_lateness proc=" << proc << " time_scale=" << time_scale
+       << " events=" << late.total()
+       << " p50_ns=" << late.value_at_quantile(0.5)
+       << " p99_ns=" << late.value_at_quantile(0.99)
+       << " p999_ns=" << late.value_at_quantile(0.999)
+       << " max_ns=" << late.max();
+    extra.push_back(os.str());
+  }
   scenario::write_partial_observation(out_path, obs, owned, has_mode, extra);
   return 0;
 }
@@ -252,7 +265,7 @@ case_result run_case_once(const std::string& scenario_name, std::uint64_t seed,
       std::uint64_t v = 0;
       is >> v;
       delta_violations += v;
-    } else if (key == "transport") {
+    } else if (key == "transport" || key == "wake_lateness") {
       res.notes.push_back(line);
     }
   }
