@@ -1,5 +1,6 @@
 #include "rt/realtime_engine.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -227,6 +228,20 @@ const hdr_histogram& wake_lateness(const hades::runtime& rt) {
   const auto* e = dynamic_cast<const realtime_engine*>(&rt);
   validate(e != nullptr, "wake_lateness: not a realtime backend");
   return e->lateness();
+}
+
+std::optional<std::uint32_t> time_scale_for(const hdr_histogram& lateness,
+                                            duration delta_max) {
+  constexpr std::int64_t floor = 3;
+  constexpr duration margin = duration::milliseconds(10);
+  constexpr std::int64_t cap = 16;
+  validate(delta_max > duration::zero(), "time_scale_for: delta_max <= 0");
+  const std::int64_t needed_ns =
+      2 * lateness.value_at_quantile(0.999) + margin.count();
+  const std::int64_t scale = std::max(
+      floor, (needed_ns + delta_max.count() - 1) / delta_max.count());
+  if (scale > cap) return std::nullopt;
+  return static_cast<std::uint32_t>(scale);
 }
 
 }  // namespace hades::rt

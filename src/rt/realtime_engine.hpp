@@ -39,10 +39,13 @@
 //     histogram is a fixed-size member, so recording allocates nothing.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <optional>
 
 #include "sim/runtime.hpp"
 #include "util/hdr_histogram.hpp"
+#include "util/time.hpp"
 
 namespace hades::rt {
 
@@ -57,6 +60,16 @@ std::unique_ptr<hades::runtime> make_realtime_engine(
 /// must come from `make_realtime_engine`. Read it between runs, on the
 /// thread that drives the engine.
 [[nodiscard]] const hdr_histogram& wake_lateness(const hades::runtime& rt);
+
+/// The time scale a multi-process run needs on a host whose measured wake
+/// lateness is `lateness` (real ns). A frame's path wakes twice, on the
+/// sending engine and on the receiver thread, so its lateness is taken as
+/// 2 x p99.9: the answer is the smallest whole scale, at least 3, at which
+/// that plus a 10 ms margin fits inside the real Δ (`delta_max` x scale),
+/// or nullopt above 16, a host too late for Δ. DESIGN.md, "Multi-process
+/// loopback quickstart", gives the basis of these constants.
+[[nodiscard]] std::optional<std::uint32_t> time_scale_for(
+    const hdr_histogram& lateness, duration delta_max);
 
 /// Ensure "sim", "sharded", and "realtime" are registered with
 /// `hades::runtime::make`'s registry. Idempotent; `runtime::make` and

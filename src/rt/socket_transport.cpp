@@ -8,12 +8,9 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
-#include <condition_variable>
 #include <cstring>
 #include <map>
 #include <mutex>
-#include <queue>
 #include <set>
 #include <string>
 #include <thread>
@@ -27,13 +24,16 @@ namespace hades::rt {
 
 namespace {
 
-using steady = std::chrono::steady_clock;
-
 constexpr std::uint32_t frame_magic = 0x48444553;  // "HDES"
 constexpr std::uint8_t kind_data = 0;
 constexpr std::uint8_t kind_monitor = 1;
 constexpr std::size_t max_datagram = 60000;
 constexpr std::size_t max_held = 64;  // hold-back window per link
+// How long the receiver holds frames behind a sequence gap before declaring
+// the missing frame lost, before the stretch that covers the network's
+// largest performance-fault delay. Engine time, like that delay: the time
+// scale stretches both.
+constexpr duration holdback = duration::milliseconds(5);
 
 struct frame_header {
   std::uint32_t magic = frame_magic;
@@ -54,7 +54,7 @@ static_assert(std::is_trivially_copyable_v<frame_header>);
 
 struct held_frame {
   std::vector<std::byte> bytes;
-  steady::time_point arrived;
+  time_point arrived;  // engine time
 };
 
 constexpr std::size_t max_lost_tracked = 4096;  // declared-gap seqs per link
@@ -69,48 +69,39 @@ struct link_state {
   std::set<std::uint64_t> lost;
 };
 
-struct delayed_send {
-  steady::time_point due;
-  std::uint32_t dest_proc;
-  std::vector<std::byte> bytes;
-  bool operator>(const delayed_send& o) const { return due > o.due; }
-};
-
 }  // namespace
 
 struct socket_transport::impl {
-  socket_transport_params p;
+  std::uint16_t base_port;
   hades::runtime* rt;
   sim::network* net;
   core::monitor* mon;
 
   int fd = -1;
   std::thread receiver;
-  std::thread delayer;
   std::atomic<bool> running{false};
   bool started = false;
 
   // Read once at start() from the network, which owns them.
   duration delta_max = duration::zero();
-  std::int64_t max_perf_extra_ns = 0;  // largest programmed intentional delay
+  duration max_perf_extra = duration::zero();  // largest intentional delay
 
   // Link and counter state (the hook runs on the event loop, the receiver
-  // and delay loops on their own threads): one mutex covers it all.
+  // loop on its own thread): one mutex covers it all.
   mutable std::mutex mu;
   std::map<std::pair<node_id, node_id>, link_state> links;
   stats_t st;
+  // Pending send events of performance-faulted frames, by token, stored
+  // before one can run (mu is held across `at`); stop() cancels them.
+  std::map<std::uint64_t, sim::event_id> delayed_sends;
+  std::uint64_t next_delay_token = 0;
 
-  std::condition_variable delay_cv;
-  std::priority_queue<delayed_send, std::vector<delayed_send>,
-                      std::greater<delayed_send>>
-      delay_q;
-
-  explicit impl(socket_transport_params params) : p(std::move(params)) {}
+  explicit impl(std::uint16_t port) : base_port(port) {}
 
   void send_to(std::uint32_t proc, const std::byte* data, std::size_t len) {
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<std::uint16_t>(p.base_port + proc));
+    addr.sin_port = htons(static_cast<std::uint16_t>(base_port + proc));
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
     (void)::sendto(fd, data, len, 0, reinterpret_cast<sockaddr*>(&addr),
                    sizeof addr);
@@ -147,15 +138,23 @@ struct socket_transport::impl {
       ++st.sent;
       if (extra_ns > 0) ++st.delayed;
     }
-    if (extra_ns > 0) {
-      const auto real_extra = std::chrono::nanoseconds(static_cast<std::int64_t>(
-          static_cast<double>(extra_ns) * p.time_scale));
-      std::lock_guard lk(mu);
-      delay_q.push({steady::now() + real_extra, dest_proc, std::move(buf)});
-      delay_cv.notify_one();
-    } else {
+    if (extra_ns == 0) {
       send_to(dest_proc, buf.data(), buf.size());
+      return true;
     }
+    // A performance fault: an event on this engine sends the frame once its
+    // extra delay has passed. Frames sent meanwhile overtake it, and the
+    // receiver's hold-back window restores the link's order.
+    std::lock_guard lk(mu);
+    const std::uint64_t token = ++next_delay_token;
+    delayed_sends[token] = rt->at(
+        m.sent_at + extra, [this, token, dest_proc, buf = std::move(buf)] {
+          {
+            std::lock_guard lk(mu);
+            delayed_sends.erase(token);
+          }
+          send_to(dest_proc, buf.data(), buf.size());
+        });
     return true;
   }
 
@@ -259,7 +258,7 @@ struct socket_transport::impl {
         l.lost.erase(it);
         ++st.late_delivered;
       } else if (h.link_seq > l.expected) {
-        l.held.emplace(h.link_seq, held_frame{std::move(bytes), steady::now()});
+        l.held.emplace(h.link_seq, held_frame{std::move(bytes), rt->now()});
         return;
       } else {
         ++l.expected;
@@ -280,16 +279,12 @@ struct socket_transport::impl {
     std::vector<std::vector<std::byte>> ready;
     {
       std::lock_guard lk(mu);
-      const auto now = steady::now();
-      // The base window covers real loopback jitter; a programmed
-      // performance fault additionally holds its victims for up to
-      // max_perf_extra_ns stretched by time_scale on the sender, so the
-      // window must stretch with it or every injected delay degenerates
-      // into an omission.
-      const auto max_age = std::chrono::nanoseconds(
-          p.holdback.count() +
-          static_cast<std::int64_t>(static_cast<double>(max_perf_extra_ns) *
-                                    p.time_scale));
+      const time_point now = rt->now();
+      // The base window covers loopback jitter; a programmed performance
+      // fault additionally holds its victims for up to max_perf_extra on
+      // the sender, so the window must stretch with it or every injected
+      // delay degenerates into an omission.
+      const duration max_age = holdback + max_perf_extra;
       for (auto& [link, l] : links) {
         if (l.held.empty()) continue;
         const bool expired =
@@ -332,32 +327,11 @@ struct socket_transport::impl {
       flush_expired_holdbacks();
     }
   }
-
-  void delay_loop() {
-    std::unique_lock lk(mu);
-    while (running.load(std::memory_order_relaxed)) {
-      if (delay_q.empty()) {
-        delay_cv.wait_for(lk, std::chrono::milliseconds(50));
-        continue;
-      }
-      const auto due = delay_q.top().due;
-      if (steady::now() < due) {
-        delay_cv.wait_until(lk, due);
-        continue;
-      }
-      delayed_send d = delay_q.top();
-      delay_q.pop();
-      lk.unlock();
-      send_to(d.dest_proc, d.bytes.data(), d.bytes.size());
-      lk.lock();
-    }
-  }
 };
 
 socket_transport::socket_transport(hades::runtime& rt, sim::network& net,
-                                   core::monitor& mon,
-                                   socket_transport_params p)
-    : impl_(std::make_unique<impl>(std::move(p))) {
+                                   core::monitor& mon, std::uint16_t base_port)
+    : impl_(std::make_unique<impl>(base_port)) {
   impl_->rt = &rt;
   impl_->net = &net;
   impl_->mon = &mon;
@@ -370,7 +344,7 @@ void socket_transport::start() {
   impl& i = *impl_;
   require(!i.started, "socket_transport::start: already started");
   i.delta_max = i.net->config().delta_max;
-  i.max_perf_extra_ns = i.net->max_perf_extra().count();
+  i.max_perf_extra = i.net->max_perf_extra();
   const std::uint32_t proc = i.rt->executing_shard();
   i.fd = ::socket(AF_INET, SOCK_DGRAM, 0);
   validate(i.fd >= 0, "socket_transport: socket() failed: " +
@@ -379,15 +353,16 @@ void socket_transport::start() {
   (void)::setsockopt(i.fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(i.p.base_port + proc));
+  addr.sin_port = htons(static_cast<std::uint16_t>(i.base_port + proc));
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  validate(::bind(i.fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0,
-           "socket_transport: bind(port " +
-               std::to_string(i.p.base_port + proc) +
-               ") failed: " + std::string(std::strerror(errno)));
+  const bool bound =
+      ::bind(i.fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0;
+  const std::string why = std::strerror(errno);
+  if (!bound) ::close(std::exchange(i.fd, -1));  // stop() would not close it
+  validate(bound, "socket_transport: bind(port " +
+                      std::to_string(i.base_port + proc) + ") failed: " + why);
   i.running.store(true);
   i.receiver = std::thread([&i] { i.receive_loop(); });
-  i.delayer = std::thread([&i] { i.delay_loop(); });
   i.net->set_remote_hook([&i](const sim::message& m, duration extra) {
     return i.on_submit(m, extra);
   });
@@ -403,10 +378,13 @@ void socket_transport::stop() {
   if (!i.started) return;
   i.net->set_remote_hook(nullptr);
   i.mon->set_forwarder(nullptr);
+  {
+    std::lock_guard lk(i.mu);
+    for (const auto& [token, id] : i.delayed_sends) i.rt->cancel(id);
+    i.delayed_sends.clear();
+  }
   i.running.store(false);
-  i.delay_cv.notify_all();
   if (i.receiver.joinable()) i.receiver.join();
-  if (i.delayer.joinable()) i.delayer.join();
   ::close(i.fd);
   i.fd = -1;
   i.started = false;

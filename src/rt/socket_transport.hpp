@@ -15,20 +15,22 @@
 // scripted omission bursts, omission and performance rates — before the
 // hook runs, so a dropped frame never reaches the socket and never consumes
 // a link sequence number (receivers see no artificial gap). A frame that
-// drew a performance fault arrives with its extra delay: the transport
-// holds it in a timed sender queue for that long (which also yields
-// reordering, as later undelayed frames overtake it), and the intentional
-// delay rides the frame header so the receiver's Δ check does not count it
-// against the network.
+// drew a performance fault arrives with its extra delay: an event on the
+// sending engine, dated that much after the frame's send, puts it on the
+// socket (later undelayed frames overtake it, so the link reorders), and
+// the intentional delay rides the frame header so the receiver's Δ check
+// does not count it against the network.
 //
 // Receivers recover per-link FIFO with a sequence hold-back window: a gap
 // (a genuinely lost datagram) is declared lost after a bounded hold and
 // skipped — the same observable outcome as an omission fault, which every
 // HADES service already tolerates. The hold stretches to cover the largest
 // performance-fault delay the network was programmed with
-// (`network::max_perf_extra`, read at `start`), and a declared-lost frame
-// that does arrive later is still delivered (late, out of FIFO order — the
-// sim's perf-fault semantics) instead of degenerating into an omission.
+// (`network::max_perf_extra`, read at `start`); like that delay, it runs on
+// the engine's clock, so the time scale stretches both. A declared-lost
+// frame that does arrive later is still delivered (late, out of FIFO order
+// — the sim's perf-fault semantics) instead of degenerating into an
+// omission.
 //
 // Monitor events forwarded across processes (`monitor::set_forwarder`)
 // ride the same socket but bypass both the fault model and sequence
@@ -55,46 +57,32 @@
 #include "core/monitor.hpp"
 #include "sim/network.hpp"
 #include "sim/runtime.hpp"
-#include "util/time.hpp"
 
 namespace hades::rt {
 
-struct socket_transport_params {
-  /// Peer i listens on 127.0.0.1:(base_port + i).
-  std::uint16_t base_port = 47000;
-  /// Real ns per virtual ns (the engine's time_scale): intentional delays
-  /// are virtual durations and stretch accordingly in real time.
-  double time_scale = 1.0;
-  /// How long the receiver holds frames behind a sequence gap before
-  /// declaring the missing frame lost (real time). The effective window
-  /// additionally covers the network's largest performance-fault delay
-  /// (stretched by time_scale) so an intentionally delayed frame is held
-  /// for, not declared lost; one that still outlasts the window is
-  /// delivered late on arrival rather than dropped as a duplicate.
-  duration holdback = duration::milliseconds(5);
-};
-
 class socket_transport final {
  public:
+  /// Process i listens on 127.0.0.1:(base_port + i).
   socket_transport(hades::runtime& rt, sim::network& net, core::monitor& mon,
-                   socket_transport_params p);
+                   std::uint16_t base_port);
   ~socket_transport();
   socket_transport(const socket_transport&) = delete;
   socket_transport& operator=(const socket_transport&) = delete;
 
-  /// Open the socket, start the receiver/delay threads, and install the
-  /// network remote hook + monitor forwarder. Call after every node is
-  /// attached and the scenario plan is applied (the hold-back window reads
-  /// the network's fault program here), before the run loop starts.
+  /// Open the socket, start the receiver thread, and install the network
+  /// remote hook + monitor forwarder. Call after every node is attached and
+  /// the scenario plan is applied (the hold-back window reads the network's
+  /// fault program here), before the run loop starts.
   void start();
-  /// Uninstall hooks, stop threads, close the socket. Idempotent; the
-  /// destructor calls it.
+  /// Uninstall hooks, cancel delayed sends still pending on the engine,
+  /// stop the receiver thread, close the socket. Call it while the engine
+  /// is not running. Idempotent; the destructor calls it.
   void stop();
 
   struct stats_t {
     std::uint64_t sent = 0;           // datagrams handed to the socket
     std::uint64_t received = 0;       // datagrams parsed
-    std::uint64_t delayed = 0;        // performance-fault holds
+    std::uint64_t delayed = 0;        // performance-faulted frames
     std::uint64_t dup_dropped = 0;    // below-floor / duplicate sequence
     std::uint64_t gaps_declared = 0;  // lost datagrams skipped by hold-back
     std::uint64_t late_delivered = 0; // declared-lost frames arriving late

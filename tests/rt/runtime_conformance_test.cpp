@@ -13,6 +13,7 @@
 #include <chrono>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -360,6 +361,28 @@ TEST(RealtimeEngine, WakeLatenessRecordsABlockedCallbacksSuccessor) {
   EXPECT_GE(late.max(), (2_ms).count());
   EXPECT_THROW((void)rt::wake_lateness(*runtime::make(options_for("sim"))),
                error);
+}
+
+TEST(RealtimeEngine, TimeScaleFitsTwiceTheP999WakeLatenessInsideDelta) {
+  const duration delta = 5_ms;
+  // A quiet host gets the floor, 3. Its one stall in 10,000 wakes lies above
+  // the p99.9, so it does not count.
+  hdr_histogram quiet;
+  quiet.record((50_us).count(), 9'999);
+  quiet.record((100_ms).count());
+  EXPECT_EQ(rt::time_scale_for(quiet, delta), 3u);
+  // 2 x 11 ms + 10 ms = 32 ms is 6.4 x delta: the next whole scale is 7.
+  hdr_histogram mid;
+  mid.record((11_ms).count(), 1'000);
+  EXPECT_EQ(rt::time_scale_for(mid, delta), 7u);
+  // 2 x 34.5 ms + 10 ms = 79 ms still fits at the cap, 16...
+  hdr_histogram at_cap;
+  at_cap.record((34'500_us).count(), 1'000);
+  EXPECT_EQ(rt::time_scale_for(at_cap, delta), 16u);
+  // ...and 2 x 35.5 ms + 10 ms = 81 ms does not: the rule refuses the host.
+  hdr_histogram over_cap;
+  over_cap.record((35'500_us).count(), 1'000);
+  EXPECT_EQ(rt::time_scale_for(over_cap, delta), std::nullopt);
 }
 
 TEST(RealtimeEngine, CrossThreadCancelReturnsWhileTheCallbackRuns) {

@@ -6,6 +6,8 @@
 // the receiving monitor, and a data frame's payload lands in the engine
 // thread's own wire_payload pool (DESIGN.md, "Monitor records" and "Wire
 // fast path"). Under TSan this test is the receiver-to-engine handoff.
+// A frame that drew a performance fault is sent by an event on the sending
+// engine, and the receiver's hold-back window keeps its link in order.
 #include "rt/socket_transport.hpp"
 
 #include <gtest/gtest.h>
@@ -13,8 +15,11 @@
 
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <functional>
+#include <iterator>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -43,9 +48,9 @@ std::int64_t steady_now_ns() {
       .count();
 }
 
-/// Two realtime processes on an epoch 20 ms ahead; node n lives in
-/// process n.
-void make_processes(process (&p)[2]) {
+/// Two realtime processes at `time_scale` on an epoch 20 ms ahead; node n
+/// lives in process n.
+void make_processes(process (&p)[2], double time_scale = 1.0) {
   const std::int64_t epoch = steady_now_ns() + 20'000'000;
   for (std::uint32_t i = 0; i < 2; ++i) {
     hades::runtime::options o;
@@ -54,6 +59,7 @@ void make_processes(process (&p)[2]) {
     o.process_index = i;
     o.process_count = 2;
     o.epoch_ns = epoch;
+    o.time_scale = time_scale;
     p[i].rt = hades::runtime::make(o);
     p[i].net = std::make_unique<sim::network>(*p[i].rt, sim::network::params{});
     p[i].net->reserve_nodes(2);
@@ -62,23 +68,28 @@ void make_processes(process (&p)[2]) {
 }
 
 /// Bind both transports on adjacent loopback ports, moving to another pair
-/// when one is taken.
-bool start_transports(process (&p)[2]) {
+/// when one is taken; the base port they started on, if any pair bound.
+std::optional<std::uint16_t> start_transports(process (&p)[2]) {
   for (int attempt = 0; attempt < 8; ++attempt) {
-    rt::socket_transport_params tp;
-    tp.base_port = static_cast<std::uint16_t>(
+    const auto base_port = static_cast<std::uint16_t>(
         30000 + ((::getpid() + attempt * 977) % 10000) * 2);
     try {
       for (process& q : p)
         q.tx = std::make_unique<rt::socket_transport>(*q.rt, *q.net, q.mon,
-                                                      tp);
+                                                      base_port);
       for (process& q : p) q.tx->start();
-      return true;
+      return base_port;
     } catch (const hades::error&) {
       for (process& q : p) q.tx.reset();
     }
   }
-  return false;
+  return std::nullopt;
+}
+
+std::size_t open_fds() {
+  return static_cast<std::size_t>(
+      std::distance(std::filesystem::directory_iterator("/proc/self/fd"),
+                    std::filesystem::directory_iterator{}));
 }
 
 /// Run process 0 on this thread and process 1 on its own until 200 ms,
@@ -213,6 +224,60 @@ TEST(SocketTransportTest, DataFrameIsDecodedOnTheEngineThread) {
   EXPECT_EQ(p[0].tx->stats().sent, 1u);
   EXPECT_EQ(p[1].tx->stats().received, 1u);
   EXPECT_EQ(p[1].net->stats().delivered, 1u);
+}
+
+TEST(SocketTransportTest, FailedBindClosesItsSocket) {
+  process p[2];
+  make_processes(p);
+  const std::optional<std::uint16_t> base_port = start_transports(p);
+  ASSERT_TRUE(base_port);
+  // A second transport for process 0 finds its port taken.
+  rt::socket_transport second(*p[0].rt, *p[0].net, p[0].mon, *base_port);
+  const std::size_t before = open_fds();
+  EXPECT_THROW(second.start(), hades::error);
+  EXPECT_EQ(open_fds(), before);
+}
+
+TEST(SocketTransportTest, PerfFaultDelayedFrameKeepsItsLinkInOrder) {
+  register_probe_codec();
+  const double scale = 2.0;
+  process p[2];
+  make_processes(p, scale);
+  // Both processes program the same fault (the hold-back window reads it at
+  // start): every frame is 2 ms late until process 0 lifts it.
+  for (process& q : p)
+    q.net->set_performance_fault_at(time_point::at(0_ms), 1.0, 2_ms);
+  std::vector<std::uint64_t> order;
+  std::chrono::steady_clock::time_point sent_a;
+  std::chrono::steady_clock::time_point arrived_a;
+  p[1].net->attach(1, [&](sim::message& m) {
+    if (const probe_frame* v = m.payload.get<probe_frame>()) {
+      order.push_back(v->a);
+      if (v->a == 1) arrived_a = std::chrono::steady_clock::now();
+    }
+  });
+  ASSERT_TRUE(start_transports(p));
+
+  // A draws the fault; B follows on the same link without one and
+  // overtakes A on the wire.
+  p[0].rt->at(time_point::at(5_ms), [&] {
+    sent_a = std::chrono::steady_clock::now();
+    p[0].net->unicast(0, 1, 3, probe_frame{1, 0, 0}, 64);
+    p[0].net->set_performance_fault(0.0, 0_ms);
+    p[0].net->unicast(0, 1, 3, probe_frame{2, 0, 0}, 64);
+  });
+  run_both(p);
+
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_GE(arrived_a - sent_a,
+            std::chrono::nanoseconds((2_ms).scaled(scale).count()));
+  const rt::socket_transport::stats_t sender = p[0].tx->stats();
+  const rt::socket_transport::stats_t receiver = p[1].tx->stats();
+  EXPECT_EQ(sender.sent, 2u);
+  EXPECT_EQ(sender.delayed, 1u);
+  EXPECT_EQ(receiver.received, 2u);
+  EXPECT_EQ(receiver.gaps_declared, 0u);
+  EXPECT_EQ(receiver.late_delivered, 0u);
 }
 
 }  // namespace

@@ -12,31 +12,32 @@
 //
 // Harness mode is the sim-vs-real gate CI runs: for each (scenario, seed)
 // it runs an in-process simulation reference with identical
-// real-clock-friendly timing, then forks N worker processes against a
-// shared future epoch, merges their partials, grades the same property
-// checkers, and diffs the verdicts check-by-check. Any verdict diff, any
-// worker failure, or any Δ-bound violation measured on the real wire
-// exits non-zero.
+// real-clock-friendly timing, then forks N worker processes, at the time
+// scale the host's measured wake lateness calls for, against a shared
+// future epoch, merges their partials, grades the same property checkers,
+// and diffs the verdicts check-by-check. Any verdict diff, any worker
+// failure, any Δ-bound violation measured on the real wire, or a host too
+// late for every scale exits non-zero.
 //
 // Usage:
 //   hades_node --harness [--procs N] [--scenarios CSV] [--seeds CSV]
-//              [--base-port P] [--time-scale X] [--out DIR]
+//              [--base-port P] [--out DIR]
 //   hades_node --worker --scenario NAME --seed S --proc I --procs N
 //              --base-port P --epoch-ns E [--time-scale X] --out FILE
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <chrono>
-#include <thread>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "rt/codecs.hpp"
@@ -59,6 +60,11 @@ constexpr duration rt_delta_min = duration::microseconds(100);
 constexpr duration rt_delta_max = duration::milliseconds(5);
 constexpr duration rt_switch_latency = duration::milliseconds(25);
 constexpr duration rt_bound_margin = duration::milliseconds(2);
+
+// The host calibration before each case: one realtime engine per worker,
+// each on its own thread, runs a periodic timer chain for the span.
+constexpr duration calibration_period = duration::microseconds(500);
+constexpr duration calibration_span = duration::milliseconds(500);
 
 scenario::deployment_options harness_options(std::uint64_t seed) {
   scenario::deployment_options o;
@@ -90,6 +96,15 @@ verdict to_verdict(const std::vector<scenario::check_result>& checks) {
   return v;
 }
 
+/// " events=N p50_ns=.. p99_ns=.. p999_ns=.. max_ns=..", real nanoseconds.
+std::string lateness_fields(const hdr_histogram& late) {
+  std::ostringstream os;
+  os << " events=" << late.total() << " p50_ns=" << late.value_at_quantile(0.5)
+     << " p99_ns=" << late.value_at_quantile(0.99) << " p999_ns="
+     << late.value_at_quantile(0.999) << " max_ns=" << late.max();
+  return os.str();
+}
+
 std::int64_t steady_now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -113,11 +128,8 @@ int run_worker(const std::string& scenario_name, std::uint64_t seed,
   dopt.backend.time_scale = time_scale;
   scenario::deployment d(spec, dopt);
 
-  rt::socket_transport_params tp;
-  tp.base_port = base_port;
-  tp.time_scale = time_scale;
   rt::socket_transport tx(d.sys().engine(), d.sys().network(), d.sys().mon(),
-                          tp);
+                          base_port);
 
   // start() applies the plan to the network; the transport reads its fault
   // program, so it starts second. Neither sends before run().
@@ -153,14 +165,9 @@ int run_worker(const std::string& scenario_name, std::uint64_t seed,
     extra.push_back(os.str());
   }
   {
-    const hdr_histogram& late = rt::wake_lateness(engine);
     std::ostringstream os;
     os << "wake_lateness proc=" << proc << " time_scale=" << time_scale
-       << " events=" << late.total()
-       << " p50_ns=" << late.value_at_quantile(0.5)
-       << " p99_ns=" << late.value_at_quantile(0.99)
-       << " p999_ns=" << late.value_at_quantile(0.999)
-       << " max_ns=" << late.max();
+       << lateness_fields(rt::wake_lateness(engine));
     extra.push_back(os.str());
   }
   scenario::write_partial_observation(out_path, obs, owned, has_mode, extra);
@@ -169,16 +176,35 @@ int run_worker(const std::string& scenario_name, std::uint64_t seed,
 
 // ------------------------------------------------------------ harness --
 
+/// Run `threads` calibration chains at once; merge their wake lateness.
+void calibrate(std::size_t threads, hdr_histogram& lateness) {
+  std::vector<std::unique_ptr<hades::runtime>> engines;
+  for (std::size_t t = 0; t < threads; ++t)
+    engines.push_back(rt::make_realtime_engine(hades::runtime::options{}));
+  {
+    std::vector<std::jthread> chains;  // joined on leaving, on every path
+    for (const auto& e : engines)
+      chains.emplace_back([&engine = *e] {
+        engine.periodic_at_node(0, engine.now() + calibration_period,
+                                calibration_period, [] {},
+                                time_point::at(calibration_span));
+        engine.run();
+      });
+  }
+  for (const auto& e : engines) lateness.merge(rt::wake_lateness(*e));
+}
+
 struct case_result {
   std::string name;
   bool passed = true;
+  bool refused = false;  // the host needs a time scale above the cap
   std::vector<std::string> notes;
 };
 
-case_result run_case_once(const std::string& scenario_name, std::uint64_t seed,
-                          std::size_t procs, std::uint16_t base_port,
-                          double time_scale, const std::string& exe,
-                          const std::filesystem::path& work_dir) {
+case_result run_case(const std::string& scenario_name, std::uint64_t seed,
+                     std::size_t procs, std::uint16_t base_port,
+                     const std::string& exe,
+                     const std::filesystem::path& work_dir) {
   case_result res;
   res.name = scenario_name + "/seed" + std::to_string(seed);
   const scenario::scenario_spec spec = scenario::find_scenario(scenario_name);
@@ -190,6 +216,21 @@ case_result run_case_once(const std::string& scenario_name, std::uint64_t seed,
     d.start();
     d.run();
     sim_v = to_verdict(d.grade(d.collect()));
+  }
+
+  // Measure the host just before the workers meet it. A host too late for
+  // every time scale fails here, before any fork.
+  hdr_histogram lateness;
+  calibrate(procs, lateness);
+  const std::optional<std::uint32_t> time_scale =
+      rt::time_scale_for(lateness, rt_delta_max);
+  res.notes.push_back("calibration threads=" + std::to_string(procs) +
+                      lateness_fields(lateness) + " time_scale=" +
+                      (time_scale ? std::to_string(*time_scale) : "refused"));
+  if (!time_scale) {
+    res.passed = false;
+    res.refused = true;
+    return res;
   }
 
   // Real run: N worker processes against a shared epoch far enough out
@@ -222,7 +263,7 @@ case_result run_case_once(const std::string& scenario_name, std::uint64_t seed,
           "--procs",    std::to_string(procs),
           "--base-port", std::to_string(base_port),
           "--epoch-ns", std::to_string(epoch_ns),
-          "--time-scale", std::to_string(time_scale),
+          "--time-scale", std::to_string(*time_scale),
           "--out",      out};
       std::vector<char*> argv;
       argv.reserve(args.size() + 1);
@@ -303,35 +344,10 @@ case_result run_case_once(const std::string& scenario_name, std::uint64_t seed,
   return res;
 }
 
-case_result run_case(const std::string& scenario_name, std::uint64_t seed,
-                     std::size_t procs, std::uint16_t base_port,
-                     double time_scale, const std::string& exe,
-                     const std::filesystem::path& work_dir) {
-  case_result res = run_case_once(scenario_name, seed, procs, base_port,
-                                  time_scale, exe, work_dir);
-  if (res.passed) return res;
-  // A shared CI box can stall a worker for tens of real milliseconds — long
-  // enough to breach the virtual Delta even though nothing is wrong with the
-  // stack. One retry at doubled slow-motion doubles the real-time headroom
-  // behind every virtual bound; a genuine divergence diffs again.
-  case_result retry = run_case_once(scenario_name, seed, procs, base_port,
-                                    time_scale * 2.0, exe, work_dir);
-  // Keep the first attempt's full diagnostics: a divergence that reproduces
-  // at the doubled scale still needs the original verdict diffs and
-  // transport stats in the CI log.
-  std::vector<std::string> notes;
-  notes.push_back("first attempt at time scale " + std::to_string(time_scale) +
-                  " diffed; retried at " + std::to_string(time_scale * 2.0));
-  for (const auto& n : res.notes) notes.push_back("attempt 1: " + n);
-  notes.insert(notes.end(), retry.notes.begin(), retry.notes.end());
-  retry.notes = std::move(notes);
-  return retry;
-}
-
 int run_harness(std::size_t procs, const std::vector<std::string>& scenarios,
                 const std::vector<std::uint64_t>& seeds,
-                std::uint16_t base_port, double time_scale,
-                const std::string& out_dir, const std::string& exe) {
+                std::uint16_t base_port, const std::string& out_dir,
+                const std::string& exe) {
   const std::filesystem::path work =
       out_dir.empty() ? std::filesystem::temp_directory_path() /
                             ("hades_rt_" + std::to_string(::getpid()))
@@ -342,11 +358,11 @@ int run_harness(std::size_t procs, const std::vector<std::string>& scenarios,
   std::ostringstream summary;
   for (const auto& name : scenarios) {
     for (std::uint64_t seed : seeds) {
-      const case_result r =
-          run_case(name, seed, procs, base_port, time_scale, exe, work);
+      const case_result r = run_case(name, seed, procs, base_port, exe, work);
       all_passed = all_passed && r.passed;
-      std::printf("%-28s %s\n", r.name.c_str(), r.passed ? "MATCH" : "DIFF");
-      summary << r.name << ' ' << (r.passed ? "MATCH" : "DIFF") << '\n';
+      const char* verdict = r.passed ? "MATCH" : r.refused ? "REFUSED" : "DIFF";
+      std::printf("%-28s %s\n", r.name.c_str(), verdict);
+      summary << r.name << ' ' << verdict << '\n';
       for (const auto& n : r.notes) {
         std::printf("    %s\n", n.c_str());
         summary << "    " << n << '\n';
@@ -369,7 +385,7 @@ int main(int argc, char** argv) {
   std::size_t procs = 4;
   std::uint16_t base_port = 0;
   std::int64_t epoch_ns = 0;
-  double time_scale = 0.0;  // 0 = auto (harness) / 1.0 (worker)
+  double time_scale = 1.0;  // worker only: the harness measures the host
   std::vector<std::string> scenarios = {"clean", "single_crash",
                                         "crash_recover", "partition_heal"};
   std::vector<std::uint64_t> seeds = {1, 2};
@@ -419,17 +435,6 @@ int main(int argc, char** argv) {
     base_port = static_cast<std::uint16_t>(
         40000 + (::getpid() * 131) % 20000);  // avoid collisions between runs
 
-  if (time_scale <= 0.0) {
-    // Harness auto scale: on a box with fewer cores than worker processes
-    // the run-loop threads time-share one CPU, so real wake-up jitter must
-    // shrink by the oversubscription factor to stay inside the virtual
-    // Delta. Plain runs on many-core hosts still get 2x headroom.
-    const double cores = std::max(1u, std::thread::hardware_concurrency());
-    time_scale =
-        std::clamp(2.0 * static_cast<double>(procs) / cores, 2.0, 8.0);
-    if (worker) time_scale = 1.0;  // workers always receive it explicitly
-  }
-
   try {
     if (worker) {
       if (scenario_name.empty() || out.empty()) {
@@ -442,7 +447,7 @@ int main(int argc, char** argv) {
                         time_scale, out);
     }
     if (harness)
-      return run_harness(procs, scenarios, seeds, base_port, time_scale, out,
+      return run_harness(procs, scenarios, seeds, base_port, out,
                          "/proc/self/exe");
   } catch (const std::exception& e) {
     std::fprintf(stderr, "hades_node: %s\n", e.what());
