@@ -1,7 +1,9 @@
 #include "core/monitor.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <utility>
 
@@ -23,6 +25,16 @@ bool is_suspicion(monitor_event_kind k) {
 }
 
 }  // namespace
+
+void monitor_log::block_free::operator()(monitor_event* block) const noexcept {
+  std::allocator<monitor_event>{}.deallocate(block, block_records);
+}
+
+void monitor_log::add_block() {
+  // Uninitialized storage: `push_back` copy-constructs each record in place.
+  block b(std::allocator<monitor_event>{}.allocate(block_records));
+  blocks_.push_back(std::move(b));
+}
 
 name_id monitor::intern(std::string_view text) {
   if (text.empty()) return no_name;
@@ -55,7 +67,11 @@ std::string monitor::detail_text(const monitor_event& e) const {
 }
 
 void monitor::append(monitor_event& e) {
-  e.shard = rt_ != nullptr ? rt_->executing_shard() : 0;
+  const std::uint32_t shard = rt_ != nullptr ? rt_->executing_shard() : 0;
+  // The sharded backend caps at 64 shards; the realtime backend tags the
+  // process index.
+  require(shard <= UINT16_MAX, "monitor: shard index exceeds 16 bits");
+  e.shard = static_cast<std::uint16_t>(shard);
   if (!events_.empty() && before(e, events_.back())) sorted_ = false;
   events_.push_back(e);
 }
@@ -76,10 +92,10 @@ void monitor::record(monitor_event e) {
   require(!traced_kinds.contains(e.kind),
           "monitor::record: trace kinds enter through monitor::trace");
   append(e);
-  // Listeners see `e`, never a reference into the vector: a synchronous
-  // listener may re-enter record (dependency_tracker aborting instances
-  // records fresh orphan events), and the resulting push_back would
-  // invalidate any reference held across the callback.
+  // Listeners see `e`, never the log's copy: blocks never move, but
+  // `events()` sorts the log in place. A synchronous listener may re-enter
+  // record (dependency_tracker aborting instances records fresh orphan
+  // events).
   for (const auto& l : listeners_) l(e);
   // Redeliver on each home shard at a backend-independent date. One wire
   // frame per foreign home: the receiving process fans the event out to
@@ -109,7 +125,8 @@ void monitor::redeliver(std::size_t listener_index, const monitor_event& e) {
     r.fn(e);
     return;
   }
-  // `this`, an index and the 48-byte record: inline in the event core.
+  // `this`, an index and the 40-byte record (56 bytes): inline in the
+  // event core.
   rt_->at_node(r.home, rt_->now() + r.delay,
                [this, listener_index, e] { routed_[listener_index].fn(e); });
 }
@@ -123,7 +140,7 @@ void monitor::deliver_forwarded(monitor_event e, std::string_view subject,
       redeliver(i, e);
 }
 
-const std::vector<monitor_event>& monitor::events() const {
+const monitor_log& monitor::events() const {
   // Stable: equal {time, shard} keys keep append order, which is each
   // shard's own sequence.
   if (!sorted_) {

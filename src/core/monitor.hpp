@@ -23,17 +23,20 @@
 // The monitor itself is an event sink with query helpers; the detectors
 // live in the dispatcher/system, which know the execution state.
 //
-// Records are fixed-size (DESIGN.md, "Monitor records"): 48 trivially
+// Records are fixed-size (DESIGN.md, "Monitor records"): 40 trivially
 // copyable bytes, with the subject and detail text held as ids into a
 // table the monitor owns. `intern` copies each distinct string once, on
 // first sight, and only the thread executing the monitor's runtime may call
 // it. Node kinds (crash, recovery, suspicion) store no text at all: their
 // subject and detail are rebuilt from `node` and `subject_node`.
 //
-// Shard confinement (DESIGN.md): the monitor keeps one vector of records in
-// execution order. Each record carries the shard that appended it
+// The log is a `monitor_log`: records in fixed blocks that never move, so
+// growing it copies nothing and `clear()` keeps the blocks for the next run.
+//
+// Shard confinement (DESIGN.md): the monitor appends records in execution
+// order. Each record carries the shard that appended it
 // (`runtime::executing_shard()`, 0 when unbound), and `events()`
-// stable-sorts the vector in place by {time, shard} when something was
+// stable-sorts the log in place by {time, shard} when something was
 // appended out of that order. Equal keys keep append order, so readers see
 // {time, shard, per-shard sequence}: independent of the order a serial
 // round runs its shards in. Two subscription flavours exist:
@@ -48,10 +51,14 @@
 //     keeps mode switching bit-identical across shard counts.
 #pragma once
 
+#include <compare>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
+#include <iterator>
+#include <memory>
+#include <new>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -174,21 +181,148 @@ inline constexpr name_id no_name = 0;
 
 struct monitor_event {
   monitor_event_kind kind = monitor_event_kind::deadline_miss;
-  std::uint32_t shard = 0;  // set by `record`: the shard that appended it
-  time_point at;
+  std::uint16_t shard = 0;  // set by the monitor: the shard that appended it
   node_id node = invalid_node;
+  time_point at;
+  instance_number instance = 0;
   /// node_suspected / node_unsuspected: the suspected node (`node` is the
   /// observer).
   node_id subject_node = invalid_node;
   task_id task = invalid_task;
-  instance_number instance = 0;
   /// Text ids; read them back with `monitor::subject_text`/`detail_text`.
   /// Node kinds leave both empty (see the file comment).
   name_id subject = no_name;
   name_id detail = no_name;
 };
 static_assert(std::is_trivially_copyable_v<monitor_event>);
-static_assert(sizeof(monitor_event) <= 48);
+static_assert(sizeof(monitor_event) == 40);
+
+/// The monitor's log: records in blocks of `block_records` that never move.
+/// `push_back` allocates a block only when every block is full and copies
+/// nothing; `clear()` empties the log and keeps its blocks; a
+/// default-constructed log allocates nothing. Indexing and the random-access
+/// iterators read it like a vector. The mutable iterators exist for the
+/// monitor's in-place sort.
+class monitor_log {
+  struct block_free {
+    void operator()(monitor_event* block) const noexcept;
+  };
+  using block = std::unique_ptr<monitor_event, block_free>;
+
+ public:
+  static constexpr std::size_t block_shift = 12;
+  static constexpr std::size_t block_records = std::size_t{1} << block_shift;
+
+  template <bool Const>
+  class basic_iterator {
+   public:
+    using iterator_category = std::random_access_iterator_tag;
+    using value_type = monitor_event;
+    using difference_type = std::ptrdiff_t;
+    using pointer =
+        std::conditional_t<Const, const monitor_event*, monitor_event*>;
+    using reference =
+        std::conditional_t<Const, const monitor_event&, monitor_event&>;
+
+    basic_iterator() = default;
+
+    reference operator*() const { return *slot(blocks_, i_); }
+    pointer operator->() const { return &**this; }
+    reference operator[](difference_type n) const { return *(*this + n); }
+
+    basic_iterator& operator++() {
+      ++i_;
+      return *this;
+    }
+    basic_iterator operator++(int) {
+      basic_iterator old = *this;
+      ++i_;
+      return old;
+    }
+    basic_iterator& operator--() {
+      --i_;
+      return *this;
+    }
+    basic_iterator operator--(int) {
+      basic_iterator old = *this;
+      --i_;
+      return old;
+    }
+    basic_iterator& operator+=(difference_type n) {
+      i_ += static_cast<std::size_t>(n);
+      return *this;
+    }
+    basic_iterator& operator-=(difference_type n) {
+      i_ -= static_cast<std::size_t>(n);
+      return *this;
+    }
+    friend basic_iterator operator+(basic_iterator it, difference_type n) {
+      return it += n;
+    }
+    friend basic_iterator operator+(difference_type n, basic_iterator it) {
+      return it += n;
+    }
+    friend basic_iterator operator-(basic_iterator it, difference_type n) {
+      return it -= n;
+    }
+    friend difference_type operator-(const basic_iterator& a,
+                                     const basic_iterator& b) {
+      return static_cast<difference_type>(a.i_) -
+             static_cast<difference_type>(b.i_);
+    }
+    friend bool operator==(const basic_iterator& a, const basic_iterator& b) {
+      return a.i_ == b.i_;
+    }
+    friend std::strong_ordering operator<=>(const basic_iterator& a,
+                                            const basic_iterator& b) {
+      return a.i_ <=> b.i_;
+    }
+
+   private:
+    friend class monitor_log;
+    basic_iterator(const block* blocks, std::size_t i)
+        : blocks_(blocks), i_(i) {}
+
+    const block* blocks_ = nullptr;
+    std::size_t i_ = 0;
+  };
+  using iterator = basic_iterator<false>;
+  using const_iterator = basic_iterator<true>;
+
+  monitor_log() = default;
+  monitor_log(const monitor_log&) = delete;
+  monitor_log& operator=(const monitor_log&) = delete;
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] const monitor_event& operator[](std::size_t i) const {
+    return *slot(blocks_.data(), i);
+  }
+  [[nodiscard]] const monitor_event& back() const { return (*this)[size_ - 1]; }
+
+  [[nodiscard]] const_iterator begin() const { return {blocks_.data(), 0}; }
+  [[nodiscard]] const_iterator end() const { return {blocks_.data(), size_}; }
+  [[nodiscard]] iterator begin() { return {blocks_.data(), 0}; }
+  [[nodiscard]] iterator end() { return {blocks_.data(), size_}; }
+
+  void push_back(const monitor_event& e) {
+    if (size_ == blocks_.size() * block_records) add_block();
+    ::new (slot(blocks_.data(), size_)) monitor_event(e);
+    ++size_;
+  }
+  /// Empty the log; the blocks stay for the records that follow.
+  void clear() { size_ = 0; }
+
+ private:
+  // Record `i`: a shift and a mask.
+  static monitor_event* slot(const block* blocks, std::size_t i) {
+    return blocks[i >> block_shift].get() + (i & (block_records - 1));
+  }
+  void add_block();
+
+  std::vector<block> blocks_;
+  std::size_t size_ = 0;
+};
 
 class monitor {
  public:
@@ -279,7 +413,7 @@ class monitor {
 
   /// The log: every monitored and trace record, ordered by {time, shard,
   /// per-shard sequence}. Sorted in place when needed; query between runs.
-  [[nodiscard]] const std::vector<monitor_event>& events() const;
+  [[nodiscard]] const monitor_log& events() const;
 
   [[nodiscard]] std::size_t count(monitor_event_kind k) const {
     std::size_t n = 0;
@@ -294,8 +428,8 @@ class monitor {
       if (e.kind == k && e.task == t) ++n;
     return n;
   }
-  /// Drop the records. The name table stays: ids held elsewhere remain
-  /// readable.
+  /// Drop the records; the log keeps its blocks. The name table stays: ids
+  /// held elsewhere remain readable.
   void clear() {
     events_.clear();
     sorted_ = true;
@@ -330,7 +464,7 @@ class monitor {
   hades::runtime* rt_ = nullptr;
   bool tracing_ = false;
   // Execution order; `events()` sorts it when `sorted_` is false.
-  mutable std::vector<monitor_event> events_;
+  mutable monitor_log events_;
   mutable bool sorted_ = true;
   // Name table: each distinct text once, as a key of `name_index_` (node
   // keys never move), and `names_[id - 1]` points at it.

@@ -224,7 +224,7 @@ TEST(KernelAllocTest, ActivationToCompletionCycleAllocatesNothing) {
   EXPECT_EQ(sim::event_callback::heap_allocations(), closures);
 }
 
-// Monitor records are 48 trivially copyable bytes with interned names:
+// Monitor records are 40 trivially copyable bytes with interned names:
 // once the names have been seen and the log and event pool have grown,
 // recording an event with a synchronous and a routed listener allocates
 // nothing, and constructing a monitor allocates nothing either.
@@ -262,6 +262,50 @@ TEST(KernelAllocTest, RecordingAnEventAllocatesNothing) {
   EXPECT_EQ(sys.mon().subject_text(sys.mon().events().back()), subject);
   EXPECT_EQ(sys.mon().detail_text(sys.mon().events().back()), detail);
   EXPECT_EQ(alloc_count::calls_during([] { monitor m; }), 0u);
+}
+
+// The log grows a block at a time and never copies: while 100,000 records
+// arrive, the live heap never holds more than the log keeps at the end
+// (give or take the block list's own growth), and that is the records, one
+// partly filled block and the allocator's rounding. A doubling vector holds
+// its old and its new storage at once, about twice the records. Once
+// cleared, the log refills its blocks without allocating.
+TEST(KernelAllocTest, MonitorLogGrowsWithoutCopying) {
+  constexpr std::size_t kRecords = 100'000;
+  monitor mon;
+  const auto record_all = [&] {
+    monitor_event e;
+    e.kind = monitor_event_kind::instance_rejected;
+    e.node = 0;
+    for (std::size_t i = 0; i < kRecords; ++i) {
+      e.at = time_point::at(
+          duration::nanoseconds(static_cast<std::int64_t>(i)));
+      e.instance = i;
+      mon.record(e);
+    }
+  };
+
+  alloc_count::reset_peak();
+  const std::uint64_t before = alloc_count::live_bytes();
+  record_all();
+  const std::uint64_t rise = alloc_count::peak_bytes() - before;
+  const std::uint64_t kept = alloc_count::live_bytes() - before;
+  ASSERT_EQ(mon.events().size(), kRecords);
+  EXPECT_LE(rise, kept + 4096) << rise << " bytes at the peak";
+  // The slack is 4 KiB per block: a 160 KiB block lies above glibc's initial
+  // mmap threshold, so until a freed block raises that threshold each one
+  // is mapped on its own and rounded up to a whole page.
+  const std::size_t blocks =
+      (kRecords + monitor_log::block_records - 1) / monitor_log::block_records;
+  EXPECT_LE(rise, mon.events().size() * sizeof(monitor_event) +
+                      monitor_log::block_records * sizeof(monitor_event) +
+                      4096 * blocks)
+      << rise << " bytes at the peak";
+
+  mon.clear();
+  EXPECT_EQ(alloc_count::calls_during(record_all), 0u);
+  ASSERT_EQ(mon.events().size(), kRecords);
+  EXPECT_EQ(mon.events().back().instance, kRecords - 1);
 }
 
 // A warmed, overloaded traffic gateway: every arrival its controller
@@ -320,7 +364,7 @@ TEST(KernelAllocTest, GatewaySheddingShortWarmUpAllocatesNothing) {
   EXPECT_EQ(gateway_shedding_window_allocations(200_ms), 0u);
 }
 
-// The observation log is one vector of monitored and trace records. A
+// The observation log is one block log of monitored and trace records. A
 // single engine appends in time order, so reading it back sorts nothing and
 // copies nothing — not even subjects too long for the small-string buffer,
 // on either kind of record.

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "sim/runtime.hpp"
 
 namespace hades::core {
@@ -89,6 +93,59 @@ TEST(MonitorShardTest, OutsideRecordSortsAsShardZero) {
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].kind, monitor_event_kind::node_recover);
   EXPECT_EQ(events[1].kind, monitor_event_kind::node_crash);
+}
+
+// The in-place sort spans the log's blocks: two shards record 5,000 events
+// each (three blocks), with dates that interleave across shards and
+// same-instant ties, two records per callback. Serial rounds append each
+// shard's window in turn, so the log is out of order, and `events()` must
+// read back as a stable sort of the append order by {time, shard}.
+TEST(MonitorShardTest, OutOfOrderRecordsSortAcrossBlocks) {
+  constexpr std::uint64_t kPerShard = 5000;
+  auto rt = two_shards();
+  monitor mon;
+  mon.bind(*rt);
+  std::vector<monitor_event> appended;
+  mon.subscribe([&](const monitor_event& e) { appended.push_back(e); });
+
+  std::uint64_t seq = 0;  // append order, kept in `instance`
+  const auto record_two = [&](node_id n) {
+    for (int k = 0; k < 2; ++k) {
+      monitor_event e =
+          ev(rt->now(), n, k == 0 ? monitor_event_kind::deadline_miss
+                                  : monitor_event_kind::instance_rejected);
+      e.instance = seq++;
+      mon.record(e);
+    }
+  };
+  for (std::uint64_t i = 0; i < kPerShard / 2; ++i) {
+    const time_point at = time_point::at(7_us * static_cast<std::int64_t>(i));
+    rt->at_node(0, at, [&] { record_two(0); });
+    // Every third date ties with shard 0's; the others fall between its.
+    rt->at_node(1, at + 3_us * static_cast<std::int64_t>(i % 3),
+                [&] { record_two(1); });
+  }
+  rt->run();
+
+  std::vector<monitor_event> expected = appended;
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const monitor_event& a, const monitor_event& b) {
+                     return a.at != b.at ? a.at < b.at : a.shard < b.shard;
+                   });
+  ASSERT_EQ(expected.size(), 2 * kPerShard);
+  ASSERT_FALSE(std::equal(expected.begin(), expected.end(),
+                          appended.begin(),
+                          [](const monitor_event& a, const monitor_event& b) {
+                            return a.instance == b.instance;
+                          }))
+      << "the rounds appended in order: nothing to sort";
+  const auto& log = mon.events();
+  ASSERT_EQ(log.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(log[i].instance, expected[i].instance) << "at " << i;
+    ASSERT_EQ(log[i].at, expected[i].at) << "at " << i;
+    ASSERT_EQ(log[i].shard, expected[i].shard) << "at " << i;
+  }
 }
 
 // subscribe_at_node redelivers on the home shard at record date + delay —
