@@ -28,6 +28,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -175,8 +176,10 @@ int main(int argc, char** argv) {
   const std::uint64_t measured = smoke ? 500'000 : 4'000'000;
   const unsigned hw = std::thread::hardware_concurrency();
 
-  // The histogram is ~57KB of atomics; one instance, reset per mix.
-  static hdr_histogram hist;
+  // One histogram, reset per mix. Every row is reserved, so the measured
+  // phase allocates nothing whichever ranges the warm-up reached.
+  hdr_histogram hist;
+  hist.reserve(std::numeric_limits<std::int64_t>::max());
 
   // 150,000/s is ~0.7 mean load, and bursts push far past 1.0; 20,000/s
   // is ~0.1 and admits everything.

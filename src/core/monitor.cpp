@@ -27,13 +27,17 @@ bool is_suspicion(monitor_event_kind k) {
 }  // namespace
 
 void monitor_log::block_free::operator()(monitor_event* block) const noexcept {
-  std::allocator<monitor_event>{}.deallocate(block, block_records);
+  std::allocator<monitor_event>{}.deallocate(block, records);
 }
 
 void monitor_log::add_block() {
+  const std::size_t records =
+      blocks_.empty() ? first_block_records : block_records;
   // Uninitialized storage: `push_back` copy-constructs each record in place.
-  block b(std::allocator<monitor_event>{}.allocate(block_records));
+  block b(std::allocator<monitor_event>{}.allocate(records),
+          block_free{records});
   blocks_.push_back(std::move(b));
+  capacity_ += records;
 }
 
 name_id monitor::intern(std::string_view text) {

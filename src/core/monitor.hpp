@@ -197,21 +197,25 @@ struct monitor_event {
 static_assert(std::is_trivially_copyable_v<monitor_event>);
 static_assert(sizeof(monitor_event) == 40);
 
-/// The monitor's log: records in blocks of `block_records` that never move.
-/// `push_back` allocates a block only when every block is full and copies
-/// nothing; `clear()` empties the log and keeps its blocks; a
-/// default-constructed log allocates nothing. Indexing and the random-access
-/// iterators read it like a vector. The mutable iterators exist for the
-/// monitor's in-place sort.
+/// The monitor's log: records in blocks that never move, the first of
+/// `first_block_records` and every later one of `block_records`, so a short
+/// log pays for a short block. `push_back` allocates a block only when
+/// every block is full and copies nothing; `clear()` empties the log and
+/// keeps its blocks; a default-constructed log allocates nothing. Indexing
+/// and the random-access iterators read it like a vector. The mutable
+/// iterators exist for the monitor's in-place sort.
 class monitor_log {
   struct block_free {
+    std::size_t records;
     void operator()(monitor_event* block) const noexcept;
   };
   using block = std::unique_ptr<monitor_event, block_free>;
 
  public:
+  static constexpr std::size_t first_block_records = 256;
   static constexpr std::size_t block_shift = 12;
   static constexpr std::size_t block_records = std::size_t{1} << block_shift;
+  static_assert(first_block_records < block_records);
 
   template <bool Const>
   class basic_iterator {
@@ -306,7 +310,7 @@ class monitor_log {
   [[nodiscard]] iterator end() { return {blocks_.data(), size_}; }
 
   void push_back(const monitor_event& e) {
-    if (size_ == blocks_.size() * block_records) add_block();
+    if (size_ == capacity_) add_block();
     ::new (slot(blocks_.data(), size_)) monitor_event(e);
     ++size_;
   }
@@ -314,14 +318,19 @@ class monitor_log {
   void clear() { size_ = 0; }
 
  private:
-  // Record `i`: a shift and a mask.
+  // Record `i`: a compare, then a shift and a mask. Counted from
+  // `block_records - first_block_records` records before the log's start,
+  // every block after the first starts on a multiple of `block_records`.
   static monitor_event* slot(const block* blocks, std::size_t i) {
-    return blocks[i >> block_shift].get() + (i & (block_records - 1));
+    if (i < first_block_records) return blocks[0].get() + i;
+    const std::size_t j = i + (block_records - first_block_records);
+    return blocks[j >> block_shift].get() + (j & (block_records - 1));
   }
   void add_block();
 
   std::vector<block> blocks_;
   std::size_t size_ = 0;
+  std::size_t capacity_ = 0;  // records the blocks hold
 };
 
 class monitor {

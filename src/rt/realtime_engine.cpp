@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -38,6 +39,9 @@ class realtime_engine final : public hades::runtime {
     validate(o_.process_count == 1 || o_.node_count > 0,
              "realtime_engine: multi-process placement needs node_count");
     if (o_.epoch_ns == 0) o_.epoch_ns = steady_now_ns();
+    // A late wake may land in any range, and the run loop must not
+    // allocate to count it.
+    lateness_.reserve(std::numeric_limits<std::int64_t>::max());
   }
 
   // --- clock ---------------------------------------------------------------
@@ -212,7 +216,7 @@ class realtime_engine final : public hades::runtime {
   mutable std::mutex mu_;  // guards core_
   std::condition_variable cv_;
   sim::engine core_;
-  hdr_histogram lateness_;  // written under mu_, by the run loop
+  hdr_histogram lateness_;  // rows reserved; written under mu_, by the run loop
   mutable std::atomic<std::int64_t> watermark_{0};
   std::atomic<std::thread::id> exec_tid_{};
 };

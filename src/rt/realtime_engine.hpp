@@ -35,8 +35,9 @@
 //     chain; what must cross processes rides the socket transport, not the
 //     scheduler.
 //   * every fired event records its wake lateness (`wake_lateness`): how
-//     long after its date's real deadline its callback started. The
-//     histogram is a fixed-size member, so recording allocates nothing.
+//     long after its date's real deadline its callback started. The engine
+//     reserves every row of that histogram when it is built, so recording
+//     allocates nothing, however late a wake.
 #pragma once
 
 #include <cstdint>

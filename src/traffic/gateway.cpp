@@ -23,13 +23,6 @@ gateway::gateway(core::system& sys, node_id node, gateway_config cfg,
                           admission_controller::reserved_slots));
 }
 
-const hdr_histogram& gateway::latency() const {
-  // Never written. Not const, so it is zero-initialized storage rather than
-  // 57 KB of read-only data in the binary.
-  static hdr_histogram empty;
-  return latency_ != nullptr ? *latency_ : empty;
-}
-
 std::int32_t gateway::class_of(task_id t) const {
   for (std::size_t i = 0; i < tasks_.size(); ++i)
     if (tasks_[i] == t) return static_cast<std::int32_t>(i);
@@ -74,8 +67,7 @@ void gateway::start() {
     ctrl_.complete(
         static_cast<admission_controller::handle>(it - owner_.begin()));
     if (completed) {
-      if (latency_ == nullptr) latency_ = std::make_unique<hdr_histogram>();
-      latency_->record((now - act).count());
+      latency_.record((now - act).count());
     } else {
       ++missed_;
     }

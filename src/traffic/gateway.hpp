@@ -18,15 +18,14 @@
 // handle by scanning it.
 //
 // End-to-end latency (activation to completion) lands in an HDR histogram
-// created by the first completion (recording never allocates); per-node
-// instances merge deterministically in node order at collection.
+// that allocates a row the first time a latency lands in its range;
+// per-node instances merge deterministically in node order at collection.
 // Mode-change renegotiation arrives via renegotiate(), routed to this
 // node's shard by the deployment's mode hook; periodic exact re-validation
 // runs off the hot path on the same shard.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/system.hpp"
@@ -74,7 +73,7 @@ class gateway {
   };
   [[nodiscard]] totals snapshot() const;
   /// Empty until the first request completes.
-  [[nodiscard]] const hdr_histogram& latency() const;
+  [[nodiscard]] const hdr_histogram& latency() const { return latency_; }
   [[nodiscard]] node_id node() const { return node_; }
   [[nodiscard]] admission_controller& controller() { return ctrl_; }
   /// Deterministic fold of the full decision + latency history.
@@ -91,7 +90,7 @@ class gateway {
   gateway_config cfg_;
   arrival_process arr_;
   admission_controller ctrl_;
-  std::unique_ptr<hdr_histogram> latency_;  // created by the first completion
+  hdr_histogram latency_;  // holds the rows its latencies reach
   std::vector<task_id> tasks_;                   // per class
   std::vector<std::pair<task_id, instance_number>> owner_;  // by handle
   request pending_;

@@ -1,13 +1,18 @@
-// Zero-allocation HDR-style latency histogram (DESIGN.md, "Traffic edge &
-// admission control").
+// HDR-style latency histogram that holds only the ranges it counts
+// (DESIGN.md, "Latency grading").
 //
 // Fixed log-linear bucketing over the full non-negative int64 nanosecond
 // range: values below 2^P land in their own unit-width bucket, and every
 // power-of-two "decade" above that is split into 2^(P-1) linear sub-buckets,
 // so the recorded value is always within a relative error of 2^-(P-1) of the
-// bucket it lands in (P = 8 gives <= 1/128 ~ 0.8%). The bucket array is a
-// fixed-size member — `record` is a shift, a count-leading-zeros and one
-// increment, with no allocation, so it is safe on the admission hot path.
+// bucket it lands in (P = 8 gives <= 1/128 ~ 0.8%). The buckets form
+// `row_count` rows of `sub_half` counts, one row per power-of-two range. The
+// histogram itself is a table of row pointers (456 bytes at P = 8), and a
+// row (1 KiB) is allocated, zeroed, the first time a value lands in it, so
+// a histogram pays for the ranges its samples reach and no more. After
+// that, `record` is a shift, a count-leading-zeros and one increment.
+// `reserve` allocates the rows up front for callers that must not allocate
+// once they start recording; `reset` keeps the rows.
 //
 // Per-shard instances are merged with `merge` (bucket-wise integer adds —
 // commutative and exact, so the merged histogram is identical for any merge
@@ -15,9 +20,11 @@
 // merges in node order by convention).
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 
 #include "util/fnv.hpp"
 
@@ -35,6 +42,9 @@ class basic_hdr_histogram {
   static constexpr unsigned max_shift = 63 - Precision;
   static constexpr std::size_t slot_count =
       static_cast<std::size_t>(max_shift + 2) * sub_half;
+  /// Row `r` holds slots [r * sub_half, (r + 1) * sub_half): one
+  /// power-of-two range of values.
+  static constexpr std::size_t row_count = slot_count / sub_half;
 
   /// Guaranteed bound on |recorded - representative| / recorded.
   [[nodiscard]] static constexpr double relative_error() {
@@ -72,18 +82,26 @@ class basic_hdr_histogram {
     return static_cast<std::int64_t>(((sub + 1) << shift) - 1);
   }
 
-  void record(std::int64_t value) { ++counts_[slot_of(value)]; }
+  void record(std::int64_t value) { record(value, 1); }
   void record(std::int64_t value, std::uint64_t times) {
-    counts_[slot_of(value)] += times;
+    const std::size_t slot = slot_of(value);
+    row(slot / sub_half)[slot % sub_half] += times;
+  }
+
+  /// Allocate every row up to the one that holds `highest`, so that
+  /// recording values up to it never allocates.
+  void reserve(std::int64_t highest) {
+    for (std::size_t r = 0; r <= slot_of(highest) / sub_half; ++r) row(r);
   }
 
   [[nodiscard]] std::uint64_t total() const {
     std::uint64_t n = 0;
-    for (const std::uint64_t c : counts_) n += c;
+    for (std::size_t i = 0; i < slot_count; ++i) n += count_at(i);
     return n;
   }
   [[nodiscard]] std::uint64_t count_at(std::size_t slot) const {
-    return counts_[slot];
+    const auto& counts = rows_[slot / sub_half];
+    return counts != nullptr ? counts[slot % sub_half] : 0;
   }
 
   /// Value at quantile q in [0, 1] (highest equivalent value of the bucket
@@ -98,7 +116,7 @@ class basic_hdr_histogram {
     if (target > n) target = n;
     std::uint64_t cum = 0;
     for (std::size_t i = 0; i < slot_count; ++i) {
-      cum += counts_[i];
+      cum += count_at(i);
       if (cum >= target) return highest_equivalent(i);
     }
     return highest_equivalent(slot_count - 1);
@@ -106,23 +124,29 @@ class basic_hdr_histogram {
 
   [[nodiscard]] std::int64_t min() const {
     for (std::size_t i = 0; i < slot_count; ++i)
-      if (counts_[i] != 0) return lowest_equivalent(i);
+      if (count_at(i) != 0) return lowest_equivalent(i);
     return 0;
   }
   [[nodiscard]] std::int64_t max() const {
     for (std::size_t i = slot_count; i-- > 0;)
-      if (counts_[i] != 0) return highest_equivalent(i);
+      if (count_at(i) != 0) return highest_equivalent(i);
     return 0;
   }
 
   /// Bucket-wise add. Exact and commutative: any merge order over a set of
-  /// histograms produces the identical result.
+  /// histograms produces the identical result. Allocates only the rows in
+  /// which `o` holds a count.
   void merge(const basic_hdr_histogram& o) {
-    for (std::size_t i = 0; i < slot_count; ++i) counts_[i] += o.counts_[i];
+    for (std::size_t i = 0; i < slot_count; ++i)
+      if (const std::uint64_t c = o.count_at(i); c != 0)
+        row(i / sub_half)[i % sub_half] += c;
   }
 
+  /// Zero every count; the rows stay for the values that follow.
   void reset() {
-    for (std::uint64_t& c : counts_) c = 0;
+    for (const auto& counts : rows_)
+      if (counts != nullptr)
+        std::fill_n(counts.get(), sub_half, std::uint64_t{0});
   }
 
   /// FNV-1a over (slot, count) of the non-empty buckets — the deterministic
@@ -130,7 +154,7 @@ class basic_hdr_histogram {
   [[nodiscard]] std::uint64_t digest() const {
     fnv1a h;
     for (std::size_t i = 0; i < slot_count; ++i)
-      if (counts_[i] != 0) h.mix(i).mix(counts_[i]);
+      if (const std::uint64_t c = count_at(i); c != 0) h.mix(i).mix(c);
     return h.value();
   }
 
@@ -147,9 +171,17 @@ class basic_hdr_histogram {
     return {shift, sub + sub_half};
   }
 
-  std::uint64_t counts_[slot_count] = {};
+  /// Row `r`'s counts, allocated zeroed on first use.
+  std::uint64_t* row(std::size_t r) {
+    if (rows_[r] == nullptr) [[unlikely]]
+      rows_[r] = std::make_unique<std::uint64_t[]>(sub_half);
+    return rows_[r].get();
+  }
+
+  std::unique_ptr<std::uint64_t[]> rows_[row_count];
 };
 
 using hdr_histogram = basic_hdr_histogram<8>;
+static_assert(sizeof(hdr_histogram) <= 512);
 
 }  // namespace hades

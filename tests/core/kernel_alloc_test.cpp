@@ -15,26 +15,33 @@
 // their high-water mark, then once more under the counter with the
 // identical pattern. The in-order dedup insert that every reliable-comm
 // receive runs is held to the same bar, and so are a total-order broadcast
-// storm and a chain of realtime events. Construction may allocate, but
-// building services on a 1,000-node system must cost fewer allocations
-// than there are nodes.
+// storm and a chain of realtime events, late wakes included. Construction
+// may allocate, but building services on a 1,000-node system must cost
+// fewer allocations than there are nodes. Storage is held to what is used:
+// a short monitor log takes a short block, and a latency histogram only
+// the ranges it counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <memory>
 #include <new>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/alloc_count.hpp"
 #include "core/system.hpp"
+#include "rt/realtime_engine.hpp"
 #include "sched/edf.hpp"
 #include "services/clock_sync.hpp"
 #include "services/fault_detector.hpp"
 #include "services/reliable_comm.hpp"
 #include "sim/engine.hpp"
 #include "traffic/gateway.hpp"
+#include "util/hdr_histogram.hpp"
 
 namespace hades::core {
 namespace {
@@ -308,6 +315,72 @@ TEST(KernelAllocTest, MonitorLogGrowsWithoutCopying) {
   EXPECT_EQ(mon.events().back().instance, kRecords - 1);
 }
 
+// A short log pays for a short block: eight records take the 256-record
+// first block (10 KiB), not a 4,096-record one (160 KiB).
+TEST(KernelAllocTest, SmallMonitorLogTakesASmallBlock) {
+  monitor mon;
+  monitor_event e;
+  e.kind = monitor_event_kind::instance_rejected;
+  e.node = 0;
+  alloc_count::reset_peak();
+  const std::uint64_t before = alloc_count::live_bytes();
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    e.at = time_point::at(duration::microseconds(static_cast<std::int64_t>(i)));
+    e.instance = i;
+    mon.record(e);
+  }
+  ASSERT_EQ(mon.events().size(), 8u);
+  EXPECT_LE(alloc_count::peak_bytes() - before,
+            256 * sizeof(monitor_event) + 64);
+}
+
+// A histogram holds the rows its values reach: 48,854 latencies spread over
+// [200 us, 40 ms], the span of a gateway's request costs and deadlines,
+// reach 9 of its 57 rows of 1 KiB. A histogram over the whole range held
+// 58,368 bytes. Once the rows exist, recording again after `reset()`
+// allocates nothing, and neither do the reads or merging an empty
+// histogram.
+TEST(KernelAllocTest, LatencyHistogramHoldsOnlyTheRowsItCounts) {
+  constexpr std::int64_t kSamples = 48'854;
+  constexpr std::int64_t kLow = (200_us).count();
+  constexpr std::int64_t kHigh = (40_ms).count();
+  const auto record_all = [](hdr_histogram& h) {
+    for (std::int64_t i = 0; i < kSamples; ++i)
+      h.record(kLow + (kHigh - kLow) * i / (kSamples - 1));
+  };
+
+  const std::uint64_t before = alloc_count::live_bytes();
+  const auto h = std::make_unique<hdr_histogram>();
+  record_all(*h);
+  EXPECT_LE(alloc_count::live_bytes() - before, 10u * 1024);
+  ASSERT_EQ(h->total(), static_cast<std::uint64_t>(kSamples));
+
+  h->reset();
+  EXPECT_EQ(h->total(), 0u);
+  EXPECT_EQ(alloc_count::calls_during([&] { record_all(*h); }), 0u);
+
+  const hdr_histogram empty;
+  std::int64_t p50 = 0, p999 = 0, lo = 0, hi = 0;
+  std::uint64_t total = 0, digest = 0;
+  EXPECT_EQ(alloc_count::calls_during([&] {
+              p50 = h->value_at_quantile(0.5);
+              p999 = h->value_at_quantile(0.999);
+              lo = h->min();
+              hi = h->max();
+              total = h->total();
+              digest = h->digest();
+              h->merge(empty);
+            }),
+            0u);
+  EXPECT_LE(lo, kLow);
+  EXPECT_LE(lo, p50);
+  EXPECT_LE(p50, p999);
+  EXPECT_LE(p999, hi);
+  EXPECT_GE(hi, kHigh);
+  EXPECT_EQ(total, static_cast<std::uint64_t>(kSamples));
+  EXPECT_EQ(h->digest(), digest);
+}
+
 // A warmed, overloaded traffic gateway: every arrival its controller
 // bounces and every admitted request it sheds records an
 // `instance_rejected` event (a shed request that had started also records
@@ -532,6 +605,45 @@ TEST(KernelAllocTest, RealtimeEventChainAllocatesNothing) {
   EXPECT_EQ(sim::event_callback::heap_allocations(), closures);
   EXPECT_EQ(left, 0);
   EXPECT_TRUE(rt->empty());
+}
+
+// However late a realtime wake comes, counting it allocates nothing: the
+// engine reserves every row of its lateness histogram when it is built.
+// After the same warm-up, each link of a 20-link chain reads the clock,
+// sleeps 3 ms and only then schedules the next link at the date it read,
+// so every successor wakes about 3 ms late, in a range that prompt wakes
+// never reach.
+TEST(KernelAllocTest, LateRealtimeWakesAllocateNothing) {
+  hades::runtime::options o;
+  o.backend = "realtime";
+  const auto engine = hades::runtime::make(o);
+  struct link {
+    hades::runtime* rt;
+    int* left;
+    bool late;
+    void operator()() const {
+      const time_point due = rt->now();
+      if (late) std::this_thread::sleep_for(std::chrono::milliseconds(3));
+      if (--*left > 0) rt->at(due, link{*this});
+    }
+  };
+  int left = 0;
+  const auto chain = [&](int links, bool late) {
+    left = links;
+    engine->at(engine->now(), link{engine.get(), &left, late});
+    engine->run();
+  };
+
+  chain(1000, false);  // warm-up sizes the core's slab pool and ready heap
+  const std::uint64_t closures = sim::event_callback::heap_allocations();
+  const std::uint64_t fired = rt::wake_lateness(*engine).total();
+
+  EXPECT_EQ(alloc_count::calls_during([&] { chain(20, true); }), 0u);
+  EXPECT_EQ(sim::event_callback::heap_allocations(), closures);
+  EXPECT_EQ(left, 0);
+  const hdr_histogram& late = rt::wake_lateness(*engine);
+  EXPECT_EQ(late.total(), fired + 20);
+  EXPECT_GE(late.max(), (2_ms).count());
 }
 
 // A service registers each of its channels once for the whole system, not

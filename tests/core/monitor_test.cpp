@@ -96,10 +96,11 @@ TEST(MonitorShardTest, OutsideRecordSortsAsShardZero) {
 }
 
 // The in-place sort spans the log's blocks: two shards record 5,000 events
-// each (three blocks), with dates that interleave across shards and
-// same-instant ties, two records per callback. Serial rounds append each
-// shard's window in turn, so the log is out of order, and `events()` must
-// read back as a stable sort of the append order by {time, shard}.
+// each (the small first block and three more), with dates that interleave
+// across shards and same-instant ties, two records per callback. Serial
+// rounds append each shard's window in turn, so the log is out of order,
+// and `events()` must read back as a stable sort of the append order by
+// {time, shard}.
 TEST(MonitorShardTest, OutOfOrderRecordsSortAcrossBlocks) {
   constexpr std::uint64_t kPerShard = 5000;
   auto rt = two_shards();

@@ -78,8 +78,7 @@ TEST(HdrHistogramTest, RelativeErrorBoundHolds) {
 }
 
 TEST(HdrHistogramTest, QuantilesTrackTheExactDistribution) {
-  static hdr_histogram h;
-  h.reset();
+  hdr_histogram h;
   rng r(99);
   std::vector<std::int64_t> exact;
   constexpr int n = 20'000;
@@ -112,11 +111,7 @@ TEST(HdrHistogramTest, QuantilesTrackTheExactDistribution) {
 }
 
 TEST(HdrHistogramTest, MergeIsExactAndCommutative) {
-  static hdr_histogram a1, b1, a2, b2;
-  a1.reset();
-  b1.reset();
-  a2.reset();
-  b2.reset();
+  hdr_histogram a1, b1, a2, b2;
   rng r(7);
   for (int i = 0; i < 5'000; ++i) {
     const auto va = static_cast<std::int64_t>(r.next_u64() % 1'000'000);
@@ -138,10 +133,42 @@ TEST(HdrHistogramTest, MergeIsExactAndCommutative) {
     ASSERT_EQ(a1.count_at(i), a2.count_at(i) + b1.count_at(i));
 }
 
+TEST(HdrHistogramTest, EveryRowCountsAndMerges) {
+  // The buckets form 57 rows of sub_half slots, one per power-of-two range.
+  // One value at the top of each row, INT64_MAX in the last, reaches every
+  // row; the reads and a merge into an empty histogram see all of them.
+  constexpr std::size_t kRows = 57;
+  ASSERT_EQ(hdr_histogram::slot_count, kRows * hdr_histogram::sub_half);
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  hdr_histogram h;
+  for (std::size_t r = 0; r < kRows; ++r) {
+    const std::size_t top = (r + 1) * hdr_histogram::sub_half - 1;
+    const std::int64_t v = hdr_histogram::highest_equivalent(top);
+    ASSERT_EQ(hdr_histogram::slot_of(v), top) << "row " << r;
+    // The next value opens the next row.
+    if (r + 1 < kRows)
+      ASSERT_EQ(hdr_histogram::slot_of(v + 1), top + 1) << "row " << r;
+    else
+      ASSERT_EQ(v, kMax);
+    h.record(v);
+  }
+  EXPECT_EQ(h.total(), kRows);
+  const auto first = static_cast<std::int64_t>(hdr_histogram::sub_half - 1);
+  EXPECT_EQ(h.min(), first);
+  EXPECT_EQ(h.max(), kMax);
+  EXPECT_EQ(h.value_at_quantile(0.0), first);
+  EXPECT_EQ(h.value_at_quantile(1.0), kMax);
+
+  hdr_histogram merged;
+  merged.merge(h);
+  EXPECT_EQ(merged.digest(), h.digest());
+  EXPECT_EQ(merged.total(), kRows);
+  for (std::size_t i = 0; i < hdr_histogram::slot_count; ++i)
+    ASSERT_EQ(merged.count_at(i), h.count_at(i)) << "slot " << i;
+}
+
 TEST(HdrHistogramTest, DigestIsDeterministicAndDiscriminating) {
-  static hdr_histogram x, y;
-  x.reset();
-  y.reset();
+  hdr_histogram x, y;
   for (int i = 1; i <= 1000; ++i) {
     x.record(i * 37);
     y.record(i * 37);
