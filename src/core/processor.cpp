@@ -124,7 +124,7 @@ void processor::start_burst(kthread_id t) {
   if (th.st == state::queued) dequeue(th);
   th.st = state::running;
   running_ = t;
-  th.burst_cs = (last_on_cpu_ == t) ? zero : params_.context_switch;
+  th.burst_cs = (last_on_cpu_ == t) ? zero : context_switch_;
   if (th.burst_cs > zero) ++stats_.context_switches;
   last_on_cpu_ = t;
   th.burst_start = rt_->now();

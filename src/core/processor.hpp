@@ -31,21 +31,17 @@
 
 namespace hades::core {
 
-struct kernel_params {
-  duration context_switch = duration::zero();
-};
-
 class processor {
  public:
+  /// `context_switch` is charged to a burst whose thread did not run last.
   /// `mon` (optional) keeps the trace records; it outlives the processor.
-  processor(runtime& rt, node_id node, kernel_params params,
+  processor(runtime& rt, node_id node, duration context_switch,
             monitor* mon = nullptr)
-      : rt_(&rt), node_(node), params_(params), mon_(mon) {}
+      : rt_(&rt), node_(node), context_switch_(context_switch), mon_(mon) {}
   processor(const processor&) = delete;
   processor& operator=(const processor&) = delete;
 
   [[nodiscard]] node_id node() const { return node_; }
-  [[nodiscard]] const kernel_params& params() const { return params_; }
 
   // --- thread lifecycle --------------------------------------------------
   /// Create a suspended thread with `work` units of CPU demand. `name` is
@@ -174,7 +170,7 @@ class processor {
 
   runtime* rt_;
   node_id node_;
-  kernel_params params_;
+  duration context_switch_;
   monitor* mon_;
 
   // The thread table: a slot per thread, found by `slot_of(id)` and checked

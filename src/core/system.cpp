@@ -36,12 +36,10 @@ system::system(std::size_t node_count, config cfg) : cfg_(std::move(cfg)) {
   net_ = std::make_unique<sim::network>(*rt_, cfg_.net, cfg_.seed);
   net_->reserve_nodes(node_count);
 
-  kernel_params kp;
-  kp.context_switch = cfg_.costs.context_switch;
-
   for (std::size_t n = 0; n < node_count; ++n) {
     auto ctx = std::make_unique<node_ctx>();
-    ctx->cpu = std::make_unique<processor>(*rt_, static_cast<node_id>(n), kp,
+    ctx->cpu = std::make_unique<processor>(*rt_, static_cast<node_id>(n),
+                                           cfg_.costs.context_switch,
                                            &monitor_);
     const double drift =
         n < cfg_.clock_drift.size() ? cfg_.clock_drift[n] : 0.0;

@@ -117,11 +117,15 @@ void register_hades_codecs() {
           put(out, m->seq);
           put(out, m->sent_at.nanoseconds());
           put(out, static_cast<std::uint64_t>(m->size_bytes));
-          std::vector<std::byte> nested;
-          const std::uint32_t nested_tag = wire_codec::encode(m->payload, nested);
-          put(out, nested_tag);
-          put(out, static_cast<std::uint32_t>(nested.size()));
-          put_bytes(out, nested.data(), nested.size());
+          // The nested payload is encoded in place, behind its tag and
+          // length, which are written once it is.
+          const std::size_t at = out.size();
+          std::uint32_t nested[2] = {};  // tag, length
+          put(out, nested);
+          nested[0] = wire_codec::encode(m->payload, out);
+          nested[1] =
+              static_cast<std::uint32_t>(out.size() - at - sizeof nested);
+          std::memcpy(out.data() + at, nested, sizeof nested);
           return true;
         },
         [](const std::byte* data, std::size_t len) {

@@ -52,6 +52,22 @@ struct frame_header {
 };
 static_assert(std::is_trivially_copyable_v<frame_header>);
 
+// Bytes a frame buffer takes in its one allocation: the 72-byte header and
+// a payload of up to 184 bytes, which holds every payload kind of
+// rt/codecs.cpp but a node list of more than 46 nodes (the largest else, a
+// broadcast envelope around a control token, encodes to 132).
+constexpr std::size_t frame_capacity = 256;
+
+/// A frame holding room for its header, with capacity for the payload the
+/// caller encodes behind it; the header is written once its tag and length
+/// are known.
+std::vector<std::byte> frame_buffer() {
+  std::vector<std::byte> buf;
+  buf.reserve(frame_capacity);
+  buf.resize(sizeof(frame_header));
+  return buf;
+}
+
 struct held_frame {
   std::vector<std::byte> bytes;
   time_point arrived;  // engine time
@@ -113,7 +129,7 @@ struct socket_transport::impl {
     const std::uint32_t dest_proc = rt->shard_of(m.dst);
     if (dest_proc == rt->executing_shard()) return false;  // local: sim LAN
     const std::int64_t extra_ns = extra.count();
-    std::vector<std::byte> buf;
+    std::vector<std::byte> buf = frame_buffer();
     {
       std::lock_guard lk(mu);
       frame_header h;
@@ -126,15 +142,11 @@ struct socket_transport::impl {
       h.extra_delay_ns = extra_ns;
       h.msg_id = m.id;
       h.size_bytes = m.size_bytes;
-
-      std::vector<std::byte> payload;
-      h.payload_tag = sim::wire_codec::encode(m.payload, payload);
-      h.payload_len = static_cast<std::uint32_t>(payload.size());
-      validate(sizeof h + payload.size() <= max_datagram,
+      h.payload_tag = sim::wire_codec::encode(m.payload, buf);
+      h.payload_len = static_cast<std::uint32_t>(buf.size() - sizeof h);
+      validate(buf.size() <= max_datagram,
                "socket_transport: payload exceeds one datagram");
-      buf.resize(sizeof h + payload.size());
       std::memcpy(buf.data(), &h, sizeof h);
-      std::memcpy(buf.data() + sizeof h, payload.data(), payload.size());
       ++st.sent;
       if (extra_ns > 0) ++st.delayed;
     }
@@ -163,18 +175,16 @@ struct socket_transport::impl {
   bool on_forward(const core::monitor_event& e, node_id home, duration) {
     const std::uint32_t dest_proc = rt->shard_of(home);
     if (dest_proc == rt->executing_shard()) return false;
-    std::vector<std::byte> payload;
-    encode_monitor_event(*mon, e, payload);
     frame_header h;
     h.kind = kind_monitor;
     h.dst = home;
     h.sent_at_ns = e.at.nanoseconds();
-    h.payload_len = static_cast<std::uint32_t>(payload.size());
-    validate(sizeof h + payload.size() <= max_datagram,
+    std::vector<std::byte> buf = frame_buffer();
+    encode_monitor_event(*mon, e, buf);
+    h.payload_len = static_cast<std::uint32_t>(buf.size() - sizeof h);
+    validate(buf.size() <= max_datagram,
              "socket_transport: monitor event exceeds one datagram");
-    std::vector<std::byte> buf(sizeof h + payload.size());
     std::memcpy(buf.data(), &h, sizeof h);
-    std::memcpy(buf.data() + sizeof h, payload.data(), payload.size());
     {
       std::lock_guard lk(mu);
       ++st.sent;

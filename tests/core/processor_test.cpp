@@ -15,12 +15,12 @@ struct fixture {
   fixture() { mon.set_tracing(true); }
   sim::engine eng;
   monitor mon;
-  processor cpu{eng, 0, kernel_params{}, &mon};
+  processor cpu{eng, 0, duration::zero(), &mon};
 };
 
 struct fixture_cs {
   sim::engine eng;
-  processor cpu{eng, 0, kernel_params{.context_switch = 10_us}};
+  processor cpu{eng, 0, 10_us};
 };
 
 TEST(ProcessorTest, SingleThreadRunsToCompletion) {

@@ -323,5 +323,31 @@ TEST(EnginePoolTest, CancelledFarFutureEventsDoNotAccumulate) {
   EXPECT_LE(pool.slabs, 2u);            // slots recycled, not accreted
 }
 
+// The stale-record purge walks the whole heap, so it must run about once
+// per standing population's worth of cancels, not every few cancels:
+// bench_engine's churn workload, counted instead of timed.
+TEST(EnginePoolTest, ChurnCompactsOncePerStandingPopulation) {
+  constexpr std::size_t standing = 4096;
+  constexpr std::size_t ops = 200'000;
+  engine e;
+  std::uint32_t rng = 0x9e3779b9u;
+  const auto next_deadline = [&rng] {
+    rng = rng * 1664525u + 1013904223u;
+    return duration::microseconds(100 + (rng >> 8) % 900);
+  };
+  std::vector<event_id> timers;
+  timers.reserve(standing);
+  for (std::size_t s = 0; s < standing; ++s)
+    timers.push_back(e.after(next_deadline(), [] {}));
+  for (std::size_t op = 0; op < ops; ++op) {
+    rng = rng * 1664525u + 1013904223u;
+    event_id& t = timers[rng % standing];
+    e.cancel(t);
+    t = e.after(next_deadline(), [] {});
+    if (op % 512 == 511) e.run_until(e.now() + 5_us);
+  }
+  EXPECT_LE(e.pool().compactions, 4 * ops / standing);  // 195
+}
+
 }  // namespace
 }  // namespace hades::sim
